@@ -264,7 +264,6 @@ def _measure_worker(outbox, round_name: str, store: str, tracker_store: str) -> 
                 "block_cache_hit_rate": round(
                     stats["block_cache_hits"] / lookups if lookups else 0.0, 4
                 ),
-                "carry_blobs_written": stats.get("carry_blobs_written", 0),
             }
         tracker_stats = report.tracker_store_stats
         tracker_block = None

@@ -12,16 +12,13 @@ Each measurement runs in a fresh forked subprocess so that peak-RSS figures
 runs; workload generation happens inside the subprocess but outside the
 timed region.
 
-Every (workload, executor) cell runs once per reporting engine in
-``--engines`` (default ``incremental,delta``), so the recorded snapshot
-carries the engine matrix; per-cell ``report_rounds`` attributes the
-in-stream report cost (rounds, wall-clock, dirty/clean type split and the
-delta engine's ``carry_clean_rate``).
+Per-cell ``report_rounds`` attributes the in-stream report cost (rounds,
+wall-clock, type lattices folded).
 
 Besides the legacy ``small``/``large`` workloads, the matrix covers the
 scenario presets of ``workloads.scenarios`` (``trending``, ``burst``,
-``diurnal``, ``adversarial``): those cells run inline-only per engine plus
-one live-repartition cell (``repartition_handoff="migrate"`` under the
+``diurnal``, ``adversarial``): those cells run inline-only plus one
+live-repartition cell (``repartition_handoff="migrate"`` under the
 threshold policy), keyed by the ``scenario``/``repartition_handoff`` fields
 so ``tools/check_perf_regression.py`` compares like against like.
 
@@ -30,8 +27,6 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/throughput.py                  # full matrix
     PYTHONPATH=src python benchmarks/perf/throughput.py --workloads small \
         --workers 2 --repeat 1 --output BENCH_throughput.json            # CI smoke
-    PYTHONPATH=src python benchmarks/perf/throughput.py --engines incremental \
-        --output /tmp/inc.json                                           # one engine
 
 The committed ``BENCH_throughput.json`` was produced by the full matrix on
 the machine described in its ``host`` block; regenerate it on comparable
@@ -68,9 +63,9 @@ WORKLOADS = {
 }
 
 #: Scenario workloads (``workloads.scenarios`` presets): name -> documents.
-#: Scenario cells run inline-only (the engine story, not the executor
-#: story) plus one live-repartition cell per scenario, so the engine/policy
-#: decision tables in docs/ARCHITECTURE.md are backed by numbers per
+#: Scenario cells run inline-only (the workload-shape story, not the
+#: executor story) plus one live-repartition cell per scenario, so the
+#: policy decision table in docs/ARCHITECTURE.md is backed by numbers per
 #: workload shape instead of the single churny legacy point.
 SCENARIO_WORKLOADS = {
     "trending": 24000,
@@ -87,9 +82,7 @@ SCENARIO_SEED = 7
 #: document-timestamp granularity: the trending cell thins the anchor
 #: cadence to one position per 60 documents (6 s same-slot spacing, large
 #: against the sub-interval boundary jitter) and stretches the plateau to
-#: 240 s so each trend's anchor tagset spans several full rounds, making
-#: the committed ``carry_clean_rate`` structurally nonzero rather than
-#: alignment luck.
+#: 240 s so each trend's anchor tagset spans several full rounds.
 SCENARIO_OVERRIDES = {
     "trending": {
         "trend_plateau_seconds": 240.0,
@@ -99,14 +92,13 @@ SCENARIO_OVERRIDES = {
 
 #: Schema version of BENCH_throughput.json (bump on breaking layout changes).
 #: v2 added per-cell ``phase_seconds`` (build/stream/reporting breakdown of
-#: the best run) and the top-level/per-cell ``reporting_engine``; the
-#: reporting-engine matrix (one cell per engine in ``--engines``) and the
-#: per-cell ``report_rounds`` block (in-stream round count/wall-clock and
-#: the dirty/clean type split from ``RunReport.report_round_stats``) are
-#: additive, so the schema stays 2 — as are the sampled-RSS fields
-#: (``rss_children_mb``: peak summed VmRSS of live descendants via /proc,
-#: fixing the driver-only blind spot of ``RUSAGE_CHILDREN`` on
-#: process-executor cells; ``rss_total_mb``: driver + children).
+#: the best run); the per-cell ``report_rounds`` block (in-stream round
+#: count/wall-clock and folded type lattices from
+#: ``RunReport.report_round_stats``) is additive, so the schema stays 2 —
+#: as are the sampled-RSS fields (``rss_children_mb``: peak summed VmRSS of
+#: live descendants via /proc, fixing the driver-only blind spot of
+#: ``RUSAGE_CHILDREN`` on process-executor cells; ``rss_total_mb``: driver
+#: + children).
 SCHEMA_VERSION = 2
 
 
@@ -142,7 +134,6 @@ def _generate_documents(name: str):
 
 
 def _system_config(executor: str, workers: int, algorithm: str, batch_size: int,
-                   reporting_engine: str = "incremental",
                    scenario: str = "legacy",
                    repartition_handoff: str = "none",
                    repartition_points: tuple = ()):
@@ -164,7 +155,6 @@ def _system_config(executor: str, workers: int, algorithm: str, batch_size: int,
         repartition_at=tuple(repartition_points),
         report_interval_seconds=60.0,
         notification_batch_size=batch_size,
-        reporting_engine=reporting_engine,
         scenario=scenario,
         repartition_handoff=repartition_handoff,
         executor=executor,
@@ -174,7 +164,6 @@ def _system_config(executor: str, workers: int, algorithm: str, batch_size: int,
 
 def _measure_worker(outbox, workload: str, executor: str, workers: int,
                     repeat: int, algorithm: str, batch_size: int,
-                    reporting_engine: str,
                     repartition_handoff: str = "none",
                     repartition_points: tuple = ()) -> None:
     """Subprocess body: run the system ``repeat`` times, report the best."""
@@ -195,7 +184,6 @@ def _measure_worker(outbox, workload: str, executor: str, workers: int,
             for _ in range(repeat):
                 system = TagCorrelationSystem(
                     _system_config(executor, workers, algorithm, batch_size,
-                                   reporting_engine,
                                    scenario=_workload_scenario(workload),
                                    repartition_handoff=repartition_handoff,
                                    repartition_points=repartition_points)
@@ -219,24 +207,16 @@ def _measure_worker(outbox, workload: str, executor: str, workers: int,
             phase: round(seconds, 4)
             for phase, seconds in timings[best_index].items()
         }
-        # In-stream report attribution (rounds, wall-clock, dirty/clean
-        # type split) of the best run — each repeat builds a fresh system,
+        # In-stream report attribution (rounds, wall-clock, folded type
+        # lattices) of the best run — each repeat builds a fresh system,
         # so the per-run counters align with the per-run phase breakdown.
         round_stats = round_stats_runs[best_index]
         report_rounds = None
         if round_stats is not None:
-            folded = round_stats["dirty_types"] + round_stats["clean_types"]
             report_rounds = {
                 "rounds": int(round_stats["rounds"]),
                 "report_seconds": round(round_stats["report_seconds"], 4),
                 "dirty_types": int(round_stats["dirty_types"]),
-                "clean_types": int(round_stats["clean_types"]),
-                "deferred_triples": int(round_stats["deferred_triples"]),
-                # Fraction of in-stream type folds the delta engine's carry
-                # table replaced with re-assertions (0.0 for other engines).
-                "carry_clean_rate": round(
-                    round_stats["clean_types"] / folded if folded else 0.0, 4
-                ),
             }
         outbox.put({
             "workload": workload,
@@ -253,7 +233,6 @@ def _measure_worker(outbox, workload: str, executor: str, workers: int,
             "docs_per_second": round(report.documents_processed / best, 1),
             "phase_seconds": phases,
             "report_rounds": report_rounds,
-            "reporting_engine": report.reporting_engine,
             "peak_rss_mb": round(usage_self / to_mb, 1),
             "peak_worker_rss_mb": round(usage_children / to_mb, 1),
             # Sampled (not rusage) child figures: the summed VmRSS of all
@@ -278,7 +257,6 @@ def _measure_worker(outbox, workload: str, executor: str, workers: int,
 
 def measure(workload: str, executor: str, workers: int = 0, repeat: int = 1,
             algorithm: str = "DS", batch_size: int = 64,
-            reporting_engine: str = "incremental",
             repartition_handoff: str = "none",
             repartition_points: tuple = ()) -> dict:
     """One benchmark cell, isolated in a forked subprocess."""
@@ -289,8 +267,7 @@ def measure(workload: str, executor: str, workers: int = 0, repeat: int = 1,
     proc = ctx.Process(
         target=_measure_worker,
         args=(outbox, workload, executor, workers, repeat, algorithm,
-              batch_size, reporting_engine, repartition_handoff,
-              repartition_points),
+              batch_size, repartition_handoff, repartition_points),
     )
     proc.start()
     while True:
@@ -312,17 +289,16 @@ def measure(workload: str, executor: str, workers: int = 0, repeat: int = 1,
 
 
 def run_matrix(workloads, worker_counts, repeat=1, algorithm="DS",
-               batch_size=64, reporting_engines=("incremental",),
-               verbose=True) -> dict:
+               batch_size=64, verbose=True) -> dict:
     """The full benchmark matrix.
 
-    Legacy workloads run (inline + process × workers) × engines — the
-    executor story.  Scenario workloads run inline × engines plus one
-    live-repartition cell (delta engine, ``repartition_handoff="migrate"``)
-    — the workload-shape story: per-scenario report-round attribution
-    (``carry_clean_rate``) and the migration cost under that drift.
+    Legacy workloads run inline + process × workers — the executor story.
+    Scenario workloads run inline plus one live-repartition cell
+    (``repartition_handoff="migrate"``) — the workload-shape story:
+    per-scenario report-round attribution and the migration cost under
+    that drift.
     """
-    def _print_cell(label, engine, cell, handoff="none"):
+    def _print_cell(cell, handoff="none"):
         phases = cell["phase_seconds"]
         rounds = cell.get("report_rounds") or {}
         suffix = "" if handoff == "none" else f" +{handoff}"
@@ -331,7 +307,6 @@ def run_matrix(workloads, worker_counts, repeat=1, algorithm="DS",
               f"stream {phases.get('stream', 0.0)}s / "
               f"in-stream reports {rounds.get('report_seconds', 0.0)}s / "
               f"reporting {phases.get('reporting', 0.0)}s, "
-              f"carry-clean {rounds.get('carry_clean_rate', 0.0):.1%}, "
               f"rss {cell['peak_rss_mb']} MB){suffix}")
 
     runs = []
@@ -342,32 +317,31 @@ def run_matrix(workloads, worker_counts, repeat=1, algorithm="DS",
         else:
             cells = [("inline", 0)] + [("process", n) for n in worker_counts]
         for executor, workers in cells:
-            for engine in reporting_engines:
-                label = executor if executor == "inline" else f"{executor}({workers}w)"
-                if verbose:
-                    print(f"[bench] {workload:>11} / {label:<12} / {engine:<11} ...",
-                          end=" ", flush=True)
-                cell = measure(workload, executor, workers, repeat, algorithm,
-                               batch_size, engine)
-                runs.append(cell)
-                if verbose:
-                    _print_cell(label, engine, cell)
+            label = executor if executor == "inline" else f"{executor}({workers}w)"
+            if verbose:
+                print(f"[bench] {workload:>11} / {label:<12} ...",
+                      end=" ", flush=True)
+            cell = measure(workload, executor, workers, repeat, algorithm,
+                           batch_size)
+            runs.append(cell)
+            if verbose:
+                _print_cell(cell)
         if scenario_cell:
-            # The drifting-workload repartition cell: the delta engine with
-            # coordinated state migration, swaps pinned to fixed document
+            # The drifting-workload repartition cell: coordinated state
+            # migration, swaps pinned to fixed document
             # counts (1/3 and 2/3 of the stream) so the cell always pays —
             # and therefore always measures — two real migrations.
             n_documents = SCENARIO_WORKLOADS[workload]
             points = (n_documents // 3, 2 * n_documents // 3)
             if verbose:
-                print(f"[bench] {workload:>11} / {'inline':<12} / "
-                      f"{'delta+migr':<11} ...", end=" ", flush=True)
+                print(f"[bench] {workload:>11} / {'inline+migr':<12} ...",
+                      end=" ", flush=True)
             cell = measure(workload, "inline", 0, repeat, algorithm,
-                           batch_size, "delta", repartition_handoff="migrate",
+                           batch_size, repartition_handoff="migrate",
                            repartition_points=points)
             runs.append(cell)
             if verbose:
-                _print_cell("inline", "delta", cell, handoff="migrate")
+                _print_cell(cell, handoff="migrate")
     workload_block = {}
     for name in workloads:
         if name in SCENARIO_WORKLOADS:
@@ -387,8 +361,6 @@ def run_matrix(workloads, worker_counts, repeat=1, algorithm="DS",
         "generated_by": "benchmarks/perf/throughput.py",
         "algorithm": algorithm,
         "notification_batch_size": batch_size,
-        "reporting_engine": reporting_engines[0],
-        "reporting_engines": list(reporting_engines),
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -401,44 +373,27 @@ def run_matrix(workloads, worker_counts, repeat=1, algorithm="DS",
 
 
 def _comparison(runs) -> dict:
-    """Per-workload speedups: process cells over the inline baseline (at
-    the baseline engine) and every non-baseline engine's inline cell over
-    the baseline engine's inline cell."""
+    """Per-workload speedups of the process cells over the inline baseline."""
     comparison: dict[str, dict[str, float]] = {}
     by_workload: dict[str, list[dict]] = {}
     for run in runs:
-        # Repartition cells measure migration cost, not engine/executor
-        # speedups — they would collide with the plain delta cell here.
+        # Repartition cells measure migration cost, not executor speedups.
         if run.get("repartition_handoff", "none") != "none":
             continue
         by_workload.setdefault(run["workload"], []).append(run)
     for workload, cells in by_workload.items():
-        def engine_of(cell):
-            return cell.get("reporting_engine", "incremental")
-
-        inline_cells = [c for c in cells if c["executor"] == "inline"]
-        baseline_engine = engine_of(cells[0])
-        inline = next(
-            (c for c in inline_cells if engine_of(c) == baseline_engine), None
-        )
+        inline = next((c for c in cells if c["executor"] == "inline"), None)
         if inline is None:
             continue
         entry = {"inline_docs_per_second": inline["docs_per_second"]}
         for cell in cells:
-            if cell["executor"] == "process" and engine_of(cell) == baseline_engine:
+            if cell["executor"] == "process":
                 # Keyed by the *requested* count: two requests clamping to
                 # the same effective count must not overwrite each other.
                 requested = cell.get("requested_workers", cell["workers"])
                 entry[f"speedup_process_{requested}_workers"] = round(
                     cell["docs_per_second"] / inline["docs_per_second"], 3
                 )
-        for cell in inline_cells:
-            engine = engine_of(cell)
-            if engine == baseline_engine:
-                continue
-            entry[f"speedup_{engine}_engine"] = round(
-                cell["docs_per_second"] / inline["docs_per_second"], 3
-            )
         comparison[workload] = entry
     return comparison
 
@@ -453,7 +408,7 @@ def main(argv=None) -> int:
                         help="comma-separated workload names "
                              f"(available: {', '.join(all_workloads)}; "
                              "legacy cells run the full executor matrix, "
-                             "scenario cells run inline x engines plus a "
+                             "scenario cells run inline plus a "
                              "live-repartition cell)")
     parser.add_argument("--workers", default="2,4",
                         help="comma-separated worker counts for the process executor")
@@ -462,13 +417,6 @@ def main(argv=None) -> int:
     parser.add_argument("--algorithm", default="DS")
     parser.add_argument("--batch-size", type=int, default=64,
                         help="notification_batch_size (the IPC unit size)")
-    parser.add_argument("--engines", "--reporting-engine",
-                        dest="engines", default="incremental,delta",
-                        help="comma-separated exact-mode reporting engines; "
-                             "every (workload, executor) cell runs once per "
-                             "engine (incremental = the per-round default, "
-                             "delta = cross-round dirty-type folding, "
-                             "scratch = the original per-key re-walk)")
     parser.add_argument("--output", default=str(_REPO_ROOT / "BENCH_throughput.json"),
                         help="output JSON path (default: repo root)")
     args = parser.parse_args(argv)
@@ -479,20 +427,9 @@ def main(argv=None) -> int:
             parser.error(f"unknown workload {name!r} "
                          f"(available: {', '.join(all_workloads)})")
     worker_counts = [int(value) for value in args.workers.split(",") if value.strip()]
-    engines = tuple(
-        name.strip() for name in args.engines.split(",") if name.strip()
-    )
-    if not engines:
-        parser.error("--engines needs at least one reporting engine")
-    from repro.core.jaccard import REPORTING_ENGINES
-    for engine in engines:
-        if engine not in REPORTING_ENGINES:
-            parser.error(f"unknown reporting engine {engine!r} "
-                         f"(available: {', '.join(REPORTING_ENGINES)})")
 
     results = run_matrix(workloads, worker_counts, repeat=args.repeat,
-                         algorithm=args.algorithm, batch_size=args.batch_size,
-                         reporting_engines=engines)
+                         algorithm=args.algorithm, batch_size=args.batch_size)
     output = Path(args.output)
     output.write_text(json.dumps(results, indent=2, sort_keys=False) + "\n",
                       encoding="utf-8")

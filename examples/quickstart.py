@@ -35,8 +35,7 @@ def main() -> None:
     # 2. Configure the distributed system: 8 Calculators, 5 Partitioners,
     #    repartition when quality degrades by more than 50 %.  Swap
     #    executor="process" (plus workers=N) to shard the Calculator/Tracker
-    #    layer over worker processes, reporting_engine="scratch" to fall
-    #    back to the original report path, subset_cache_size=N to size the
+    #    layer over worker processes, subset_cache_size=N to size the
     #    Calculators' subset-enumeration LRU, or
     #    include_centralized_baseline=False to skip the ground-truth bolt —
     #    the logical metrics below are identical in every case (the last
@@ -61,7 +60,6 @@ def main() -> None:
     print("\n--- run report -------------------------------------------")
     print(f"algorithm                 : {report.algorithm}")
     print(f"calculator mode           : {report.calculator_mode}")
-    print(f"reporting engine          : {report.reporting_engine}")
     if report.subset_cache_stats is not None:
         stats = report.subset_cache_stats
         lookups = stats["hits"] + stats["misses"]

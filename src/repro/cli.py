@@ -8,9 +8,8 @@ Provides the handful of workflows a user needs without writing Python:
 * ``repro run`` — run the distributed tag-correlation system over a trace
   (or a freshly generated one) and print the run report.  ``--calculator
   sketch`` switches the Calculators to the MinHash/Count-Min approximate
-  tracking mode; ``--reporting-engine`` picks the exact-mode union
-  computation (``incremental``/``scratch``, identical coefficients);
-  ``--subset-cache`` sizes the Calculators' subset-enumeration LRU;
+  tracking mode; ``--subset-cache`` sizes the Calculators'
+  subset-enumeration LRU;
   ``--no-baseline`` skips the centralized ground truth (measurement runs
   that need no error metrics); ``--batch-size`` controls the Disseminator's
   notification micro-batches (``1`` disables batching); ``--executor
@@ -45,7 +44,7 @@ Examples::
     python -m repro.cli run --documents 8000 --k 8 --algorithm DS
     python -m repro.cli run --documents 8000 --calculator sketch
     python -m repro.cli run --documents 8000 --executor process --workers 4
-    python -m repro.cli run --documents 8000 --scenario trending --reporting-engine delta
+    python -m repro.cli run --documents 8000 --scenario trending
     python -m repro.cli run --documents 50000 --counter-store spill --no-baseline
     python -m repro.cli record --documents 6000 --scenario burst --output burst.trace.jsonl
     python -m repro.cli run --trace burst.trace.jsonl
@@ -60,7 +59,7 @@ from typing import Sequence
 
 from .analysis.connectivity import connectivity_by_window_size
 from .core.documents import Document
-from .core.jaccard import DEFAULT_SUBSET_CACHE_SIZE, REPORTING_ENGINES
+from .core.jaccard import DEFAULT_SUBSET_CACHE_SIZE
 from .operators.controller import REPARTITION_POLICIES
 from .pipeline import RunReport, SystemConfig, TagCorrelationSystem
 from .store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, TRACKER_STORES
@@ -90,11 +89,10 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=SCENARIO_NAMES, default="legacy",
                         help="workload scenario preset: legacy (the original "
                              "churny synthetic point), trending (persistent "
-                             "topics with rise/plateau/decay trends — the "
-                             "delta engine's carry-friendly shape), burst "
+                             "topics with rise/plateau/decay trends), burst "
                              "(flash-crowd spikes), diurnal (sinusoidal "
                              "rate + topic-mix cycle) or adversarial "
-                             "(worst-case type churn for the carry table); "
+                             "(worst-case tagset-type churn); "
                              "see docs/ARCHITECTURE.md \"Workload "
                              "scenarios\"")
 
@@ -133,17 +131,6 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--calculator", choices=("exact", "sketch"), default="exact",
                         help="Calculator mode: exact subset counters or the "
                              "MinHash/Count-Min approximate tracking mode")
-    parser.add_argument("--reporting-engine", choices=REPORTING_ENGINES,
-                        default="incremental",
-                        help="union computation of exact-mode report rounds: "
-                             "incremental (one subset-lattice fold per "
-                             "distinct tagset type, the default), delta "
-                             "(cross-round: fold only changed types, carry "
-                             "clean recurring ones) or scratch (the "
-                             "original per-key counter re-walk); all three "
-                             "report identical coefficients — see the "
-                             "decision table in docs/ARCHITECTURE.md "
-                             "\"Reporting path\"")
     parser.add_argument("--subset-cache", type=int, default=DEFAULT_SUBSET_CACHE_SIZE,
                         help="capacity of each exact Calculator's LRU cache "
                              "of tagset subset enumerations (default "
@@ -249,7 +236,6 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
         quality_check_interval=max(50, args.window // 6),
         report_interval_seconds=60.0,
         calculator=getattr(args, "calculator", "exact"),
-        reporting_engine=getattr(args, "reporting_engine", "incremental"),
         subset_cache_size=getattr(args, "subset_cache", DEFAULT_SUBSET_CACHE_SIZE),
         counter_store=getattr(args, "counter_store", "dict"),
         spill_dir=getattr(args, "spill_dir", None),
@@ -287,20 +273,13 @@ def _print_report(report: RunReport) -> None:
     if report.workload_scenario is not None:
         print(f"workload scenario         : {report.workload_scenario}")
     print(f"calculator mode           : {report.calculator_mode}")
-    if report.calculator_mode == "exact":
-        print(f"reporting engine          : {report.reporting_engine}")
-        if report.subset_cache_stats is not None:
-            stats = report.subset_cache_stats
-            lookups = stats["hits"] + stats["misses"]
-            hit_rate = stats["hits"] / lookups if lookups else 0.0
-            print(f"subset cache              : {hit_rate:.1%} hit rate "
-                  f"({stats['hits']} hits, {stats['misses']} misses, "
-                  f"{stats['evictions']} evictions)")
-            if report.reporting_engine == "delta":
-                print(f"delta carry table         : {stats['carry_hits']} hits, "
-                      f"{stats['carry_misses']} misses, "
-                      f"{stats['carry_invalidations']} invalidations, "
-                      f"{stats['carry_evictions']} evictions")
+    if report.subset_cache_stats is not None:
+        stats = report.subset_cache_stats
+        lookups = stats["hits"] + stats["misses"]
+        hit_rate = stats["hits"] / lookups if lookups else 0.0
+        print(f"subset cache              : {hit_rate:.1%} hit rate "
+              f"({stats['hits']} hits, {stats['misses']} misses, "
+              f"{stats['evictions']} evictions)")
     if report.counter_store != "dict":
         print(f"counter store             : {report.counter_store}")
         if report.store_stats is not None:
@@ -317,11 +296,6 @@ def _print_report(report: RunReport) -> None:
                   f"({int(stats['block_cache_hits'])} hits, "
                   f"{int(stats['block_cache_misses'])} misses, "
                   f"{int(stats['block_cache_evictions'])} evictions)")
-            if stats.get("carry_blobs_written"):
-                print(f"carry log                 : "
-                      f"{int(stats['carry_blobs_written'])} blobs "
-                      f"({stats['carry_bytes_written'] / 1e6:.1f} MB), "
-                      f"{int(stats['carry_compactions'])} compactions")
     if report.tracker_store != "dict":
         print(f"tracker store             : {report.tracker_store}")
         if report.tracker_store_stats is not None:
@@ -551,8 +525,7 @@ subcommands:
                 records; replay with run/compare --trace)
   run           run the distributed tag-correlation system over a trace
                 (use --calculator sketch for the approximate tracking mode,
-                --reporting-engine scratch to fall back to the original
-                report path, --subset-cache to size the Calculators'
+                --subset-cache to size the Calculators'
                 subset-enumeration LRU, --no-baseline to skip the
                 centralized ground truth, --batch-size to tune the
                 notification micro-batches, --link-batch to cap the
@@ -581,17 +554,8 @@ examples:
   # Shard the Calculator/Tracker layer over 4 worker processes:
   python -m repro.cli run --documents 8000 --executor process --workers 4
 
-  # Fastest exact-mode measurement run: incremental reporting engine
-  # (default) without the centralized baseline:
+  # Fastest exact-mode measurement run: no centralized baseline:
   python -m repro.cli run --documents 8000 --no-baseline
-
-  # Cross-round delta reporting engine (cheapest in-stream report rounds;
-  # scratch / incremental / delta decision table: docs/ARCHITECTURE.md
-  # "Reporting path"):
-  python -m repro.cli run --documents 8000 --reporting-engine delta
-
-  # Pin the original reporting path (for equivalence checks):
-  python -m repro.cli run --documents 8000 --reporting-engine scratch
 
   # Live repartitioning with state migration: force swaps at two points
   # and drain the Calculators' counters through a coordinated handoff
@@ -605,13 +569,10 @@ examples:
   python -m repro.cli run --documents 8000 --repartition-policy capacity
 
   # Trending workload scenario (persistent rise/plateau/decay trends):
-  # the delta engine's carry table finally sees recurring clean types --
-  # watch the "delta carry table" hits in the report:
-  python -m repro.cli run --documents 8000 --scenario trending \\
-      --reporting-engine delta
+  python -m repro.cli run --documents 8000 --scenario trending
 
-  # Adversarial churn (worst case for the carry table) under live
-  # repartitioning:
+  # Adversarial churn (almost every tagset type is new every round) under
+  # live repartitioning:
   python -m repro.cli run --documents 8000 --scenario adversarial \\
       --repartition-handoff migrate
 

@@ -10,7 +10,6 @@ from .cooccurrence import CooccurrenceStatistics
 from .documents import Document, DocumentBatch, documents_from_tagsets, make_tagset
 from .jaccard import (
     DEFAULT_SUBSET_CACHE_SIZE,
-    REPORTING_ENGINES,
     JaccardCalculator,
     JaccardResult,
     SubsetCounter,
@@ -41,7 +40,6 @@ __all__ = [
     "documents_from_tagsets",
     "make_tagset",
     "DEFAULT_SUBSET_CACHE_SIZE",
-    "REPORTING_ENGINES",
     "SubsetTupleCache",
     "JaccardCalculator",
     "JaccardResult",

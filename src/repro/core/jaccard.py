@@ -15,8 +15,8 @@ This module provides:
 * :class:`SubsetTupleCache` — a bounded LRU cache of tagset → subset-tuple
   enumerations, so repeated (trending) tagsets skip the
   ``itertools.combinations`` re-enumeration on every observation,
-* :class:`SubsetCounter` — the counter table a Calculator maintains, with
-  two reporting engines (see below),
+* :class:`SubsetCounter` — the counter table a Calculator maintains and
+  the report fold over it (see below),
 * :class:`JaccardCalculator` — counts incoming tagset notifications and
   reports Jaccard coefficients the way the Calculator operator does,
 * :func:`union_size_inclusion_exclusion` — Equation (2) on top of a counter
@@ -30,50 +30,33 @@ shared between the observe and report paths so each subset tuple is
 constructed once per cache residency.  Only reported coefficients are
 frozen, one frozenset per emitted result.
 
-Reporting engines
------------------
+The report fold
+---------------
 A report round must produce, for every counted tagset of at least two tags,
 its support (the counter value) and the size of the union of its tags'
-document sets.  Three engines compute the unions:
+document sets.  Equation (2) computed key by key re-walks the counter table
+once per key: a key of ``m`` tags costs ``2^m − 1`` dictionary lookups, and
+because every subset of an observed tagset is itself a counted key, one
+distinct ``m``-tag tagset costs ``Σ_k C(m,k)·2^k ≈ 3^m`` lookups per round.
 
-* ``"scratch"`` — the original path: for every counted key, re-enumerate
-  its subsets with :func:`itertools.combinations` and walk the counter
-  table once per key.  A key of ``m`` tags costs ``2^m − 1`` dictionary
-  lookups, and because every subset of an observed tagset is itself a
-  counted key, one distinct ``m``-tag tagset costs ``Σ_k C(m,k)·2^k ≈ 3^m``
-  lookups per round.
-* ``"incremental"`` (default) — the incremental reporting engine.  At
-  observe time the counter additionally maintains the distinct observed
-  tagset *types* — the state, growing with the counters, that tells the
-  report which subset lattices exist.  At report time each distinct type
-  is folded **once**: the counts of all ``2^m`` subsets of an ``m``-tag
-  type are gathered into a subset lattice and a sum-over-subsets (SOS)
-  transform produces the unions of *all* of its subsets simultaneously in
-  ``m·2^m`` additions instead of ``3^m`` lookups.  Keys shared by several
-  types (heavily overlapping tagsets) are emitted once.
-* ``"delta"`` — the cross-round delta engine.  The incremental engine is
-  incremental *within* a round but folds every type from zero on every
-  round; the delta engine makes report rounds proportional to *change*.
-  Observe time additionally maintains per-type observation
-  multiplicities; at report time the multiplicities are diffed against
-  the previous round, every tag of a changed type is marked dirty, and a
-  type none of whose tags is dirty is **clean**: its subset lattice (and
-  therefore every one of its coefficients) is provably unchanged, so its
-  triples are re-asserted from a generation-stamped *carry table* — one
-  dict hit instead of an ``m·2^m`` fold.  Dirty types are refolded
-  through a per-type fold program precompiled on first encounter and
-  carried across ``clear()`` resets: the interned subset enumeration,
-  the reportable keys as cached frozensets (no per-round tuple or
-  frozenset churn), fused allocation-free paths for 2- and 3-tag types,
-  and a vectorised lattice fold for larger types when numpy is present.
-  :meth:`SubsetCounter.report_delta_triples` additionally splits a
-  round's results into *(changed, unchanged)* so the Calculator can ship
-  only changed triples in-stream and re-assert the unchanged ones at
-  drain time.
+There is one report path, and it folds per *type* instead.  At observe time
+the counter additionally records the distinct observed tagset *types* — the
+state, growing with the counters, that tells the report which subset
+lattices exist.  At report time each distinct type is folded **once**: the
+counts of all ``2^m`` subsets of an ``m``-tag type are gathered into a
+subset lattice and a sum-over-subsets (SOS) transform produces the unions
+of *all* of its subsets simultaneously in ``m·2^m`` additions instead of
+``3^m`` lookups.  Keys shared by several types (heavily overlapping
+tagsets) are emitted once, by the first type that contains them: types fold
+in first-observation order, which therefore fixes the order of the reported
+triples (an invariant — the Tracker's table order and every pinned digest
+depend on it).  Like the paper's Calculator, a report deletes its counters
+and carries nothing into the next round.
 
-All engines produce bit-identical coefficients — they rearrange the same
-exact integer sums (asserted by ``tests/core/test_jaccard.py`` and the
-pipeline equivalence tests).
+The fold rearranges the same exact integer sums as Equation (2), so its
+coefficients are bit-identical to the key-by-key computation —
+``tests/oracle.py`` is that computation, verbatim, and
+``tests/core/test_jaccard.py`` holds the fold to it.
 
 Worked inclusion–exclusion example
 ----------------------------------
@@ -86,8 +69,8 @@ For the tagset ``{a, b}``, Equation (2) gives::
 
     |T_a ∪ T_b| = |T_a| + |T_b| − |T_a ∩ T_b| = 3 + 2 − 2 = 3
 
-so ``J({a, b}) = CN({a, b}) / |T_a ∪ T_b| = 2 / 3``.  The incremental
-engine reaches the same number through the signed subset lattice of the
+so ``J({a, b}) = CN({a, b}) / |T_a ∪ T_b| = 2 / 3``.  The report fold
+reaches the same number through the signed subset lattice of the
 observed type ``(a, b)``: it loads ``f = [0, −3, −2, +2]`` (counts of
 ``∅, {a}, {b}, {a,b}`` with sign ``(−1)^{|subset|}``), runs the SOS
 transform to get the signed partial sums of every subset, and negates —
@@ -100,24 +83,10 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Mapping
 
-try:  # The delta engine vectorises large lattice folds when numpy exists;
-    import numpy as _np  # the pure-python fold below is the gated fallback.
-except ImportError:  # pragma: no cover - numpy is in the default toolchain
-    _np = None
-
-from ..store import (
-    COUNTER_STORES,
-    DEFAULT_SPILL_THRESHOLD,
-    CarryLog,
-    SpillingCounterStore,
-)
-
-#: Reporting engines of :class:`SubsetCounter` / :class:`JaccardCalculator`
-#: (mirrored by ``SystemConfig.reporting_engine`` and the CLI).
-REPORTING_ENGINES = ("incremental", "scratch", "delta")
+from ..store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, SpillingCounterStore
 
 #: Default capacity of the per-Calculator subset-tuple LRU cache.  Sized for
 #: the distinct-tagset working set of one report round on the benchmark
@@ -183,9 +152,8 @@ def _union_size_from_tuple_counts(
 ) -> int:
     """Inclusion–exclusion over tuple-keyed counters (``tags`` sorted).
 
-    The per-key reference computation: one ``2^m − 1`` walk of the counter
-    table.  Used by the scratch reporting engine, single-key queries and
-    the centralised baseline's ground truth.
+    The per-key computation: one ``2^m − 1`` walk of the counter table.
+    Used by single-key queries and the centralised baseline's ground truth.
     """
     get = counts.get
     total = 0
@@ -219,8 +187,8 @@ class SubsetTupleCache:
 
     * ``key`` — the canonical sorted tag tuple (computed once, on miss),
     * ``by_mask`` — subset tuples indexed by bitmask over ``key``
-      (``by_mask[0] == ()``), the layout the incremental reporting engine's
-      lattice transform consumes.  ``None`` when ``max_subset_size`` caps
+      (``by_mask[0] == ()``), the layout the report fold's lattice
+      transform consumes.  ``None`` when ``max_subset_size`` caps
       the enumeration (the capped enumeration is not a full lattice).
     * ``nonempty`` — the non-empty subset tuples as one flat tuple, the
       layout ``Counter.update`` consumes at observe time.
@@ -273,27 +241,6 @@ class SubsetTupleCache:
         if len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
-        return entry
-
-    def peek(
-        self, tags: Iterable[str]
-    ) -> tuple[
-        tuple[str, ...],
-        tuple[tuple[str, ...], ...] | None,
-        tuple[tuple[str, ...], ...],
-    ] | None:
-        """A resident entry, or ``None`` — never builds, inserts or evicts.
-
-        The scratch reporting engine probes with this: its per-round key
-        working set can exceed the capacity many times over, and populating
-        the LRU from the report path would evict the observe path's hot
-        types without ever producing a future hit.  A resident entry counts
-        as a hit (and is refreshed); absence is not counted as a miss.
-        """
-        entry = self._entries.get(frozenset(tags))
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(frozenset(tags))
         return entry
 
     def _build(
@@ -369,87 +316,6 @@ def _report_masks(m: int, min_size: int) -> tuple[int, ...]:
     return masks
 
 
-#: Type size at which the delta engine's vectorised lattice fold beats the
-#: pure-python sum-over-subsets (below it, the fused unrolled paths win on
-#: constant factors; measured on the bench workloads).  Only consulted when
-#: numpy imported.
-_VECTOR_FOLD_MIN_TAGS = 6
-
-#: Per-SubsetCounter cap on the tuple-key → frozenset memo (entries are
-#: dropped wholesale beyond it; the memo is rebuilt lazily).
-_FROZEN_MEMO_LIMIT = 1 << 17
-
-#: numpy mirrors of :data:`_SIGNS` / :data:`_REPORT_MASKS`, shared like them.
-_NP_SIGNS: dict[int, "object"] = {}
-_NP_MASKS: dict[tuple[int, int], "object"] = {}
-
-#: Per-(arity, min-size) C-level extractors of the reportable positions of
-#: a lattice-ordered sequence (``by_mask``, the raw counts or the folded
-#: sums) — the delta fold's *signed index lists*, shared like
-#: :data:`_SIGNS`.  ``None`` marks a (m, min_size) with no reportable
-#: subsets at all.
-_REPORT_GETTERS: dict[tuple[int, int], "object"] = {}
-
-
-def _np_signs(m: int):
-    signs = _NP_SIGNS.get(m)
-    if signs is None:
-        signs = _np.array(_signs(m), dtype=_np.int64)
-        _NP_SIGNS[m] = signs
-    return signs
-
-
-def _np_masks(m: int, min_size: int):
-    masks = _NP_MASKS.get((m, min_size))
-    if masks is None:
-        masks = _np.array(_report_masks(m, min_size), dtype=_np.intp)
-        _NP_MASKS[(m, min_size)] = masks
-    return masks
-
-
-def _report_getter(m: int, min_size: int):
-    key = (m, min_size)
-    if key not in _REPORT_GETTERS:
-        masks = _report_masks(m, min_size)
-        if not masks:
-            getter = None
-        elif len(masks) == 1:
-            only = masks[0]
-            getter = lambda seq, _i=only: (seq[_i],)  # noqa: E731
-        else:
-            getter = itemgetter(*masks)
-        _REPORT_GETTERS[key] = getter
-    return _REPORT_GETTERS[key]
-
-
-class _DeltaCarryEntry:
-    """One type's slot in the delta engine's carry table.
-
-    Carries, across ``clear()`` resets, everything a report round needs for
-    the type: the fold *program* (a precompiled, allocation-free recipe over
-    the interned cache enumeration — see ``SubsetCounter._build_program``)
-    and the last fold's emissions — the wire ``triples`` plus the parallel
-    subset-tuple ``keys`` for dedup — reusable verbatim while the type
-    stays clean.  ``gen`` stamps the last delta report that folded or
-    revalidated the entry: results are only reusable when the stamp is
-    exactly the previous report's (an unbroken chain of clean rounds) —
-    anything older is invalidated and refolded.
-    """
-
-    __slots__ = ("gen", "min_size", "program", "keys", "triples", "ref")
-
-    def __init__(self, gen: int, min_size: int, program: tuple) -> None:
-        self.gen = gen
-        self.min_size = min_size
-        self.program = program
-        self.keys: list[tuple[str, ...]] = []
-        self.triples: list[tuple[frozenset[str], float, int]] = []
-        #: With the spill store active, the ``(offset, length)`` of this
-        #: entry's ``(keys, triples)`` blob in the :class:`CarryLog`
-        #: (``keys``/``triples`` are emptied once offloaded).
-        self.ref: tuple[int, int] | None = None
-
-
 @dataclass(slots=True)
 class JaccardResult:
     """A reported Jaccard coefficient.
@@ -475,13 +341,11 @@ class SubsetCounter:
     therefore equals the number of received documents annotated with all of
     the set's tags.
 
-    Besides the subset counters the table maintains the reporting engines'
-    state: the distinct observed tagset *types* with their observation
-    multiplicities (the subset lattices the report must fold, and the
-    delta engine's change signal — see the module docstring), the bounded
-    LRU cache of subset enumerations shared by the observe and report
-    paths, and — for the delta engine — the generation-stamped carry table
-    of per-type fold programs and results that survives ``clear()``.
+    Besides the subset counters the table maintains what the report fold
+    needs: the distinct observed tagset *types* of the round, in
+    first-observation order (the subset lattices the report folds — see
+    the module docstring), and the bounded LRU cache of subset
+    enumerations shared by the observe and report paths.
     """
 
     def __init__(
@@ -496,7 +360,7 @@ class SubsetCounter:
         if subset_cache is not None and subset_cache.max_subset_size is not None:
             raise ValueError(
                 "SubsetCounter needs full subset lattices; a cache with "
-                "max_subset_size set cannot back the reporting engines"
+                "max_subset_size set cannot back the report fold"
             )
         if counter_store not in COUNTER_STORES:
             raise ValueError(
@@ -505,47 +369,29 @@ class SubsetCounter:
         self.counter_store = counter_store
         #: The backing table: a plain ``Counter`` (default) or the
         #: out-of-core :class:`~repro.store.SpillingCounterStore`, which
-        #: exposes the same mapping surface the engines fold over.  With
-        #: the spill store active the delta carry's cached emissions move
-        #: to an on-disk :class:`~repro.store.CarryLog` as well.
+        #: exposes the same mapping surface the report folds over.
         if counter_store == "spill":
             self._counts: Counter | SpillingCounterStore = SpillingCounterStore(
                 spill_dir=spill_dir, spill_threshold=spill_threshold
             )
-            self._carry_log: CarryLog | None = CarryLog(self._counts.ensure_dir)
         else:
             self._counts = Counter()
-            self._carry_log = None
-        #: Distinct observed tagset types → observation multiplicity (reset
-        #: per round): the incremental and delta engines fold each type's
-        #: subset lattice at most once per report, and the delta engine
-        #: diffs the multiplicities across rounds to find clean types.
-        self._mults: dict[frozenset[str], int] = {}
+        #: Distinct observed tagset types of the round, as an insertion-
+        #: ordered set: the report folds each type's subset lattice once,
+        #: in first-observation order.  The order is load-bearing — it is
+        #: the order of the reported triples (a key shared by overlapping
+        #: types is emitted by the first of them), which the Tracker's
+        #: table order and every pinned digest depend on.
+        self._types: dict[frozenset[str], None] = {}
         self._max_tags = max_tags_per_document
         self._cache = (
             subset_cache
             if subset_cache is not None
             else SubsetTupleCache(subset_cache_size)
         )
-        # --- delta-engine state (carried across clear() resets) ---------- #
-        #: Multiplicities at the last delta report (the diff baseline).
-        self._prev_mults: dict[frozenset[str], int] = {}
-        #: Generation-stamped carry table: type → fold program + last fold.
-        self._carry: dict[frozenset[str], _DeltaCarryEntry] = {}
-        self._delta_generation = 0
-        #: Subset-tuple → frozenset memo shared by the delta fold programs
-        #: and the read-path APIs (one frozenset per reported key per cache
-        #: residency instead of per round).
-        self._frozen: dict[tuple[str, ...], frozenset[str]] = {}
-        # --- report accounting (cumulative, survives clear()) ------------ #
-        self.carry_hits = 0
-        self.carry_misses = 0
-        self.carry_invalidations = 0
-        self.carry_evictions = 0
-        #: Types whose lattice was folded / reused verbatim, across rounds
-        #: (the dirty/clean split the perf harness attributes wins with).
+        #: Type lattices folded by all reports so far (cumulative,
+        #: survives ``clear()``).
         self.types_folded = 0
-        self.types_reused = 0
 
     @property
     def cache(self) -> SubsetTupleCache:
@@ -563,37 +409,20 @@ class SubsetCounter:
             fs = frozenset(sorted(fs)[: self._max_tags])
         _, _, nonempty = self._cache.lookup(fs)
         self._counts.update(nonempty)
-        mults = self._mults
-        mults[fs] = mults.get(fs, 0) + 1
+        self._types[fs] = None
 
     def count(self, tags: Iterable[str]) -> int:
         """Documents observed that carry all of ``tags``."""
         return self._counts.get(tuple(sorted(set(tags))), 0)
 
     def counted_tagsets(self, min_size: int = 2) -> list[frozenset[str]]:
-        """All counted tag combinations with at least ``min_size`` tags.
-
-        Keys whose frozenset is resident in the report path's memo (every
-        key a delta fold ever reported) are returned as the *cached* object
-        instead of a fresh ``frozenset`` per key per call.
-        """
-        frozen = self._frozen
-        get = frozen.get
-        return [
-            get(key) or frozenset(key)  # counted keys are never empty
-            for key in self._counts
-            if len(key) >= min_size
-        ]
+        """All counted tag combinations with at least ``min_size`` tags."""
+        return [frozenset(key) for key in self._counts if len(key) >= min_size]
 
     def items(self) -> Iterable[tuple[frozenset[str], int]]:
-        """(tagset, count) pairs for all counted combinations.
-
-        Like :meth:`counted_tagsets`, reuses memoised frozensets where
-        resident instead of building a fresh one per key per call.
-        """
-        get = self._frozen.get
+        """(tagset, count) pairs for all counted combinations."""
         for key, count in self._counts.items():
-            yield (get(key) or frozenset(key)), count
+            yield frozenset(key), count
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -604,12 +433,19 @@ class SubsetCounter:
     def clear(self) -> None:
         """Drop all counters (Calculators do this after each report round).
 
-        The subset-enumeration cache, the delta engine's carry table and
-        the multiplicity diff baseline all survive the reset on purpose:
-        the trending tagsets of the next round are usually the same types.
+        The subset-enumeration cache survives the reset on purpose: the
+        trending tagsets of the next round are usually the same types.
         """
         self._counts.clear()
-        self._mults = {}
+        self._types = {}
+
+    def close(self) -> None:
+        """Drop all counters and release the spill store's directory (it is
+        recreated lazily by the next spill).  Called after the final drain,
+        so finished Calculators leave nothing on disk."""
+        self.clear()
+        if self.counter_store == "spill":
+            self._counts.close()
 
     def jaccard(self, tags: Iterable[str]) -> float:
         """Jaccard coefficient of ``tags`` from the current counters."""
@@ -623,129 +459,33 @@ class SubsetCounter:
         return intersection / union
 
     # ------------------------------------------------------------------ #
-    # Report engines
+    # The report fold
     # ------------------------------------------------------------------ #
     def report_triples(
-        self, min_size: int = 2, engine: str = "incremental"
+        self, min_size: int = 2
     ) -> list[tuple[frozenset[str], float, int]]:
-        """Coefficients as raw ``(tagset, jaccard, support)`` wire triples.
+        """Coefficients as raw ``(tagset, jaccard, support)`` wire triples:
+        one subset-lattice fold per distinct observed tagset type.
 
         The hot reporting path: report rounds ship hundreds of thousands of
         coefficients per run, so the periodic emit, the end-of-run drain
         and the Tracker all consume these triples directly instead of
-        wrapping each one in a :class:`JaccardResult`.  ``engine`` selects
-        how unions are computed (see the module docstring); both engines
-        return the same coefficients, differing only in result order and
-        cost.
-        """
-        self._prepare_store_for_report()
-        if engine == "incremental":
-            return self._report_incremental(min_size)
-        if engine == "scratch":
-            return self._report_scratch(min_size)
-        if engine == "delta":
-            changed, unchanged = self._report_delta(min_size)
-            return changed + unchanged
-        raise ValueError(
-            f"unknown reporting engine {engine!r}; "
-            f"available: {', '.join(REPORTING_ENGINES)}"
-        )
-
-    def report_delta_triples(
-        self, min_size: int = 2
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[frozenset[str], float, int]],
-    ]:
-        """The delta engine's round, split into ``(changed, unchanged)``.
-
-        ``changed`` holds the triples of dirty types (folded this round);
-        ``unchanged`` the triples re-asserted from the carry table for
-        clean types — each of those is bit-identical to a triple already
-        produced by an earlier round, which is what lets the Calculator
-        defer shipping them until drain time (see
-        ``operators/calculator.py``).  ``changed + unchanged`` is exactly
-        the round's full result set (the other engines' output).
-        """
-        self._prepare_store_for_report()
-        return self._report_delta(min_size)
-
-    def _prepare_store_for_report(self) -> None:
-        """Spill-store hook: compact live runs to one before folding.
-
-        Report folds perform one counter lookup per lattice position, so
-        the spill store k-way-merges its runs (in parallel where the
-        process may spawn workers) down to a single mmap'd run first — the
-        "merge at report/drain time" half of the out-of-core design.  A
-        no-op for the default dict store.
-        """
-        if self.counter_store == "spill":
-            self._counts.prepare_report()
-
-    def report_results(
-        self, min_size: int = 2, engine: str = "incremental"
-    ) -> list[JaccardResult]:
-        """Coefficients of every counted tagset of at least ``min_size`` tags."""
-        return [
-            JaccardResult(tagset, jaccard, support)
-            for tagset, jaccard, support in self.report_triples(min_size, engine)
-        ]
-
-    def _report_scratch(
-        self, min_size: int
-    ) -> list[tuple[frozenset[str], float, int]]:
-        """The reference engine: one union computation per counted key.
-
-        Kept as the bit-identical equivalence reference for the incremental
-        engine, but ported onto the :class:`SubsetTupleCache` enumerations:
-        keys resident in the shared cache (the observe path caches every
-        distinct observed type) skip the per-round
-        :func:`itertools.combinations` re-enumeration and fold their cached
-        ``by_mask`` lattice in one signed pass — the same exact integer sum
-        :func:`_union_size_from_tuple_counts` computes, rearranged.
-        Non-resident keys fall back to the direct walk: the report-side key
-        working set can exceed the cache capacity many times over, and
-        populating the LRU from here would evict the observe path's hot
-        types for no future hit (see :meth:`SubsetTupleCache.peek`).
-        """
-        counts = self._counts
-        lookup = counts.__getitem__  # Counter.__missing__ returns 0
-        peek = self._cache.peek
-        results = []
-        for key, support in counts.items():
-            if len(key) < min_size or support == 0:
-                continue
-            # Keys of 2–3 tags — the bulk of real streams — walk directly:
-            # their unions are a handful of lookups, cheaper than any cache
-            # probe.  Larger keys reuse the cached lattice when resident.
-            entry = peek(key) if len(key) >= 4 else None
-            if entry is not None:
-                by_mask = entry[1]
-                assert by_mask is not None  # full lattices, never size-capped
-                # union = -Σ_{∅≠s⊆key} (−1)^{|s|}·CN(s); by_mask[0] is the
-                # empty tuple, which is never a counted key, so the full
-                # signed dot-product over the lattice equals the non-empty
-                # sum.
-                union = -sum(map(mul, _signs(len(key)), map(lookup, by_mask)))
-            else:
-                union = _union_size_from_tuple_counts(key, counts)
-            if union <= 0:
-                continue
-            results.append((frozenset(key), support / union, support))
-        return results
-
-    def _report_incremental(
-        self, min_size: int
-    ) -> list[tuple[frozenset[str], float, int]]:
-        """One subset-lattice fold per distinct observed tagset type.
+        wrapping each one in a :class:`JaccardResult`.
 
         Every counted key is a subset of at least one observed type, so
         folding each type's lattice once covers all keys; keys shared by
-        overlapping types are emitted on first encounter only.  The fold is
-        the sum-over-subsets transform of the signed counts, after which
-        ``union(subset) = −g[mask]`` for every subset of the type (exact
-        integer arithmetic — identical to the scratch engine's sums).
+        overlapping types are emitted on first encounter only, and types
+        fold in first-observation order (see ``_types``).  The fold is the
+        sum-over-subsets transform of the signed counts, after which
+        ``union(subset) = −g[mask]`` for every subset of the type — exact
+        integer arithmetic, Equation (2) rearranged.
         """
+        if self.counter_store == "spill":
+            # Folds perform one counter lookup per lattice position, so the
+            # spill store first k-way-merges its runs down to a single
+            # mmap'd run — the "merge at report/drain time" half of the
+            # out-of-core design.
+            self._counts.prepare_report()
         counts = self._counts
         lookup = counts.__getitem__  # Counter.__missing__ returns 0
         cache_lookup = self._cache.lookup
@@ -753,7 +493,7 @@ class SubsetCounter:
         append = results.append
         done: set[tuple[str, ...]] = set()
         seen = done.add
-        for vtype in self._mults:
+        for vtype in self._types:
             m = len(vtype)
             if m < min_size:
                 continue  # contributes no reportable keys of its own
@@ -832,342 +572,23 @@ class SubsetCounter:
                 append((frozenset(key), support / union, support))
         return results
 
-    # ------------------------------------------------------------------ #
-    # The delta engine
-    # ------------------------------------------------------------------ #
-    def _report_delta(
-        self, min_size: int
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[frozenset[str], float, int]],
-    ]:
-        """One delta round: fold dirty types, re-assert clean ones.
-
-        A type is *clean* when no type sharing a tag with it changed its
-        observation multiplicity since the previous delta report: every
-        count in its subset lattice is a sum of multiplicities of types
-        containing that subset, so unchanged overlapping multiplicities
-        imply an unchanged lattice — supports, unions and coefficients are
-        all provably identical to the previous round and the carry table's
-        cached results are re-emitted verbatim.  The check is conservative
-        (tag-level), so reuse is always sound; a changed type merely dirties
-        every type it overlaps.
-        """
-        mults = self._mults
-        prev = self._prev_mults
-        gen = self._delta_generation + 1
-        self._delta_generation = gen
-        # Tags touched by any type whose multiplicity changed since the
-        # previous report (absent = multiplicity 0).
-        dirty_tags: set[str] = set()
-        mark = dirty_tags.update
-        for fs, count in mults.items():
-            if prev.get(fs) != count:
-                mark(fs)
-        for fs in prev:
-            if fs not in mults:
-                mark(fs)
-        carry = self._carry
-        log = self._carry_log
-        changed: list[tuple[frozenset[str], float, int]] = []
-        unchanged: list[tuple[frozenset[str], float, int]] = []
-        emit_unchanged = unchanged.append
-        done: set[tuple[str, ...]] = set()
-        seen = done.add
-        disjoint = dirty_tags.isdisjoint
-        previous_gen = gen - 1
-        for vtype in mults:
-            m = len(vtype)
-            if m < min_size:
-                continue  # contributes no reportable keys of its own
-            entry = carry.get(vtype)
-            if entry is None:
-                self.carry_misses += 1
-                entry = _DeltaCarryEntry(
-                    gen, min_size, self._build_program(vtype, m, min_size)
-                )
-                carry[vtype] = entry
-            elif (
-                entry.gen == previous_gen
-                and entry.min_size == min_size
-                and disjoint(vtype)
-            ):
-                # Clean: one dict hit replaces the whole fold.
-                self.carry_hits += 1
-                self.types_reused += 1
-                entry.gen = gen
-                if entry.ref is not None:
-                    # Spilled carry: the emission lists live in the carry
-                    # log; pickle round-trips them bit-identically.
-                    cached_keys, cached_triples = log.read(entry.ref)
-                else:
-                    cached_keys, cached_triples = entry.keys, entry.triples
-                for key, triple in zip(cached_keys, cached_triples):
-                    if key not in done:
-                        seen(key)
-                        emit_unchanged(triple)
-                continue
-            else:
-                self.carry_invalidations += 1
-                entry.gen = gen
-                if entry.min_size != min_size:
-                    entry.min_size = min_size
-                    entry.program = self._build_program(vtype, m, min_size)
-            self.types_folded += 1
-            # The fold applies (and advances) the done-filter itself, so a
-            # type's cached emissions are exactly what it emitted — see the
-            # coverage argument in _fold_program's docstring.
-            self._fold_program(entry.program, done, entry)
-            changed.extend(entry.triples)
-            if log is not None:
-                # Offload the fresh emission lists to the carry log and
-                # keep only the blob ref in RAM (the carry table spills
-                # with the counters).
-                if entry.ref is not None:
-                    log.release(entry.ref)
-                entry.ref = log.append((entry.keys, entry.triples))
-                entry.keys = []
-                entry.triples = []
-        # Bound the carry: drop entries not validated this round once the
-        # table outgrows the live type set.  These are types that simply
-        # stopped recurring — counted as evictions, not invalidations, so
-        # the thrash diagnostic (invalidations = refolds of stale entries)
-        # stays meaningful.
-        if len(carry) > 2 * len(mults) + 256:
-            stale = [vtype for vtype, entry in carry.items() if entry.gen != gen]
-            for vtype in stale:
-                entry = carry.pop(vtype)
-                if log is not None and entry.ref is not None:
-                    log.release(entry.ref)
-            self.carry_evictions += len(stale)
-        if log is not None:
-            log.maybe_compact(carry.values())
-        self._prev_mults = dict(mults)
-        return changed, unchanged
-
-    def _build_program(
-        self, vtype: frozenset[str], m: int, min_size: int
-    ) -> tuple:
-        """Precompile one type's fold into an allocation-free program.
-
-        Built once per carry residency (not per round) and deliberately
-        cheap — one LRU resolution plus one C-level extraction of the
-        reportable keys from the interned enumeration (all selector state —
-        masks, signs, index getters — is shared per arity).  Refolding a
-        dirty type thereafter touches no LRU, enumerates no combinations
-        and builds no per-round tuples; frozensets are memoised at emit
-        time, only for keys actually emitted.
-        """
-        _, by_mask, _ = self._cache.lookup(vtype)
-        assert by_mask is not None  # full lattices are never size-capped
-        if m == 2 and min_size == 2:
-            return ("2", by_mask[1], by_mask[2], by_mask[3])
-        if m == 3 and min_size == 2:
-            return ("3", by_mask)
-        getter = _report_getter(m, min_size)
-        if getter is None:
-            return ("empty",)
-        keys = getter(by_mask)
-        if _np is not None and m >= _VECTOR_FOLD_MIN_TAGS:
-            return ("np", m, by_mask, keys, getter,
-                    _np_masks(m, min_size), _np_signs(m))
-        return ("py", m, by_mask, keys, getter)
-
-    def _fold_program(
-        self, program: tuple, done: set, entry: _DeltaCarryEntry
-    ) -> None:
-        """Run one precompiled fold, filling ``entry.keys``/``entry.triples``
-        with the type's emissions and advancing ``done``.
-
-        Every path rearranges the same exact integer sums as the scratch
-        engine (bit-identical coefficients); they differ only in constant
-        factors.  Two invariants carry the hot loops:
-
-        * every reportable subset of an observed type was incremented by
-          that type's own observations, so ``support ≥ 1`` and ``union ≥
-          support > 0`` always hold — no dead filter branches;
-        * keys already claimed by an earlier type this round (``done``)
-          are skipped *before* any construction, exactly like the
-          incremental engine.  The done-filtered emission list is cached
-          on the carry entry and re-used while the type stays clean: any
-          key this type skipped was emitted (and cached) by the claiming
-          type, which shares the key's tags and therefore can only be
-          clean when this type's view of the key is clean too — so across
-          the clean types' caches every key stays covered exactly once.
-
-        Emitted keys resolve their frozenset through the ``_frozen`` memo
-        (inlined — this loop runs a few hundred thousand times per large
-        run), so recurring keys freeze once per memo residency and the
-        read-path APIs can reuse the same objects.
-        """
-        lookup = self._counts.__getitem__  # Counter.__missing__ returns 0
-        frozen = self._frozen
-        frozen_get = frozen.get
-        seen = done.add
-        kind = program[0]
-        entry.keys = keys_out = []
-        entry.triples = triples_out = []
-        emit_key = keys_out.append
-        emit = triples_out.append
-        if kind == "2":
-            _, key_a, key_b, pair = program
-            if pair not in done:
-                seen(pair)
-                support = lookup(pair)
-                fs = frozen_get(pair)
-                if fs is None:
-                    if len(frozen) >= _FROZEN_MEMO_LIMIT:
-                        frozen.clear()
-                    fs = frozenset(pair)
-                    frozen[pair] = fs
-                emit_key(pair)
-                emit((fs, support / (lookup(key_a) + lookup(key_b) - support),
-                      support))
-            return
-        if kind == "3":
-            _, by_mask = program
-            na = lookup(by_mask[1])
-            nb = lookup(by_mask[2])
-            nc = lookup(by_mask[4])
-            nab = lookup(by_mask[3])
-            nac = lookup(by_mask[5])
-            nbc = lookup(by_mask[6])
-            for key, support, union in (
-                (by_mask[3], nab, na + nb - nab),
-                (by_mask[5], nac, na + nc - nac),
-                (by_mask[6], nbc, nb + nc - nbc),
-                (
-                    by_mask[7],
-                    (nabc := lookup(by_mask[7])),
-                    na + nb + nc - nab - nac - nbc + nabc,
-                ),
-            ):
-                if key not in done:
-                    seen(key)
-                    fs = frozen_get(key)
-                    if fs is None:
-                        if len(frozen) >= _FROZEN_MEMO_LIMIT:
-                            frozen.clear()
-                        fs = frozenset(key)
-                        frozen[key] = fs
-                    emit_key(key)
-                    emit((fs, support / union, support))
-            return
-        if kind == "empty":
-            return
-        if kind == "np":
-            _, m, by_mask, keys, getter, masks, signs = program
-            raw = list(map(lookup, by_mask))
-            g = _np.array(raw, dtype=_np.int64)
-            g *= signs
-            lattice = g.reshape((2,) * m)
-            # Sum-over-subsets, one vectorised add per tag axis; the adds
-            # are the same integers the python transform sums.
-            for axis in range(m):
-                index: list = [slice(None)] * m
-                index[axis] = 1
-                upper = tuple(index)
-                index[axis] = 0
-                lattice[upper] += lattice[tuple(index)]
-            unions = (-g[masks]).tolist()  # python ints: exact division below
-            for key, support, union in zip(keys, getter(raw), unions):
-                if key not in done:
-                    seen(key)
-                    fs = frozen_get(key)
-                    if fs is None:
-                        if len(frozen) >= _FROZEN_MEMO_LIMIT:
-                            frozen.clear()
-                        fs = frozenset(key)
-                        frozen[key] = fs
-                    emit_key(key)
-                    emit((fs, support / union, support))
-            return
-        # kind == "py": the pure-python sum-over-subsets transform.
-        _, m, by_mask, keys, getter = program
-        size = 1 << m
-        raw = list(map(lookup, by_mask))
-        g = list(map(mul, _signs(m), raw))
-        for i in range(m):
-            bit = 1 << i
-            step = bit << 1
-            if bit >= 16:
-                for base in range(bit, size, step):
-                    upper = base + bit
-                    g[base:upper] = [
-                        x + y for x, y in zip(g[base:upper], g[base - bit:base])
-                    ]
-            else:
-                for base in range(bit, size, step):
-                    for mask in range(base, base + bit):
-                        g[mask] += g[mask - bit]
-        for key, support, gval in zip(keys, getter(raw), getter(g)):
-            if key not in done:
-                seen(key)
-                fs = frozen_get(key)
-                if fs is None:
-                    if len(frozen) >= _FROZEN_MEMO_LIMIT:
-                        frozen.clear()
-                    fs = frozenset(key)
-                    frozen[key] = fs
-                emit_key(key)
-                emit((fs, support / -gval, support))
-
-    def carry_stats(self) -> dict[str, int]:
-        """Delta carry-table accounting.
-
-        ``carry_invalidations`` counts stale entries that had to be
-        *refolded* (the thrash signal); ``carry_evictions`` counts entries
-        swept because their type stopped recurring (a normal consequence
-        of churn, never refolded).
-        """
-        return {
-            "carry_hits": self.carry_hits,
-            "carry_misses": self.carry_misses,
-            "carry_invalidations": self.carry_invalidations,
-            "carry_evictions": self.carry_evictions,
-            "carry_size": len(self._carry),
-        }
-
-    def release_delta_state(self) -> None:
-        """Drop the carry table, diff baseline and frozenset memo.
-
-        Called after the final drain (worker-side under the process
-        executor) so finished counters — and the bolts they are pickled
-        back inside — carry no dead fold programs.  Accounting is
-        preserved, like :meth:`SubsetTupleCache.clear`.  With the spill
-        store active this also deletes the carry log and the (already
-        emptied) spill directory; both are lazily recreated if the counter
-        observes again.
-        """
-        self._carry.clear()
-        self._prev_mults = {}
-        self._frozen.clear()
-        if self._carry_log is not None:
-            self._carry_log.close()
-        if self.counter_store == "spill":
-            self._counts.close()
+    def report_results(self, min_size: int = 2) -> list[JaccardResult]:
+        """Coefficients of every counted tagset of at least ``min_size`` tags."""
+        return [
+            JaccardResult(tagset, jaccard, support)
+            for tagset, jaccard, support in self.report_triples(min_size)
+        ]
 
     def store_stats(self) -> dict[str, float] | None:
         """Spill-store accounting, or ``None`` under the default dict store.
 
         Spill/merge counters and block-cache hit/miss/eviction figures
-        from the backing store, plus the delta carry log's blob/byte
-        accounting.  Cumulative — survives ``clear()``, run deletion and
-        pickling, like the subset-cache stats.
+        from the backing store.  Cumulative — survives ``clear()``, run
+        deletion and pickling, like the subset-cache stats.
         """
         if self.counter_store != "spill":
             return None
-        stats = self._counts.stats()
-        if self._carry_log is not None:
-            stats.update(self._carry_log.stats())
-        return stats
-
-    def _raw_items(self) -> Iterable[tuple[tuple[str, ...], int]]:
-        """Internal tuple-keyed counter view used by tests."""
-        return self._counts.items()
-
-    def _raw_counts(self) -> Mapping[tuple[str, ...], int]:
-        return self._counts
+        return self._counts.stats()
 
 
 class JaccardCalculator:
@@ -1175,26 +596,18 @@ class JaccardCalculator:
 
     This is the algorithmic core of the Calculator operator, factored out so
     it can be used standalone (e.g. in examples that do not need the full
-    topology).  ``reporting_engine`` selects the union computation of the
-    periodic report — ``"incremental"`` (default), the cross-round
-    ``"delta"`` engine or the original ``"scratch"`` path — and
-    ``subset_cache_size`` bounds the LRU cache of subset enumerations (see
-    the module docstring).
+    topology).  ``subset_cache_size`` bounds the LRU cache of subset
+    enumerations (see the module docstring).
     """
 
     def __init__(
         self,
         max_tags_per_document: int = 12,
-        reporting_engine: str = "incremental",
         subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
         counter_store: str = "dict",
         spill_dir: str | None = None,
         spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
     ) -> None:
-        if reporting_engine not in REPORTING_ENGINES:
-            raise ValueError(
-                f"reporting_engine must be one of {', '.join(REPORTING_ENGINES)}"
-            )
         self._counter = SubsetCounter(
             max_tags_per_document,
             subset_cache_size=subset_cache_size,
@@ -1203,7 +616,6 @@ class JaccardCalculator:
             spill_threshold=spill_threshold,
         )
         self._observations = 0
-        self.reporting_engine = reporting_engine
         self.counter_store = counter_store
 
     @property
@@ -1217,11 +629,6 @@ class JaccardCalculator:
         return self._counter.cache.stats()
 
     @property
-    def carry_stats(self) -> dict[str, int]:
-        """Delta carry-table accounting (all zero for the other engines)."""
-        return self._counter.carry_stats()
-
-    @property
     def store_stats(self) -> dict[str, float] | None:
         """Spill-store accounting (``None`` under the default dict store)."""
         return self._counter.store_stats()
@@ -1230,10 +637,6 @@ class JaccardCalculator:
     def counter(self) -> SubsetCounter:
         """The underlying counter table (report accounting lives there)."""
         return self._counter
-
-    def release_delta_state(self) -> None:
-        """Drop the delta engine's carried state (see ``SubsetCounter``)."""
-        self._counter.release_delta_state()
 
     def observe(self, tags: Iterable[str]) -> None:
         """Record one tagset notification."""
@@ -1260,97 +663,13 @@ class JaccardCalculator:
         self, min_size: int = 2, reset: bool = True
     ) -> list[tuple[frozenset[str], float, int]]:
         """:meth:`report` as raw wire triples (the Calculator hot path)."""
-        results = self._counter.report_triples(
-            min_size=min_size, engine=self.reporting_engine
-        )
+        results = self._counter.report_triples(min_size)
         if reset:
-            self._counter.clear()
-            self._observations = 0
-        return results
-
-    def drain_triples(
-        self, min_size: int = 2
-    ) -> list[tuple[frozenset[str], float, int]]:
-        """Final-flush triples: :meth:`report_triples` with ``reset=True``,
-        except the delta engine folds through the *incremental* path — a
-        one-shot final fold would build carry programs it can never reuse.
-        The triples are identical either way, and the untouched delta
-        state (diff baseline, generations) stays internally consistent for
-        any later rounds.
-        """
-        engine = (
-            "incremental"
-            if self.reporting_engine == "delta"
-            else self.reporting_engine
-        )
-        counter = self._counter
-        folded_before = counter.types_folded
-        results = counter.report_triples(min_size=min_size, engine=engine)
-        # The dirty/clean fold split attributes *in-stream* rounds (see
-        # RunReport.report_round_stats); the one-shot drain fold is not one.
-        counter.types_folded = folded_before
-        counter.clear()
-        self._observations = 0
-        return results
-
-    def migration_triples(
-        self, min_size: int = 2
-    ) -> list[tuple[frozenset[str], float, int]]:
-        """Side-effect-free migration payload: the triples a drain would
-        ship, with the counters left untouched.
-
-        This is phase one of the two-phase state handoff: the payload is
-        computed without mutating anything (same engine choice and
-        ``types_folded`` compensation as :meth:`drain_triples`), so a
-        migration aborted after this call leaves the Calculator exactly as
-        it was.  Phase two — :meth:`reset_counts` — only runs once every
-        participant prepared successfully.
-        """
-        engine = (
-            "incremental"
-            if self.reporting_engine == "delta"
-            else self.reporting_engine
-        )
-        counter = self._counter
-        folded_before = counter.types_folded
-        results = counter.report_triples(min_size=min_size, engine=engine)
-        counter.types_folded = folded_before
+            self.reset_counts()
         return results
 
     def reset_counts(self) -> None:
-        """Commit a migration: drop the counted window, keep derived state.
-
-        Equivalent to the reset a report/drain performs — ``clear()`` drops
-        the counts and multiplicities but deliberately preserves the subset
-        cache and the delta engine's carry table/diff baseline, which are
-        determined by the observation history and stay consistent across
-        the handoff.
-        """
+        """Drop the counted window (what a resetting report does, and how a
+        state migration commits); the subset cache survives."""
         self._counter.clear()
         self._observations = 0
-
-    def report_round_triples(
-        self, min_size: int = 2, reset: bool = True
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[frozenset[str], float, int]],
-    ]:
-        """One report round, split into ``(shipped, deferrable)`` triples.
-
-        Under the delta engine, ``deferrable`` holds the clean types'
-        triples — each one bit-identical to a triple already produced (and
-        shipped) by an earlier round, so in-stream rounds may defer
-        re-shipping them until drain time.  The other engines never defer:
-        everything lands in ``shipped``.
-        """
-        if self.reporting_engine == "delta":
-            shipped, deferrable = self._counter.report_delta_triples(min_size)
-        else:
-            shipped = self._counter.report_triples(
-                min_size=min_size, engine=self.reporting_engine
-            )
-            deferrable = []
-        if reset:
-            self._counter.clear()
-            self._observations = 0
-        return shipped, deferrable

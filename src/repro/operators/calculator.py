@@ -69,12 +69,6 @@ class BaseCalculatorBolt(Bolt):
         #: with nothing observed are skipped and not counted).
         self.report_rounds = 0
         self.report_seconds = 0.0
-        #: Triples whose in-stream shipping was deferred (delta engine):
-        #: identical-value repeats, re-asserted once at drain with their
-        #: suppression counts.  Cumulative count in
-        #: ``coefficients_deferred``; pending replays in ``_deferred``.
-        self.coefficients_deferred = 0
-        self._deferred: dict[tuple, int] = {}
         #: State-handoff accounting (live repartitioning): completed
         #: migrations and total triples shipped out of this bolt by them.
         self.migrations_completed = 0
@@ -98,25 +92,10 @@ class BaseCalculatorBolt(Bolt):
 
         The hot reporting path — periodic emits, the end-of-run drain and
         the Tracker all consume triples.  Modes whose estimator produces
-        triples natively (the exact engine) override this to skip the
+        triples natively (the exact mode) override this to skip the
         :class:`JaccardResult` round-trip.
         """
         return [(r.tagset, r.jaccard, r.support) for r in self._report(reset=reset)]
-
-    def _report_round(
-        self, reset: bool
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[frozenset[str], float, int]],
-    ]:
-        """One in-stream round as ``(shipped, deferrable)`` triples.
-
-        ``deferrable`` triples are bit-identical repeats of triples this
-        bolt already shipped in an earlier round; in-stream rounds record
-        them for drain-time re-assertion instead of re-shipping.  Only the
-        exact mode's delta engine defers; everything else ships all.
-        """
-        return self._report_triples(reset=reset), []
 
     @property
     @abc.abstractmethod
@@ -160,8 +139,7 @@ class BaseCalculatorBolt(Bolt):
         # item 4); on the fixed grid every round is exactly
         # ``report_interval`` long, which is what keeps continuously
         # *served* rounds (service mode) from drifting against wall-clock
-        # schedules and raises the delta carry's clean rate on recurring
-        # streams.
+        # schedules.
         self._last_report += self.report_interval * int(elapsed / self.report_interval)
         self._emit_report(simulation_time)
 
@@ -169,15 +147,7 @@ class BaseCalculatorBolt(Bolt):
         if self.observations == 0:
             return
         start = time.perf_counter()
-        results, deferrable = self._report_round(reset=True)
-        if deferrable:
-            # Suppressed repeats: re-asserted (with multiplicity) at drain,
-            # so the Tracker's final state and duplicate accounting match
-            # the ship-everything engines exactly.
-            pending = self._deferred
-            for triple in deferrable:
-                pending[triple] = pending.get(triple, 0) + 1
-            self.coefficients_deferred += len(deferrable)
+        results = self._report_triples(reset=True)
         if results:
             # One batched tuple per report round (or per bounded chunk):
             # shipping hundreds of thousands of individual coefficient
@@ -206,47 +176,19 @@ class BaseCalculatorBolt(Bolt):
         for start in range(0, len(results), chunk):
             self.emit(COEFFICIENTS, results[start:start + chunk], timestamp)
 
-    def drain_payload(
-        self,
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[tuple[frozenset[str], float, int], int]],
-    ]:
-        """Final flush: remaining triples plus deferred ``(triple, count)``s.
+    def drain_payload(self) -> list[tuple[frozenset[str], float, int]]:
+        """Final flush: the triples of a last, resetting report.
 
         The pipeline (or, under the process executor, the worker shard)
         calls this once at the end of a run, because the simulated clock
         stops advancing when the stream ends and a final tick would
-        otherwise never fire.  The first element is the final round's full
-        result set; the second re-asserts every in-stream-suppressed triple
-        with its suppression count (the Tracker ingests it via
-        ``ingest_repeated``, reproducing the ship-everything accounting).
-        """
-        final = self._final_triples()
-        replays = list(self._deferred.items())
-        self._deferred = {}
-        return final, replays
-
-    def _final_triples(self) -> list[tuple[frozenset[str], float, int]]:
-        """The final round's full result set (a resetting report).
-
-        Modes with a cheaper one-shot flush (the exact engine's delta
-        mode) override this.
+        otherwise never fire.
         """
         return self._report_triples(reset=True)
 
-    def drain_triples(self) -> list[tuple[frozenset[str], float, int]]:
-        """:meth:`drain_payload` flattened to plain triples (replays expanded)."""
-        final, replays = self.drain_payload()
-        if replays:
-            final = list(final)
-            for triple, count in replays:
-                final.extend([triple] * count)
-        return final
-
     def drain_results(self) -> list[JaccardResult]:
-        """:meth:`drain_triples`, wrapped as :class:`JaccardResult` objects."""
-        return [JaccardResult(*triple) for triple in self.drain_triples()]
+        """:meth:`drain_payload`, wrapped as :class:`JaccardResult` objects."""
+        return [JaccardResult(*triple) for triple in self.drain_payload()]
 
     # ------------------------------------------------------------------ #
     # State migration (live repartitioning handoff)
@@ -258,10 +200,7 @@ class BaseCalculatorBolt(Bolt):
         The payload is exactly what a drain would ship for the counted
         window.  Nothing is reset here — if any participant of the handoff
         fails to prepare, the coordinator aborts and this bolt continues
-        under the old assignment as if nothing happened.  Deferred replays
-        (``_deferred``) are *not* part of the payload: they re-assert
-        triples already shipped in earlier rounds and stay queued for the
-        end-of-run drain regardless of migrations in between.
+        under the old assignment as if nothing happened.
         """
         return self._report_triples(reset=False)
 
@@ -297,12 +236,10 @@ class BaseCalculatorBolt(Bolt):
 class CalculatorBolt(BaseCalculatorBolt):
     """Exact mode: subset counters and inclusion–exclusion (Equation 2).
 
-    ``reporting_engine`` selects how report rounds recover union sizes —
-    ``"incremental"`` (one subset-lattice fold per distinct observed tagset
-    type) or the original ``"scratch"`` re-walk — and ``subset_cache_size``
-    bounds the LRU cache of subset enumerations shared by the observe and
-    report paths (see :mod:`repro.core.jaccard`).  Both engines report
-    identical coefficients.
+    Report rounds recover union sizes with one subset-lattice fold per
+    distinct observed tagset type; ``subset_cache_size`` bounds the LRU
+    cache of subset enumerations shared by the observe and report paths
+    (see :mod:`repro.core.jaccard`).
     """
 
     mode = "exact"
@@ -311,7 +248,6 @@ class CalculatorBolt(BaseCalculatorBolt):
         self,
         report_interval: float = 300.0,
         max_tags_per_document: int = 12,
-        reporting_engine: str = "incremental",
         subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
         counter_store: str = "dict",
         spill_dir: str | None = None,
@@ -327,12 +263,14 @@ class CalculatorBolt(BaseCalculatorBolt):
             spill_options["spill_threshold"] = spill_threshold
         self.calculator = JaccardCalculator(
             max_tags_per_document,
-            reporting_engine=reporting_engine,
             subset_cache_size=subset_cache_size,
             counter_store=counter_store,
             spill_dir=spill_dir,
             **spill_options,
         )
+        #: Type lattices folded by in-stream report rounds (the final drain
+        #: and migration payloads fold too, but are not rounds).
+        self.types_folded = 0
 
     def _observe(self, tags, doc_id) -> None:
         self.calculator.observe(tags)
@@ -345,29 +283,17 @@ class CalculatorBolt(BaseCalculatorBolt):
     ) -> list[tuple[frozenset[str], float, int]]:
         return self.calculator.report_triples(min_size=2, reset=reset)
 
-    def _report_round(
-        self, reset: bool
-    ) -> tuple[
-        list[tuple[frozenset[str], float, int]],
-        list[tuple[frozenset[str], float, int]],
-    ]:
-        return self.calculator.report_round_triples(min_size=2, reset=reset)
+    def _emit_report(self, timestamp: float) -> None:
+        counter = self.calculator.counter
+        before = counter.types_folded
+        super()._emit_report(timestamp)
+        self.types_folded += counter.types_folded - before
 
-    def _final_triples(self) -> list[tuple[frozenset[str], float, int]]:
-        # The delta engine's one-shot final fold goes through the
-        # incremental path: identical triples, no carry state built for a
-        # round that can never recur.
-        return self.calculator.drain_triples(min_size=2)
-
-    def release_delta_state(self) -> None:
-        """Drop the delta engine's carried fold state (post-drain slimming)."""
-        self.calculator.release_delta_state()
-
-    def prepare_migration(self) -> list[tuple[frozenset[str], float, int]]:
-        # The base default (a non-resetting report) would route the delta
-        # engine through its diffing path and mutate the carry baseline;
-        # ``migration_triples`` is the side-effect-free drain equivalent.
-        return self.calculator.migration_triples(min_size=2)
+    def drain_payload(self) -> list[tuple[frozenset[str], float, int]]:
+        triples = super().drain_payload()
+        # The run is over: a spilling counter store gives up its directory.
+        self.calculator.counter.close()
+        return triples
 
     def _migration_reset(self) -> None:
         self.calculator.reset_counts()

@@ -274,42 +274,11 @@ class TrackerBolt(Bolt):
     ) -> None:
         """Ingest ``(triple, count)`` pairs — each triple ``count`` times.
 
-        The delta reporting engine defers shipping triples whose value is
-        bit-identical to one it already shipped; at drain time the deferred
-        triples arrive here in compact form.  The effect on the dedup table
-        and on the received/duplicate accounting is exactly that of calling
-        :meth:`ingest` with the triple repeated ``count`` times — repeats
-        of an identical triple never change the winning coefficient (equal
-        support never displaces), they only count as duplicates — but the
-        cost is one update per *distinct* triple.
+        Nothing in ``src/`` calls this any more; it stays because
+        ``benchmarks/bench/bench_trace.py`` resolves the name strictly.
         """
-        if self._store is not None:
-            received, duplicates = self._store.ingest_repeated(pairs)
-            self.reports_received += received
-            self.duplicate_reports += duplicates
-            return
-        best = self._best
-        received = 0
-        duplicates = 0
-        for (tagset, jaccard, support), count in pairs:
-            if count <= 0:
-                continue
-            received += count
-            tagset = frozenset(tagset)
-            existing = best.get(tagset)
-            if existing is None:
-                best[tagset] = TrackedCoefficient(
-                    jaccard=float(jaccard), support=int(support), reports=count
-                )
-                duplicates += count - 1
-                continue
-            duplicates += count
-            existing.reports += count
-            if support > existing.support:
-                existing.jaccard = float(jaccard)
-                existing.support = int(support)
-        self.reports_received += received
-        self.duplicate_reports += duplicates
+        for triple, count in pairs:
+            self.ingest([triple] * count)
 
     def observe(self, result: JaccardResult) -> None:
         """Record one reported coefficient (kept for single-result callers)."""

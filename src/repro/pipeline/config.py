@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..core.jaccard import DEFAULT_SUBSET_CACHE_SIZE, REPORTING_ENGINES
+from ..core.jaccard import DEFAULT_SUBSET_CACHE_SIZE
 from ..store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, TRACKER_STORES
 from ..core.partition import PartitionSeed
 from ..operators.controller import REPARTITION_POLICIES
@@ -85,16 +85,6 @@ class SystemConfig:
     #: Calculator mode: ``"exact"`` uses the paper's subset counters,
     #: ``"sketch"`` the MinHash/Count-Min approximate tracking mode.
     calculator: str = "exact"
-    #: Union computation of exact-mode report rounds: ``"incremental"``
-    #: folds each distinct observed tagset type's subset lattice once per
-    #: round; ``"delta"`` makes rounds incremental *across* rounds (folds
-    #: only types whose observation context changed, re-asserts clean
-    #: recurring types from a carry table and defers shipping their
-    #: unchanged coefficients to the drain); ``"scratch"`` re-walks the
-    #: counter table per counted key (the original path).  Identical
-    #: coefficients in all three — see the decision table in
-    #: docs/ARCHITECTURE.md "Reporting path".
-    reporting_engine: str = "incremental"
     #: Capacity of each exact Calculator's LRU cache of tagset →
     #: subset-tuple enumerations (repeated trending tagsets skip
     #: ``itertools.combinations`` re-enumeration).
@@ -212,10 +202,6 @@ class SystemConfig:
             )
         if self.calculator not in ("exact", "sketch"):
             raise ValueError("calculator must be 'exact' or 'sketch'")
-        if self.reporting_engine not in REPORTING_ENGINES:
-            raise ValueError(
-                f"reporting_engine must be one of {', '.join(REPORTING_ENGINES)}"
-            )
         if self.subset_cache_size < 1:
             raise ValueError("subset_cache_size must be at least 1")
         if self.counter_store not in COUNTER_STORES:

@@ -78,7 +78,6 @@ class ExactCalculatorFactory:
 
     report_interval: float = 300.0
     max_tags_per_document: int = 12
-    reporting_engine: str = "incremental"
     subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE
     counter_store: str = "dict"
     spill_dir: str | None = None
@@ -89,7 +88,6 @@ class ExactCalculatorFactory:
         return CalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
-            reporting_engine=self.reporting_engine,
             subset_cache_size=self.subset_cache_size,
             counter_store=self.counter_store,
             spill_dir=self.spill_dir,
@@ -203,15 +201,8 @@ class RunReport:
     #: Worker processes the Calculator/Tracker layer was sharded over
     #: (1 in inline mode).
     executor_workers: int = 1
-    #: Union computation of exact-mode report rounds: "incremental" (one
-    #: subset-lattice fold per distinct observed tagset type), "delta"
-    #: (cross-round: fold only dirty types, re-assert clean ones from the
-    #: carry table) or "scratch" (the original per-key counter-table
-    #: re-walk).  Identical coefficients in all three.
-    reporting_engine: str = "incremental"
     #: Aggregate hit/miss/eviction accounting of the exact Calculators'
-    #: subset-tuple LRU caches plus the delta engine's carry-table
-    #: hits/misses/invalidations (None in sketch mode).
+    #: subset-tuple LRU caches (None in sketch mode).
     subset_cache_stats: dict[str, int] | None = None
     #: Which backing table the exact Calculators counted into: "dict"
     #: (all-RAM, the default) or "spill" (out-of-core run files — see
@@ -220,10 +211,9 @@ class RunReport:
     counter_store: str = "dict"
     #: Aggregate spill-store accounting across exact Calculators (None
     #: under the dict store): spilled entries/runs/bytes, merge counts and
-    #: merge-phase wall-clock, block-cache hits/misses/evictions and the
-    #: delta carry log's blob/byte figures.  Wall-clock content — like
-    #: ``timings``, informational only and excluded from the
-    #: logical-equivalence contract.
+    #: merge-phase wall-clock and block-cache hits/misses/evictions.
+    #: Wall-clock content — like ``timings``, informational only and
+    #: excluded from the logical-equivalence contract.
     store_stats: dict[str, float] | None = None
     #: Which backing table the Tracker deduplicated into: "dict" (all-RAM,
     #: the default) or "spill" (out-of-core run files with the max-support
@@ -235,9 +225,8 @@ class RunReport:
     #: excluded from the logical-equivalence contract.
     tracker_store_stats: dict[str, float] | None = None
     #: In-stream report-round attribution, aggregated over Calculators:
-    #: ``rounds`` executed, their total wall-clock ``report_seconds``, the
-    #: ``dirty_types``/``clean_types`` fold-vs-reuse split and the
-    #: ``deferred_triples`` whose shipping moved to the drain.  Wall-clock
+    #: ``rounds`` executed, their total wall-clock ``report_seconds`` and
+    #: the ``dirty_types`` (type lattices) they folded.  Wall-clock
     #: content, so — like ``timings`` — informational only and excluded
     #: from the logical-equivalence contract (None without Calculators).
     report_round_stats: dict[str, float] | None = None
@@ -421,7 +410,6 @@ class TagCorrelationSystem:
         return ExactCalculatorFactory(
             report_interval=config.report_interval_seconds,
             max_tags_per_document=config.max_tags_per_document,
-            reporting_engine=config.reporting_engine,
             subset_cache_size=config.subset_cache_size,
             counter_store=config.counter_store,
             spill_dir=config.spill_dir,
@@ -539,29 +527,16 @@ class TagCorrelationSystem:
             if not isinstance(bolt, SketchCalculatorBolt):
                 continue
             drained = predrained.get(bolt.task_id)
-            if drained is not None and drained[2] is not None:
-                sketch_tracked_total += drained[2]
+            if drained is not None and drained[1] is not None:
+                sketch_tracked_total += drained[1]
             else:
                 sketch_tracked_total += bolt.estimator.tracked_tagsets
         for calculator in calculators:
             drained = predrained.get(calculator.task_id)
-            if drained is not None:
-                triples, replays, _ = drained
-            else:
-                triples, replays = calculator.drain_payload()
-                # Mirror the worker-side drain: drop the delta engine's
-                # carried fold state now that no further round can reuse
-                # it (accounting survives; see release_delta_state).
-                release = getattr(calculator, "release_delta_state", None)
-                if release is not None:
-                    release()
-            tracker.ingest(triples)
-            if replays:
-                # Coefficients the delta engine suppressed in-stream
-                # (identical-value repeats), re-asserted with their
-                # suppression counts so the Tracker's dedup table and
-                # duplicate accounting match the ship-everything engines.
-                tracker.ingest_repeated(replays)
+            tracker.ingest(
+                drained[0] if drained is not None
+                else calculator.drain_payload()
+            )
 
         notifications = 0
         routed = 0
@@ -629,19 +604,11 @@ class TagCorrelationSystem:
             bolt for bolt in calculators if isinstance(bolt, CalculatorBolt)
         ]
         if exact_calculators:
-            subset_cache_stats = {
-                "hits": 0, "misses": 0, "evictions": 0,
-                "carry_hits": 0, "carry_misses": 0,
-                "carry_invalidations": 0, "carry_evictions": 0,
-            }
+            subset_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
             for bolt in exact_calculators:
                 stats = bolt.calculator.cache_stats
-                for key in ("hits", "misses", "evictions"):
+                for key in subset_cache_stats:
                     subset_cache_stats[key] += stats[key]
-                carry = bolt.calculator.carry_stats
-                for key in ("carry_hits", "carry_misses",
-                            "carry_invalidations", "carry_evictions"):
-                    subset_cache_stats[key] += carry[key]
 
         store_stats: dict[str, float] | None = None
         if config.counter_store == "spill" and exact_calculators:
@@ -663,15 +630,7 @@ class TagCorrelationSystem:
                 "rounds": float(sum(b.report_rounds for b in calculators)),
                 "report_seconds": sum(b.report_seconds for b in calculators),
                 "dirty_types": float(sum(
-                    b.calculator.counter.types_folded
-                    for b in exact_calculators
-                )),
-                "clean_types": float(sum(
-                    b.calculator.counter.types_reused
-                    for b in exact_calculators
-                )),
-                "deferred_triples": float(sum(
-                    b.coefficients_deferred for b in calculators
+                    b.types_folded for b in exact_calculators
                 )),
             }
 
@@ -710,7 +669,6 @@ class TagCorrelationSystem:
                 if isinstance(cluster.executor, ShardedProcessExecutor)
                 else 1
             ),
-            reporting_engine=config.reporting_engine,
             subset_cache_stats=subset_cache_stats,
             counter_store=config.counter_store,
             store_stats=store_stats,

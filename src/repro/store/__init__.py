@@ -20,8 +20,7 @@ Modules:
 * :mod:`repro.store.config` — :class:`StoreConfig`, the one bundle of
   spill/cache/merge knobs both spilling stores share,
 * :mod:`repro.store.spill` — :class:`SpillingCounterStore` (the
-  Counter-compatible mapping the reporting engines fold over) and
-  :class:`CarryLog` (the delta engine's spilled carry payloads),
+  Counter-compatible mapping the report fold runs over),
 * :mod:`repro.store.tracker` — :class:`SpillingTrackerStore` (the
   Tracker's dedup table as runs, max-support rule as merge combiner) and
   :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot).
@@ -55,11 +54,7 @@ from .merge import (
     parallel_merges_allowed,
     resolve_merge_workers,
 )
-from .spill import (
-    COUNTER_STORES,
-    CarryLog,
-    SpillingCounterStore,
-)
+from .spill import COUNTER_STORES, SpillingCounterStore
 from .tracker import (
     TRACKER_STORES,
     RunBackedTrackerSnapshot,
@@ -69,7 +64,6 @@ from .tracker import (
 
 __all__ = [
     "BlockCache",
-    "CarryLog",
     "COUNTER_STORES",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CACHE_BLOCKS",

@@ -1,8 +1,8 @@
-"""The spilling counter store and the delta carry log.
+"""The spilling counter store.
 
 :class:`SpillingCounterStore` is a drop-in backing table for
 :class:`repro.core.jaccard.SubsetCounter`: the same mapping surface a
-``collections.Counter`` offers the reporting engines (``__getitem__``
+``collections.Counter`` offers the report fold (``__getitem__``
 returning 0 for absent keys, ``get``, ``items``, iteration, ``clear``),
 but with bounded resident memory.  Observations accumulate in a *hot*
 in-RAM ``Counter`` segment; once the hot segment reaches
@@ -17,23 +17,16 @@ Because counts are additive, the merged table is byte-for-byte the table a
 plain ``Counter`` would hold — spill timing, run count and merge order are
 all unobservable in the reported coefficients (pinned by the spill ≡ dict
 equivalence suite).
-
-:class:`CarryLog` gives the delta engine's carry table the same treatment:
-clean types' cached emissions (``keys``/``triples``) are pickled into an
-append-only blob log inside the store's spill directory and read back only
-when a clean round re-asserts them, with garbage compaction once released
-blobs dominate the file.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
 import tempfile
 import weakref
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .config import DEFAULT_CACHE_BLOCKS, DEFAULT_SPILL_THRESHOLD, StoreConfig
 from .format import (
@@ -327,143 +320,3 @@ class SpillingCounterStore:
                 self, shutil.rmtree, self._dir, True
             )
             self._runs = [RunReader(path, self._cache) for path in manifest]
-
-
-class CarryLog:
-    """Append-only pickled-blob log backing the delta engine's carry table.
-
-    Clean types re-assert their previous emissions verbatim; with the
-    spill store active those emission lists (``keys``/``triples``) move to
-    this log so the carry table holds only ``(offset, length)`` refs.
-    Blobs round-trip through ``pickle``, which preserves float bits,
-    strings and frozensets exactly — re-asserted triples stay bit-identical
-    to the in-RAM carry's.
-
-    The log lives inside the owning store's spill directory
-    (``directory_provider`` is the store's ``ensure_dir``).  Released
-    blobs (refolded or evicted entries) become garbage; once garbage
-    exceeds half of a non-trivial file, :meth:`maybe_compact` rewrites the
-    live blobs into a fresh log and patches the entries' refs.
-    """
-
-    #: Compaction is considered only beyond this file size (bytes).
-    MIN_COMPACT_BYTES = 1 << 20
-
-    def __init__(self, directory_provider: Callable[[], str]) -> None:
-        self._provider = directory_provider
-        self._file = None
-        self._path: str | None = None
-        self._tail = 0
-        self.live_bytes = 0
-        self.total_bytes = 0
-        self.blobs_written = 0
-        self.bytes_written = 0
-        self.compactions = 0
-
-    def _ensure(self):
-        if self._file is None:
-            self._path = os.path.join(self._provider(), "carry.log")
-            self._file = open(self._path, "w+b")
-            self._tail = 0
-            self.live_bytes = 0
-            self.total_bytes = 0
-        return self._file
-
-    def append(self, payload: object) -> tuple[int, int]:
-        """Pickle ``payload`` onto the log; returns its ``(offset, length)``."""
-        handle = self._ensure()
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.seek(self._tail)
-        handle.write(data)
-        ref = (self._tail, len(data))
-        self._tail += len(data)
-        self.live_bytes += len(data)
-        self.total_bytes += len(data)
-        self.blobs_written += 1
-        self.bytes_written += len(data)
-        return ref
-
-    def read(self, ref: tuple[int, int]) -> object:
-        offset, length = ref
-        handle = self._ensure()
-        handle.seek(offset)
-        data = handle.read(length)
-        if len(data) != length:
-            raise RuntimeError(
-                f"carry log short read at {offset}: wanted {length} bytes, "
-                f"got {len(data)}"
-            )
-        return pickle.loads(data)
-
-    def release(self, ref: tuple[int, int]) -> None:
-        self.live_bytes -= ref[1]
-
-    def maybe_compact(self, entries: Iterable[object]) -> bool:
-        """Rewrite live blobs if garbage dominates; patch ``entry.ref``s."""
-        if self._file is None or self.total_bytes < self.MIN_COMPACT_BYTES:
-            return False
-        if (self.total_bytes - self.live_bytes) * 2 < self.total_bytes:
-            return False
-        assert self._path is not None
-        old = self._file
-        new_path = self._path + ".compact"
-        live = 0
-        with open(new_path, "w+b") as fresh:
-            offset = 0
-            for entry in entries:
-                ref = getattr(entry, "ref", None)
-                if ref is None:
-                    continue
-                old.seek(ref[0])
-                data = old.read(ref[1])
-                fresh.write(data)
-                entry.ref = (offset, len(data))
-                offset += len(data)
-                live += len(data)
-        old.close()
-        os.replace(new_path, self._path)
-        self._file = open(self._path, "r+b")
-        self._tail = live
-        self.live_bytes = live
-        self.total_bytes = live
-        self.compactions += 1
-        return True
-
-    def close(self) -> None:
-        """Close and delete the log file (accounting survives)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._path is not None:
-            try:
-                os.unlink(self._path)
-            except OSError:
-                pass
-            self._path = None
-        self._tail = 0
-        self.live_bytes = 0
-        self.total_bytes = 0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "carry_blobs_written": self.blobs_written,
-            "carry_bytes_written": self.bytes_written,
-            "carry_live_bytes": self.live_bytes,
-            "carry_compactions": self.compactions,
-        }
-
-    def __getstate__(self) -> dict:
-        # Open handles never cross process boundaries; a pickled log comes
-        # back empty (its contents are only ever needed by the process that
-        # wrote them — the carry table itself is released before bolts are
-        # shipped anywhere).
-        state = dict(self.__dict__)
-        state["_file"] = None
-        state["_path"] = None
-        state["_tail"] = 0
-        state["live_bytes"] = 0
-        state["total_bytes"] = 0
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)

@@ -227,35 +227,6 @@ class SpillingTrackerStore:
                     entry[1] = int(support)
         return received, duplicates
 
-    def ingest_repeated(self, pairs: Iterable[tuple]) -> tuple[int, int]:
-        """Apply ``(triple, count)`` replayed shipments (delta engine)."""
-        received = 0
-        duplicates = 0
-        hot = self._hot
-        threshold = self.config.spill_threshold
-        for (tags, jaccard, support), count in pairs:
-            if count <= 0:
-                continue
-            received += count
-            key = frozenset(tags)
-            entry = hot.get(key)
-            if entry is None:
-                if self._seen_in_runs(key):
-                    duplicates += count
-                else:
-                    self._distinct += 1
-                    duplicates += count - 1
-                hot[key] = [float(jaccard), int(support), count]
-                if len(hot) >= threshold:
-                    self.spill()
-            else:
-                duplicates += count
-                entry[2] += count
-                if support > entry[1]:
-                    entry[0] = float(jaccard)
-                    entry[1] = int(support)
-        return received, duplicates
-
     def spill(self) -> None:
         """Freeze the hot segment into a published raw-value run, then
         compact once the live-run count reaches the merge fan-in."""

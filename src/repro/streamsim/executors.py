@@ -54,11 +54,8 @@ what makes process-sharding deterministic:
   exposing ``drain_payload()`` (the Calculators) report their remaining
   counters inside the worker, and the shard ships the resulting
   ``(tagset, jaccard, support)`` triples — small — instead of the counter
-  tables that produced them, plus the delta reporting engine's deferred
-  coefficients as compact ``(triple, count)`` replays (and drops the
-  delta fold state so the bolts pickle back slim).  Only then does the
-  shard return its (now-empty) bolt
-  instances and its per-shard
+  tables that produced them.  Only then does the shard return its
+  (now-empty) bolt instances and its per-shard
   :class:`~repro.streamsim.cluster.MessageAccounting`; the driver merges the
   accounting, re-installs the bolts into the cluster, and exposes the
   drained results via :meth:`Executor.drained_results` so the pipeline can
@@ -155,20 +152,15 @@ class Executor(abc.ABC):
         """
         return 0
 
-    def drained_results(self) -> dict[int, tuple[list, list, int | None]]:
+    def drained_results(self) -> dict[int, tuple[list, int | None]]:
         """End-of-run results drained *inside* the remote layer, per task.
 
         Maps the task id of every remote bolt exposing ``drain_payload()``
-        (or the legacy ``drain_triples()``/``drain_results()``) to
-        ``(triples, replays, tracked_keys)``, where ``triples`` are
-        ``(tagset, jaccard, support)`` wire triples, ``replays`` are
-        ``(triple, count)`` pairs of coefficients whose in-stream shipping
-        the delta reporting engine deferred (re-asserted driver-side via
-        ``TrackerBolt.ingest_repeated``; empty for the other engines), and
-        ``tracked_keys`` is the sketch estimator's pre-drain tracked-tagset
-        count (``None`` for exact-mode bolts).  Executors without a remote
-        layer return an empty mapping and the pipeline drains driver-side
-        as before.
+        to ``(triples, tracked_keys)``, where ``triples`` are ``(tagset,
+        jaccard, support)`` wire triples and ``tracked_keys`` is the sketch
+        estimator's pre-drain tracked-tagset count (``None`` for exact-mode
+        bolts).  Executors without a remote layer return an empty mapping
+        and the pipeline drains driver-side as before.
         """
         return {}
 
@@ -415,44 +407,25 @@ def _shard_worker(spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
                 # before the bolts themselves are pickled back at
                 # finalisation.  Mode-specific state that draining resets
                 # (the sketch estimator's tracked-key count) is sampled
-                # first and shipped alongside.  Delta-engine Calculators
-                # additionally ship their deferred coefficients compactly
-                # as (triple, count) replays — replayed driver-side in
-                # driver task order, so the drain stays deterministic —
-                # and drop their carried fold state before pickling back.
+                # first and shipped alongside.
                 #
                 # With a chunk size (request[1] > 0) the shard streams the
                 # results instead of building one monolithic reply: per
                 # task a "drained_begin" header, then bounded
-                # "drained_triples"/"drained_replays" slices (each chunk
-                # pickles alone, so neither side ever holds a whole-table
-                # message), then a final bare "drained" end marker.
+                # "drained_triples" slices (each chunk pickles alone, so
+                # neither side ever holds a whole-table message), then a
+                # final bare "drained" end marker.
                 chunk = request[1] if len(request) > 1 else 0
                 drained: dict[int, Any] = {}
                 for task_id, bolt in bolts.items():
                     estimator = getattr(bolt, "estimator", None)
                     tracked = getattr(estimator, "tracked_tagsets", None)
                     payload = getattr(bolt, "drain_payload", None)
-                    if payload is not None:
-                        triples, replays = payload()
-                    else:
-                        drain = getattr(bolt, "drain_triples", None)
-                        if drain is not None:
-                            triples, replays = drain(), []
-                        else:
-                            legacy = getattr(bolt, "drain_results", None)
-                            if legacy is None:
-                                continue
-                            triples = [
-                                (r.tagset, r.jaccard, r.support)
-                                for r in legacy()
-                            ]
-                            replays = []
-                    release = getattr(bolt, "release_delta_state", None)
-                    if release is not None:
-                        release()
+                    if payload is None:
+                        continue
+                    triples = payload()
                     if chunk <= 0:
-                        drained[task_id] = (triples, replays, tracked)
+                        drained[task_id] = (triples, tracked)
                         continue
                     outbox.put(
                         ("drained_begin", spec.shard_index, (task_id, tracked))
@@ -463,12 +436,6 @@ def _shard_worker(spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
                              (task_id, triples[start:start + chunk]))
                         )
                     del triples
-                    for start in range(0, len(replays), chunk):
-                        outbox.put(
-                            ("drained_replays", spec.shard_index,
-                             (task_id, replays[start:start + chunk]))
-                        )
-                    del replays
                 if chunk <= 0:
                     outbox.put(("drained", spec.shard_index, drained))
                 else:
@@ -546,7 +513,7 @@ class ShardedProcessExecutor(Executor):
         self._procs: list[Any] = []
         self._started = False
         self._finished = False
-        self._drained: dict[int, tuple[list, list, int | None]] = {}
+        self._drained: dict[int, tuple[list, int | None]] = {}
         #: Shard count actually used (set at attach time).
         self.effective_workers = 0
 
@@ -784,7 +751,7 @@ class ShardedProcessExecutor(Executor):
                 )
             return kind, reply[2]
 
-    def drained_results(self) -> dict[int, tuple[list, list, int | None]]:
+    def drained_results(self) -> dict[int, tuple[list, int | None]]:
         return self._drained
 
     def _finalize(self, cluster: "Cluster") -> None:
@@ -807,10 +774,7 @@ class ShardedProcessExecutor(Executor):
             # per-shard stream is ordered (one FIFO queue per worker), so a
             # "drained_begin" header always precedes its task's chunks and
             # the bare "drained" end marker closes the shard.
-            kinds = (
-                "drained", "drained_begin",
-                "drained_triples", "drained_replays",
-            )
+            kinds = ("drained", "drained_begin", "drained_triples")
             for shard in range(self.effective_workers):
                 while True:
                     kind, payload = self._receive_any(shard, kinds)
@@ -818,11 +782,9 @@ class ShardedProcessExecutor(Executor):
                         break
                     task_id, part = payload
                     if kind == "drained_begin":
-                        self._drained[task_id] = ([], [], part)
-                    elif kind == "drained_triples":
-                        self._drained[task_id][0].extend(part)
+                        self._drained[task_id] = ([], part)
                     else:
-                        self._drained[task_id][1].extend(part)
+                        self._drained[task_id][0].extend(part)
         for inbox in self._inboxes:
             inbox.put((_FINALIZE,))
         for shard in range(self.effective_workers):

@@ -3,8 +3,7 @@
 The legacy synthetic point (:class:`TwitterLikeGenerator` with
 ``new_topic_rate=5.0``) churns its topic population so fast that ~90% of
 tagset types per report round are first occurrences — hostile to the
-paper's trending-hashtag premise and to the delta reporting engine's carry
-table (which thrives on recurrence).  This module adds the workload shapes
+paper's trending-hashtag premise.  This module adds the workload shapes
 the system actually exists for, all deterministic given
 ``WorkloadConfig.seed`` and all emitting the same :class:`Document` stream
 interface:
@@ -14,10 +13,9 @@ interface:
     rise → plateau → decay hazard curve.  While a trend sits on its
     plateau, its signature **anchor tagset** is re-emitted on a fixed
     document-position schedule, so consecutive report rounds observe the
-    same types with the same multiplicities — the recurrence that lets the
-    delta engine's carry table re-assert clean types instead of refolding
-    them.  Anchor tags are reserved (never sampled into background
-    documents), so the cleanliness is structural, not accidental.
+    same types with the same multiplicities.  Anchor tags are reserved
+    (never sampled into background documents), so the recurrence is
+    structural, not accidental.
 
 ``burst``
     The legacy stream with superimposed flash crowds: at seeded random
@@ -35,12 +33,12 @@ interface:
     distribution drift periodically.
 
 ``adversarial``
-    The carry table's worst case: every non-repeat document is a
-    brand-new tagset type over never-reused tags, and the only repeats
-    re-emit types created within the last ``adversarial_repeat_window``
-    documents — so types (almost) never recur across report rounds and
-    every delta round is pure misses.  First-occurrence type fraction per
-    round stays >= 85% by construction.
+    Worst-case type churn: every non-repeat document is a brand-new
+    tagset type over never-reused tags, and the only repeats re-emit types
+    created within the last ``adversarial_repeat_window`` documents — so
+    types (almost) never recur across report rounds and the subset cache
+    never warms.  First-occurrence type fraction per round stays >= 85% by
+    construction.
 
 ``make_generator`` dispatches a :class:`WorkloadConfig` on its
 ``scenario`` field; ``scenario_preset`` builds a tuned config per
@@ -144,14 +142,7 @@ class TrendingGenerator(TwitterLikeGenerator):
     anchor tagset iff the slot's trend is on its plateau.  A report round
     of ``D`` documents therefore observes each plateau anchor exactly
     ``D / (cadence * trend_pool)`` times whenever that product divides
-    ``D`` — the unchanged-multiplicity condition the delta engine's carry
-    table needs to re-assert a type without refolding it (see
-    ``core/jaccard.py``).  End to end, Calculator round boundaries drift
-    forward slightly each round (ticks fire at document-timestamp
-    granularity), so in-system multiplicity stability additionally wants
-    same-slot anchor spacing (``cadence * trend_pool`` interarrivals)
-    large against that per-round drift — see the trending overrides in
-    ``benchmarks/perf/throughput.py``.
+    ``D``.
     """
 
     def __init__(self, config: WorkloadConfig | None = None) -> None:
@@ -381,15 +372,13 @@ class DiurnalGenerator(TwitterLikeGenerator):
 # Adversarial churn
 # --------------------------------------------------------------------- #
 class AdversarialChurnGenerator(TwitterLikeGenerator):
-    """Worst case for the delta engine's carry table.
+    """Worst-case tagset-type churn.
 
     Every non-repeat document is a brand-new tagset type over
     never-reused tags (a monotone tag counter), so no type — and no tag —
     recurs across report rounds; repeats only re-emit types created within
     the last ``adversarial_repeat_window`` documents, keeping the repeat
-    horizon far below a report round.  The delta engine degenerates to
-    pure carry misses (plus evictions as the table is bounded), which is
-    the regression scenario the carry accounting exists to expose.
+    horizon far below a report round.
     """
 
     def __init__(self, config: WorkloadConfig | None = None) -> None:

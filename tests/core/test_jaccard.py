@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import as_report, eq2_report
 from repro.core.jaccard import (
     JaccardCalculator,
     SubsetCounter,
@@ -217,23 +218,34 @@ class TestSubsetTupleCache:
         assert cache.stats()["misses"] == 1
 
     def test_size_capped_cache_rejected(self):
-        """The reporting engines need full lattices; a capped cache (the
+        """The report fold needs full lattices; a capped cache (the
         centralized baseline's shape) cannot back a SubsetCounter."""
         with pytest.raises(ValueError):
             SubsetCounter(subset_cache=SubsetTupleCache(max_subset_size=2))
 
 
+@pytest.fixture(params=["dict", "spill"])
+def make_counter(request, tmp_path):
+    """SubsetCounter factory over both counter stores (the spill store at a
+    threshold low enough that every stream below spills several runs)."""
+
+    def make(**options):
+        if request.param == "spill":
+            options.update(
+                counter_store="spill", spill_dir=str(tmp_path), spill_threshold=16
+            )
+        return SubsetCounter(**options)
+
+    return make
+
+
 class TestReportingEngineEquivalence:
-    """Incremental, delta and scratch reporting must be bit-identical (the
-    equivalence contract of docs/ARCHITECTURE.md "Reporting path")."""
+    """The report fold must be bit-identical to Equation (2) computed key by
+    key (``tests/oracle.py``), under both counter stores."""
 
-    @staticmethod
-    def _as_dict(triples):
-        return {tagset: (jaccard, support) for tagset, jaccard, support in triples}
-
-    def test_adversarial_overlapping_tagsets(self):
+    def test_adversarial_overlapping_tagsets(self, make_counter):
         """Heavily overlapping tagsets share keys across lattice types."""
-        counter = SubsetCounter()
+        counter = make_counter()
         observations = [
             ["a", "b", "c", "d"],
             ["b", "c", "d", "e"],
@@ -246,295 +258,60 @@ class TestReportingEngineEquivalence:
         ]
         for tags in observations:
             counter.observe(tags)
-        incremental = self._as_dict(counter.report_triples(engine="incremental"))
-        scratch = self._as_dict(counter.report_triples(engine="scratch"))
-        delta = self._as_dict(counter.report_triples(engine="delta"))
-        assert incremental == scratch == delta
-        # and against the brute-force Equation (2) reference:
-        for tagset, (jaccard, support) in incremental.items():
-            counts = {
-                frozenset(k): c for k, c in counter._raw_items()
-            }
-            union = union_size_inclusion_exclusion(tagset, counts)
-            assert jaccard == support / union
-
-    def test_scratch_engine_reuses_observe_path_cache(self):
-        """Counted keys of ≥ 4 tags resident in the shared SubsetTupleCache
-        (the observed types) fold their cached lattice instead of
-        re-enumerating ``itertools.combinations`` — and the report never
-        churns the LRU."""
-        counter = SubsetCounter()
-        counter.observe(["a", "b", "c", "d"])
-        counter.observe(["b", "c", "d", "e"])
-        stats = counter.cache.stats()
-        before_hits, before_misses = stats["hits"], stats["misses"]
-        counter.report_triples(engine="scratch")
-        stats = counter.cache.stats()
-        # Both observed types were found resident...
-        assert stats["hits"] >= before_hits + 2
-        # ...and non-resident subset keys did NOT populate (or evict) the
-        # cache: the report path only peeks.
-        assert stats["misses"] == before_misses
-        assert stats["size"] == 2
+        assert as_report(counter.report_triples()) == eq2_report(counter)
 
     @pytest.mark.parametrize("min_size", [1, 2, 3])
-    def test_randomized_streams(self, min_size):
+    def test_randomized_streams(self, make_counter, min_size):
         rng = random.Random(min_size)
         tags = [f"t{i}" for i in range(12)]
         for _ in range(25):
-            counter = SubsetCounter()
+            counter = make_counter()
             for _ in range(rng.randrange(1, 50)):
                 counter.observe(rng.sample(tags, rng.randrange(1, 9)))
-            incremental = self._as_dict(
-                counter.report_triples(min_size=min_size, engine="incremental")
+            assert as_report(counter.report_triples(min_size)) == eq2_report(
+                counter, min_size
             )
-            scratch = self._as_dict(
-                counter.report_triples(min_size=min_size, engine="scratch")
-            )
-            delta = self._as_dict(
-                counter.report_triples(min_size=min_size, engine="delta")
-            )
-            assert incremental == scratch == delta
 
-    def test_max_tags_truncation_consistent(self):
+    def test_max_tags_truncation_consistent(self, make_counter):
         wide = [f"t{i}" for i in range(20)]
-        counter = SubsetCounter(max_tags_per_document=6)
+        counter = make_counter(max_tags_per_document=6)
         counter.observe(wide)
         counter.observe(wide[:4])
-        incremental = self._as_dict(counter.report_triples(engine="incremental"))
-        scratch = self._as_dict(counter.report_triples(engine="scratch"))
-        delta = self._as_dict(counter.report_triples(engine="delta"))
-        assert incremental == scratch == delta
+        assert as_report(counter.report_triples()) == eq2_report(counter)
 
-    def test_unknown_engine_rejected(self):
-        counter = SubsetCounter()
-        counter.observe(["a", "b"])
-        with pytest.raises(ValueError):
-            counter.report_triples(engine="nope")
-        with pytest.raises(ValueError):
-            JaccardCalculator(reporting_engine="nope")
-
-    def test_engines_match_after_clear_and_reuse(self):
-        """The cache survives clear(); results must stay identical."""
-        counter = SubsetCounter()
-        for _ in range(2):
-            counter.observe(["a", "b", "c"])
-            counter.observe(["b", "c", "d"])
-            incremental = self._as_dict(counter.report_triples(engine="incremental"))
-            scratch = self._as_dict(counter.report_triples(engine="scratch"))
-            delta = self._as_dict(counter.report_triples(engine="delta"))
-            assert incremental == scratch == delta
+    def test_rounds_after_clear_carry_nothing_over(self, make_counter):
+        """Only the subset cache survives clear(): every round's report is
+        Equation (2) over that round's observations alone."""
+        rng = random.Random(5)
+        tags = [f"t{i}" for i in range(8)]
+        recurring = [["t0", "t1", "t2"], ["t1", "t2", "t3"]]
+        counter = make_counter()
+        for _ in range(6):
+            for observation in recurring:
+                counter.observe(observation)
+            for _ in range(rng.randrange(0, 12)):
+                counter.observe(rng.sample(tags, rng.randrange(1, 6)))
+            assert as_report(counter.report_triples()) == eq2_report(counter)
             counter.clear()
+            assert counter.report_triples() == []
         assert counter.cache.stats()["hits"] > 0
 
+    def test_types_fold_in_first_observation_order(self):
+        """Fold order is triple order: a key shared by overlapping types is
+        emitted by the type observed first, and re-observing a type does
+        not move it.  The Tracker's table order — and with it every pinned
+        digest — depends on this."""
 
-class TestDeltaEngine:
-    """Cross-round behaviour of the delta reporting engine: carry reuse,
-    dirty propagation, suppression split and accounting."""
+        def reported(*observations):
+            counter = SubsetCounter()
+            for tags in observations:
+                counter.observe(tags)
+            return ["".join(sorted(t)) for t, _, _ in counter.report_triples()]
 
-    @staticmethod
-    def _as_dict(triples):
-        return {tagset: (jaccard, support) for tagset, jaccard, support in triples}
-
-    @staticmethod
-    def _round(counter, observations):
-        for tags in observations:
-            counter.observe(tags)
-        changed, unchanged = counter.report_delta_triples()
-        counter.clear()
-        return changed, unchanged
-
-    def test_recurring_rounds_reuse_the_carry(self):
-        """A repeated round costs carry hits, not folds, and re-asserts
-        bit-identical triples as 'unchanged'."""
-        counter = SubsetCounter()
-        observations = [["a", "b"], ["a", "b"], ["c", "d", "e"]]
-        first_changed, first_unchanged = self._round(counter, observations)
-        assert first_unchanged == []
-        assert counter.types_folded == 2 and counter.types_reused == 0
-        second_changed, second_unchanged = self._round(counter, observations)
-        assert second_changed == []
-        assert self._as_dict(second_unchanged) == self._as_dict(first_changed)
-        stats = counter.carry_stats()
-        assert stats["carry_hits"] == 2
-        assert stats["carry_misses"] == 2
-        assert counter.types_reused == 2
-
-    def test_multiplicity_change_dirties_overlapping_types_only(self):
-        counter = SubsetCounter()
-        base = [["a", "b"], ["b", "x"], ["p", "q"]]
-        self._round(counter, base)
-        self._round(counter, base)
-        # Double {a, b}: everything sharing a tag with it ({b, x}) refolds,
-        # the disjoint {p, q} stays clean.
-        changed, unchanged = self._round(
-            counter, [["a", "b"], ["a", "b"], ["b", "x"], ["p", "q"]]
-        )
-        changed_types = {tagset for tagset, _, _ in changed}
-        unchanged_types = {tagset for tagset, _, _ in unchanged}
-        assert changed_types == {frozenset({"a", "b"}), frozenset({"b", "x"})}
-        assert unchanged_types == {frozenset({"p", "q"})}
-
-    def test_type_disappearing_dirties_its_tags(self):
-        counter = SubsetCounter()
-        self._round(counter, [["a", "b"], ["b", "c"]])
-        # {b, c} vanishes: its tags go dirty, so {a, b} must refold (its
-        # lattice loses {b}'s contribution) — and the refreshed value must
-        # match scratch.
-        for tags in [["a", "b"]]:
-            counter.observe(tags)
-        reference = self._as_dict(counter.report_triples(engine="scratch"))
-        changed, unchanged = counter.report_delta_triples()
-        assert unchanged == []
-        assert self._as_dict(changed) == reference
-
-    def test_all_dirty_rounds_fold_exactly_like_incremental(self):
-        """Adversarial churn — every type dirty every round — must cost the
-        same number of lattice folds as the incremental engine (no extra
-        work beyond the cheap diff) and produce identical results."""
-        rng = random.Random(7)
-        tags = [f"t{i}" for i in range(10)]
-        delta = SubsetCounter()
-        incremental = SubsetCounter()
-        for _ in range(6):
-            observations = [
-                rng.sample(tags, rng.randrange(2, 7))
-                for _ in range(rng.randrange(5, 15))
-            ]
-            for tags_ in observations:
-                delta.observe(tags_)
-                incremental.observe(tags_)
-            got = self._as_dict(delta.report_triples(engine="delta"))
-            want = self._as_dict(incremental.report_triples(engine="incremental"))
-            assert got == want
-            delta.clear()
-            incremental.clear()
-        assert delta.carry_hits == 0  # fresh random rounds never repeat
-        assert delta.types_folded == incremental.types_folded
-
-    def test_min_size_change_invalidates_the_program(self):
-        counter = SubsetCounter()
-        counter.observe(["a", "b", "c"])
-        by_min_size = {
-            min_size: self._as_dict(
-                counter.report_triples(min_size=min_size, engine="delta")
-            )
-            for min_size in (2, 1, 3)
-        }
-        for min_size, got in by_min_size.items():
-            assert got == self._as_dict(
-                counter.report_triples(min_size=min_size, engine="scratch")
-            )
-
-    def test_carry_pruned_when_types_stop_recurring(self):
-        counter = SubsetCounter()
-        # 600 one-shot types (beyond the 2·live+256 slack), then one tiny
-        # round: the stale entries must be swept out.
-        self._round(counter, [[f"x{i}", f"y{i}"] for i in range(600)])
-        self._round(counter, [["a", "b"]])
-        stats = counter.carry_stats()
-        assert stats["carry_size"] <= 258
-        # Swept one-shot types are evictions, not invalidations: nothing
-        # stale was ever refolded.
-        assert stats["carry_evictions"] == 600
-        assert stats["carry_invalidations"] == 0
-
-    def test_release_delta_state_preserves_accounting(self):
-        counter = SubsetCounter()
-        self._round(counter, [["a", "b"]])
-        self._round(counter, [["a", "b"]])
-        hits_before = counter.carry_stats()["carry_hits"]
-        assert hits_before > 0
-        counter.release_delta_state()
-        stats = counter.carry_stats()
-        assert stats["carry_size"] == 0
-        assert stats["carry_hits"] == hits_before
-        # and the engine still works (entries rebuild as misses)
-        counter.observe(["a", "b"])
-        reference = self._as_dict(counter.report_triples(engine="scratch"))
-        changed, unchanged = counter.report_delta_triples()
-        assert self._as_dict(changed + unchanged) == reference
-
-    def test_python_fallback_matches_vectorised_fold(self, monkeypatch):
-        """Without numpy the pure-python sum-over-subsets must produce the
-        same bits for large types."""
-        import repro.core.jaccard as jaccard_module
-
-        rng = random.Random(13)
-        tags = [f"t{i}" for i in range(9)]
-        observations = [rng.sample(tags, rng.randrange(5, 9)) for _ in range(15)]
-        vectorised = SubsetCounter()
-        for tags_ in observations:
-            vectorised.observe(tags_)
-        with_numpy = self._as_dict(vectorised.report_triples(engine="delta"))
-        monkeypatch.setattr(jaccard_module, "_np", None)
-        fallback = SubsetCounter()
-        for tags_ in observations:
-            fallback.observe(tags_)
-        without_numpy = self._as_dict(fallback.report_triples(engine="delta"))
-        reference = self._as_dict(fallback.report_triples(engine="scratch"))
-        assert with_numpy == without_numpy == reference
-
-    def test_split_round_covers_the_full_result_set(self):
-        """changed + unchanged is exactly the scratch result set, with no
-        key emitted twice even when a clean and a dirty type share one.
-
-        {a,b,c} stays clean (its tags never touch a changed type) while
-        {x,a,b} is dirtied through x — the shared key {a,b} must be emitted
-        exactly once, from the clean type's carry (provably unchanged).
-        """
-        counter = SubsetCounter()
-        self._round(counter, [["a", "b", "c"], ["x", "a", "b"], ["x", "y"]])
-        for tags in (["a", "b", "c"], ["x", "a", "b"], ["x", "y"], ["x", "y"]):
-            counter.observe(tags)
-        reference = self._as_dict(counter.report_triples(engine="scratch"))
-        changed, unchanged = counter.report_delta_triples()
-        changed_types = {tagset for tagset, _, _ in changed}
-        unchanged_types = {tagset for tagset, _, _ in unchanged}
-        assert frozenset({"a", "b"}) in unchanged_types  # the shared key
-        assert frozenset({"a", "b"}) not in changed_types
-        assert frozenset({"x", "y"}) in changed_types
-        emitted = [tagset for tagset, _, _ in changed + unchanged]
-        assert len(emitted) == len(set(emitted))
-        assert self._as_dict(changed + unchanged) == reference
-
-
-class TestFrozensetReadPathCache:
-    """counted_tagsets()/items() reuse memoised frozensets where resident
-    (the report read-path papercut fix) without any behaviour change."""
-
-    def test_values_unchanged(self):
-        counter = SubsetCounter()
-        counter.observe(["a", "b"])
-        counter.observe(["b", "c"])
-        assert sorted(counter.counted_tagsets(), key=sorted) == sorted(
-            [frozenset({"a", "b"}), frozenset({"b", "c"})], key=sorted
-        )
-        assert dict(counter.items()) == {
-            frozenset({"a"}): 1,
-            frozenset({"b"}): 2,
-            frozenset({"c"}): 1,
-            frozenset({"a", "b"}): 1,
-            frozenset({"b", "c"}): 1,
-        }
-
-    def test_resident_keys_return_the_cached_object(self):
-        counter = SubsetCounter()
-        counter.observe(["a", "b"])
-        # A delta report materialises (and memoises) the reported keys.
-        (triple,) = counter.report_triples(engine="delta")
-        (from_counted,) = counter.counted_tagsets()
-        assert from_counted is triple[0]
-        items = dict(counter.items())
-        assert any(key is triple[0] for key in items)
-        # Repeated calls keep returning the same object — no per-call churn.
-        (again,) = counter.counted_tagsets()
-        assert again is from_counted
-
-    def test_non_resident_keys_still_materialise(self):
-        counter = SubsetCounter()
-        counter.observe(["a", "b"])  # no report ran: memo is empty
-        assert counter.counted_tagsets() == [frozenset({"a", "b"})]
+        abc, bcd = ["a", "b", "c"], ["b", "c", "d"]
+        assert reported(abc, bcd) == ["ab", "ac", "bc", "abc", "bd", "cd", "bcd"]
+        assert reported(bcd, abc) == ["bc", "bd", "cd", "bcd", "ab", "ac", "abc"]
+        assert reported(abc, bcd, abc) == reported(abc, bcd)
 
 
 class TestJaccardCalculator:
@@ -584,6 +361,15 @@ class TestJaccardProperties:
         for result in calculator.report(reset=False):
             expected = exact_jaccard([tag_docs[t] for t in result.tagset])
             assert result.jaccard == pytest.approx(expected)
+
+    @given(documents_strategy, st.integers(min_value=1, max_value=3))
+    def test_report_fold_matches_equation_2(self, documents, min_size):
+        counter = SubsetCounter()
+        for tags in documents:
+            counter.observe(tags)
+        assert as_report(counter.report_triples(min_size)) == eq2_report(
+            counter, min_size
+        )
 
     @given(documents_strategy)
     def test_coefficients_in_unit_interval(self, documents):

@@ -1,20 +1,19 @@
 """Property-style migration invariants of the exact counting core.
 
 The live-repartitioning handoff migrates Calculator state in two phases:
-``JaccardCalculator.migration_triples()`` (side-effect-free payload) and
-``reset_counts()`` (commit).  These tests pin the invariants the handoff
-protocol relies on, over seeded-random observe/migrate/observe
-interleavings across every reporting engine:
+``JaccardCalculator.report_triples(reset=False)`` (side-effect-free
+payload) and ``reset_counts()`` (commit).  These tests pin the invariants
+the handoff protocol relies on, over seeded-random observe/migrate/observe
+interleavings:
 
 * *prepare is pure*: computing the payload never changes the counters, the
-  counted-tagset view, the observation count or the in-stream fold
-  accounting — so an aborted migration is a true no-op;
+  observed types, the counted-tagset view or the observation count — so an
+  aborted migration is a true no-op;
 * *payload equals a drain*: the migrated triples are exactly what an
   end-of-stream drain of the same state would ship;
 * *commit equals a fresh start*: after migrate + reset, continued
   observation reports exactly what a fresh Calculator fed only the
-  post-migration segment reports — for the delta engine too, whose carry
-  table and diff baseline survive the reset by design;
+  post-migration segment reports;
 * *no loss, no duplication*: the payloads of the migrations plus the final
   drain cover each observation segment exactly once.
 """
@@ -23,11 +22,7 @@ import random
 
 import pytest
 
-from repro.core.jaccard import (
-    REPORTING_ENGINES,
-    JaccardCalculator,
-    SubsetCounter,
-)
+from repro.core.jaccard import JaccardCalculator, SubsetCounter
 
 VOCABULARY = [f"t{i}" for i in range(14)]
 
@@ -54,57 +49,48 @@ def _segments(rng, n_segments, per_segment):
     ]
 
 
-@pytest.mark.parametrize("engine", REPORTING_ENGINES)
 @pytest.mark.parametrize("seed", [3, 17, 92])
-def test_migration_payload_is_side_effect_free(engine, seed):
+def test_migration_payload_is_side_effect_free(seed):
     rng = random.Random(seed)
-    calculator = JaccardCalculator(reporting_engine=engine)
+    calculator = JaccardCalculator()
     for tags in _random_tagsets(rng, 120):
         calculator.observe(tags)
 
     counter = calculator.counter
     counts_before = dict(counter._counts)
-    mults_before = dict(counter._mults)
+    types_before = list(counter._types)
     view_before = sorted(map(tuple, map(sorted, counter.counted_tagsets())))
     observations_before = calculator.observations
-    folded_before = counter.types_folded
-    reused_before = counter.types_reused
-    generation_before = counter._delta_generation
 
-    first = calculator.migration_triples()
-    second = calculator.migration_triples()
+    first = calculator.report_triples(reset=False)
+    second = calculator.report_triples(reset=False)
 
     # Idempotent and pure: repeated prepares agree, nothing moved.
     assert _triples_key(first) == _triples_key(second)
     assert dict(counter._counts) == counts_before
-    assert dict(counter._mults) == mults_before
+    assert list(counter._types) == types_before
     assert sorted(map(tuple, map(sorted, counter.counted_tagsets()))) == view_before
     assert calculator.observations == observations_before
-    assert counter.types_folded == folded_before
-    assert counter.types_reused == reused_before
-    assert counter._delta_generation == generation_before
 
 
-@pytest.mark.parametrize("engine", REPORTING_ENGINES)
 @pytest.mark.parametrize("seed", [5, 41])
-def test_migration_payload_equals_drain(engine, seed):
+def test_migration_payload_equals_drain(seed):
     rng = random.Random(seed)
     tagsets = _random_tagsets(rng, 150)
 
-    migrating = JaccardCalculator(reporting_engine=engine)
-    draining = JaccardCalculator(reporting_engine=engine)
+    migrating = JaccardCalculator()
+    draining = JaccardCalculator()
     for tags in tagsets:
         migrating.observe(tags)
         draining.observe(tags)
 
-    assert _triples_key(migrating.migration_triples()) == _triples_key(
-        draining.drain_triples()
+    assert _triples_key(migrating.report_triples(reset=False)) == _triples_key(
+        draining.report_triples(reset=True)
     )
 
 
-@pytest.mark.parametrize("engine", REPORTING_ENGINES)
 @pytest.mark.parametrize("seed", [7, 23, 61])
-def test_observe_migrate_observe_matches_fresh_segments(engine, seed):
+def test_observe_migrate_observe_matches_fresh_segments(seed):
     """Interleaved migrations report per segment what fresh counters would.
 
     Also pins the cross-migration totals: concatenating every migration
@@ -114,12 +100,12 @@ def test_observe_migrate_observe_matches_fresh_segments(engine, seed):
     rng = random.Random(seed)
     segments = _segments(rng, n_segments=4, per_segment=60)
 
-    calculator = JaccardCalculator(reporting_engine=engine)
+    calculator = JaccardCalculator()
     collected = []
     for segment in segments:
         for tags in segment:
             calculator.observe(tags)
-        payload = calculator.migration_triples()
+        payload = calculator.report_triples(reset=False)
         calculator.reset_counts()
         assert calculator.observations == 0
         assert len(calculator.counter) == 0
@@ -127,11 +113,11 @@ def test_observe_migrate_observe_matches_fresh_segments(engine, seed):
         collected.append(payload)
 
     for index, segment in enumerate(segments):
-        fresh = JaccardCalculator(reporting_engine=engine)
+        fresh = JaccardCalculator()
         for tags in segment:
             fresh.observe(tags)
         assert _triples_key(collected[index]) == _triples_key(
-            fresh.drain_triples()
+            fresh.report_triples(reset=True)
         ), f"segment {index} diverged after migration reset"
 
     # Support totals are additive over segments: every observation of a
@@ -141,66 +127,19 @@ def test_observe_migrate_observe_matches_fresh_segments(engine, seed):
         for tagset, _, support in payload:
             key = tuple(sorted(tagset))
             support_totals[key] = support_totals.get(key, 0) + support
-    fresh_all = JaccardCalculator(reporting_engine=engine)
+    fresh_all = JaccardCalculator()
     whole_stream_counts: dict = {}
     for segment in segments:
         for tags in segment:
             fresh_all.observe(tags)
-    for tagset, _, support in fresh_all.drain_triples():
+    for tagset, _, support in fresh_all.report_triples(reset=True):
         whole_stream_counts[tuple(sorted(tagset))] = support
     assert support_totals == whole_stream_counts
 
 
-@pytest.mark.parametrize("seed", [11, 29])
-def test_delta_carry_generation_survives_migration(seed):
-    """The delta engine's carry table stays consistent across a handoff.
-
-    ``reset_counts`` deliberately preserves the generation-stamped carry
-    table and the multiplicity diff baseline (same contract as a
-    report-round reset); post-migration rounds must reuse carries for
-    recurring clean types and still report bit-identically to the
-    ship-everything incremental engine.
-    """
-    rng = random.Random(seed)
-    recurring = _random_tagsets(rng, 40)
-
-    delta = JaccardCalculator(reporting_engine="delta")
-    incremental = JaccardCalculator(reporting_engine="incremental")
-
-    # Round one establishes carry entries.
-    for tags in recurring:
-        delta.observe(tags)
-        incremental.observe(tags)
-    delta.report_triples(reset=True)
-    incremental.report_triples(reset=True)
-    generation_after_round = delta.counter._delta_generation
-
-    # Migrate mid-round-two: the payload must not advance the generation.
-    segment = recurring[:25]
-    for tags in segment:
-        delta.observe(tags)
-        incremental.observe(tags)
-    payload = delta.migration_triples()
-    assert delta.counter._delta_generation == generation_after_round
-    assert _triples_key(payload) == _triples_key(incremental.migration_triples())
-    delta.reset_counts()
-    incremental.reset_counts()
-
-    # Post-migration round: recurring types hit the surviving carry table
-    # and the reports still match the incremental engine exactly.
-    hits_before = delta.counter.carry_hits
-    for tags in recurring:
-        delta.observe(tags)
-        incremental.observe(tags)
-    assert _triples_key(delta.report_triples(reset=False)) == _triples_key(
-        incremental.report_triples(reset=False)
-    )
-    assert delta.counter.carry_hits > hits_before
-
-
 @pytest.mark.parametrize("seed", [13, 37])
-def test_subset_counter_clear_preserves_cache_and_carry(seed):
-    """``SubsetCounter.clear()`` (the commit reset) keeps derived state only."""
+def test_subset_counter_clear_preserves_the_cache_only(seed):
+    """``SubsetCounter.clear()`` (the commit reset) keeps the subset cache only."""
     rng = random.Random(seed)
     counter = SubsetCounter()
     tagsets = _random_tagsets(rng, 80)
@@ -213,7 +152,7 @@ def test_subset_counter_clear_preserves_cache_and_carry(seed):
 
     assert len(counter) == 0
     assert counter.counted_tagsets() == []
-    assert dict(counter._mults) == {}
+    assert counter._types == {}
     # The subset-enumeration cache is observation-history-derived and
     # survives (trending tagsets of the next window are the same types).
     assert len(counter.cache) == cache_len

@@ -104,80 +104,34 @@ class TestCalculatorBolt:
         assert bolt.report_rounds == 1
 
 
-class TestDeltaCalculatorBolt:
-    """In-stream suppression and drain-time re-assertion of the delta
-    engine at the bolt level."""
+class TestReportRounds:
+    """Every round reports from scratch: nothing is carried, suppressed or
+    deferred across rounds (the paper's Calculator deletes its counters)."""
 
-    def _run_rounds(self, bolt, collector, rounds):
-        """Feed identical rounds through tick-driven reports; returns the
-        COEFFICIENTS payloads emitted in-stream."""
+    def test_recurring_rounds_ship_every_round(self):
+        bolt, collector = make_calculator(report_interval=10.0)
         emitted = []
-        for index in range(rounds):
+        for index in range(3):
             timestamp = 10.0 * index + 1.0
             bolt.execute(notification(["a", "b"], timestamp=timestamp))
             bolt.execute(notification(["a", "b"], timestamp=timestamp))
             bolt.tick(10.0 * (index + 1) + 5.0)
             for batch in collector.drain():
-                for message in batch.messages:
-                    assert message.stream == COEFFICIENTS
-                    emitted.append(message["results"])
-        return emitted
+                emitted.extend(message["results"] for message in batch.messages)
+        assert emitted == [[(frozenset({"a", "b"}), 1.0, 2)]] * 3
+        assert bolt.reports_emitted == 3
+        assert bolt.drain_payload() == []  # nothing observed since round 3
 
-    def test_recurring_rounds_ship_once_and_replay_at_drain(self):
-        bolt, collector = make_calculator(
-            report_interval=10.0, reporting_engine="delta"
-        )
-        emitted = self._run_rounds(bolt, collector, rounds=3)
-        # Round 1 ships the triple; rounds 2 and 3 are clean -> suppressed.
-        assert len(emitted) == 1
-        (triple,) = emitted[0]
-        assert triple[0] == frozenset({"a", "b"})
-        assert bolt.coefficients_deferred == 2
-        final, replays = bolt.drain_payload()
-        assert final == []  # nothing observed since the last report
-        assert replays == [(triple, 2)]
-        # The deferred buffer empties with the drain.
-        assert bolt.drain_payload() == ([], [])
-
-    def test_drained_tracker_state_matches_ship_everything_engine(self):
-        delta_bolt, delta_collector = make_calculator(
-            report_interval=10.0, reporting_engine="delta"
-        )
-        scratch_bolt, scratch_collector = make_calculator(
-            report_interval=10.0, reporting_engine="scratch"
-        )
-        delta_tracker, scratch_tracker = TrackerBolt(), TrackerBolt()
-        for bolt, collector, tracker in (
-            (delta_bolt, delta_collector, delta_tracker),
-            (scratch_bolt, scratch_collector, scratch_tracker),
-        ):
-            for payload in self._run_rounds(bolt, collector, rounds=3):
-                tracker.ingest(payload)
-            final, replays = bolt.drain_payload()
-            tracker.ingest(final)
-            tracker.ingest_repeated(replays)
-        assert delta_tracker.coefficients() == scratch_tracker.coefficients()
-        assert delta_tracker.supports() == scratch_tracker.supports()
-        assert delta_tracker.reports_received == scratch_tracker.reports_received
-        assert delta_tracker.duplicate_reports == scratch_tracker.duplicate_reports
-
-    def test_drain_triples_expands_replays(self):
-        bolt, collector = make_calculator(
-            report_interval=10.0, reporting_engine="delta"
-        )
-        self._run_rounds(bolt, collector, rounds=3)
-        triples = bolt.drain_triples()
-        assert len(triples) == 2  # the two suppressed repeats, expanded
-        assert len(set(triples)) == 1
-
-    def test_release_delta_state(self):
-        bolt, collector = make_calculator(
-            report_interval=10.0, reporting_engine="delta"
-        )
-        self._run_rounds(bolt, collector, rounds=2)
-        assert bolt.calculator.carry_stats["carry_size"] > 0
-        bolt.release_delta_state()
-        assert bolt.calculator.carry_stats["carry_size"] == 0
+    def test_types_folded_counts_in_stream_rounds_only(self):
+        bolt, _ = make_calculator(report_interval=10.0)
+        bolt.execute(notification(["a", "b"], timestamp=1.0))
+        bolt.execute(notification(["b", "c", "d"], timestamp=1.0))
+        bolt.tick(11.0)
+        assert bolt.types_folded == 2
+        bolt.execute(notification(["a", "b"], timestamp=12.0))
+        assert len(bolt.prepare_migration()) == 1  # a fold, but not a round
+        assert len(bolt.drain_payload()) == 1  # likewise
+        assert bolt.types_folded == 2
 
 
 class TestTrackerBolt:
@@ -216,43 +170,23 @@ class TestTrackerBolt:
         assert tracker.reports_received == 0
 
 
-class TestTrackerIngestRepeated:
-    """ingest_repeated((triple, count)) must be indistinguishable from
-    ingesting the triple count times (the delta drain's contract)."""
-
-    TRIPLES = [
+def test_ingest_repeated_is_ingest_count_times():
+    triples = [
         (frozenset({"a", "b"}), 0.5, 3),
         (frozenset({"a", "b"}), 0.25, 1),   # lower support: never wins
         (frozenset({"c", "d"}), 0.75, 6),
         (frozenset({"a", "b"}), 0.9, 9),    # higher support: wins
     ]
-
-    def test_matches_sequential_ingest(self):
-        sequential, compact = TrackerBolt(), TrackerBolt()
-        for triple in self.TRIPLES:
-            for _ in range(4):
-                sequential.ingest([triple])
-        compact.ingest_repeated([(triple, 4) for triple in self.TRIPLES])
-        assert sequential.coefficients() == compact.coefficients()
-        assert sequential.supports() == compact.supports()
-        assert sequential.reports_received == compact.reports_received
-        assert sequential.duplicate_reports == compact.duplicate_reports
-
-    def test_first_insertion_is_not_a_duplicate(self):
-        tracker = TrackerBolt()
-        tracker.ingest_repeated([((frozenset({"a", "b"}), 0.5, 2), 3)])
-        assert tracker.reports_received == 3
-        assert tracker.duplicate_reports == 2
-        assert len(tracker) == 1
-
-    def test_non_positive_counts_ignored(self):
-        tracker = TrackerBolt()
-        tracker.ingest_repeated([
-            ((frozenset({"a", "b"}), 0.5, 2), 0),
-            ((frozenset({"c", "d"}), 0.5, 2), -1),
-        ])
-        assert len(tracker) == 0
-        assert tracker.reports_received == 0
+    sequential, compact = TrackerBolt(), TrackerBolt()
+    for triple in triples:
+        for _ in range(4):
+            sequential.ingest([triple])
+    compact.ingest_repeated([(triple, 4) for triple in triples])
+    compact.ingest_repeated([((frozenset({"x", "y"}), 0.5, 2), 0)])
+    assert sequential.coefficients() == compact.coefficients()
+    assert sequential.supports() == compact.supports()
+    assert sequential.reports_received == compact.reports_received
+    assert sequential.duplicate_reports == compact.duplicate_reports
 
 
 class TestCoefficientView:

@@ -98,7 +98,6 @@ class TestScenarios:
                 "run",
                 "--documents", "1200",
                 "--scenario", "trending",
-                "--reporting-engine", "delta",
                 "--k", "3",
                 "--partitioners", "2",
                 "--window", "300",

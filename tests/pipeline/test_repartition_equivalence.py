@@ -4,9 +4,9 @@ Two contracts pin the coordinated handoff (quiesce → migrate → install):
 
 * **Matrix consistency** — a run that swaps its partition map mid-stream
   (``fixed`` policy, ``migrate`` handoff) reports bit-identical logical
-  metrics and Tracker contents across every reporting engine and both
-  executors, in both Calculator modes.  The migration protocol is thus
-  engine- and executor-agnostic, exactly like normal execution.
+  metrics and Tracker contents on both executors, in both Calculator
+  modes.  The migration protocol is thus executor-agnostic, exactly like
+  normal execution.
 
 * **Splice equivalence** — a run with a migrating swap at document *r*
   equals the concatenation of two independent runs: a *prefix* run over
@@ -133,19 +133,15 @@ def splice_documents():
 class TestMigrationMatrixConsistency:
     @pytest.fixture(scope="class")
     def exact_matrix(self, documents):
-        cells = {}
-        for engine in ("incremental", "scratch", "delta"):
-            for executor in ("inline", "process"):
-                overrides = dict(reporting_engine=engine, executor=executor)
-                if executor == "process":
-                    overrides["workers"] = 2
-                cells[(engine, executor)] = _run(documents, **overrides)
-        return cells
+        return {
+            "inline": _run(documents),
+            "process": _run(documents, executor="process", workers=2),
+        }
 
     def test_migrations_actually_ran(self, exact_matrix):
-        for (engine, executor), (report, _, _) in exact_matrix.items():
+        for executor, (report, _, _) in exact_matrix.items():
             stats = report.migration_stats
-            assert stats is not None, (engine, executor)
+            assert stats is not None, executor
             assert stats["handoffs"] == float(len(SWAP_POINTS))
             assert stats["aborted"] == 0.0
             assert stats["migrated_triples"] > 0
@@ -154,7 +150,7 @@ class TestMigrationMatrixConsistency:
             assert report.timings["migration_stall"] > 0.0
 
     def test_logical_metrics_identical_across_matrix(self, exact_matrix):
-        reference_key = ("incremental", "inline")
+        reference_key = "inline"
         reference = exact_matrix[reference_key][0]
         for key, (report, _, _) in exact_matrix.items():
             for field in IDENTICAL_FIELDS:
@@ -163,13 +159,13 @@ class TestMigrationMatrixConsistency:
                 )
 
     def test_tracker_contents_identical_across_matrix(self, exact_matrix):
-        reference = exact_matrix[("incremental", "inline")][1]
+        reference = exact_matrix["inline"][1]
         for key, (_, tracker, _) in exact_matrix.items():
             assert tracker.coefficients() == reference.coefficients(), key
             assert tracker.supports() == reference.supports(), key
 
     def test_migration_records_identical_across_matrix(self, exact_matrix):
-        reference = exact_matrix[("incremental", "inline")][0]
+        reference = exact_matrix["inline"][0]
         expected = [
             (m.epoch, m.documents_processed, m.migrated_triples, m.aborted)
             for m in reference.migrations
@@ -207,12 +203,8 @@ def _splice_overrides(**extra):
 
 
 SPLICE_CELLS = [
-    pytest.param(dict(reporting_engine="incremental"), id="exact-incremental-inline"),
-    pytest.param(dict(reporting_engine="delta"), id="exact-delta-inline"),
-    pytest.param(
-        dict(reporting_engine="incremental", executor="process", workers=2),
-        id="exact-incremental-process",
-    ),
+    pytest.param({}, id="exact-inline"),
+    pytest.param(dict(executor="process", workers=2), id="exact-process"),
     pytest.param(dict(calculator="sketch"), id="sketch-inline"),
 ]
 

@@ -59,7 +59,6 @@ class FailingPrepareFactory(ExactCalculatorFactory):
         return FailingPrepareCalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
-            reporting_engine=self.reporting_engine,
             subset_cache_size=self.subset_cache_size,
         )
 
@@ -70,7 +69,6 @@ class DyingPrepareFactory(ExactCalculatorFactory):
         return DyingPrepareCalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
-            reporting_engine=self.reporting_engine,
             subset_cache_size=self.subset_cache_size,
         )
 

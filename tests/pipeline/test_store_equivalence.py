@@ -6,12 +6,11 @@ rounds k-way-merge them back — but counts are additive, so spill timing,
 run count and merge order must all be unobservable: every logical
 ``RunReport`` metric, every final coefficient and every support must be
 **bit-identical** to the default in-RAM ``dict`` store.  These tests pin
-that across the grid the ISSUE names: reporting engines × executors ×
-calculator modes, plus the forced mid-stream repartition handoff (the
-migration payload streams from merged runs) and a served (service-mode)
-run — while asserting the spill machinery actually engaged (runs written,
-merges run) and cleaned up after itself (no spill directories survive a
-drain).
+that across the grid of executors × calculator modes, plus the forced
+mid-stream repartition handoff (the migration payload streams from merged
+runs) and a served (service-mode) run — while asserting the spill machinery
+actually engaged (runs written, merges run) and cleaned up after itself (no
+spill directories survive a drain).
 
 ``SystemConfig(tracker_store="spill")`` does the same to the Tracker's
 dedup coefficient table — the max-support dedup rule becomes the run-merge
@@ -30,7 +29,7 @@ from repro.service import ServiceClient, ServiceDaemon
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig
 
 #: RunReport fields that must be bit-identical across counter stores
-#: (mirrors the reporting-engine and executor equivalence contracts).
+#: (mirrors the executor equivalence contract).
 IDENTICAL_FIELDS = (
     "documents_processed",
     "tagged_documents",
@@ -52,7 +51,6 @@ IDENTICAL_FIELDS = (
 #: crossing every interesting boundary (hot tail + many runs at fold time).
 SPILL_THRESHOLD = 400
 
-ENGINES = ("scratch", "incremental", "delta")
 STORES = ("dict", "spill")
 
 
@@ -110,59 +108,46 @@ def spill_root(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def grid_runs(documents, spill_root):
-    """One run per (store, engine, executor) cell."""
+    """One run per (store, executor) cell."""
     runs = {}
     for store in STORES:
-        for engine in ENGINES:
-            for executor in ("inline", "process"):
-                overrides = {
-                    "counter_store": store,
-                    "reporting_engine": engine,
-                    "executor": executor,
-                }
-                if executor == "process":
-                    overrides["workers"] = 2
-                runs[(store, engine, executor)] = _run(
-                    documents, spill_root, **overrides
-                )
+        for executor in ("inline", "process"):
+            overrides = {"counter_store": store, "executor": executor}
+            if executor == "process":
+                overrides["workers"] = 2
+            runs[(store, executor)] = _run(documents, spill_root, **overrides)
     return runs
 
 
 class TestSpillEqualsDict:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
     @pytest.mark.parametrize("field", IDENTICAL_FIELDS)
-    def test_metrics_identical(self, grid_runs, engine, executor, field):
-        _, spill, _ = grid_runs[("spill", engine, executor)]
-        _, plain, _ = grid_runs[("dict", engine, executor)]
+    def test_metrics_identical(self, grid_runs, executor, field):
+        _, spill, _ = grid_runs[("spill", executor)]
+        _, plain, _ = grid_runs[("dict", executor)]
         assert getattr(spill, field) == getattr(plain, field)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_coefficients_and_supports_identical(
-        self, grid_runs, engine, executor
-    ):
+    def test_coefficients_and_supports_identical(self, grid_runs, executor):
         """Bit-identical, not approximately equal: the spill store merges
         the very same integer counts the dict would have held."""
-        _, _, spill_tracker = grid_runs[("spill", engine, executor)]
-        _, _, plain_tracker = grid_runs[("dict", engine, executor)]
+        _, _, spill_tracker = grid_runs[("spill", executor)]
+        _, _, plain_tracker = grid_runs[("dict", executor)]
         assert spill_tracker.coefficients() == plain_tracker.coefficients()
         assert spill_tracker.supports() == plain_tracker.supports()
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_error_metrics_identical(self, grid_runs, engine):
-        _, spill, _ = grid_runs[("spill", engine, "inline")]
-        _, plain, _ = grid_runs[("dict", engine, "inline")]
+    def test_error_metrics_identical(self, grid_runs):
+        _, spill, _ = grid_runs[("spill", "inline")]
+        _, plain, _ = grid_runs[("dict", "inline")]
         assert spill.jaccard_coverage == plain.jaccard_coverage
         assert spill.jaccard_mean_error == plain.jaccard_mean_error
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_spilling_actually_happened(self, grid_runs, engine, executor):
+    def test_spilling_actually_happened(self, grid_runs, executor):
         """The equivalence is vacuous unless runs hit the disk: every spill
         cell must have written and merged runs and served block-cache
         lookups on the way to its (identical) answers."""
-        _, report, _ = grid_runs[("spill", engine, executor)]
+        _, report, _ = grid_runs[("spill", executor)]
         assert report.counter_store == "spill"
         stats = report.store_stats
         assert stats is not None
@@ -172,16 +157,9 @@ class TestSpillEqualsDict:
         assert stats["block_cache_hits"] + stats["block_cache_misses"] > 0
 
     def test_dict_cells_report_no_store_stats(self, grid_runs):
-        _, report, _ = grid_runs[("dict", "incremental", "inline")]
+        _, report, _ = grid_runs[("dict", "inline")]
         assert report.counter_store == "dict"
         assert report.store_stats is None
-
-    def test_delta_carry_spills_too(self, grid_runs):
-        """Under the delta engine the carry table's cached emissions move
-        to the on-disk carry log — and the answers still match (the
-        cross-engine assertions above)."""
-        _, report, _ = grid_runs[("spill", "delta", "inline")]
-        assert report.store_stats["carry_blobs_written"] > 0
 
     def test_no_spill_directories_survive_the_drain(self, grid_runs, spill_root):
         """Every store closed on drain: the shared spill root is empty."""
@@ -270,8 +248,8 @@ class TestTrackerSpill:
     """``tracker_store="spill"`` ≡ dict: the Tracker's dedup table moves
     into sorted runs (the max-support rule becomes the merge combiner) and
     nothing observable changes — every pinned metric, every coefficient,
-    every support.  The grid re-crosses reporting engines × executors
-    against the dict-store baselines, plus the paths with their own
+    every support.  The grid re-crosses executors against the dict-store
+    baselines, plus the paths with their own
     machinery: chunked report emissions/drains, both stores spilling at
     once, and the forced mid-stream migration handoff."""
 
@@ -280,46 +258,39 @@ class TestTrackerSpill:
     @pytest.fixture(scope="class")
     def tracker_runs(self, documents, spill_root):
         runs = {}
-        for engine in ENGINES:
-            for executor in ("inline", "process"):
-                overrides = {
-                    "tracker_store": "spill",
-                    "tracker_spill_threshold": self.TRACKER_THRESHOLD,
-                    "spill_dir": spill_root,
-                    "reporting_engine": engine,
-                    "executor": executor,
-                }
-                if executor == "process":
-                    overrides["workers"] = 2
-                runs[(engine, executor)] = _run(
-                    documents, spill_root, **overrides
-                )
+        for executor in ("inline", "process"):
+            overrides = {
+                "tracker_store": "spill",
+                "tracker_spill_threshold": self.TRACKER_THRESHOLD,
+                "spill_dir": spill_root,
+                "executor": executor,
+            }
+            if executor == "process":
+                overrides["workers"] = 2
+            runs[executor] = _run(documents, spill_root, **overrides)
         return runs
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
     @pytest.mark.parametrize("field", IDENTICAL_FIELDS)
     def test_metrics_identical(
-        self, tracker_runs, grid_runs, engine, executor, field
+        self, tracker_runs, grid_runs, executor, field
     ):
-        _, spill, _ = tracker_runs[(engine, executor)]
-        _, plain, _ = grid_runs[("dict", engine, executor)]
+        _, spill, _ = tracker_runs[executor]
+        _, plain, _ = grid_runs[("dict", executor)]
         assert getattr(spill, field) == getattr(plain, field)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_coefficients_and_supports_identical(
-        self, tracker_runs, grid_runs, engine, executor
+        self, tracker_runs, grid_runs, executor
     ):
-        _, _, spill_tracker = tracker_runs[(engine, executor)]
-        _, _, plain_tracker = grid_runs[("dict", engine, executor)]
+        _, _, spill_tracker = tracker_runs[executor]
+        _, _, plain_tracker = grid_runs[("dict", executor)]
         assert spill_tracker.coefficients() == plain_tracker.coefficients()
         assert spill_tracker.supports() == plain_tracker.supports()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_spilling_actually_happened(self, tracker_runs, engine, executor):
-        _, report, _ = tracker_runs[(engine, executor)]
+    def test_spilling_actually_happened(self, tracker_runs, executor):
+        _, report, _ = tracker_runs[executor]
         assert report.tracker_store == "spill"
         stats = report.tracker_store_stats
         assert stats is not None
@@ -328,7 +299,7 @@ class TestTrackerSpill:
         assert stats["hot_entries"] < self.TRACKER_THRESHOLD
 
     def test_dict_cells_report_no_tracker_stats(self, grid_runs):
-        _, report, _ = grid_runs[("dict", "incremental", "inline")]
+        _, report, _ = grid_runs[("dict", "inline")]
         assert report.tracker_store == "dict"
         assert report.tracker_store_stats is None
 
@@ -337,8 +308,8 @@ class TestTrackerSpill:
     ):
         """A run-backed snapshot over the final table hashes line-identical
         to the dict tracker's full-copy snapshot."""
-        _, _, spill_tracker = tracker_runs[("incremental", "inline")]
-        _, _, plain_tracker = grid_runs[("dict", "incremental", "inline")]
+        _, _, spill_tracker = tracker_runs["inline"]
+        _, _, plain_tracker = grid_runs[("dict", "inline")]
         spill_snapshot = spill_tracker.snapshot(round_index=7)
         try:
             assert spill_snapshot.digest() == plain_tracker.snapshot(7).digest()
@@ -359,7 +330,7 @@ class TestTrackerSpill:
             executor="process",
             workers=2,
         )
-        _, plain, plain_tracker = grid_runs[("dict", "incremental", "process")]
+        _, plain, plain_tracker = grid_runs[("dict", "process")]
         for field in IDENTICAL_FIELDS:
             assert getattr(report, field) == getattr(plain, field), field
         assert tracker.coefficients() == plain_tracker.coefficients()
@@ -374,7 +345,7 @@ class TestTrackerSpill:
             tracker_store="spill",
             tracker_spill_threshold=self.TRACKER_THRESHOLD,
         )
-        _, plain, plain_tracker = grid_runs[("dict", "incremental", "inline")]
+        _, plain, plain_tracker = grid_runs[("dict", "inline")]
         for field in IDENTICAL_FIELDS:
             assert getattr(report, field) == getattr(plain, field), field
         assert tracker.coefficients() == plain_tracker.coefficients()
@@ -452,7 +423,7 @@ class TestServiceModeWithSpill:
     def test_served_spill_equals_batch_dict(self, served_spill, grid_runs):
         served_report, served_tracker = served_spill
         _, batch_report, batch_tracker = grid_runs[
-            ("dict", "incremental", "inline")
+            ("dict", "inline")
         ]
         for field in IDENTICAL_FIELDS:
             assert getattr(served_report, field) == getattr(
@@ -513,7 +484,7 @@ class TestServiceModeWithTrackerSpill:
     def test_served_equals_batch_dict(self, served_tracker_spill, grid_runs):
         _, served_report, served_tracker = served_tracker_spill
         _, batch_report, batch_tracker = grid_runs[
-            ("dict", "incremental", "inline")
+            ("dict", "inline")
         ]
         for field in IDENTICAL_FIELDS:
             assert getattr(served_report, field) == getattr(

@@ -6,9 +6,8 @@ per-edge ``EmissionBatch`` routing/delivery/IPC).  All of that is physical:
 every logical metric and every reported coefficient must be **bit-identical**
 to the dict-backed wire format.  The fixture
 ``fixtures/wire_equivalence.json`` was recorded at PR 3, immediately before
-the redesign, over the full (executor × calculator mode × reporting engine)
-grid — these tests replay the same grid and compare against it, including
-content digests of the Tracker's final coefficients and supports.
+the redesign, over the full (executor × calculator mode) grid — these tests
+replay the same grid and compare against it, including content digests of the Tracker's final coefficients and supports.
 
 Regenerate the fixture (only when logical behaviour changes intentionally)
 with ``PYTHONPATH=src python tools/record_equivalence_fixture.py``.
@@ -74,12 +73,9 @@ class TestGridPinnedAgainstPR3:
 
     def test_fixture_covers_the_full_grid(self):
         assert set(FIXTURE["cells"]) == set(_recorder.CELLS)
-        # The grid spans both executors, both calculator modes and all
-        # three exact-mode reporting engines.
+        # The grid spans both executors and both calculator modes.
         assert any("process" in name for name in _recorder.CELLS)
         assert any("sketch" in name for name in _recorder.CELLS)
-        assert any("scratch" in name for name in _recorder.CELLS)
-        assert any("delta" in name for name in _recorder.CELLS)
 
     def test_repartition_cells_cover_the_migration_handoff(self):
         """The ``-repartition`` cells force two mid-stream swaps with the
@@ -95,18 +91,6 @@ class TestGridPinnedAgainstPR3:
             for _epoch, _documents, migrated, aborted in migrations:
                 assert migrated > 0, name
                 assert aborted is False, name
-
-    def test_delta_cells_pin_the_scratch_recording(self):
-        """The delta engine is pinned against the PR 3 scratch records —
-        byte-for-byte, digests included."""
-        assert (
-            FIXTURE["cells"]["exact-delta-inline"]
-            == FIXTURE["cells"]["exact-scratch-inline"]
-        )
-        assert (
-            FIXTURE["cells"]["exact-delta-process"]
-            == FIXTURE["cells"]["exact-scratch-process"]
-        )
 
 
 class TestLinkBatchKnob:

@@ -14,21 +14,21 @@ semantics (spill timing must be unobservable) these tests pin the
   ``*.tmp`` artefact of the store — the abort path leaks nothing;
 * forcing ``merge_workers=2`` over many small runs exercises the
   parallel layered merge (pool workers), with identical results;
-* pickling ships a run-file *manifest*, not decoded tables, and the
-  delta engine's :class:`CarryLog` round-trips payloads bit-exactly,
-  compacts garbage and deletes its file on close.
+* pickling ships a run-file *manifest*, not decoded tables.
+
+Merge parallelism is always pinned (``merge_workers=1`` or ``=2``): no
+assertion here depends on ``os.cpu_count()``.
 """
 
 import os
 import pickle
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from repro.store import (
-    CarryLog,
+    RunFormatError,
     RunReader,
     SpillingCounterStore,
     encode_key,
@@ -157,9 +157,12 @@ class TestDurabilityOrdering:
 
 
 class TestMergeAbortHygiene:
-    def make_runs(self, tmp_path, n_runs=6):
+    def make_runs(self, tmp_path, n_runs=6, merge_workers=1):
+        """``merge_workers=1`` keeps every merge in this process, where the
+        monkeypatched ``merge_runs`` records and fails it."""
         store = SpillingCounterStore(
-            spill_dir=str(tmp_path), spill_threshold=1 << 30, merge_fan_in=2
+            spill_dir=str(tmp_path), spill_threshold=1 << 30, merge_fan_in=2,
+            merge_workers=merge_workers,
         )
         for index in range(n_runs):
             store.update([(f"tag{index}", f"tag{index + 1}")])
@@ -202,6 +205,20 @@ class TestMergeAbortHygiene:
         with pytest.raises(OSError, match="mid-compaction"):
             store.prepare_report()
         assert len(calls) == 2  # one intermediate was published, then boom
+        assert disk_artifacts(directory) == []
+        store.close()
+
+    def test_failure_inside_a_pool_child_sweeps_intermediates(self, tmp_path):
+        """The ``merge_workers=2`` twin: the layer's three merges run in a
+        two-process pool and the one reading a truncated source run fails
+        *in a child*; the parent must still sweep what the others wrote."""
+        store = self.make_runs(tmp_path, n_runs=6, merge_workers=2)
+        directory = store.directory
+        victim = os.path.join(directory, disk_artifacts(directory)[-1])
+        with open(victim, "r+b") as handle:
+            handle.truncate(os.path.getsize(victim) // 2)
+        with pytest.raises(RunFormatError):
+            store.prepare_report()
         assert disk_artifacts(directory) == []
         store.close()
 
@@ -291,83 +308,6 @@ class TestPickling:
         assert clone.stats()["runs_written"] == store.stats()["runs_written"]
         clone.close()  # the clone adopted the directory and its cleanup
         assert not os.path.exists(store.directory)
-
-
-class DirProvider:
-    """Picklable stand-in for the store's bound ``ensure_dir``."""
-
-    def __init__(self, path):
-        self.path = str(path)
-
-    def __call__(self):
-        return self.path
-
-
-class TestCarryLog:
-    def make_log(self, tmp_path):
-        return CarryLog(DirProvider(tmp_path))
-
-    def test_round_trip_preserves_bits(self, tmp_path):
-        log = self.make_log(tmp_path)
-        payload = (
-            [("beer", "munich"), ("soccer",)],
-            [(frozenset({"beer", "munich"}), 0.1 + 0.2, 7)],
-        )
-        ref = log.append(payload)
-        keys, triples = log.read(ref)
-        assert keys == payload[0]
-        assert triples == payload[1]
-        assert triples[0][1].hex() == (0.1 + 0.2).hex()  # float bits exact
-        log.close()
-
-    def test_compaction_rewrites_live_blobs_and_patches_refs(self, tmp_path):
-        log = self.make_log(tmp_path)
-        log.MIN_COMPACT_BYTES = 64  # instance override: compact tiny files
-        entries = []
-        for index in range(40):
-            entry = SimpleNamespace(ref=None, payload=f"payload-{index}" * 8)
-            entry.ref = log.append(entry.payload)
-            entries.append(entry)
-        survivors = entries[::4]
-        for entry in entries:
-            if entry not in survivors:
-                log.release(entry.ref)
-                entry.ref = None
-        assert log.maybe_compact(survivors)
-        assert log.stats()["carry_compactions"] == 1
-        assert log.live_bytes == log.total_bytes
-        for entry in survivors:  # refs were patched to the new layout
-            assert log.read(entry.ref) == entry.payload
-        log.close()
-
-    def test_compaction_skipped_while_mostly_live(self, tmp_path):
-        log = self.make_log(tmp_path)
-        log.MIN_COMPACT_BYTES = 1
-        entries = [SimpleNamespace(ref=log.append("x" * 64)) for _ in range(10)]
-        log.release(entries[0].ref)  # 10% garbage — not worth rewriting
-        entries[0].ref = None
-        assert not log.maybe_compact(entries)
-        log.close()
-
-    def test_close_deletes_the_file(self, tmp_path):
-        log = self.make_log(tmp_path)
-        log.append("payload")
-        log_path = log._path
-        assert os.path.exists(log_path)
-        log.close()
-        assert not os.path.exists(log_path)
-        assert log.stats()["carry_blobs_written"] == 1  # accounting survives
-
-    def test_pickle_comes_back_empty(self, tmp_path):
-        log = self.make_log(tmp_path)
-        log.append("payload")
-        clone = pickle.loads(pickle.dumps(log))
-        assert clone.live_bytes == 0 and clone.total_bytes == 0
-        # A revived log is immediately usable in the receiving process.
-        ref = clone.append("fresh")
-        assert clone.read(ref) == "fresh"
-        clone.close()
-        log.close()
 
 
 class TestConstruction:

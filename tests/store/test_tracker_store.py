@@ -247,21 +247,6 @@ class TestStoreEqualsDictModel:
         finally:
             store.close()
 
-    def test_ingest_repeated_counts_like_n_single_reports(self, tmp_path):
-        triples = random_triples(4, 200)
-        singles = make_store(tmp_path, threshold=5)
-        repeated = make_store(tmp_path, threshold=5)
-        try:
-            # Re-assert each triple 3 times: once singly, once via counts.
-            tripled = [t for t in triples for _ in range(3)]
-            r1, d1 = singles.ingest(tripled)
-            r2, d2 = repeated.ingest_repeated([(t, 3) for t in triples])
-            assert (r1, d1) == (r2, d2)
-            assert list(singles.iter_entries()) == list(repeated.iter_entries())
-        finally:
-            singles.close()
-            repeated.close()
-
     def test_iteration_order_is_spill_invariant(self, tmp_path):
         triples = random_triples(5, 300)
         a = make_store(tmp_path, threshold=3)

@@ -97,7 +97,7 @@ def _bench_with_phases(host, cells):
 
 
 def _bench_with_report_rounds(host, cells):
-    """Cells as (workload, engine, dps, stream_seconds, report_seconds)."""
+    """Cells as (workload, dps, stream_seconds, report_seconds)."""
     return {
         "host": host,
         "runs": [
@@ -105,7 +105,6 @@ def _bench_with_report_rounds(host, cells):
                 "workload": workload,
                 "executor": "inline",
                 "requested_workers": 0,
-                "reporting_engine": engine,
                 "docs_per_second": dps,
                 "documents": 3000,
                 "phase_seconds": {"stream": stream, "reporting": 0.1},
@@ -113,11 +112,9 @@ def _bench_with_report_rounds(host, cells):
                     "rounds": 5,
                     "report_seconds": report,
                     "dirty_types": 100,
-                    "clean_types": 0,
-                    "deferred_triples": 0,
                 },
             }
-            for workload, engine, dps, stream, report in cells
+            for workload, dps, stream, report in cells
         ],
     }
 
@@ -248,34 +245,6 @@ class TestPerfRegressionGate:
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 2
 
-    def test_engine_cells_keyed_separately(self):
-        """An incremental and a delta cell of the same workload must not
-        collide: the slower delta baseline may not mask an incremental
-        regression (and vice versa)."""
-        baseline = _bench_with_report_rounds(
-            HOST,
-            [("small", "incremental", 1000.0, 3.0, 1.0),
-             ("small", "delta", 1200.0, 2.5, 0.5)],
-        )
-        candidate = _bench_with_report_rounds(
-            HOST,
-            [("small", "incremental", 1000.0, 3.0, 1.0),
-             ("small", "delta", 700.0, 4.5, 0.5)],  # delta regressed
-        )
-        # The delta cell regressed both overall and in the stream phase —
-        # two binding findings; the untouched incremental cell contributes
-        # none (no collision between the engines' cells).
-        assert check_perf.compare(baseline, candidate, 0.2) == 2
-
-    def test_legacy_snapshot_defaults_to_incremental_key(self):
-        """Pre-matrix snapshots (no per-cell reporting_engine) compare
-        against the candidate's incremental cells."""
-        baseline = _bench(HOST, [("small", "inline", 0, 1000.0)])
-        candidate = _bench_with_report_rounds(
-            HOST, [("small", "incremental", 500.0, 3.0, 1.0)]
-        )
-        assert check_perf.compare(baseline, candidate, 0.2) == 1
-
     def test_scenario_cells_keyed_separately(self):
         """A trending cell never compares against a legacy cell: files
         whose only cells differ in scenario share nothing (a schema
@@ -313,26 +282,25 @@ class TestPerfRegressionGate:
         for run in candidate["runs"]:
             run["scenario"] = "legacy"
             run["repartition_handoff"] = "none"
-            run["reporting_engine"] = "incremental"
         assert check_perf.compare(baseline, candidate, 0.2) == 1
 
     def test_report_share_regression_binds_on_matching_host(self):
         """Overall and stream docs/s hold, but in-stream report rounds ate
         a third of the stream phase: fail."""
         baseline = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 3.0, 0.6)]  # 20% share
+            HOST, [("small", 1000.0, 3.0, 0.6)]  # 20% share
         )
         candidate = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 3.0, 1.8)]  # 60% share
+            HOST, [("small", 1000.0, 3.0, 1.8)]  # 60% share
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 1
 
     def test_report_share_within_tolerance_passes(self):
         baseline = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 3.0, 0.6)]  # 20% share
+            HOST, [("small", 1000.0, 3.0, 0.6)]  # 20% share
         )
         candidate = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 3.0, 0.72)]  # 24% share
+            HOST, [("small", 1000.0, 3.0, 0.72)]  # 24% share
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 0
 
@@ -340,19 +308,19 @@ class TestPerfRegressionGate:
         """A small baseline share must not triple just because the absolute
         growth stays under the tolerance: 10% -> 29% fails at 0.2."""
         baseline = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 6.0, 0.6)]  # 10% share
+            HOST, [("small", 1000.0, 6.0, 0.6)]  # 10% share
         )
         candidate = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 6.0, 1.74)]  # 29% share
+            HOST, [("small", 1000.0, 6.0, 1.74)]  # 29% share
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 1
 
     def test_report_share_never_binds_on_other_host(self):
         baseline = _bench_with_report_rounds(
-            OTHER_HOST, [("small", "delta", 1000.0, 3.0, 0.6)]
+            OTHER_HOST, [("small", 1000.0, 3.0, 0.6)]
         )
         candidate = _bench_with_report_rounds(
-            HOST, [("small", "delta", 1000.0, 3.0, 2.5)]
+            HOST, [("small", 1000.0, 3.0, 2.5)]
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 0
 
@@ -362,7 +330,7 @@ class TestPerfRegressionGate:
             HOST, [("small", "inline", 0, 1000.0, 3000, 3.0)]
         )
         candidate = _bench_with_report_rounds(
-            HOST, [("small", "incremental", 1000.0, 3.0, 2.9)]
+            HOST, [("small", 1000.0, 3.0, 2.9)]
         )
         assert check_perf.compare(baseline, candidate, 0.2) == 0
 

@@ -153,7 +153,7 @@ class TestReplayFidelity:
                 algorithm="DS", k=4, n_partitioners=3,
                 window_mode="count", window_size=500,
                 bootstrap_documents=200, quality_check_interval=120,
-                report_interval_seconds=15.0, reporting_engine="delta",
+                report_interval_seconds=15.0,
             ))
             return system.run(documents)
 

@@ -134,7 +134,7 @@ class TestTrendingShape:
         # Full-plateau rounds observe an anchor exactly
         # docs_per_round / (cadence * pool) = 1500 / 15 = 100 times; at
         # least one anchor type must recur with that exact count in
-        # consecutive rounds — the delta engine's carry-clean condition.
+        # consecutive rounds.
         expected = int(TPS * self.ROUND) // 15
         recurrences = 0
         for index in sorted(rounds)[1:]:

@@ -8,12 +8,10 @@ Usage::
         [--tolerance 0.2]
 
 Cells are matched by ``(workload, scenario, repartition_handoff, executor,
-requested_workers, reporting_engine)``; only the intersection of the two
-files is compared, so a CI smoke run (a subset of the full matrix) checks
-cleanly against a full committed snapshot.  Snapshots recorded before the
-engine matrix default to the ``incremental`` engine key; snapshots recorded
-before the scenario matrix default to the ``legacy`` scenario and ``none``
-handoff keys.
+requested_workers)``; only the intersection of the two files is compared,
+so a CI smoke run (a subset of the full matrix) checks cleanly against a
+full committed snapshot.  Snapshots recorded before the scenario matrix
+default to the ``legacy`` scenario and ``none`` handoff keys.
 
 Enforcement is **host-aware**: docs/sec is only comparable between runs of
 the same machine class, so the gate is binding only when the two files'
@@ -114,7 +112,6 @@ def _cells(data: dict) -> dict[tuple, dict]:
             run.get("repartition_handoff", "none"),
             run["executor"],
             run.get("requested_workers", 0),
-            run.get("reporting_engine", "incremental"),
         )
         cells[key] = run
     return cells
@@ -208,7 +205,7 @@ def compare(baseline: dict, candidate: dict, tolerance: float) -> int:
         raise _usage_error("the two files share no benchmark cells")
     regressions = 0
     for key in shared:
-        workload, scenario, handoff, executor, workers, engine = key
+        workload, scenario, handoff, executor, workers = key
         old = base_cells[key]["docs_per_second"]
         new = cand_cells[key]["docs_per_second"]
         ratio = new / old if old else float("inf")
@@ -220,7 +217,6 @@ def compare(baseline: dict, candidate: dict, tolerance: float) -> int:
             if enforced:
                 regressions += 1
         label = executor if executor == "inline" else f"{executor}({workers}w)"
-        label = f"{label}/{engine}"
         if handoff != "none":
             label = f"{label}+{handoff}"
         if scenario != "legacy" and scenario != workload:

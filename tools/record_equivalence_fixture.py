@@ -4,9 +4,9 @@
 The substrate's wire format is an implementation detail: redesigning it (slot
 tuples, batched links, executor IPC units) must never move a logical metric
 or a reported coefficient.  This tool runs the full (executor × calculator
-mode × reporting engine) grid over a deterministic workload and records, per
-cell, every logical ``RunReport`` field plus content hashes of the Tracker's
-final coefficients and supports.  ``tests/pipeline/test_wire_equivalence.py``
+mode) grid over a deterministic workload and records, per cell, every
+logical ``RunReport`` field plus content hashes of the Tracker's final
+coefficients and supports.  ``tests/pipeline/test_wire_equivalence.py``
 replays the same grid and asserts bit-identical results against the recorded
 snapshot, so any wire-level change that perturbs observable behaviour fails
 loudly.
@@ -67,37 +67,22 @@ _REPARTITION = dict(
     repartition_handoff="migrate",
 )
 
-#: The grid: cell name -> config overrides.  The reporting engines only
-#: exist in exact mode, so the sketch cells run the default engine only.
-#: The delta cells were appended when the engine landed; their records are
-#: byte-for-byte the scratch cells' (the engines are pinned bit-identical),
-#: so delta is still pinned against the PR 3 recording.  The
-#: ``-repartition`` cells were appended with the live-repartitioning PR;
-#: the original eight records are untouched.
+#: The grid: cell name -> config overrides.  The ``exact-incremental-*``
+#: names date from when exact mode had three report engines; the
+#: ``exact-scratch-*`` / ``exact-delta-*`` cells (byte-for-byte copies of
+#: these records) left with the other two engines, and the survivors keep
+#: their recorded names and values.  The ``-repartition`` cells were
+#: appended with the live-repartitioning PR.
 CELLS = {
-    "exact-incremental-inline": dict(calculator="exact", reporting_engine="incremental"),
+    "exact-incremental-inline": dict(calculator="exact"),
     "exact-incremental-process": dict(
-        calculator="exact", reporting_engine="incremental", executor="process", workers=2
-    ),
-    "exact-scratch-inline": dict(calculator="exact", reporting_engine="scratch"),
-    "exact-scratch-process": dict(
-        calculator="exact", reporting_engine="scratch", executor="process", workers=2
-    ),
-    "exact-delta-inline": dict(calculator="exact", reporting_engine="delta"),
-    "exact-delta-process": dict(
-        calculator="exact", reporting_engine="delta", executor="process", workers=2
+        calculator="exact", executor="process", workers=2
     ),
     "sketch-inline": dict(calculator="sketch"),
     "sketch-process": dict(calculator="sketch", executor="process", workers=2),
-    "exact-incremental-inline-repartition": dict(
-        calculator="exact", reporting_engine="incremental", **_REPARTITION
-    ),
+    "exact-incremental-inline-repartition": dict(calculator="exact", **_REPARTITION),
     "exact-incremental-process-repartition": dict(
-        calculator="exact", reporting_engine="incremental",
-        executor="process", workers=2, **_REPARTITION,
-    ),
-    "exact-delta-inline-repartition": dict(
-        calculator="exact", reporting_engine="delta", **_REPARTITION
+        calculator="exact", executor="process", workers=2, **_REPARTITION,
     ),
     "sketch-inline-repartition": dict(calculator="sketch", **_REPARTITION),
 }
