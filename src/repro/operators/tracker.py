@@ -25,11 +25,16 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..core.jaccard import JaccardResult
-from ..store import SpillingTrackerStore, StoreConfig, TRACKER_STORES
+from ..store import (
+    SpillingTrackerStore,
+    StoreConfig,
+    TRACKER_STORES,
+    select_top_k,
+)
 from ..streamsim.components import Bolt
 from ..streamsim.tuples import TupleMessage
 from .streams import COEFFICIENTS
@@ -134,7 +139,7 @@ class SpillCoefficientView(Mapping):
 
 @dataclass(frozen=True, slots=True)
 class TrackerSnapshot:
-    """Immutable, round-consistent copy of the Tracker's dedup table.
+    """Immutable, round-consistent view of the Tracker's dedup table.
 
     The service daemon's read path: the writer thread takes one snapshot per
     quiescent point (see ``AsyncServiceExecutor.on_quiescent``) and publishes
@@ -143,25 +148,58 @@ class TrackerSnapshot:
     :class:`CoefficientView` is *not* safe for cross-thread reads — ingest
     mutates :class:`TrackedCoefficient` entries in place, so a concurrent
     reader could observe a torn jaccard/support pair.  A snapshot can't:
-    every ``(jaccard, support)`` pair here was copied out atomically with
-    respect to ingest (same thread), and the dataclass is frozen.
+    every ``(jaccard, support)`` pair here was frozen on the ingesting
+    thread, and neither the dataclass nor a layer changes after publication.
+
+    The table is a stack of layers, newest first; a tagset's value is the
+    one in the newest layer that holds it.  :meth:`TrackerBolt.snapshot`
+    freezes only the tagsets that changed since the previous snapshot into
+    a new layer and reuses every older one, so consecutive snapshots share
+    all but O(changed entries) of their memory — the dict-store twin of
+    :class:`repro.store.RunBackedTrackerSnapshot` (immutable runs plus a
+    bounded hot copy).
     """
 
     #: Monotone publication index (one per quiescent point, 0 = pre-ingest).
     round_index: int
     reports_received: int
     duplicate_reports: int
-    #: ``tagset -> (jaccard, support)`` at snapshot time.
-    entries: dict[frozenset[str], tuple[float, int]] = field(default_factory=dict)
+    #: ``{tagset: (jaccard, support)}`` dicts, newest first; shared between
+    #: snapshots and never mutated once published.
+    layers: tuple[dict[frozenset[str], tuple[float, int]], ...] = ()
+    #: Distinct tagsets over all layers.
+    size: int = 0
+    #: Entries the Tracker had written into layers (compaction included)
+    #: when this snapshot was taken; cumulative over the Tracker's life.
+    entries_copied: int = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
+
+    @property
+    def layer_count(self) -> int:
+        """Layers a point query probes at most."""
+        return len(self.layers)
+
+    @property
+    def entries(self) -> dict[frozenset[str], tuple[float, int]]:
+        """``tagset -> (jaccard, support)`` at snapshot time, merged into a
+        fresh dict (O(table); the layers themselves are not exposed)."""
+        merged: dict[frozenset[str], tuple[float, int]] = {}
+        for layer in reversed(self.layers):  # oldest first: newer overrides
+            merged.update(layer)
+        return merged
 
     def coefficient(
         self, tagset: Iterable[str]
     ) -> tuple[float, int] | None:
         """``(jaccard, support)`` of one tagset, or ``None`` if untracked."""
-        return self.entries.get(frozenset(tagset))
+        tagset = frozenset(tagset)
+        for layer in self.layers:
+            pair = layer.get(tagset)
+            if pair is not None:
+                return pair
+        return None
 
     def top_k(
         self, k: int, min_support: int = 0
@@ -171,13 +209,7 @@ class TrackerSnapshot:
         Deterministic: ties break on descending support, then on the sorted
         tag tuple, so two queries against the same snapshot always agree.
         """
-        qualifying = [
-            (tagset, jaccard, support)
-            for tagset, (jaccard, support) in self.entries.items()
-            if support >= min_support
-        ]
-        qualifying.sort(key=lambda row: (-row[1], -row[2], tuple(sorted(row[0]))))
-        return qualifying[:k]
+        return select_top_k(self.entries.items(), k, min_support)
 
     def digest(self) -> str:
         """Order-independent hash of the snapshot's coefficient table.
@@ -226,6 +258,14 @@ class TrackerBolt(Bolt):
         )
         self.reports_received = 0
         self.duplicate_reports = 0
+        # Snapshot publication (dict store).  ``_dirty`` holds the tagsets
+        # that gained a new winner since the last snapshot() — None until
+        # the first call, so a batch run that never snapshots pays one
+        # ``is not None`` test per winner.  ``_layers`` is the last
+        # snapshot's layer stack: published, hence never mutated.
+        self._dirty: set[frozenset[str]] | None = None
+        self._layers: tuple[dict[frozenset[str], tuple[float, int]], ...] = ()
+        self._entries_copied = 0
 
     def execute(self, message: TupleMessage) -> None:
         if message.schema is not COEFFICIENTS:
@@ -249,6 +289,7 @@ class TrackerBolt(Bolt):
             self.duplicate_reports += duplicates
             return
         best = self._best
+        dirty = self._dirty
         received = 0
         duplicates = 0
         for tagset, jaccard, support in results:
@@ -259,12 +300,16 @@ class TrackerBolt(Bolt):
                 best[tagset] = TrackedCoefficient(
                     jaccard=float(jaccard), support=int(support)
                 )
+                if dirty is not None:
+                    dirty.add(tagset)
                 continue
             duplicates += 1
             existing.reports += 1
             if support > existing.support:
                 existing.jaccard = float(jaccard)
                 existing.support = int(support)
+                if dirty is not None:
+                    dirty.add(tagset)
         self.reports_received += received
         self.duplicate_reports += duplicates
 
@@ -320,24 +365,56 @@ class TrackerBolt(Bolt):
 
         Must be called from the thread that ingests (the service writer
         thread, at a quiescent point); the returned snapshot may then be
-        read freely from any thread.  The dict store copies the table into
-        a :class:`TrackerSnapshot`; the spill store instead returns a
-        run-backed view (:class:`repro.store.RunBackedTrackerSnapshot`)
-        over its published run files plus the bounded hot segment — same
-        query surface and digest, no full-table copy per quiescent point.
+        read freely from any thread.
+
+        Dict store: O(entries changed since the previous call), not
+        O(table).  The tagsets ingest marked dirty are frozen into a new
+        ``{tagset: (jaccard, support)}`` layer stacked on the previous
+        snapshot's layers, which are shared, not copied.  To keep the stack
+        logarithmic, older layers are folded into the new one while it has
+        grown to at least half the next older layer (size-tiered, like an
+        LSM tree's runs): every surviving layer is more than twice the one
+        above it, and an entry is re-copied only into a layer at least 1.5x
+        the one it leaves (entries the new layer overrides die instead), so
+        O(log n) times over its life.  The first call starts the dirty
+        tracking and freezes the whole table once.
+
+        Spill store: a run-backed view
+        (:class:`repro.store.RunBackedTrackerSnapshot`) over the published
+        run files plus the bounded hot segment — same query surface and
+        digest.
         """
         if self._store is not None:
             return self._store.snapshot(
                 round_index, self.reports_received, self.duplicate_reports
             )
+        best = self._best
+        dirty = self._dirty
+        if dirty is None:
+            dirty = self._dirty = set(best)
+        if dirty:
+            older = self._layers
+            size = len(dirty)
+            fold = 0
+            while fold < len(older) and 2 * size >= len(older[fold]):
+                size += len(older[fold])
+                fold += 1
+            layer: dict[frozenset[str], tuple[float, int]] = {}
+            for folded in reversed(older[:fold]):  # oldest first
+                layer.update(folded)
+            for tagset in dirty:
+                tracked = best[tagset]
+                layer[tagset] = (tracked.jaccard, tracked.support)
+            self._layers = (layer,) + older[fold:]
+            self._entries_copied += len(layer)
+            dirty.clear()
         return TrackerSnapshot(
             round_index=round_index,
             reports_received=self.reports_received,
             duplicate_reports=self.duplicate_reports,
-            entries={
-                tagset: (tracked.jaccard, tracked.support)
-                for tagset, tracked in self._best.items()
-            },
+            layers=self._layers,
+            size=len(best),
+            entries_copied=self._entries_copied,
         )
 
     def supports(self) -> dict[frozenset[str], int]:

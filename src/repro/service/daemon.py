@@ -9,7 +9,10 @@ Threading model (the whole design in four lines):
   *published snapshot*, an immutable
   :class:`~repro.operators.tracker.TrackerSnapshot` the writer re-publishes
   (plain reference assignment — atomic under the GIL) at every quiescent
-  batch boundary.  Readers never see a half-applied round.
+  batch boundary.  Readers never see a half-applied round, and need no
+  lock: a snapshot is a stack of frozen layers, publishing one freezes only
+  the entries the batch changed, and the retained ring shares every older
+  layer instead of holding a table per round.
 * **Bounded hand-off.**  Ingest requests feed the executor's bounded batch
   queue; a full queue surfaces to the client as a pinned ``backpressure``
   error rather than unbounded buffering.
@@ -29,6 +32,7 @@ import contextlib
 import os
 import socketserver
 import threading
+import time
 import traceback
 from collections import deque
 from typing import Any
@@ -38,6 +42,12 @@ from ..pipeline import RunReport, SystemConfig, TagCorrelationSystem
 from ..streamsim import AsyncServiceExecutor, IngestBackpressure, IngestClosed
 from . import protocol
 from .protocol import ProtocolError, error_response, ok_response
+
+
+def _is_number(value: Any, kinds: type | tuple[type, ...] = int) -> bool:
+    """``isinstance`` for numeric request fields: ``bool`` is an ``int`` to
+    Python, but JSON ``true`` is not a number on this wire."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class ServiceDaemon:
@@ -85,6 +95,9 @@ class ServiceDaemon:
         executor.on_quiescent = self._publish_snapshot
 
         self._round = 0
+        #: Cumulative wall-clock of ``TrackerBolt.snapshot`` (writer thread
+        #: writes, ``stats`` reads: a float attribute, atomic under the GIL).
+        self._publish_seconds = 0.0
         self._snapshot: TrackerSnapshot = self._tracker.snapshot(0)
         self._snapshots: deque[TrackerSnapshot] = deque(
             [self._snapshot], maxlen=max(1, retain_snapshots)
@@ -185,7 +198,9 @@ class ServiceDaemon:
         # finished batch has fully cascaded, so the snapshot is
         # round-consistent.  Publication is one reference assignment.
         self._round += 1
+        start = time.perf_counter()
         snapshot = self._tracker.snapshot(self._round)
+        self._publish_seconds += time.perf_counter() - start
         self._snapshot = snapshot
         with self._state_lock:
             self._snapshots.append(snapshot)
@@ -221,8 +236,8 @@ class ServiceDaemon:
         documents = protocol.documents_from_wire(request.get("documents"))
         block = bool(request.get("block", False))
         timeout = request.get("timeout")
-        if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+        if timeout is not None and not (
+            _is_number(timeout, (int, float)) and timeout > 0
         ):
             raise ProtocolError(
                 protocol.ERROR_BAD_REQUEST, "timeout must be a positive number"
@@ -251,11 +266,11 @@ class ServiceDaemon:
         if what == "top_k":
             k = request.get("k", 10)
             min_support = request.get("min_support", 0)
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            if not (_is_number(k) and k >= 1):
                 raise ProtocolError(
                     protocol.ERROR_BAD_REQUEST, "k must be a positive integer"
                 )
-            if not isinstance(min_support, int) or min_support < 0:
+            if not (_is_number(min_support) and min_support >= 0):
                 raise ProtocolError(
                     protocol.ERROR_BAD_REQUEST,
                     "min_support must be a non-negative integer",
@@ -306,6 +321,9 @@ class ServiceDaemon:
             pending_batches=self.executor.pending_batches,
             documents_processed=self._spout.emitted,
             draining=self.executor.draining,
+            snapshot_layers=snapshot.layer_count,
+            snapshot_entries_copied=snapshot.entries_copied,
+            snapshot_publish_ms=self._publish_seconds * 1000.0,
         )
 
     def _op_track(self, request: dict) -> dict:

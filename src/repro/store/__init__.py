@@ -23,7 +23,9 @@ Modules:
   Counter-compatible mapping the report fold runs over),
 * :mod:`repro.store.tracker` — :class:`SpillingTrackerStore` (the
   Tracker's dedup table as runs, max-support rule as merge combiner) and
-  :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot).
+  :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot);
+  also home of :func:`select_top_k`, the one ``top_k`` ordering rule both
+  snapshot kinds answer with.
 
 See docs/ARCHITECTURE.md "Counter store" for the design.
 """
@@ -60,6 +62,7 @@ from .tracker import (
     RunBackedTrackerSnapshot,
     SpillingTrackerStore,
     combine_max_support,
+    select_top_k,
 )
 
 __all__ = [
@@ -88,5 +91,6 @@ __all__ = [
     "merged_entries",
     "parallel_merges_allowed",
     "resolve_merge_workers",
+    "select_top_k",
     "write_run",
 ]

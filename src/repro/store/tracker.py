@@ -116,6 +116,47 @@ def _encode_tagset(tagset: frozenset) -> bytes:
     return encode_key(tuple(sorted(tagset)))
 
 
+def select_top_k(
+    items: Iterable[tuple[frozenset, tuple[float, int]]],
+    k: int,
+    min_support: int = 0,
+) -> list[tuple[frozenset, float, int]]:
+    """The ``k`` best ``(tagset, jaccard, support)`` rows of a table given
+    as ``(tagset, (jaccard, support))`` items — *the* ``top_k`` order of
+    every snapshot: jaccard descending, then support descending, then the
+    sorted tag tuple ascending.
+
+    One pass, threshold selection: a ``k``-heap of bare ``(jaccard,
+    support)`` pairs carries the cut (the ``k``-th best pair so far, which
+    only rises), rows below it are dropped on sight, and the sorted-tag
+    tie-break — the expensive part of the key — is computed only for the
+    rows still at or above the final cut.
+    """
+    if k < 1:
+        return []
+    heap: list[tuple[float, int]] = []
+    kept: list[tuple[frozenset, tuple[float, int]]] = []
+    for item in items:
+        pair = item[1]
+        if pair[1] < min_support:
+            continue
+        if len(heap) < k:
+            heapq.heappush(heap, pair)
+        elif pair < heap[0]:
+            continue
+        elif pair > heap[0]:
+            heapq.heapreplace(heap, pair)
+        kept.append(item)
+    if not heap:
+        return []
+    cut = heap[0]
+    rows = [
+        (tagset, pair[0], pair[1]) for tagset, pair in kept if pair >= cut
+    ]
+    rows.sort(key=lambda row: (-row[1], -row[2], tuple(sorted(row[0]))))
+    return rows[:k]
+
+
 class SpillingTrackerStore:
     """Coefficient table that freezes cold segments into sorted run files."""
 
@@ -158,6 +199,7 @@ class SpillingTrackerStore:
             "parallel_merges": 0,
             "merge_seconds": 0.0,
             "membership_probes": 0,
+            "snapshot_entries_copied": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -371,6 +413,7 @@ class SpillingTrackerStore:
         further mutation: the snapshot's own readers keep the current run
         files alive even after the store compacts or unlinks them.
         """
+        self._stats["snapshot_entries_copied"] += len(self._hot)
         return RunBackedTrackerSnapshot(
             round_index=round_index,
             reports_received=reports_received,
@@ -378,6 +421,7 @@ class SpillingTrackerStore:
             distinct=self._distinct,
             run_paths=[reader.path for reader in self._runs],
             hot={key: tuple(entry) for key, entry in self._hot.items()},
+            entries_copied=self._stats["snapshot_entries_copied"],
         )
 
     # ------------------------------------------------------------------ #
@@ -437,7 +481,8 @@ class RunBackedTrackerSnapshot:
 
     Duck-types :class:`repro.operators.tracker.TrackerSnapshot`'s query
     surface (``round_index``, ``reports_received``, ``duplicate_reports``,
-    ``__len__``, ``coefficient``, ``top_k``, ``digest``) without copying
+    ``__len__``, ``layer_count``, ``entries_copied``, ``coefficient``,
+    ``top_k``, ``digest``) without copying
     the table: run blocks are faulted in on demand through a private
     block cache.  All reads are serialised by one lock — the cache is not
     thread-safe, and daemon query threads share the snapshot.
@@ -449,6 +494,7 @@ class RunBackedTrackerSnapshot:
 
     __slots__ = (
         "round_index", "reports_received", "duplicate_reports",
+        "entries_copied",
         "_distinct", "_hot", "_readers", "_cache", "_lock", "_finalizer",
         "__weakref__",
     )
@@ -461,10 +507,14 @@ class RunBackedTrackerSnapshot:
         distinct: int,
         run_paths: list[str],
         hot: dict[frozenset, tuple],
+        entries_copied: int = 0,
     ) -> None:
         self.round_index = round_index
         self.reports_received = reports_received
         self.duplicate_reports = duplicate_reports
+        #: Hot-segment entries the store had copied into snapshots when
+        #: this one was taken (cumulative; runs are shared, never copied).
+        self.entries_copied = entries_copied
         self._distinct = distinct
         self._hot = hot
         self._cache = BlockCache(64)
@@ -490,6 +540,11 @@ class RunBackedTrackerSnapshot:
     def __len__(self) -> int:
         return self._distinct
 
+    @property
+    def layer_count(self) -> int:
+        """Runs plus the hot copy — what a point query probes."""
+        return len(self._readers) + bool(self._hot)
+
     def coefficient(self, tagset: frozenset) -> tuple[float, int] | None:
         """The folded ``(jaccard, support)`` of one tagset, if reported."""
         with self._lock:
@@ -513,7 +568,7 @@ class RunBackedTrackerSnapshot:
         jaccard, support, _reports = decode_value(merged)
         return jaccard, support
 
-    def _merged_decoded(self) -> Iterator[tuple[frozenset, float, int]]:
+    def _merged_items(self) -> Iterator[tuple[frozenset, tuple[float, int]]]:
         streams: list[Iterator[tuple[bytes, bytes]]] = [
             reader.entries() for reader in self._readers
         ]
@@ -525,7 +580,7 @@ class RunBackedTrackerSnapshot:
             )))
         for key, value in merged_entries(streams, combine=combine_max_support):
             jaccard, support, _reports = decode_value(value)
-            yield frozenset(decode_key(key)), jaccard, support
+            yield frozenset(decode_key(key)), (jaccard, support)
 
     def top_k(
         self, k: int = 10, min_support: int = 0
@@ -533,13 +588,7 @@ class RunBackedTrackerSnapshot:
         """The ``k`` strongest coefficients, identically ordered to the
         dict snapshot's (jaccard desc, support desc, tags lexically)."""
         with self._lock:
-            candidates = (
-                row for row in self._merged_decoded() if row[2] >= min_support
-            )
-            return heapq.nsmallest(
-                k, candidates,
-                key=lambda row: (-row[1], -row[2], tuple(sorted(row[0]))),
-            )
+            return select_top_k(self._merged_items(), k, min_support)
 
     def digest(self) -> str:
         """Order-insensitive content hash — line-identical to the dict
@@ -547,7 +596,7 @@ class RunBackedTrackerSnapshot:
         with self._lock:
             lines = sorted(
                 f"{','.join(sorted(tagset))}={jaccard!r}/{support}"
-                for tagset, jaccard, support in self._merged_decoded()
+                for tagset, (jaccard, support) in self._merged_items()
             )
         hasher = hashlib.sha256()
         for line in lines:

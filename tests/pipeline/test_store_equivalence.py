@@ -307,7 +307,7 @@ class TestTrackerSpill:
         self, tracker_runs, grid_runs
     ):
         """A run-backed snapshot over the final table hashes line-identical
-        to the dict tracker's full-copy snapshot."""
+        to the dict tracker's layered snapshot."""
         _, _, spill_tracker = tracker_runs["inline"]
         _, _, plain_tracker = grid_runs[("dict", "inline")]
         spill_snapshot = spill_tracker.snapshot(round_index=7)
@@ -498,7 +498,7 @@ class TestServiceModeWithTrackerSpill:
     ):
         """Every quiescent snapshot the spill daemon published answers from
         the run-backed view and hashes line-identical, round for round, to
-        the dict daemon's full-copy snapshot of the same round."""
+        the dict daemon's layered snapshot of the same round."""
         from repro.store import RunBackedTrackerSnapshot
 
         spill_daemon, _, _ = served_tracker_spill

@@ -137,9 +137,11 @@ class TestFaultsLeaveNoTrace:
                     {"op": "ingest", "documents": [{"tags": [1], "timestamp": 0}]},
                     {"op": "ingest", "documents": "nope"},
                     {"op": "ingest", "documents": [], "timeout": -1},
+                    {"op": "ingest", "documents": [], "timeout": True},
                     {"op": "query", "what": "top_k", "k": 0},
                     {"op": "query", "what": "top_k", "k": True},
                     {"op": "query", "what": "top_k", "min_support": -1},
+                    {"op": "query", "what": "top_k", "min_support": True},
                     {"op": "query", "what": "nope"},
                     {"op": "query", "what": "coefficient", "tags": []},
                     {"op": "track", "tagsets": []},
@@ -231,3 +233,42 @@ class TestBackpressure:
             assert shutdown["final"]["documents_processed"] == 20
         finally:
             daemon.close()
+
+
+class TestPublicationStats:
+    """``stats`` prices snapshot publication on a live daemon."""
+
+    def test_publication_counters_are_monotone_across_rounds(self, documents):
+        names = (
+            "snapshot_layers", "snapshot_entries_copied", "snapshot_publish_ms"
+        )
+        seen = []
+        # A report round every 100 documents, so coefficients reach the
+        # Tracker (and the published layers) while the stream runs.
+        config = CONFIG.with_overrides(report_interval_seconds=2.0)
+        with ServiceDaemon(config) as daemon:
+            with ServiceClient(*daemon.address) as client:
+                seen.append(client.stats())
+                assert [seen[0][name] for name in names] == [0, 0, 0.0]
+                for start in range(0, len(documents), 100):
+                    client.ingest(
+                        documents[start:start + 100], block=True, timeout=60.0
+                    )
+                    seen.append(client.stats())
+                client.shutdown()
+                seen.append(client.stats())
+        rounds = [stats["round"] for stats in seen]
+        assert rounds == sorted(rounds) and rounds[-1] > rounds[0]
+        for name in ("snapshot_entries_copied", "snapshot_publish_ms"):
+            values = [stats[name] for stats in seen]
+            assert values == sorted(values), name
+            assert values[-1] > 0, name
+        final = seen[-1]
+        assert final["snapshot_layers"] >= 1
+        # Every coefficient was written into a layer at least once, and the
+        # size-tiered merges re-wrote each only a few times — not once per
+        # published round, which is what a full copy per round would cost.
+        assert final["coefficients"] <= final["snapshot_entries_copied"]
+        assert final["snapshot_entries_copied"] < (
+            final["coefficients"] * final["round"] / 2
+        )

@@ -164,6 +164,17 @@ class TestSoak:
                 total_answers += len(client.top_k_answers) + len(
                     client.stats_answers
                 )
+            # The retained rounds share their layers: together they hold
+            # a small multiple of one table, not one table per round.
+            distinct_layers = {
+                id(layer): len(layer)
+                for snapshot in snapshots.values()
+                for layer in snapshot.layers
+            }
+            final_size = len(snapshots[daemon.current_round])
+            assert len(snapshots) > 20 and final_size > 0
+            assert sum(distinct_layers.values()) <= 3 * final_size
+
             # The soak actually soaked: clients answered while ingest ran.
             assert total_answers >= 4 * N_QUERY_CLIENTS
 

@@ -362,14 +362,15 @@ class TestPickle:
 # --------------------------------------------------------------------- #
 class TestRunBackedSnapshot:
     def dict_snapshot(self, model, round_index=3):
+        entries = {
+            key: (entry[0], entry[1]) for key, entry in model.best.items()
+        }
         return TrackerSnapshot(
             round_index=round_index,
             reports_received=model.received,
             duplicate_reports=model.duplicates,
-            entries={
-                key: (entry[0], entry[1])
-                for key, entry in model.best.items()
-            },
+            layers=(entries,),
+            size=len(entries),
         )
 
     def test_digest_and_top_k_match_the_dict_snapshot(self, tmp_path):
