@@ -63,6 +63,7 @@ from ..streamsim import (
     TopologyBuilder,
     make_executor,
 )
+from ..streamsim.gcpolicy import gc_policy
 from .config import SystemConfig
 
 
@@ -230,10 +231,19 @@ class RunReport:
     #: content, so — like ``timings`` — informational only and excluded
     #: from the logical-equivalence contract (None without Calculators).
     report_round_stats: dict[str, float] | None = None
+    #: Cyclic-GC passes per generation (young, middle, full) while
+    #: the run held the scoped GC policy — stream and reporting phases, in
+    #: the driver and in the process executor's workers.  Depends on the
+    #: interpreter's allocation pattern, so — like ``timings`` —
+    #: informational only and excluded from the logical-equivalence contract.
+    gc_passes: list[int] = field(default_factory=lambda: [0, 0, 0])
     #: Wall-clock phase breakdown of this run (seconds): "build" (topology
     #: assembly), "stream" (cluster execution) and "reporting" (final drain
-    #: + metric collection).  Informational only — excluded from the
-    #: logical-equivalence contract, unlike every field above.
+    #: + metric collection); "gc" is the part of stream + reporting this
+    #: process spent paused in the cyclic GC and "gc_workers" the same
+    #: summed over the process executor's workers (parallel to the driver,
+    #: so not a share of its wall-clock).  Informational only — excluded
+    #: from the logical-equivalence contract, unlike every field above.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -457,7 +467,7 @@ class TagCorrelationSystem:
         self._cluster = cluster
         report = self._collect_report(cluster)
         t3 = time.perf_counter()
-        report.timings = {
+        report.timings.update({
             "build": t1 - t0,
             "stream": t2 - t1,
             "reporting": t3 - t2,
@@ -466,7 +476,7 @@ class TagCorrelationSystem:
             # A subset of "stream", reported separately so the perf
             # harness can attribute it.
             "migration_stall": cluster.migration_stall_seconds,
-        }
+        })
         return report
 
     @property
@@ -489,6 +499,23 @@ class TagCorrelationSystem:
     # Metric collection
     # ------------------------------------------------------------------ #
     def _collect_report(self, cluster: Cluster) -> RunReport:
+        # The end-of-stream drain, its Tracker ingest and the baseline's
+        # ground truth allocate as much as the stream did: same GC policy.
+        with gc_policy(cluster.gc_tally):
+            report = self._gather_report(cluster)
+        # Read once the scope has closed, so the reporting phase's own
+        # passes are in the figures.
+        report.gc_passes = [
+            driver + workers
+            for driver, workers in zip(
+                cluster.gc_tally.passes, cluster.worker_gc_tally.passes
+            )
+        ]
+        report.timings["gc"] = cluster.gc_tally.pause_seconds
+        report.timings["gc_workers"] = cluster.worker_gc_tally.pause_seconds
+        return report
+
+    def _gather_report(self, cluster: Cluster) -> RunReport:
         config = self.config
         parsers = [
             bolt for bolt in cluster.instances_of(streams.PARSER)

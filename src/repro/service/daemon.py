@@ -190,8 +190,11 @@ class ServiceDaemon:
     def _write_loop(self) -> None:
         try:
             self._cluster.run()
-        except BaseException:  # noqa: BLE001 - surface on shutdown
+        except BaseException:  # noqa: BLE001 - surface on ingest/stats/shutdown
             self._writer_error = traceback.format_exc()
+            # Nothing will ever drain the queue again: close it, so blocked
+            # submitters wake up and no further batch is accepted.
+            self.executor.request_drain()
 
     def _publish_snapshot(self) -> None:
         # Writer thread only, at a quiescent point: every document of the
@@ -247,7 +250,17 @@ class ServiceDaemon:
         except IngestBackpressure as exc:
             return error_response(protocol.ERROR_BACKPRESSURE, str(exc))
         except IngestClosed as exc:
-            return error_response(protocol.ERROR_DRAINING, str(exc))
+            if self._writer_error is None:
+                return error_response(protocol.ERROR_DRAINING, str(exc))
+            # Closed by the dying writer (which also woke any submitter
+            # blocked on a full queue).  Unlike ``backpressure`` this is not
+            # worth retrying: the pinned code is ``shutdown``, the message
+            # the traceback's last line; ``shutdown`` replies with all of it.
+            return error_response(
+                protocol.ERROR_SHUTDOWN,
+                "writer thread failed: "
+                + self._writer_error.rstrip().rsplit("\n", 1)[-1],
+            )
         return ok_response(
             "ingest",
             accepted=accepted,
@@ -324,6 +337,9 @@ class ServiceDaemon:
             snapshot_layers=snapshot.layer_count,
             snapshot_entries_copied=snapshot.entries_copied,
             snapshot_publish_ms=self._publish_seconds * 1000.0,
+            writer_alive=self._writer.is_alive(),
+            gc_passes=list(self._cluster.gc_tally.passes),
+            gc_pause_ms=self._cluster.gc_tally.pause_seconds * 1000.0,
         )
 
     def _op_track(self, request: dict) -> dict:
@@ -354,11 +370,13 @@ class ServiceDaemon:
                 protocol.ERROR_BAD_REQUEST,
                 f"writer thread failed:\n{self._writer_error}",
             )
-        # The end-of-stream flush ran after the last quiescent boundary:
-        # publish the post-drain table as the final round.  The writer is
-        # gone, so reading the tracker here is single-threaded again.
-        self._publish_snapshot()
+        # The end-of-stream flush ran after the last quiescent boundary and
+        # collecting the report ingests the Calculators' end-of-stream
+        # drain: only then is the table final, so collect first and publish
+        # second.  The writer is gone, so reading the tracker here is
+        # single-threaded again.
         report = self.system.collect_report(self._cluster)
+        self._publish_snapshot()
         self._final_report = report
         self._shutdown_complete.set()
         return ok_response(

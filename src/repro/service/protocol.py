@@ -41,7 +41,7 @@ ERROR_UNSUPPORTED_VERSION = "unsupported-version"
 ERROR_UNKNOWN_OP = "unknown-op"
 ERROR_BACKPRESSURE = "backpressure"  # bounded ingest queue is full
 ERROR_DRAINING = "draining"  # ingest after shutdown started
-ERROR_SHUTDOWN = "shutdown"  # duplicate shutdown request
+ERROR_SHUTDOWN = "shutdown"  # duplicate shutdown; ingest after the writer died
 ERROR_BAD_REQUEST = "bad-request"  # structurally valid, semantically not
 
 ERROR_CODES = (

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .components import Bolt, Component
+from .gcpolicy import GcTally, gc_policy
 from .groupings import Grouping
 from .topology import Topology
 from .tuples import EmissionBatch, OutputCollector, TupleMessage
@@ -169,6 +170,12 @@ class Cluster:
         self._handoff_requests: deque[tuple[int, tuple[str, ...]]] = deque()
         self.migration_stall_seconds = 0.0
         self.migration_failures: list[str] = []
+        #: Cyclic-GC passes while this cluster's run (and its report
+        #: collection) held the scoped GC policy: in this process — live,
+        #: the service daemon's ``stats`` reads it — and, merged in at
+        #: finalisation, in the process executor's workers.
+        self.gc_tally = GcTally()
+        self.worker_gc_tally = GcTally()
         self._tasks: list[TaskInfo] = []
         self._tasks_by_component: dict[str, list[TaskInfo]] = {}
         self._create_tasks()
@@ -280,8 +287,14 @@ class Cluster:
         returning, so every routed tuple is delivered and inspectable —
         physical message counts of a budget-sliced run may therefore exceed
         those of one continuous run.
+
+        The run holds the scoped GC policy (``gcpolicy.py``): this is the
+        one place every engine passes through — the inline loop, the
+        service daemon's writer thread, and the process executor's driver
+        including the unpickling of its shards' final state.
         """
-        return self._executor.run(self, max_spout_calls=max_spout_calls)
+        with gc_policy(self.gc_tally):
+            return self._executor.run(self, max_spout_calls=max_spout_calls)
 
     def process(self, message: TupleMessage, component: str, task_index: int = 0) -> None:
         """Inject a tuple directly into one bolt task (useful in tests)."""

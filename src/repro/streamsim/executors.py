@@ -55,9 +55,10 @@ what makes process-sharding deterministic:
   counters inside the worker, and the shard ships the resulting
   ``(tagset, jaccard, support)`` triples — small — instead of the counter
   tables that produced them.  Only then does the shard return its
-  (now-empty) bolt instances and its per-shard
-  :class:`~repro.streamsim.cluster.MessageAccounting`; the driver merges the
-  accounting, re-installs the bolts into the cluster, and exposes the
+  (now-empty) bolt instances, its per-shard
+  :class:`~repro.streamsim.cluster.MessageAccounting` and its GC tally
+  (``gcpolicy.py``); the driver merges the accounting and the tally,
+  re-installs the bolts into the cluster, and exposes the
   drained results via :meth:`Executor.drained_results` so the pipeline can
   replay them into the Tracker in driver task order (identical to the
   inline drain order).  Post-run inspection (``instances_of``, report
@@ -87,6 +88,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .components import Bolt, Spout
+from .gcpolicy import GcTally, gc_policy
 from .tuples import EmissionBatch, OutputCollector, TupleMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -294,9 +296,23 @@ class ShardResult:
     #: The shard's bolt instances keyed by global task id (collector
     #: stripped; the driver re-attaches its own).
     bolts: dict[int, Bolt]
+    #: Cyclic-GC passes inside the worker process, start to finalisation.
+    gc_tally: GcTally
 
 
 def _shard_worker(spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
+    """Worker-process entry point: the shard loop under the scoped GC policy.
+
+    A forked worker owns its process, and the Calculator shards it hosts
+    are where the report folds allocate.
+    """
+    with gc_policy() as gc_tally:
+        _serve_shard(spec, inbox, outbox, gc_tally)
+
+
+def _serve_shard(
+    spec: WorkerSpec, inbox: Any, outbox: Any, gc_tally: GcTally
+) -> None:
     """Worker-process main loop: build the shard's bolts, then serve requests.
 
     Requests arrive on ``inbox`` in driver order — link-batch deliveries,
@@ -445,7 +461,7 @@ def _shard_worker(spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
                     bolt.collector = None  # the driver re-attaches its own
                 outbox.put(
                     ("result", spec.shard_index,
-                     ShardResult(spec.shard_index, accounting, bolts))
+                     ShardResult(spec.shard_index, accounting, bolts, gc_tally))
                 )
                 return
             elif kind == _STOP:
@@ -790,6 +806,7 @@ class ShardedProcessExecutor(Executor):
         for shard in range(self.effective_workers):
             result: ShardResult = self._receive(shard, "result")
             cluster.accounting.merge(result.accounting)
+            cluster.worker_gc_tally.merge(result.gc_tally)
             for task_id in sorted(result.bolts):
                 bolt = result.bolts[task_id]
                 task = cluster.task(task_id)

@@ -7,10 +7,16 @@ ingest queue — must produce its *pinned* error code (the contract from
 ``repro.service.protocol``) and must leave the run's state untouched: a
 served run that absorbed every fault still drains to the exact same Tracker
 table as a clean batch run over the same documents.
+
+A writer thread that *dies* is a fault too: it must be visible at once —
+ingest refused with a pinned non-retryable code, ``stats`` saying so — not
+only in the reply to ``shutdown``.
 """
 
+import gc
 import json
 import socket
+import time
 
 import pytest
 
@@ -22,6 +28,7 @@ from repro.service import (
     ServiceDaemon,
     ServiceError,
 )
+from repro.service.protocol import document_to_wire
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig
 
 CONFIG = SystemConfig(
@@ -259,6 +266,15 @@ class TestPublicationStats:
                 seen.append(client.stats())
         rounds = [stats["round"] for stats in seen]
         assert rounds == sorted(rounds) and rounds[-1] > rounds[0]
+        # The collector's figures only ever grow, generation by generation.
+        for generation in range(3):
+            values = [stats["gc_passes"][generation] for stats in seen]
+            assert values == sorted(values), generation
+        pauses = [stats["gc_pause_ms"] for stats in seen]
+        assert pauses == sorted(pauses)
+        assert [stats["writer_alive"] for stats in seen] == (
+            [True] * (len(seen) - 1) + [False]
+        )
         for name in ("snapshot_entries_copied", "snapshot_publish_ms"):
             values = [stats[name] for stats in seen]
             assert values == sorted(values), name
@@ -272,3 +288,108 @@ class TestPublicationStats:
         assert final["snapshot_entries_copied"] < (
             final["coefficients"] * final["round"] / 2
         )
+
+
+def _wait_until(condition, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+class TestShutdownPublishesTheDrain:
+    """Queries answered after ``shutdown`` see what ``final_report`` saw:
+    the snapshot is published after the Calculators' end-of-stream drain
+    has reached the Tracker, not before."""
+
+    def test_post_shutdown_snapshot_equals_the_batch_table(
+        self, documents, clean_digest
+    ):
+        batch = TagCorrelationSystem(CONFIG).run(documents)
+        with ServiceDaemon(CONFIG) as daemon:
+            with ServiceClient(*daemon.address) as client:
+                client.ingest(documents, block=True, timeout=60.0)
+                _wait_until(
+                    lambda: client.stats()["documents_processed"]
+                    == len(documents)
+                )
+                before = daemon.retained_snapshots()[-1]
+                final = client.shutdown()
+                after = daemon.retained_snapshots()[-1]
+                assert after.round_index == final["round"]
+                assert after.digest() == clean_digest
+                assert len(after) == batch.coefficients_reported
+                assert client.stats()["coefficients"] == len(after)
+
+                drain_only = sorted(
+                    (tagset for tagset in after.entries
+                     if before.coefficient(tagset) is None),
+                    key=sorted,
+                )
+                assert drain_only, "the drain added no coefficient"
+                answer = client.coefficient(sorted(drain_only[0]))
+                assert answer["found"] is True
+                assert answer["round"] == final["round"]
+
+
+class TestDeadWriter:
+    """Once the writer thread has died nothing will ever drain the queue:
+    ingest is refused with the pinned ``shutdown`` code (not the retryable
+    ``backpressure``), ``stats`` says the writer is gone, the traceback is
+    the reply to ``shutdown`` and the process's GC thresholds are back at
+    the host's values."""
+
+    QUEUE_LIMIT = 2
+
+    def test_dead_writer_is_visible(self, documents, monkeypatch):
+        def broken_ingest(self, triples):
+            raise RuntimeError("tracker store exploded")
+
+        monkeypatch.setattr(TrackerBolt, "ingest", broken_ingest)
+        host_threshold = gc.get_threshold()
+        # A report round every 100 documents reaches the broken Tracker.
+        config = CONFIG.with_overrides(
+            report_interval_seconds=2.0, service_queue_limit=self.QUEUE_LIMIT
+        )
+        replies = []
+        with ServiceDaemon(config) as daemon:
+            # The writer thread holds the run's GC policy while it lives.
+            _wait_until(lambda: gc.get_threshold() != host_threshold)
+            for start in range(0, len(documents), 20):
+                replies.append(daemon.handle_request({
+                    "v": 1, "op": "ingest", "block": True, "timeout": 30.0,
+                    "documents": [
+                        document_to_wire(document)
+                        for document in documents[start:start + 20]
+                    ],
+                }))
+            daemon._writer.join(timeout=30.0)
+            assert not daemon._writer.is_alive()
+            assert gc.get_threshold() == host_threshold
+
+            # Accepted up to the failure, refused — never "retry" — after.
+            accepted = [reply["ok"] for reply in replies]
+            n_accepted = accepted.index(False)
+            assert 0 < n_accepted < len(replies)
+            assert accepted == [True] * n_accepted + [False] * (
+                len(replies) - n_accepted
+            )
+            for reply in replies[n_accepted:]:
+                assert reply["code"] == "shutdown"
+                assert reply["error"] == (
+                    "writer thread failed: RuntimeError: tracker store exploded"
+                )
+
+            stats = daemon.handle_request(
+                {"v": 1, "op": "query", "what": "stats"}
+            )
+            assert stats["writer_alive"] is False
+            # Accepted-then-lost batches: what sat in the bounded queue.
+            assert stats["pending_batches"] <= self.QUEUE_LIMIT
+            assert stats["batches_ingested"] == n_accepted
+
+            shutdown = daemon.handle_request({"v": 1, "op": "shutdown"})
+            assert shutdown["ok"] is False
+            assert "Traceback" in shutdown["error"]
+            assert "tracker store exploded" in shutdown["error"]
+        assert gc.get_threshold() == host_threshold
