@@ -20,8 +20,8 @@ recording per cell
   store that is the full table; for the spill store the hot tail, which
   never exceeds ``spill_threshold``);
 * the spill side's ``store`` block: merge wall-clock (the per-cell
-  merge-phase breakdown), runs written, entries spilled, parallel merges
-  and block-cache hit rates.
+  merge-phase breakdown), runs written, entries spilled and block-cache
+  hit rates.
 
 Both cells of a round size consume the *same* seeded document stream —
 the only variable is where the counters live.  The ``xlarge`` round is
@@ -259,7 +259,6 @@ def _measure_worker(outbox, round_name: str, store: str, tracker_store: str) -> 
                 "runs_written": stats["runs_written"],
                 "spilled_entries": stats["spilled_entries"],
                 "merges": stats["merges"],
-                "parallel_merges": stats["parallel_merges"],
                 "merge_seconds": round(stats["merge_seconds"], 4),
                 "block_cache_hit_rate": round(
                     stats["block_cache_hits"] / lookups if lookups else 0.0, 4

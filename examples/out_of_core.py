@@ -83,8 +83,7 @@ def main() -> None:
           f"({stats['run_bytes_written'] / 1024:.0f} KiB)")
     print(f"entries spilled           : {stats['spilled_entries']}")
     print(f"merges                    : {stats['merges']} "
-          f"({stats['parallel_merges']} parallel, "
-          f"{stats['merge_seconds']:.2f}s)")
+          f"({stats['merge_seconds']:.2f}s)")
     if lookups:
         print(f"block cache hit rate      : "
               f"{stats['block_cache_hits'] / lookups:.1%}")

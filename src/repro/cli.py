@@ -290,8 +290,7 @@ def _print_report(report: RunReport) -> None:
                   f"{int(stats['runs_written'])} runs written "
                   f"({stats['run_bytes_written'] / 1e6:.1f} MB), "
                   f"{int(stats['merges'])} merges "
-                  f"({int(stats['parallel_merges'])} parallel, "
-                  f"{stats['merge_seconds']:.2f} s)")
+                  f"({stats['merge_seconds']:.2f} s)")
             print(f"block cache               : {hit_rate:.1%} hit rate "
                   f"({int(stats['block_cache_hits'])} hits, "
                   f"{int(stats['block_cache_misses'])} misses, "

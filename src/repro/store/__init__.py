@@ -1,4 +1,4 @@
-"""Out-of-core storage: spill-to-disk runs with parallel merges.
+"""Out-of-core storage: spill-to-disk runs with layered k-way merges.
 
 The ``repro.store`` subsystem bounds resident memory for the two tables
 that otherwise scale with stream length:
@@ -15,7 +15,7 @@ Modules:
   its atomic writer and the mmap/LRU-block-cache read path.  Runs carry
   either uvarint counts (the default) or opaque raw byte values
   (:data:`FLAG_RAW_VALUES` — the tracker's coefficient records),
-* :mod:`repro.store.merge` — serial and parallel-layered k-way run merges
+* :mod:`repro.store.merge` — layered k-way run merges
   with a pluggable, order-preserving value combiner,
 * :mod:`repro.store.config` — :class:`StoreConfig`, the one bundle of
   spill/cache/merge knobs both spilling stores share,
@@ -53,8 +53,6 @@ from .merge import (
     MergeResult,
     compact_runs,
     merge_runs,
-    parallel_merges_allowed,
-    resolve_merge_workers,
 )
 from .spill import COUNTER_STORES, SpillingCounterStore
 from .tracker import (
@@ -89,8 +87,6 @@ __all__ = [
     "encode_key",
     "merge_runs",
     "merged_entries",
-    "parallel_merges_allowed",
-    "resolve_merge_workers",
     "select_top_k",
     "write_run",
 ]

@@ -42,8 +42,6 @@ class StoreConfig:
         Capacity of the store's LRU block cache.
     merge_fan_in:
         Maximum runs merged per layer during compaction.
-    merge_workers:
-        Process count for parallel merge layers (``0`` → auto).
     """
 
     spill_dir: str | None = None
@@ -51,7 +49,6 @@ class StoreConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     cache_blocks: int = DEFAULT_CACHE_BLOCKS
     merge_fan_in: int = DEFAULT_MERGE_FAN_IN
-    merge_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.spill_threshold < 1:
@@ -62,8 +59,6 @@ class StoreConfig:
             raise ValueError("cache_blocks must be >= 1")
         if self.merge_fan_in < 2:
             raise ValueError("merge_fan_in must be >= 2")
-        if self.merge_workers < 0:
-            raise ValueError("merge_workers must be >= 0")
 
     def replacing(self, **overrides: object) -> "StoreConfig":
         """A copy with every non-``None`` override applied.

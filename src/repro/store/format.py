@@ -44,6 +44,12 @@ hold only the lexicon in RAM and decode blocks on demand through a shared
 LRU :class:`BlockCache`; any structural damage (bad magic, unknown
 version, truncated varints, out-of-range block extents) raises
 :class:`RunFormatError` instead of returning garbage counts.
+
+The writer's entry loop, :func:`encode_key` and the block decoder avoid
+per-byte Python loops (almost every varint of a run is one byte).  The
+byte-at-a-time code they replaced is kept verbatim in
+``tests/store/reference_codec.py`` and the differential suite holds these
+paths to it byte for byte — change both or neither.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import struct
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -78,6 +85,13 @@ DEFAULT_BLOCK_SIZE = 4096
 
 _HEADER = struct.Struct("<4sHHIQIQ")
 _INDEX_TAIL = struct.Struct("<QII")
+
+#: The one-byte uvarints.  Almost every length, prefix and count of a run
+#: is below 128, so the codec's fast paths never enter the varint loops.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(128))
+
+#: Tags whose encoded chunk :func:`encode_key` keeps (LRU).
+TAG_CHUNK_CACHE_SIZE = 4096
 
 #: Process-wide token source distinguishing readers inside a shared
 #: :class:`BlockCache` (ids of dead readers must never collide with new
@@ -119,15 +133,28 @@ def _read_uvarint(data, pos: int, end: int) -> tuple[int, int]:
             raise RunFormatError("varint overflows 64 bits")
 
 
+def _uvarint(value: int) -> bytes:
+    if value < 128:
+        return _ONE_BYTE[value]
+    out = bytearray()
+    _write_uvarint(out, value)
+    return bytes(out)
+
+
+@lru_cache(maxsize=TAG_CHUNK_CACHE_SIZE)
+def _tag_chunk(tag: str) -> bytes:
+    """One tag as it sits inside an encoded key: ``uvarint len · utf-8``.
+
+    Bounded on purpose: an out-of-core store must not grow a table with
+    the tag vocabulary, and an evicted tag just costs one re-encode.
+    """
+    raw = tag.encode("utf-8")
+    return _uvarint(len(raw)) + raw
+
+
 def encode_key(key: tuple[str, ...]) -> bytes:
     """A tag tuple as the canonical sort-and-storage byte string."""
-    out = bytearray()
-    _write_uvarint(out, len(key))
-    for tag in key:
-        raw = tag.encode("utf-8")
-        _write_uvarint(out, len(raw))
-        out += raw
-    return bytes(out)
+    return _uvarint(len(key)) + b"".join(map(_tag_chunk, key))
 
 
 def decode_key(data: bytes) -> tuple[str, ...]:
@@ -139,7 +166,10 @@ def decode_key(data: bytes) -> tuple[str, ...]:
         length, pos = _read_uvarint(data, pos, end)
         if pos + length > end:
             raise RunFormatError("truncated tag in encoded key")
-        tags.append(data[pos:pos + length].decode("utf-8"))
+        try:
+            tags.append(data[pos:pos + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise RunFormatError("invalid utf-8 in encoded key") from None
         pos += length
     if pos != end:
         raise RunFormatError("trailing bytes after encoded key")
@@ -202,9 +232,12 @@ def write_run(
             out.write(b"\x00" * _HEADER.size)
             offset = _HEADER.size
             block = bytearray()
+            append = block.append
             block_first: bytes | None = None
             block_entries = 0
             prev_key = b""
+            prev_len = 0
+            from_bytes = int.from_bytes
             for key, value in entries:
                 if n_entries and key <= prev_key:
                     raise ValueError(
@@ -215,33 +248,49 @@ def write_run(
                         raise ValueError(
                             "raw-value runs require non-empty bytes values"
                         )
+                    number = len(value)
                 elif value <= 0:
                     raise ValueError("run counts must be positive")
+                else:
+                    number = value
+                key_len = len(key)
                 if block_first is None:
                     block_first = key
                     shared = 0
                 else:
-                    limit = min(len(key), len(prev_key))
-                    shared = 0
-                    while shared < limit and key[shared] == prev_key[shared]:
-                        shared += 1
-                suffix = key[shared:]
-                _write_uvarint(block, shared)
-                _write_uvarint(block, len(suffix))
-                block += suffix
-                if raw_values:
-                    _write_uvarint(block, len(value))
-                    block += value
+                    # Shared-prefix length without a loop over bytes: the
+                    # XOR of the two common-length heads, read as
+                    # big-endian integers, has its top set bit inside the
+                    # first differing byte (0 when one key is a prefix of
+                    # the other).
+                    limit = key_len if key_len < prev_len else prev_len
+                    differing = (
+                        from_bytes(key[:limit], "big")
+                        ^ from_bytes(prev_key[:limit], "big")
+                    )
+                    shared = limit - (differing.bit_length() + 7 >> 3)
+                suffix_len = key_len - shared
+                if shared < 128 and suffix_len < 128 and number < 128:
+                    append(shared)
+                    append(suffix_len)
+                    block += key[shared:]
+                    append(number)
                 else:
-                    _write_uvarint(block, value)
+                    _write_uvarint(block, shared)
+                    _write_uvarint(block, suffix_len)
+                    block += key[shared:]
+                    _write_uvarint(block, number)
+                if raw_values:
+                    block += value
                 prev_key = key
+                prev_len = key_len
                 block_entries += 1
                 n_entries += 1
                 if len(block) >= block_size:
                     out.write(block)
                     index.append((block_first, offset, len(block), block_entries))
                     offset += len(block)
-                    block = bytearray()
+                    block.clear()
                     block_first = None
                     block_entries = 0
             if block_first is not None:
@@ -449,16 +498,29 @@ class RunReader:
             ) from None
 
     def _decode_block_raw(self, index: int) -> list[tuple[bytes, int]]:
+        # One copy out of the mmap, then plain ``bytes`` indexing: a varint
+        # below 128 is the byte itself, anything else (a continuation
+        # byte, or the end of the block) goes through _read_uvarint and
+        # its checks.
         start = self._offsets[index]
-        end = start + self._lengths[index]
-        data = self._map
+        data = self._map[start:start + self._lengths[index]]
+        end = len(data)
         raw = self.raw_values
         entries: list[tuple[bytes, int]] = []
+        append = entries.append
         prev = b""
-        pos = start
+        pos = 0
         while pos < end:
-            shared, pos = _read_uvarint(data, pos, end)
-            suffix_len, pos = _read_uvarint(data, pos, end)
+            shared = data[pos]
+            if shared < 128:
+                pos += 1
+            else:
+                shared, pos = _read_uvarint(data, pos, end)
+            if pos < end and data[pos] < 128:
+                suffix_len = data[pos]
+                pos += 1
+            else:
+                suffix_len, pos = _read_uvarint(data, pos, end)
             if shared > len(prev):
                 raise RunFormatError(
                     f"{self.path}: block {index} prefix length {shared} "
@@ -468,20 +530,22 @@ class RunReader:
                 raise RunFormatError(
                     f"{self.path}: truncated entry in block {index}"
                 )
-            key = prev[:shared] + bytes(data[pos:pos + suffix_len])
+            key = prev[:shared] + data[pos:pos + suffix_len]
             pos += suffix_len
+            if pos < end and data[pos] < 128:
+                number = data[pos]
+                pos += 1
+            else:
+                number, pos = _read_uvarint(data, pos, end)
             if raw:
-                value_len, pos = _read_uvarint(data, pos, end)
-                if pos + value_len > end:
+                if pos + number > end:
                     raise RunFormatError(
                         f"{self.path}: truncated value in block {index}"
                     )
-                value = bytes(data[pos:pos + value_len])
-                pos += value_len
-                entries.append((key, value))
+                append((key, data[pos:pos + number]))
+                pos += number
             else:
-                count, pos = _read_uvarint(data, pos, end)
-                entries.append((key, count))
+                append((key, number))
             prev = key
         if len(entries) != self._counts[index]:
             raise RunFormatError(

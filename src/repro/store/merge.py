@@ -1,15 +1,14 @@
-"""K-way run merges — serial and parallel-layered.
+"""K-way run merges, layered past the fan-in.
 
-Merging reuses the ``multiprocessing`` machinery the sharded executor
-established: when more than ``fan_in`` runs accumulate, they are grouped
-into fan-in-sized batches and each batch is merged by a pool worker
-(sorted runs → layered k-way merges, the SNIPPETS.md search-engine
-schedule), layer after layer, until one run remains.  Two situations fall
-back to a fully serial merge:
-
-* inside sharded-executor workers — those are daemon processes, which
-  ``multiprocessing`` forbids from spawning children, and
-* when there is only one group to merge anyway (parallelism buys nothing).
+When more than ``fan_in`` runs accumulate, they are grouped into
+fan-in-sized batches and each batch is merged (sorted runs → layered k-way
+merges, the SNIPPETS.md search-engine schedule), layer after layer, until
+one run remains.  Merges run one after another in the calling process, on
+purpose: the last layer is always a single merge over every entry, so a
+pool over a layer's groups can win at most 1.33× on two cores, measured
+1.25× at 16 × 65 536 entries and nothing at benchmark size, and costs a
+fork of the caller per worker (docs/PERFORMANCE.md "Spill cost: before /
+after").
 
 Every individual merge is itself crash-safe: it streams through
 :func:`repro.store.format.write_run`, so a failed merge leaves only its
@@ -19,7 +18,6 @@ the owning store sweeps on ``clear()``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -30,9 +28,6 @@ from .format import DEFAULT_BLOCK_SIZE, RunReader, merged_entries, write_run
 #: Largest number of runs one merge consumes; beyond it merges are layered.
 DEFAULT_MERGE_FAN_IN = 8
 
-#: Upper bound on pool workers when ``workers=0`` asks for auto-sizing.
-MAX_AUTO_MERGE_WORKERS = 4
-
 
 @dataclass(frozen=True)
 class MergeResult:
@@ -41,7 +36,6 @@ class MergeResult:
     path: str
     entries: int
     merges: int
-    parallel_merges: int
     seconds: float
 
 
@@ -82,47 +76,15 @@ def merge_runs(
     return os.fspath(destination)
 
 
-def _merge_group(args: tuple[list[str], str, int, object]) -> str:
-    """Pool-worker entry point (module-level, hence picklable).
-
-    ``combine`` rides along in the args tuple, so it must itself be a
-    module-level function for the parallel path to pickle it.  ``None``
-    (count merges) keeps the two-argument call shape.
-    """
-    sources, destination, block_size, combine = args
-    if combine is None:
-        return merge_runs(sources, destination, block_size=block_size)
-    return merge_runs(
-        sources, destination, block_size=block_size, combine=combine
-    )
-
-
-def resolve_merge_workers(workers: int) -> int:
-    """Resolve the worker count (0 = auto, capped; 1 = serial)."""
-    if workers > 0:
-        return workers
-    return max(1, min(MAX_AUTO_MERGE_WORKERS, os.cpu_count() or 1))
-
-
-def parallel_merges_allowed() -> bool:
-    """Whether this process may spawn merge workers.
-
-    Sharded-executor workers are daemon processes; ``multiprocessing``
-    refuses to give daemons children, so merges inside them run serially.
-    """
-    return not multiprocessing.current_process().daemon
-
-
 def compact_runs(
     sources: Sequence[str],
     make_path: Callable[[int, int], str],
     *,
     fan_in: int = DEFAULT_MERGE_FAN_IN,
-    workers: int = 0,
     block_size: int = DEFAULT_BLOCK_SIZE,
     combine=None,
 ) -> MergeResult:
-    """Merge ``sources`` down to one run, in parallel layers where possible.
+    """Merge ``sources`` down to one run, in layers of ``fan_in``.
 
     ``make_path(layer, index)`` names intermediate and final outputs.
     Consumed inputs (including intermediates) are deleted as soon as the
@@ -140,37 +102,28 @@ def compact_runs(
     paths = [os.fspath(path) for path in sources]
     if len(paths) < 2:
         raise ValueError("compact_runs needs at least two source runs")
-    workers = resolve_merge_workers(workers)
     started = time.perf_counter()
     merges = 0
-    parallel_merges = 0
     layer = 0
     while len(paths) > 1:
         groups = [paths[i:i + fan_in] for i in range(0, len(paths), fan_in)]
         outputs: list[str] = []
-        jobs: list[tuple[list[str], str, int, object]] = []
         for index, group in enumerate(groups):
             if len(group) == 1:
                 # A straggler group passes through to the next layer as-is.
                 outputs.append(group[0])
                 continue
             destination = make_path(layer, index)
-            jobs.append((group, destination, block_size, combine))
-            outputs.append(destination)
-        if len(jobs) > 1 and workers > 1 and parallel_merges_allowed():
-            with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-                pool.map(_merge_group, jobs)
-            parallel_merges += len(jobs)
-        else:
-            for job in jobs:
-                _merge_group(job)
-        for group, _destination, _bs, _combine in jobs:
+            merge_runs(
+                group, destination, block_size=block_size, combine=combine
+            )
             for path in group:
                 try:
                     os.unlink(path)
                 except OSError:
                     pass
-        merges += len(jobs)
+            outputs.append(destination)
+            merges += 1
         paths = outputs
         layer += 1
     final_reader = RunReader(paths[0])
@@ -180,6 +133,5 @@ def compact_runs(
         path=paths[0],
         entries=entries,
         merges=merges,
-        parallel_merges=parallel_merges,
         seconds=time.perf_counter() - started,
     )

@@ -55,7 +55,6 @@ class SpillingCounterStore:
         block_size: int | None = None,
         cache_blocks: int | None = None,
         merge_fan_in: int | None = None,
-        merge_workers: int | None = None,
         config: StoreConfig | None = None,
     ) -> None:
         config = (config or StoreConfig()).replacing(
@@ -64,15 +63,8 @@ class SpillingCounterStore:
             block_size=block_size,
             cache_blocks=cache_blocks,
             merge_fan_in=merge_fan_in,
-            merge_workers=merge_workers,
         )
         self.config = config
-        self._root = config.spill_dir
-        self._threshold = config.spill_threshold
-        self._block_size = config.block_size
-        self._cache_blocks = config.cache_blocks
-        self._fan_in = config.merge_fan_in
-        self._merge_workers = config.merge_workers
         self._hot: Counter = Counter()
         self._runs: list[RunReader] = []
         self._cache = BlockCache(config.cache_blocks)
@@ -84,7 +76,6 @@ class SpillingCounterStore:
             "runs_written": 0,
             "run_bytes_written": 0,
             "merges": 0,
-            "parallel_merges": 0,
             "merge_seconds": 0.0,
         }
 
@@ -100,7 +91,7 @@ class SpillingCounterStore:
         :meth:`close`, and by a GC finalizer as a backstop.
         """
         if self._dir is None:
-            root = self._root
+            root = self.config.spill_dir
             if root is not None:
                 os.makedirs(root, exist_ok=True)
             self._dir = tempfile.mkdtemp(prefix="repro-spill-", dir=root)
@@ -127,7 +118,7 @@ class SpillingCounterStore:
         """Count one occurrence of every key in ``keys`` (Counter.update)."""
         hot = self._hot
         hot.update(keys)
-        if len(hot) >= self._threshold:
+        if len(hot) >= self.config.spill_threshold:
             self.spill()
 
     def spill(self) -> None:
@@ -137,7 +128,7 @@ class SpillingCounterStore:
             return
         rows = sorted((encode_key(key), count) for key, count in hot.items())
         result = write_run(
-            self._next_path("run"), rows, block_size=self._block_size
+            self._next_path("run"), rows, block_size=self.config.block_size
         )
         self._runs.append(RunReader(result.path, self._cache))
         stats = self._stats
@@ -151,9 +142,9 @@ class SpillingCounterStore:
 
         Report folds perform one lookup per lattice position; against n
         runs each lookup would cost n probes, so the runs are k-way-merged
-        (in parallel layers when the process may spawn workers) down to a
-        single run first.  A failed merge sweeps every on-disk artefact of
-        this store before propagating — no orphaned runs on abort paths.
+        (in layers of ``merge_fan_in``) down to a single run first.  A
+        failed merge sweeps every on-disk artefact of this store before
+        propagating — no orphaned runs on abort paths.
         """
         if len(self._runs) < 2:
             return
@@ -165,9 +156,8 @@ class SpillingCounterStore:
             result = compact_runs(
                 paths,
                 lambda layer, index: self._next_path(f"merge{layer}"),
-                fan_in=self._fan_in,
-                workers=self._merge_workers,
-                block_size=self._block_size,
+                fan_in=self.config.merge_fan_in,
+                block_size=self.config.block_size,
             )
         except BaseException:
             self._sweep_run_files()
@@ -175,7 +165,6 @@ class SpillingCounterStore:
         self._runs = [RunReader(result.path, self._cache)]
         stats = self._stats
         stats["merges"] += result.merges
-        stats["parallel_merges"] += result.parallel_merges
         stats["merge_seconds"] += result.seconds
 
     def _sweep_run_files(self) -> None:
@@ -219,7 +208,7 @@ class SpillingCounterStore:
     # Read path (the Counter-compatible mapping surface)
     # ------------------------------------------------------------------ #
     def __getitem__(self, key: tuple[str, ...]) -> int:
-        total = self._hot[key]
+        total = self._hot.get(key, 0)
         runs = self._runs
         if runs:
             encoded = encode_key(key)

@@ -55,6 +55,7 @@ from typing import Iterable, Iterator
 from .config import StoreConfig
 from .format import (
     BlockCache,
+    RunFormatError,
     RunReader,
     _read_uvarint,
     _write_uvarint,
@@ -71,17 +72,25 @@ TRACKER_STORES = ("dict", "spill")
 
 _JACCARD = struct.Struct("<d")
 
+#: A record whose support and reports are both below 128 — almost every
+#: one — is exactly these 10 bytes (a one-byte uvarint is the byte).
+_SMALL_RECORD = struct.Struct("<dBB")
+
 
 # --------------------------------------------------------------------- #
 # The coefficient record codec and its merge combiner
 # --------------------------------------------------------------------- #
 def encode_value(jaccard: float, support: int, reports: int) -> bytes:
-    """One coefficient record as raw run-file bytes.
+    """One coefficient record as raw run-file bytes:
+    ``<d jaccard · uvarint support · uvarint reports``.
 
     The jaccard travels as its exact IEEE-754 double bits — a spilled
     coefficient read back ``repr()``s identically to the float the
     Calculator emitted, which the digest equivalence depends on.
     """
+    if 0 <= support < 128 and 0 <= reports < 128:
+        # Both varints are the byte itself: one fixed 10-byte pack.
+        return _SMALL_RECORD.pack(jaccard, support, reports)
     out = bytearray(_JACCARD.pack(jaccard))
     _write_uvarint(out, support)
     _write_uvarint(out, reports)
@@ -89,17 +98,33 @@ def encode_value(jaccard: float, support: int, reports: int) -> bytes:
 
 
 def decode_value(data: bytes) -> tuple[float, int, int]:
-    """Inverse of :func:`encode_value`: ``(jaccard, support, reports)``."""
-    jaccard = _JACCARD.unpack_from(data, 0)[0]
+    """Inverse of :func:`encode_value`: ``(jaccard, support, reports)``.
+
+    Strict, like the rest of the reader: a record too short for its
+    double or its varints, or with bytes left over, is a
+    :class:`RunFormatError`, never a mis-decoded coefficient.
+    """
     end = len(data)
+    if end == _SMALL_RECORD.size:
+        record = _SMALL_RECORD.unpack(data)
+        if record[1] < 128 and record[2] < 128:
+            return record
+    if end < _JACCARD.size:
+        raise RunFormatError(
+            f"coefficient record of {end} bytes is too short for its jaccard"
+        )
+    jaccard = _JACCARD.unpack_from(data, 0)[0]
     support, pos = _read_uvarint(data, _JACCARD.size, end)
     reports, pos = _read_uvarint(data, pos, end)
+    if pos != end:
+        raise RunFormatError(
+            f"{end - pos} trailing bytes after a coefficient record"
+        )
     return jaccard, support, reports
 
 
 def combine_max_support(old: bytes, new: bytes) -> bytes:
-    """Fold two records of one tagset, oldest first (module-level, so the
-    parallel merge pool can pickle it).
+    """Fold two records of one tagset, oldest first.
 
     The newer record displaces only on *strictly greater* support — equal
     support keeps the incumbent, mirroring ``TrackerBolt``'s in-RAM rule —
@@ -114,6 +139,39 @@ def combine_max_support(old: bytes, new: bytes) -> bytes:
 
 def _encode_tagset(tagset: frozenset) -> bytes:
     return encode_key(tuple(sorted(tagset)))
+
+
+def _sorted_rows(hot: dict) -> list[tuple[bytes, bytes]]:
+    """A hot segment as run entries — ``(encoded key, record)`` in key
+    order.  Hot entries are ``[jaccard, support, reports, encoded]``;
+    ``encoded`` is the key's bytes when a run probe already computed them
+    (else ``None``), so a tagset is sorted and encoded once."""
+    return sorted(
+        (entry[3] or _encode_tagset(key),
+         encode_value(entry[0], entry[1], entry[2]))
+        for key, entry in hot.items()
+    )
+
+
+def _folded_record(readers: list, hot: dict, tagset: frozenset) -> bytes | None:
+    """One tagset's record folded over ``readers`` (oldest first) and then
+    its hot entry — the point-query twin of the merge fold."""
+    merged: bytes | None = None
+    if readers:
+        encoded = _encode_tagset(tagset)
+        for reader in readers:
+            value = reader.get(encoded)
+            if value is not None:
+                merged = value if merged is None else (
+                    combine_max_support(merged, value)
+                )
+    entry = hot.get(tagset)
+    if entry is not None:
+        hot_value = encode_value(entry[0], entry[1], entry[2])
+        merged = hot_value if merged is None else (
+            combine_max_support(merged, hot_value)
+        )
+    return merged
 
 
 def select_top_k(
@@ -168,7 +226,6 @@ class SpillingTrackerStore:
         block_size: int | None = None,
         cache_blocks: int | None = None,
         merge_fan_in: int | None = None,
-        merge_workers: int | None = None,
         config: StoreConfig | None = None,
     ) -> None:
         config = (config or StoreConfig()).replacing(
@@ -177,13 +234,12 @@ class SpillingTrackerStore:
             block_size=block_size,
             cache_blocks=cache_blocks,
             merge_fan_in=merge_fan_in,
-            merge_workers=merge_workers,
         )
         self.config = config
-        # Hot entries are [jaccard, support, reports] lists (mutated in
-        # place) keyed by tagset; a hot entry for a run-resident tagset is
-        # a pure *delta* — the fold with the run record happens at read or
-        # merge time via combine_max_support.
+        # Hot entries are [jaccard, support, reports, encoded key or None]
+        # lists (mutated in place) keyed by tagset; a hot entry for a
+        # run-resident tagset is a pure *delta* — the fold with the run
+        # record happens at read or merge time via combine_max_support.
         self._hot: dict[frozenset, list] = {}
         self._runs: list[RunReader] = []
         self._cache = BlockCache(config.cache_blocks)
@@ -196,7 +252,6 @@ class SpillingTrackerStore:
             "runs_written": 0,
             "run_bytes_written": 0,
             "merges": 0,
-            "parallel_merges": 0,
             "merge_seconds": 0.0,
             "membership_probes": 0,
             "snapshot_entries_copied": 0,
@@ -231,12 +286,12 @@ class SpillingTrackerStore:
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
-    def _seen_in_runs(self, tagset: frozenset) -> bool:
-        if not self._runs:
-            return False
+    def _seen_in_runs(self, encoded: bytes) -> bool:
         self._stats["membership_probes"] += 1
-        encoded = _encode_tagset(tagset)
-        return any(reader.get(encoded) is not None for reader in self._runs)
+        for reader in self._runs:
+            if reader.get(encoded) is not None:
+                return True
+        return False
 
     def ingest(self, results: Iterable[tuple]) -> tuple[int, int]:
         """Apply ``(tags, jaccard, support)`` triples; returns the
@@ -254,11 +309,12 @@ class SpillingTrackerStore:
             key = frozenset(tags)
             entry = hot.get(key)
             if entry is None:
-                if self._seen_in_runs(key):
+                encoded = _encode_tagset(key) if self._runs else None
+                if encoded is not None and self._seen_in_runs(encoded):
                     duplicates += 1
                 else:
                     self._distinct += 1
-                hot[key] = [float(jaccard), int(support), 1]
+                hot[key] = [float(jaccard), int(support), 1, encoded]
                 if len(hot) >= threshold:
                     self.spill()
             else:
@@ -275,12 +331,8 @@ class SpillingTrackerStore:
         hot = self._hot
         if not hot:
             return
-        rows = sorted(
-            (_encode_tagset(key), encode_value(*entry))
-            for key, entry in hot.items()
-        )
         result = write_run(
-            self._next_path("run"), rows,
+            self._next_path("run"), _sorted_rows(hot),
             block_size=self.config.block_size, raw_values=True,
         )
         self._runs.append(RunReader(result.path, self._cache))
@@ -309,7 +361,6 @@ class SpillingTrackerStore:
                 paths,
                 lambda layer, index: self._next_path(f"merge{layer}"),
                 fan_in=self.config.merge_fan_in,
-                workers=self.config.merge_workers,
                 block_size=self.config.block_size,
                 combine=combine_max_support,
             )
@@ -319,7 +370,6 @@ class SpillingTrackerStore:
         self._runs = [RunReader(result.path, self._cache)]
         stats = self._stats
         stats["merges"] += result.merges
-        stats["parallel_merges"] += result.parallel_merges
         stats["merge_seconds"] += result.seconds
 
     def _sweep_run_files(self) -> None:
@@ -359,33 +409,15 @@ class SpillingTrackerStore:
     # ------------------------------------------------------------------ #
     def get(self, tagset: frozenset) -> tuple[float, int, int] | None:
         """The folded ``(jaccard, support, reports)`` of one tagset."""
-        merged: bytes | None = None
-        if self._runs:
-            encoded = _encode_tagset(tagset)
-            for reader in self._runs:  # oldest first
-                value = reader.get(encoded)
-                if value is not None:
-                    merged = value if merged is None else (
-                        combine_max_support(merged, value)
-                    )
-        entry = self._hot.get(tagset)
-        if entry is not None:
-            hot_value = encode_value(*entry)
-            merged = hot_value if merged is None else (
-                combine_max_support(merged, hot_value)
-            )
+        merged = _folded_record(self._runs, self._hot, tagset)
         return decode_value(merged) if merged is not None else None
 
     def _merged_encoded(self) -> Iterator[tuple[bytes, bytes]]:
         streams: list[Iterator[tuple[bytes, bytes]]] = [
             reader.entries() for reader in self._runs  # oldest first
         ]
-        hot = self._hot
-        if hot:
-            streams.append(iter(sorted(
-                (_encode_tagset(key), encode_value(*entry))
-                for key, entry in hot.items()
-            )))
+        if self._hot:
+            streams.append(iter(_sorted_rows(self._hot)))
         return merged_entries(streams, combine=combine_max_support)
 
     def iter_entries(self) -> Iterator[tuple[frozenset, float, int, int]]:
@@ -396,7 +428,9 @@ class SpillingTrackerStore:
             yield frozenset(decode_key(key)), jaccard, support, reports
 
     def __contains__(self, tagset: frozenset) -> bool:
-        return tagset in self._hot or self._seen_in_runs(tagset)
+        return tagset in self._hot or (
+            bool(self._runs) and self._seen_in_runs(_encode_tagset(tagset))
+        )
 
     def __len__(self) -> int:
         return self._distinct
@@ -548,21 +582,7 @@ class RunBackedTrackerSnapshot:
     def coefficient(self, tagset: frozenset) -> tuple[float, int] | None:
         """The folded ``(jaccard, support)`` of one tagset, if reported."""
         with self._lock:
-            merged: bytes | None = None
-            if self._readers:
-                encoded = _encode_tagset(tagset)
-                for reader in self._readers:  # oldest first
-                    value = reader.get(encoded)
-                    if value is not None:
-                        merged = value if merged is None else (
-                            combine_max_support(merged, value)
-                        )
-            entry = self._hot.get(tagset)
-            if entry is not None:
-                hot_value = encode_value(*entry)
-                merged = hot_value if merged is None else (
-                    combine_max_support(merged, hot_value)
-                )
+            merged = _folded_record(self._readers, self._hot, tagset)
         if merged is None:
             return None
         jaccard, support, _reports = decode_value(merged)
@@ -572,12 +592,8 @@ class RunBackedTrackerSnapshot:
         streams: list[Iterator[tuple[bytes, bytes]]] = [
             reader.entries() for reader in self._readers
         ]
-        hot = self._hot
-        if hot:
-            streams.append(iter(sorted(
-                (_encode_tagset(key), encode_value(*entry))
-                for key, entry in hot.items()
-            )))
+        if self._hot:
+            streams.append(iter(_sorted_rows(self._hot)))
         for key, value in merged_entries(streams, combine=combine_max_support):
             jaccard, support, _reports = decode_value(value)
             yield frozenset(decode_key(key)), (jaccard, support)

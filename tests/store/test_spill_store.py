@@ -12,12 +12,9 @@ semantics (spill timing must be unobservable) these tests pin the
   rename loses at most an unpublished ``.tmp``);
 * an injected merge failure propagates *and* sweeps every ``*.run`` /
   ``*.tmp`` artefact of the store — the abort path leaks nothing;
-* forcing ``merge_workers=2`` over many small runs exercises the
-  parallel layered merge (pool workers), with identical results;
+* a tiny fan-in over many small runs exercises the layered merge, with
+  identical results;
 * pickling ships a run-file *manifest*, not decoded tables.
-
-Merge parallelism is always pinned (``merge_workers=1`` or ``=2``): no
-assertion here depends on ``os.cpu_count()``.
 """
 
 import os
@@ -157,12 +154,9 @@ class TestDurabilityOrdering:
 
 
 class TestMergeAbortHygiene:
-    def make_runs(self, tmp_path, n_runs=6, merge_workers=1):
-        """``merge_workers=1`` keeps every merge in this process, where the
-        monkeypatched ``merge_runs`` records and fails it."""
+    def make_runs(self, tmp_path, n_runs=6):
         store = SpillingCounterStore(
             spill_dir=str(tmp_path), spill_threshold=1 << 30, merge_fan_in=2,
-            merge_workers=merge_workers,
         )
         for index in range(n_runs):
             store.update([(f"tag{index}", f"tag{index + 1}")])
@@ -174,7 +168,7 @@ class TestMergeAbortHygiene:
         store = self.make_runs(tmp_path)
         directory = store.directory
 
-        def exploding_merge(sources, destination, *, block_size):
+        def exploding_merge(sources, destination, *, block_size, combine=None):
             raise OSError("disk on fire")
 
         monkeypatch.setattr(run_merge, "merge_runs", exploding_merge)
@@ -208,11 +202,11 @@ class TestMergeAbortHygiene:
         assert disk_artifacts(directory) == []
         store.close()
 
-    def test_failure_inside_a_pool_child_sweeps_intermediates(self, tmp_path):
-        """The ``merge_workers=2`` twin: the layer's three merges run in a
-        two-process pool and the one reading a truncated source run fails
-        *in a child*; the parent must still sweep what the others wrote."""
-        store = self.make_runs(tmp_path, n_runs=6, merge_workers=2)
+    def test_corrupt_source_run_sweeps_intermediates(self, tmp_path):
+        """The un-mocked twin: the last of the layer's three merges reads
+        a truncated source run and fails with the reader's own error; the
+        store must still sweep what the first two published."""
+        store = self.make_runs(tmp_path, n_runs=6)
         directory = store.directory
         victim = os.path.join(directory, disk_artifacts(directory)[-1])
         with open(victim, "r+b") as handle:
@@ -223,39 +217,34 @@ class TestMergeAbortHygiene:
         store.close()
 
 
-class TestParallelMerges:
-    def test_forced_pool_merge_matches_reference(self, tmp_path):
-        """``merge_workers=2`` with a tiny fan-in forces the layered pool
-        path (the 1-core auto default would stay serial); results must be
+class TestLayeredMerges:
+    def test_layered_merge_matches_reference(self, tmp_path):
+        """A tiny fan-in forces several merge layers; results must be
         identical to the reference Counter and leave exactly one run."""
         store = SpillingCounterStore(
             spill_dir=str(tmp_path),
             spill_threshold=40,
             merge_fan_in=2,
-            merge_workers=2,
         )
         reference = feed(store, 400)
         store.prepare_report()
         stats = store.stats()
-        assert stats["parallel_merges"] > 0
+        assert stats["merges"] > stats["runs_written"] // 2  # > one layer
         assert stats["runs_live"] == 1
         assert stats["merge_seconds"] > 0.0
         assert dict(store.items()) == dict(reference)
         store.close()
 
-    def test_daemon_processes_fall_back_to_serial(self, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setattr(
-            multiprocessing.current_process(), "_config",
-            {**multiprocessing.current_process()._config, "daemon": True},
-        )
-        assert not run_merge.parallel_merges_allowed()
-
-    def test_auto_worker_resolution_is_capped(self):
-        assert run_merge.resolve_merge_workers(3) == 3
-        auto = run_merge.resolve_merge_workers(0)
-        assert 1 <= auto <= run_merge.MAX_AUTO_MERGE_WORKERS
+    def test_nothing_under_the_store_reads_the_core_count(self):
+        """Merges are serial by measurement (docs/PERFORMANCE.md "Spill
+        cost"): the host's core count must not pick a code path."""
+        store_dir = os.path.dirname(spill_module.__file__)
+        for name in sorted(os.listdir(store_dir)):
+            if name.endswith(".py"):
+                with open(os.path.join(store_dir, name)) as source:
+                    text = source.read()
+                assert "cpu_count" not in text, name
+                assert "import multiprocessing" not in text, name
 
 
 class TestMappingSemantics:

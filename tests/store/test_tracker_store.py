@@ -102,6 +102,25 @@ class TestCodecAndCombiner:
         )
         assert decode_value(folded) == (0.5, 10, 5)
 
+    @pytest.mark.parametrize("damaged", [
+        b"",
+        b"\x00" * 7,                              # shorter than the double
+        b"\x00" * 8,                              # no support varint
+        b"\x00" * 8 + b"\x01",                    # no reports varint
+        b"\x00" * 8 + b"\x81",                    # support varint cut short
+        b"\x00" * 8 + b"\x81\x01",                # 10 bytes, but not 1 + 1
+        b"\x00" * 8 + b"\x01\x01\xff\xff",        # trailing bytes
+        b"\x00" * 8 + b"\x01\x81\x01\x00",        # trailing byte, slow path
+    ])
+    def test_damaged_record_is_a_format_error(self, damaged):
+        """A damaged raw-value run must not mis-decode a coefficient: too
+        short (used to leak ``struct.error``) and trailing bytes (used to
+        be ignored) are both the reader's pinned error."""
+        with pytest.raises(RunFormatError):
+            decode_value(damaged)
+        with pytest.raises(RunFormatError):
+            combine_max_support(encode_value(0.5, 3, 1), damaged)
+
     @given(values=st.lists(records, min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_any_segmentation_folds_identically(self, values):
