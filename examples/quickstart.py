@@ -34,7 +34,7 @@ def main() -> None:
 
     # 2. Configure the distributed system: 8 Calculators, 5 Partitioners,
     #    repartition when quality degrades by more than 50 %.  Swap
-    #    executor="process" (plus workers=N) to shard the Calculator/Tracker
+    #    executor="process" (plus workers=N) to shard the Calculator
     #    layer over worker processes, subset_cache_size=N to size the
     #    Calculators' subset-enumeration LRU, or
     #    include_centralized_baseline=False to skip the ground-truth bolt —

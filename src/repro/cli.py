@@ -13,7 +13,7 @@ Provides the handful of workflows a user needs without writing Python:
   ``--no-baseline`` skips the centralized ground truth (measurement runs
   that need no error metrics); ``--batch-size`` controls the Disseminator's
   notification micro-batches (``1`` disables batching); ``--executor
-  process`` shards the Calculator/Tracker layer across ``--workers``
+  process`` shards the Calculator layer across ``--workers``
   multiprocessing workers (identical logical metrics, see
   docs/PERFORMANCE.md); ``--counter-store spill`` keeps the window
   counters out of core in sorted on-disk run files merged at report time
@@ -187,8 +187,8 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                              "(estimate stddev is about 1/sqrt of this)")
     parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="inline",
                         help="execution engine: inline (single-process "
-                             "depth-first loop) or process (Calculator/"
-                             "Tracker layer sharded over worker processes)")
+                             "depth-first loop) or process (Calculator "
+                             "layer sharded over worker processes)")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes of the process executor "
                              "(0 = one per CPU core, capped at 4)")
@@ -314,6 +314,12 @@ def _print_report(report: RunReport) -> None:
     print(f"execution engine          : {report.executor_mode}"
           + (f" ({report.executor_workers} workers)"
              if report.executor_mode == "process" else ""))
+    if report.executor_mode == "process":
+        timings = report.timings
+        print(f"remote layer              : workers busy "
+              f"{timings['workers_busy']:.2f} s (summed), end-of-stream tail "
+              f"{timings['remote_tail']:.2f} s of a "
+              f"{timings['stream']:.2f} s stream phase")
     print(f"documents processed       : {report.documents_processed}")
     print(f"tagged documents          : {report.tagged_documents}")
     print(f"average communication     : {report.communication_avg:.3f}")
@@ -530,7 +536,7 @@ subcommands:
                 notification micro-batches, --link-batch to cap the
                 substrate's per-link batches (1 = per-message delivery),
                 --executor process --workers N to shard the
-                Calculator/Tracker layer over worker processes,
+                Calculator layer over worker processes,
                 --counter-store spill to keep window counters out of
                 core in sorted on-disk run files)
   compare       run several partitioning algorithms over the same trace and
@@ -550,7 +556,7 @@ examples:
   # Approximate tracking mode with batched notifications:
   python -m repro.cli run --documents 8000 --calculator sketch --batch-size 64
 
-  # Shard the Calculator/Tracker layer over 4 worker processes:
+  # Shard the Calculator layer over 4 worker processes:
   python -m repro.cli run --documents 8000 --executor process --workers 4
 
   # Fastest exact-mode measurement run: no centralized baseline:

@@ -286,6 +286,18 @@ class SubsetTupleCache:
         """Drop all entries (accounting is preserved)."""
         self._entries.clear()
 
+    def __getstate__(self) -> tuple[int, int | None, int, int, int]:
+        # The enumerations are derived data: a copy in another process
+        # rebuilds them on demand, so only the bounds and the accounting
+        # are pickled (a Calculator returning from a worker shard would
+        # otherwise ship megabytes of tuples nobody reads again).
+        return (self.capacity, self.max_subset_size,
+                self.hits, self.misses, self.evictions)
+
+    def __setstate__(self, state: tuple[int, int | None, int, int, int]) -> None:
+        self.__init__(state[0], state[1])
+        self.hits, self.misses, self.evictions = state[2:]
+
 
 #: Per-arity sign vectors of the subset lattice: ``_SIGNS[m][mask]`` is
 #: ``(−1)^{popcount(mask)}``, the inclusion–exclusion sign of the subset

@@ -152,7 +152,7 @@ class SystemConfig:
     scenario: str | None = None
 
     #: Execution engine: ``"inline"`` runs the whole topology depth-first in
-    #: this process; ``"process"`` shards the Calculator/Tracker layer across
+    #: this process; ``"process"`` shards the Calculator layer across
     #: ``multiprocessing`` workers (identical logical metrics, see
     #: docs/PERFORMANCE.md for when it pays off); ``"service"`` feeds the
     #: same depth-first loop from a bounded cross-thread ingest queue — the

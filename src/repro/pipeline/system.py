@@ -17,8 +17,8 @@ every metric of the paper's evaluation into a :class:`RunReport`:
 * Sketch accuracy — MinHash/Count-Min parameters and tracked-key counts
   when the approximate tracking mode (``calculator="sketch"``) is active,
 * Execution engine — which executor ran the topology (``executor_mode``)
-  and how many worker processes the Calculator/Tracker layer was sharded
-  over (``executor_workers``); logical metrics are executor-independent.
+  and how many worker processes the Calculator layer was sharded over
+  (``executor_workers``); logical metrics are executor-independent.
 """
 
 from __future__ import annotations
@@ -123,32 +123,6 @@ class SketchCalculatorFactory:
         )
 
 
-@dataclass(frozen=True)
-class TrackerFactory:
-    """Picklable factory for the Tracker bolt (see above).
-
-    Carries the tracker-store selection into worker processes: under the
-    process executor the Tracker is a remote component, so its spill store
-    — when enabled — lives (and spills) inside a worker shard and ships
-    its run manifest back at finalize time.
-    """
-
-    tracker_store: str = "dict"
-    spill_dir: str | None = None
-    spill_threshold: int | None = None
-
-    def __call__(self) -> TrackerBolt:
-        if self.tracker_store == "dict":
-            return TrackerBolt()
-        return TrackerBolt(
-            tracker_store=self.tracker_store,
-            store_config=StoreConfig().replacing(
-                spill_dir=self.spill_dir,
-                spill_threshold=self.spill_threshold,
-            ),
-        )
-
-
 @dataclass(slots=True)
 class RunReport:
     """All evaluation metrics of one run of the system."""
@@ -199,8 +173,8 @@ class RunReport:
     sketch_stats: dict[str, float] | None = None
     #: Which execution engine ran the topology: "inline" or "process".
     executor_mode: str = "inline"
-    #: Worker processes the Calculator/Tracker layer was sharded over
-    #: (1 in inline mode).
+    #: Worker processes the Calculator layer was sharded over (1 in
+    #: inline mode).
     executor_workers: int = 1
     #: Aggregate hit/miss/eviction accounting of the exact Calculators'
     #: subset-tuple LRU caches (None in sketch mode).
@@ -242,8 +216,12 @@ class RunReport:
     #: + metric collection); "gc" is the part of stream + reporting this
     #: process spent paused in the cyclic GC and "gc_workers" the same
     #: summed over the process executor's workers (parallel to the driver,
-    #: so not a share of its wall-clock).  Informational only — excluded
-    #: from the logical-equivalence contract, unlike every field above.
+    #: so not a share of its wall-clock), "workers_busy" the seconds those
+    #: workers spent handling requests (summed likewise) and "remote_tail"
+    #: the part of "stream" between the last spout call and the end of the
+    #: workers' finalisation (both 0.0 without workers).  Informational
+    #: only — excluded from the logical-equivalence contract, unlike every
+    #: field above.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -374,14 +352,11 @@ class TagCorrelationSystem:
             parallelism=config.k,
         ).direct_grouping(streams.DISSEMINATOR, streams.NOTIFICATIONS)
 
+        # A driver-side bolt under every executor (the process executor
+        # relays the Calculators' report batches to it): its table — and its
+        # spill store, when enabled — never crosses a pipe.
         builder.set_bolt(
-            streams.TRACKER,
-            TrackerFactory(
-                tracker_store=config.tracker_store,
-                spill_dir=config.spill_dir,
-                spill_threshold=config.resolved_tracker_spill_threshold(),
-            ),
-            parallelism=1,
+            streams.TRACKER, self._tracker, parallelism=1
         ).shuffle_grouping(streams.CALCULATOR, streams.COEFFICIENTS)
 
         if config.include_centralized_baseline:
@@ -427,17 +402,29 @@ class TagCorrelationSystem:
             report_chunk_size=config.report_chunk_size,
         )
 
+    def _tracker(self) -> TrackerBolt:
+        config = self.config
+        if config.tracker_store == "dict":
+            return TrackerBolt()
+        return TrackerBolt(
+            tracker_store=config.tracker_store,
+            store_config=StoreConfig().replacing(
+                spill_dir=config.spill_dir,
+                spill_threshold=config.resolved_tracker_spill_threshold(),
+            ),
+        )
+
     def _build_executor(self) -> Executor:
         """The execution engine selected by ``SystemConfig.executor``.
 
-        In process mode the Calculator/Tracker layer — the only pure sink
-        layer of the Figure-2 topology — is sharded across workers; every
-        upstream operator stays in the driver.
+        In process mode the Calculators are sharded across workers; every
+        upstream operator and the Tracker — the terminal consumer their
+        report batches are relayed to — stay in the driver.
         """
         return make_executor(
             self.config.executor,
             workers=self.config.resolved_workers(),
-            remote_components=(streams.CALCULATOR, streams.TRACKER),
+            remote_components=(streams.CALCULATOR,),
             queue_limit=self.config.service_queue_limit,
             drain_chunk_size=self.config.report_chunk_size,
         )
@@ -513,6 +500,8 @@ class TagCorrelationSystem:
         ]
         report.timings["gc"] = cluster.gc_tally.pause_seconds
         report.timings["gc_workers"] = cluster.worker_gc_tally.pause_seconds
+        report.timings["workers_busy"] = cluster.executor.workers_busy_seconds
+        report.timings["remote_tail"] = cluster.executor.remote_tail_seconds
         return report
 
     def _gather_report(self, cluster: Cluster) -> RunReport:

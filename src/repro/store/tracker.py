@@ -459,7 +459,7 @@ class SpillingTrackerStore:
         )
 
     # ------------------------------------------------------------------ #
-    # Stats and pickling
+    # Stats
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, float]:
         """Cumulative spill/merge accounting plus block-cache counters."""
@@ -473,41 +473,11 @@ class SpillingTrackerStore:
         return stats
 
     def __getstate__(self) -> dict:
-        # Manifest protocol, like the counter store — but ownership of the
-        # spill directory *moves with the pickle*: the sender detaches its
-        # GC finalizer, otherwise a worker process exiting after shipping
-        # the bolt back would rmtree the directory the driver adopted.
-        manifest = [reader.path for reader in self._runs]
-        if manifest and self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        return {
-            "config": self.config,
-            "hot": {key: tuple(entry) for key, entry in self._hot.items()},
-            "distinct": self._distinct,
-            "manifest": manifest,
-            "stats": dict(self._stats),
-            "cache_counters": (
-                self._cache.hits, self._cache.misses, self._cache.evictions
-            ),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(config=state["config"])
-        self._hot = {key: list(entry) for key, entry in state["hot"].items()}
-        self._distinct = state["distinct"]
-        self._stats.update(state["stats"])
-        self._cache.hits, self._cache.misses, self._cache.evictions = (
-            state["cache_counters"]
+        raise TypeError(
+            "SpillingTrackerStore is not picklable: it owns its spill "
+            "directory and open run files; the Tracker stays in the process "
+            "that built it (export_triples() / iter_entries() copy its table)"
         )
-        manifest = state["manifest"]
-        if manifest:
-            # Adopt the sender's directory (and its cleanup duty).
-            self._dir = os.path.dirname(manifest[0])
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, self._dir, True
-            )
-            self._runs = [RunReader(path, self._cache) for path in manifest]
 
 
 class RunBackedTrackerSnapshot:

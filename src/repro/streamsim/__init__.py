@@ -16,7 +16,7 @@ format".
 Execution is pluggable (``executors.py``): the default ``InlineExecutor``
 runs everything depth-first in one process, while the
 ``ShardedProcessExecutor`` shards a sink layer of components (the
-Calculator/Tracker layer in the paper's topology) across ``multiprocessing``
+Calculator layer in the paper's topology) across ``multiprocessing``
 workers without changing any logical metric.
 """
 

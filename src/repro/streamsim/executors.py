@@ -9,10 +9,9 @@ pushed through the deployed graph is the job of an :class:`Executor`:
   This is the reference engine every other executor must be logically
   equivalent to.
 * :class:`ShardedProcessExecutor` — keeps the upstream operators (Spout →
-  Parser → Partitioner → Merger → Disseminator in the paper's topology) in
-  the driver process and shards a configurable *remote layer* of downstream
-  components (Calculator × k and the Tracker) across ``multiprocessing``
-  workers.
+  Parser → Partitioner → Merger → Disseminator in the paper's topology) and
+  the terminal Tracker in the driver process and shards a *remote layer* of
+  components (Calculator × k) across ``multiprocessing`` workers.
 * :class:`AsyncServiceExecutor` — the always-on engine behind
   ``repro.service``: documents arrive over a bounded ingest queue fed by
   other threads (:meth:`AsyncServiceExecutor.submit`) instead of a
@@ -24,55 +23,49 @@ pushed through the deployed graph is the job of an :class:`Executor`:
 
 Sharding model
 --------------
-The remote layer must be a pure *sink layer*: nothing upstream may subscribe
-to any of its streams.  That holds for the paper's Figure-2 topology — the
-Calculators only feed the Tracker and the Tracker feeds nobody — and it is
-what makes process-sharding deterministic:
+*Remote layer.*  Tasks of each remote component are assigned round-robin to
+worker shards (``task_index % workers``).  A remote stream may feed another
+remote component or a *terminal* driver-side one (nothing subscribes to its
+streams — the Tracker); anything else is rejected at attach time, because
+relayed tuples arrive late and must not re-enter the pipeline.
 
-* Tasks of each remote component are assigned round-robin to worker shards
-  (``task_index % workers``); the parallelism-1 Tracker lands on shard 0.
-* Every link batch the driver would deliver to a remote task is shipped to
-  its shard's input queue instead.  The IPC unit is the slot-tuple batch —
-  the same per-edge message list the inline engine hands to
-  ``execute_batch`` — and slot tuples pickle as plain value tuples plus an
-  interned schema reference, which is what keeps the per-message pickling
-  tax low (a notification batch additionally carries a whole
-  ``notification_batch_size`` micro-batch in one slot).
-* Simulated-clock ticks are broadcast to every shard as control messages on
-  the same FIFO queues, so each remote bolt observes exactly the same
-  interleaving of *driver-routed* deliveries and ticks as it would inline.
-* Remote bolts never route directly; their emissions are buffered in the
-  worker and relayed through the driver at end-of-stream flush, in shard
-  order, through the normal routing (and accounting) machinery.  This is
-  the one semantic difference from inline: a remote bolt consuming another
-  remote bolt's stream (the Tracker consuming Calculator coefficients)
-  receives those tuples after the stream ends rather than interleaved with
-  ticks, so such consumers must be insensitive to delivery time relative
-  to ticks — true for the order-insensitive Tracker, and asserted
-  end-to-end by the executor-equivalence tests.
-* At finalisation each shard first *drains* its bolts in-process: bolts
-  exposing ``drain_payload()`` (the Calculators) report their remaining
-  counters inside the worker, and the shard ships the resulting
-  ``(tagset, jaccard, support)`` triples — small — instead of the counter
-  tables that produced them.  Only then does the shard return its
-  (now-empty) bolt instances, its per-shard
-  :class:`~repro.streamsim.cluster.MessageAccounting` and its GC tally
-  (``gcpolicy.py``); the driver merges the accounting and the tally,
-  re-installs the bolts into the cluster, and exposes the
-  drained results via :meth:`Executor.drained_results` so the pipeline can
-  replay them into the Tracker in driver task order (identical to the
-  inline drain order).  Post-run inspection (``instances_of``, report
-  collection) stays executor-agnostic.
+*Driver → worker.*  Every link batch the driver would deliver to a remote
+task goes to its shard's input queue instead.  The IPC unit is the
+slot-tuple batch the inline engine hands to ``execute_batch``; slot tuples
+pickle as plain value tuples plus an interned schema reference.  Clock
+ticks are broadcast on the same FIFO queues, so each remote bolt observes
+exactly the inline interleaving of *driver-routed* deliveries and ticks.
+
+*Worker → driver.*  Remote bolts never route; a worker buffers the emission
+batches they produce.  The two *relay points* are the end-of-stream flush
+passes and a migration commit: the driver collects the buffers and routes
+them shard by shard through the normal routing and accounting machinery.
+This is the one semantic difference from inline: a consumer of a remote
+stream (the Tracker, for the Calculators' report batches) receives those
+tuples after the stream ends rather than interleaved with ticks, so it must
+be insensitive to delivery time — asserted end to end by the
+executor-equivalence tests.
+
+*Finalisation.*  Each shard first drains its bolts in-process — bolts
+exposing ``drain_payload()`` (the Calculators) report their remaining
+counters and the shard ships the ``(tagset, jaccard, support)`` triples, not
+the tables — which :meth:`Executor.drained_results` hands to the pipeline
+for replay into the Tracker in driver task order (the inline drain order).
+Then it returns its bolts, its per-shard ``MessageAccounting``, its GC tally
+(``gcpolicy.py``) and its busy seconds; the driver merges those and
+re-installs the bolts, so post-run inspection stays executor-agnostic.
+Only *state* crosses the pipe, never data derived from it: a
+subset-enumeration cache pickles its bounds and counters and comes back
+empty, a drained counter table is empty, and every returned bolt is a few
+kilobytes (``tests/pipeline/test_process_tail.py``).
 
 Because routing decisions, clock advancement and all driver-side metrics are
 computed before a tuple crosses the process boundary, a sharded run reports
-the same logical metrics as an inline run (asserted by
-``tests/pipeline/test_executor_equivalence.py``).
-
-Operator state that lives in the remote layer must be picklable: worker
-startup pickles the component factories and finalisation pickles the bolts
-back (minus their collector and with a :class:`StaticContext` instead of the
-live cluster context).
+the same logical metrics as an inline run
+(``tests/pipeline/test_executor_equivalence.py``).  Remote operator state
+must be picklable: worker startup pickles the component factories and
+finalisation pickles the bolts back (minus their collector, and with a
+:class:`StaticContext` instead of the live cluster context).
 """
 
 from __future__ import annotations
@@ -82,6 +75,7 @@ import multiprocessing
 import pickle
 import queue as queue_module
 import threading
+import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
@@ -122,6 +116,11 @@ class Executor(abc.ABC):
 
     #: Registry name, as used by ``SystemConfig.executor`` and the CLI.
     name: str = "?"
+    #: Seconds from the last spout call to the end of the remote layer's
+    #: finalisation, and seconds the remote workers spent handling requests
+    #: (summed; parallel to the driver).  0.0 without a remote layer.
+    remote_tail_seconds: float = 0.0
+    workers_busy_seconds: float = 0.0
 
     def attach(self, cluster: "Cluster") -> None:
         """Called once by the cluster before components are prepared."""
@@ -227,6 +226,7 @@ class Executor(abc.ABC):
                     active[task.task_id] = False
                 cluster._route_emissions(task)
                 cluster._drain_queue()
+        self._spouts_done = time.perf_counter()
         cluster._drain_queue()
         cluster._flush_bolts()
         return productive_calls
@@ -298,6 +298,8 @@ class ShardResult:
     bolts: dict[int, Bolt]
     #: Cyclic-GC passes inside the worker process, start to finalisation.
     gc_tally: GcTally
+    #: Seconds the shard spent handling requests (not waiting for one).
+    busy_seconds: float = 0.0
 
 
 def _shard_worker(spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
@@ -328,6 +330,8 @@ def _serve_shard(
         emissions: list[tuple[int, EmissionBatch]] = []
         staged_migration: dict[int, Any] | None = None
         accounting = MessageAccounting()
+        busy = 0.0
+        clock = time.perf_counter
 
         def drain(task_id: int) -> None:
             collector = bolts[task_id].collector
@@ -352,6 +356,7 @@ def _serve_shard(
 
         while True:
             request = inbox.get()
+            started = clock()
             kind = request[0]
             if kind == _MSG:
                 _, task_id, messages = request
@@ -459,9 +464,10 @@ def _serve_shard(
             elif kind == _FINALIZE:
                 for bolt in bolts.values():
                     bolt.collector = None  # the driver re-attaches its own
+                busy += clock() - started
                 outbox.put(
                     ("result", spec.shard_index,
-                     ShardResult(spec.shard_index, accounting, bolts, gc_tally))
+                     ShardResult(spec.shard_index, accounting, bolts, gc_tally, busy))
                 )
                 return
             elif kind == _STOP:
@@ -470,12 +476,13 @@ def _serve_shard(
                 return
             else:  # pragma: no cover - protocol bug
                 raise RuntimeError(f"unknown request {kind!r}")
+            busy += clock() - started
     except BaseException:  # noqa: BLE001 - report any failure to the driver
         outbox.put(("error", spec.shard_index, traceback.format_exc()))
 
 
 class ShardedProcessExecutor(Executor):
-    """Runs a downstream sink layer across ``multiprocessing`` workers.
+    """Runs a downstream layer of components across ``multiprocessing`` workers.
 
     Parameters
     ----------
@@ -483,11 +490,11 @@ class ShardedProcessExecutor(Executor):
         Requested shard count; clamped to the widest remote component's
         parallelism (a worker with no tasks would only burn a process).
     remote_components:
-        Component names forming the remote layer.  Must be a sink layer: no
-        driver-side component may subscribe to their streams (their
-        emissions are relayed only at end-of-stream).  Components absent
-        from the topology are ignored; with none present the executor
-        degrades to the inline loop.
+        Component names forming the remote layer.  Must be a sink layer:
+        only a terminal driver-side component may subscribe to their
+        streams (their emissions are relayed only at end-of-stream).
+        Components absent from the topology are ignored; with none present
+        the executor degrades to the inline loop.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default, i.e.
         ``fork`` on Linux).  All shipped state is picklable, so ``spawn``
@@ -656,6 +663,7 @@ class ShardedProcessExecutor(Executor):
         try:
             productive = self._drive(cluster, max_spout_calls=max_spout_calls)
             self._finalize(cluster)
+            self.remote_tail_seconds = time.perf_counter() - self._spouts_done
             return productive
         finally:
             self._shutdown()
@@ -807,6 +815,7 @@ class ShardedProcessExecutor(Executor):
             result: ShardResult = self._receive(shard, "result")
             cluster.accounting.merge(result.accounting)
             cluster.worker_gc_tally.merge(result.gc_tally)
+            self.workers_busy_seconds += result.busy_seconds
             for task_id in sorted(result.bolts):
                 bolt = result.bolts[task_id]
                 task = cluster.task(task_id)
@@ -842,15 +851,27 @@ class ShardedProcessExecutor(Executor):
     def _check_layer_is_sink(
         self, cluster: "Cluster", layers: dict[str, list["TaskInfo"]]
     ) -> None:
-        """The remote layer's streams may only feed the remote layer itself."""
+        """A remote stream may leave the layer only for a terminal consumer.
+
+        Relayed batches arrive late (at a flush or a migration commit), so
+        whatever a driver-side consumer emitted in response would re-enter
+        the pipeline out of order; a component nobody subscribes to cannot.
+        """
         remote = set(layers)
+        producers = {sub.producer for sub in cluster.topology.subscriptions}
         for subscription in cluster.topology.subscriptions:
-            if subscription.producer in remote and subscription.consumer not in remote:
+            consumer = subscription.consumer
+            if (
+                subscription.producer in remote
+                and consumer not in remote
+                and consumer in producers
+            ):
                 raise ValueError(
                     f"remote component {subscription.producer!r} feeds "
-                    f"driver-side component {subscription.consumer!r}; the "
-                    "sharded layer must be a sink layer (its emissions are "
-                    "only relayed at end of stream)"
+                    f"driver-side component {consumer!r}, which feeds others "
+                    "in turn; the sharded layer must be a sink layer (its "
+                    "emissions are only relayed at end of stream, so only a "
+                    "terminal driver-side component may consume them)"
                 )
 
 

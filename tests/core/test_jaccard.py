@@ -1,5 +1,6 @@
 """Unit and property tests for Jaccard computation."""
 
+import pickle
 import random
 
 import pytest
@@ -208,6 +209,25 @@ class TestSubsetTupleCache:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SubsetTupleCache(capacity=0)
+
+    def test_pickles_its_bounds_and_counters_not_its_entries(self):
+        """The enumerations are derived data: a pickled copy comes back
+        empty (and small) and rebuilds them on demand."""
+        cache = SubsetTupleCache(capacity=2)
+        tagsets = [frozenset({"a", "b", "c"}), frozenset({"a", "d"}),
+                   frozenset({"b", "e"})]
+        for tagset in tagsets + tagsets[2:]:
+            cache.lookup(tagset)
+        before = cache.stats()
+        assert (before["hits"], before["misses"], before["evictions"]) == (1, 3, 1)
+        blob = pickle.dumps(cache)
+        clone = pickle.loads(blob)
+        assert clone.stats() == {**before, "size": 0}
+        assert len(blob) < 200
+        assert clone.lookup(tagsets[0]) == SubsetTupleCache().lookup(tagsets[0])
+        capped = pickle.loads(pickle.dumps(SubsetTupleCache(max_subset_size=2)))
+        assert capped.max_subset_size == 2
+        assert cache.stats() == before  # pickling left the original alone
 
     def test_injected_empty_cache_is_used(self):
         """An injected cache must be honored even while empty (len 0)."""

@@ -67,7 +67,10 @@ class TestRun:
             ]
         )
         assert exit_code == 0
-        assert "execution engine          : process (2 workers)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "execution engine          : process (2 workers)" in out
+        assert "remote layer              : workers busy " in out
+        assert "end-of-stream tail " in out
 
     def test_run_from_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

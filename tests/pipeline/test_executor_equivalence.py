@@ -1,6 +1,6 @@
 """Executor equivalence: inline and process runs report identical metrics.
 
-The sharded process executor changes *where* the Calculator/Tracker layer
+The sharded process executor changes *where* the Calculator layer
 runs, never *what* it computes: routing decisions, clock advancement,
 communication and load counters all happen driver-side before a tuple
 crosses the process boundary, and each remote bolt sees exactly the inline

@@ -6,8 +6,8 @@ land in the hot dict or are sliced arbitrarily across spilled runs and
 layered compactions.  These tests pin that equivalence against a plain
 dict model, plus the machinery around it: the raw-value run format the
 store spills into, duplicate accounting across segments, crash/abort
-hygiene of the spill directory, the pickle manifest protocol (directory
-ownership moves with the pickle), and the run-backed service snapshot
+hygiene of the spill directory, the refusal to be pickled (the store never
+leaves its process), and the run-backed service snapshot
 (immutable, digest-identical to the dict snapshot, stable under further
 ingest).
 """
@@ -342,38 +342,23 @@ class TestHygiene:
 
 
 # --------------------------------------------------------------------- #
-# Pickling (executor round trips)
+# Pickling (refused: the store never leaves its process)
 # --------------------------------------------------------------------- #
 class TestPickle:
-    def test_round_trip_preserves_records_and_counters(self, tmp_path):
-        triples = random_triples(11, 300)
-        store = make_store(tmp_path, threshold=5)
-        store.ingest(triples)
+    @pytest.mark.parametrize("threshold", [5, 10_000])  # spilled / unspilled
+    def test_pickling_is_refused_clearly(self, tmp_path, threshold):
+        store = make_store(tmp_path, threshold=threshold)
+        store.ingest(random_triples(11, 300))
         before = list(store.iter_entries())
-        distinct = len(store)
-        stats = store.stats()
-        clone = pickle.loads(pickle.dumps(store))
         try:
-            assert list(clone.iter_entries()) == before
-            assert len(clone) == distinct
-            assert clone.stats()["runs_written"] == stats["runs_written"]
+            with pytest.raises(TypeError, match="SpillingTrackerStore is not picklable"):
+                pickle.dumps(store)
+            # The refusal detached nothing: the store still answers and
+            # still owns (and removes) its directory.
+            assert list(store.iter_entries()) == before
         finally:
-            clone.close()
-        # Ownership of the spill directory moved with the pickle: the
-        # clone's close removed it, and the original releases nothing.
-        assert os.listdir(tmp_path) == []
-        store.close()
-
-    def test_unspilled_store_pickles_without_a_directory(self, tmp_path):
-        store = make_store(tmp_path, threshold=10_000)
-        store.ingest(random_triples(12, 20))
-        clone = pickle.loads(pickle.dumps(store))
-        try:
-            assert list(clone.iter_entries()) == list(store.iter_entries())
-            assert clone.directory is None
-        finally:
-            clone.close()
             store.close()
+        assert os.listdir(tmp_path) == []
 
 
 # --------------------------------------------------------------------- #

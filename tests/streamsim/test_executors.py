@@ -73,6 +73,13 @@ class TotalsBolt(Bolt):
         self.totals.append(message["total"])
 
 
+class RelayBolt(Bolt):
+    """Driver-side bolt that forwards what it receives (non-terminal)."""
+
+    def execute(self, message: TupleMessage) -> None:
+        self.emit(TOTALS, message["total"])
+
+
 def _sink_factory():
     return CountingSink()
 
@@ -185,13 +192,14 @@ class TestShardedProcessExecutor:
         assert executor.effective_workers == 0
         assert cluster.accounting.link("numbers", "sink") == 5
 
-    def test_non_sink_layer_rejected(self):
-        # Sharding a component whose stream feeds a driver-side consumer
-        # would defer mid-pipeline tuples to end of stream — rejected.
+    def test_remote_layer_feeding_a_non_terminal_consumer_rejected(self):
+        # A driver-side consumer that feeds others in turn would re-emit
+        # relayed (hence late) tuples into the middle of the pipeline.
         builder = TopologyBuilder()
         builder.set_spout("numbers", lambda: NumberSpout(3))
         builder.set_bolt("middle", _sink_factory).fields_grouping("numbers", ["value"])
-        builder.set_bolt("tail", TotalsBolt).shuffle_grouping("middle", "totals")
+        builder.set_bolt("relay", RelayBolt).shuffle_grouping("middle", "totals")
+        builder.set_bolt("tail", TotalsBolt).shuffle_grouping("relay", "totals")
         with pytest.raises(ValueError, match="sink layer"):
             Cluster(
                 builder.build(),
@@ -199,6 +207,33 @@ class TestShardedProcessExecutor:
                     workers=2, remote_components=("middle",)
                 ),
             )
+
+    def test_remote_layer_feeding_a_terminal_consumer_relays_at_flush(self):
+        """sink → totals with only the sinks remote mirrors Calculator →
+        Tracker: the driver-side consumer receives the relayed tuples at
+        flush, in shard order, with the inline run's accounting."""
+        n = 12
+        inline = run_topology(_build_topology(n, 4, with_totals=True))
+        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+        sharded = run_topology(_build_topology(n, 4, with_totals=True), executor=executor)
+
+        def totals_of(cluster):
+            return cluster.tasks_of("totals")[0].instance.totals
+
+        per_task = {
+            task.task_id: sum(task.instance.values)
+            for task in inline.tasks_of("sink")
+        }
+        # Shard order (task_index % 2), task order inside a shard.
+        by_shard = sorted(per_task, key=lambda task_id: (executor._owner[task_id], task_id))
+        assert totals_of(sharded) == [per_task[task_id] for task_id in by_shard]
+        assert sorted(totals_of(sharded)) == sorted(totals_of(inline))
+        assert sharded.accounting.link("sink", "totals") == inline.accounting.link(
+            "sink", "totals"
+        )
+        assert sharded.accounting.total == inline.accounting.total
+        # The consumer never left the driver.
+        assert not sharded.tasks_of("totals")[0].is_remote
 
     def test_second_run_rejected(self):
         # Re-running would rebuild workers from factories and silently zero

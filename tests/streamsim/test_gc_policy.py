@@ -10,6 +10,8 @@ input, plus 562 young and 51 middle ones).
 """
 
 import gc
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -271,13 +273,17 @@ CHURN_SYSTEM = dict(
 )
 
 
-@pytest.fixture(scope="module")
-def churn_documents():
+def _churn_documents():
     config = WorkloadConfig(
         seed=7, tweets_per_second=50.0, n_topics=120, tags_per_topic=15,
         new_topic_rate=5.0, intra_topic_probability=0.92,
     )
     return TwitterLikeGenerator(config).generate(6000)
+
+
+@pytest.fixture(scope="module")
+def churn_documents():
+    return _churn_documents()
 
 
 class TestNoFullPassOnChurn:
@@ -320,25 +326,46 @@ class TestNoFullPassOnChurn:
                 client.shutdown()
         assert gc.get_threshold() == host
 
-    def test_served_run(self, churn_documents):
-        host = gc.get_threshold()
-        gc.collect()
-        with ServiceDaemon(SystemConfig(**CHURN_SYSTEM)) as daemon:
-            with ServiceClient(*daemon.address) as client:
-                for start in range(0, len(churn_documents), 500):
-                    client.ingest(
-                        churn_documents[start:start + 500],
-                        block=True, timeout=60.0,
-                    )
-                live = client.stats()
-                # The writer thread still holds the policy: it owns the run.
-                assert gc.get_threshold() == _raised(host)
-                client.shutdown()
-                final = client.stats()
-        assert gc.get_threshold() == host
-        report = daemon.final_report
-        assert report.documents_processed == len(churn_documents)
-        assert report.gc_passes[2] == 0
-        assert live["gc_passes"][0] >= 1
-        assert final["gc_passes"] == report.gc_passes
-        assert final["gc_pause_ms"] == pytest.approx(report.timings["gc"] * 1e3)
+    def test_served_run(self):
+        """In a fresh interpreter, as the bench does for memory figures:
+        whether a full pass falls due depends on how large the surrounding
+        process's old generation already is, and inside a whole-suite pytest
+        run that is not a defined state."""
+        done = subprocess.run(
+            [sys.executable, __file__],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=300.0,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def _served_run(churn_documents) -> None:
+    host = gc.get_threshold()
+    gc.collect()
+    with ServiceDaemon(SystemConfig(**CHURN_SYSTEM)) as daemon:
+        with ServiceClient(*daemon.address) as client:
+            for start in range(0, len(churn_documents), 500):
+                client.ingest(
+                    churn_documents[start:start + 500],
+                    block=True, timeout=60.0,
+                )
+            # The figures are live: a young pass shows while the writer runs
+            # (it may still be behind the acknowledged batches).
+            deadline = time.monotonic() + 60.0
+            while (live := client.stats())["gc_passes"][0] < 1:
+                assert time.monotonic() < deadline, "no young pass reported"
+                time.sleep(0.01)
+            # The writer thread still holds the policy: it owns the run.
+            assert gc.get_threshold() == _raised(host)
+            client.shutdown()
+            final = client.stats()
+    assert gc.get_threshold() == host
+    report = daemon.final_report
+    assert report.documents_processed == len(churn_documents)
+    assert report.gc_passes[2] == 0
+    assert final["gc_passes"] == report.gc_passes
+    assert final["gc_pause_ms"] == pytest.approx(report.timings["gc"] * 1e3)
+
+
+if __name__ == "__main__":
+    _served_run(_churn_documents())
