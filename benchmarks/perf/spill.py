@@ -3,14 +3,14 @@
 
 The spill store (``SystemConfig(counter_store="spill")``) bounds the
 Calculators' *resident* window-counter state by freezing cold segments
-into sorted run files and k-way-merging them back at report time.  This
+into sorted run files and reading them back once per report fold.  This
 harness pins that story with numbers: a fanout-heavy workload whose
 per-round window state is an order of magnitude beyond the throughput
 bench's ``large`` cell, run once per (round size, counter store) cell,
 recording per cell
 
 * ``docs_per_second`` and elapsed wall-clock (the spill overhead, paid in
-  encode/merge work);
+  encode/write/read work);
 * ``peak_rss_mb`` / ``rss_children_mb`` / ``rss_total_mb`` — the driver's
   ``getrusage`` high-water mark plus the sampled descendant RSS (inline
   cells record 0 children; the fields keep the schema aligned with
@@ -19,9 +19,9 @@ recording per cell
   entries held *in RAM* by any Calculator at any point (for the dict
   store that is the full table; for the spill store the hot tail, which
   never exceeds ``spill_threshold``);
-* the spill side's ``store`` block: merge wall-clock (the per-cell
-  merge-phase breakdown), runs written, entries spilled and block-cache
-  hit rates.
+* the spill side's ``store`` block: window reads (count, wall-clock and
+  the largest per-fold window table), runs written, entries spilled and
+  block-cache hit rates.
 
 Both cells of a round size consume the *same* seeded document stream —
 the only variable is where the counters live.  The ``xlarge`` round is
@@ -88,7 +88,7 @@ SEED = 7
 #: stream under this churning workload, so a third of the counter
 #: rounds' documents already dwarfs TRACKER_SPILL_THRESHOLD by two
 #: orders of magnitude while keeping the spill cell's wall clock (paid
-#: in membership probes and merges) tractable.
+#: in run writes and compactions) tractable.
 TRACKER_DOCUMENTS = 20_000
 
 #: Fanout-heavy workload: wide tagsets (up to 14 tags -> up to 2^14
@@ -258,8 +258,9 @@ def _measure_worker(outbox, round_name: str, store: str, tracker_store: str) -> 
             store_block = {
                 "runs_written": stats["runs_written"],
                 "spilled_entries": stats["spilled_entries"],
-                "merges": stats["merges"],
-                "merge_seconds": round(stats["merge_seconds"], 4),
+                "window_reads": stats["window_reads"],
+                "window_read_seconds": round(stats["window_read_seconds"], 4),
+                "window_entries_max": stats["window_entries_max"],
                 "block_cache_hit_rate": round(
                     stats["block_cache_hits"] / lookups if lookups else 0.0, 4
                 ),
@@ -367,7 +368,9 @@ def _comparison(runs) -> dict:
             "throughput_ratio": round(
                 spill["docs_per_second"] / plain["docs_per_second"], 3
             ),
-            "merge_seconds": (spill["store"] or {}).get("merge_seconds"),
+            "window_read_seconds": (
+                (spill["store"] or {}).get("window_read_seconds")
+            ),
         }
     for name in TRACKER_ROUNDS:
         plain = cells.get((name, "dict", "dict"))
@@ -436,14 +439,16 @@ def run_matrix(round_names, stores=STORES, verbose=True) -> dict:
                     if name in TRACKER_ROUNDS
                     else cell["peak_resident_counter_entries"]
                 )
-                block = (
-                    cell["tracker"] if name in TRACKER_ROUNDS
-                    else cell["store"]
-                ) or {}
+                if name in TRACKER_ROUNDS:
+                    block = cell["tracker"] or {}
+                    phase = f"merge {block.get('merge_seconds', 0.0)}s"
+                else:
+                    block = cell["store"] or {}
+                    phase = (f"window read "
+                             f"{block.get('window_read_seconds', 0.0)}s")
                 print(f"{cell['docs_per_second']:>7.1f} docs/s  "
                       f"rss {cell['rss_total_mb']:>6.1f} MB  "
-                      f"resident {resident:>7d} "
-                      f"entries  merge {block.get('merge_seconds', 0.0)}s")
+                      f"resident {resident:>7d} entries  {phase}")
     return {
         "schema": SCHEMA_VERSION,
         "generated_by": GENERATED_BY,

@@ -2,8 +2,8 @@
 
 Runs one fanout-heavy stream twice — once with the default in-RAM
 ``dict`` counter store and once with ``counter_store="spill"`` (cold
-counter segments frozen to sorted run files, k-way-merged back at report
-time; see docs/ARCHITECTURE.md "Counter store") — then shows that every
+counter segments frozen to sorted run files, read back once per report
+fold; see docs/ARCHITECTURE.md "Counter store") — then shows that every
 reported metric and coefficient is bit-identical while the spill side's
 ``RunReport.store_stats`` accounts for the disk traffic that replaced
 the resident table.
@@ -82,8 +82,9 @@ def main() -> None:
     print(f"runs written              : {stats['runs_written']} "
           f"({stats['run_bytes_written'] / 1024:.0f} KiB)")
     print(f"entries spilled           : {stats['spilled_entries']}")
-    print(f"merges                    : {stats['merges']} "
-          f"({stats['merge_seconds']:.2f}s)")
+    print(f"window reads              : {stats['window_reads']} "
+          f"({stats['window_read_seconds']:.2f}s, largest "
+          f"{stats['window_entries_max']} entries)")
     if lookups:
         print(f"block cache hit rate      : "
               f"{stats['block_cache_hits'] / lookups:.1%}")

@@ -140,8 +140,9 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         help="backing table of exact Calculators: dict "
                              "(all-RAM, the default) or spill (freeze cold "
                              "counter segments to sorted on-disk run files "
-                             "and k-way-merge them at report time — bounded "
-                             "resident memory, identical coefficients; see "
+                             "and read them back once per report fold — "
+                             "bounded resident memory between reports, "
+                             "identical coefficients; see "
                              "docs/ARCHITECTURE.md \"Counter store\")")
     parser.add_argument("--spill-dir", default=None,
                         help="root directory for spilled run files "
@@ -289,12 +290,14 @@ def _print_report(report: RunReport) -> None:
             print(f"spill store               : "
                   f"{int(stats['runs_written'])} runs written "
                   f"({stats['run_bytes_written'] / 1e6:.1f} MB), "
-                  f"{int(stats['merges'])} merges "
-                  f"({stats['merge_seconds']:.2f} s)")
-            print(f"block cache               : {hit_rate:.1%} hit rate "
-                  f"({int(stats['block_cache_hits'])} hits, "
-                  f"{int(stats['block_cache_misses'])} misses, "
-                  f"{int(stats['block_cache_evictions'])} evictions)")
+                  f"{int(stats['window_reads'])} window reads "
+                  f"({stats['window_read_seconds']:.2f} s, largest "
+                  f"{int(stats['window_entries_max'])} entries)")
+            if lookups:  # point lookups only; folds read runs uncached
+                print(f"block cache               : {hit_rate:.1%} hit rate "
+                      f"({int(stats['block_cache_hits'])} hits, "
+                      f"{int(stats['block_cache_misses'])} misses, "
+                      f"{int(stats['block_cache_evictions'])} evictions)")
     if report.tracker_store != "dict":
         print(f"tracker store             : {report.tracker_store}")
         if report.tracker_store_stats is not None:
@@ -306,7 +309,8 @@ def _print_report(report: RunReport) -> None:
                   f"({stats['run_bytes_written'] / 1e6:.1f} MB), "
                   f"{int(stats['merges'])} merges "
                   f"({stats['merge_seconds']:.2f} s), "
-                  f"{int(stats['membership_probes'])} membership probes")
+                  f"{int(stats['membership_probes'])} keys resolved "
+                  f"against runs")
             print(f"tracker residency         : "
                   f"{int(stats['hot_entries'])} hot entries, "
                   f"{int(stats['runs_live'])} live runs, "
@@ -582,9 +586,9 @@ examples:
       --repartition-handoff migrate
 
   # Out-of-core window state: spill cold counter segments to sorted run
-  # files on disk and k-way-merge them at report time (bit-identical to
-  # the default in-RAM dict store; see docs/ARCHITECTURE.md "Counter
-  # store"). Keeps driver RSS flat on windows far larger than RAM:
+  # files on disk and read them back once per report fold (bit-identical
+  # to the default in-RAM dict store; see docs/ARCHITECTURE.md "Counter
+  # store"). Keeps the stream phase's resident counters at the threshold:
   python -m repro.cli run --documents 50000 --counter-store spill \\
       --spill-dir /tmp/repro-spill --no-baseline
 

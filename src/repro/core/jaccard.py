@@ -492,14 +492,13 @@ class SubsetCounter:
         ``union(subset) = −g[mask]`` for every subset of the type — exact
         integer arithmetic, Equation (2) rearranged.
         """
-        if self.counter_store == "spill":
-            # Folds perform one counter lookup per lattice position, so the
-            # spill store first k-way-merges its runs down to a single
-            # mmap'd run — the "merge at report/drain time" half of the
-            # out-of-core design.
-            self._counts.prepare_report()
-        counts = self._counts
-        lookup = counts.__getitem__  # Counter.__missing__ returns 0
+        # One counter lookup per lattice position.  The spill store reads
+        # its runs once into a table private to this fold rather than
+        # probing them per key; Counter.__missing__ returns 0.
+        lookup = (
+            self._counts.window_lookup() if self.counter_store == "spill"
+            else self._counts.__getitem__
+        )
         cache_lookup = self._cache.lookup
         results: list[tuple[frozenset[str], float, int]] = []
         append = results.append
@@ -594,7 +593,7 @@ class SubsetCounter:
     def store_stats(self) -> dict[str, float] | None:
         """Spill-store accounting, or ``None`` under the default dict store.
 
-        Spill/merge counters and block-cache hit/miss/eviction figures
+        Spill/window-read counters and block-cache hit/miss/eviction figures
         from the backing store.  Cumulative — survives ``clear()``, run
         deletion and pickling, like the subset-cache stats.
         """

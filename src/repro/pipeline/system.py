@@ -185,8 +185,9 @@ class RunReport:
     #: store-independent.
     counter_store: str = "dict"
     #: Aggregate spill-store accounting across exact Calculators (None
-    #: under the dict store): spilled entries/runs/bytes, merge counts and
-    #: merge-phase wall-clock and block-cache hits/misses/evictions.
+    #: under the dict store): spilled entries/runs/bytes, window reads
+    #: (count, wall-clock, largest window table — a max, the rest are
+    #: sums) and block-cache hits/misses/evictions.
     #: Wall-clock content — like ``timings``, informational only and
     #: excluded from the logical-equivalence contract.
     store_stats: dict[str, float] | None = None
@@ -195,9 +196,10 @@ class RunReport:
     #: rule as merge combiner).  Logical metrics are store-independent.
     tracker_store: str = "dict"
     #: The tracker spill store's accounting (None under the dict store):
-    #: spilled entries/runs/bytes, merges, membership probes and
-    #: block-cache counters.  Wall-clock content — informational only,
-    #: excluded from the logical-equivalence contract.
+    #: spilled entries/runs/bytes, compactions, membership probes (keys
+    #: resolved against runs at batch start) and block-cache counters.
+    #: Wall-clock content — informational only, excluded from the
+    #: logical-equivalence contract.
     tracker_store_stats: dict[str, float] | None = None
     #: In-stream report-round attribution, aggregated over Calculators:
     #: ``rounds`` executed, their total wall-clock ``report_seconds`` and
@@ -634,7 +636,11 @@ class TagCorrelationSystem:
                 if per_bolt is None:
                     continue
                 for key, value in per_bolt.items():
-                    store_stats[key] = store_stats.get(key, 0) + value
+                    previous = store_stats.get(key, 0)
+                    store_stats[key] = (
+                        max(previous, value) if key.endswith("_max")
+                        else previous + value
+                    )
 
         tracker_store_stats: dict[str, float] | None = None
         if config.tracker_store == "spill":

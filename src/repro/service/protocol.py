@@ -89,7 +89,9 @@ def decode_request(line: bytes) -> dict:
         )
     try:
         request = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack, well
+        # within MAX_LINE_BYTES ("[" * 100_000).
         raise ProtocolError(ERROR_MALFORMED, f"invalid JSON: {exc}") from exc
     if not isinstance(request, dict):
         raise ProtocolError(ERROR_MALFORMED, "request must be a JSON object")
@@ -107,7 +109,7 @@ def decode_response(line: bytes) -> dict:
     """Parse one response line (client side; responses carry no version)."""
     try:
         response = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolError(ERROR_MALFORMED, f"invalid JSON: {exc}") from exc
     if not isinstance(response, dict):
         raise ProtocolError(ERROR_MALFORMED, "response must be a JSON object")

@@ -1,4 +1,4 @@
-"""Out-of-core storage: spill-to-disk runs with layered k-way merges.
+"""Out-of-core storage: spill-to-disk sorted runs, read back in batches.
 
 The ``repro.store`` subsystem bounds resident memory for the two tables
 that otherwise scale with stream length:
@@ -16,11 +16,11 @@ Modules:
   either uvarint counts (the default) or opaque raw byte values
   (:data:`FLAG_RAW_VALUES` — the tracker's coefficient records),
 * :mod:`repro.store.merge` — layered k-way run merges
-  with a pluggable, order-preserving value combiner,
+  with a pluggable, order-preserving value combiner (tracker compaction),
 * :mod:`repro.store.config` — :class:`StoreConfig`, the one bundle of
   spill/cache/merge knobs both spilling stores share,
 * :mod:`repro.store.spill` — :class:`SpillingCounterStore` (the
-  Counter-compatible mapping the report fold runs over),
+  Counter-compatible mapping the report fold reads in one pass),
 * :mod:`repro.store.tracker` — :class:`SpillingTrackerStore` (the
   Tracker's dedup table as runs, max-support rule as merge combiner) and
   :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot);

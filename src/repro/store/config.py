@@ -41,7 +41,8 @@ class StoreConfig:
     cache_blocks:
         Capacity of the store's LRU block cache.
     merge_fan_in:
-        Maximum runs merged per layer during compaction.
+        Maximum runs merged per layer during compaction (the tracker store;
+        the counter store never merges).
     """
 
     spill_dir: str | None = None

@@ -385,9 +385,9 @@ class RunReader:
     """mmap-backed random and sequential access to one run file.
 
     Holds the lexicon (per-block first keys + extents) in RAM; block
-    payloads stay on disk until :meth:`get` faults them in through the
-    shared :class:`BlockCache`.  :meth:`entries` streams the whole run in
-    key order without touching the cache (the merge path).
+    payloads stay on disk until :meth:`get` or :meth:`get_sorted` fault
+    them in through the shared :class:`BlockCache`.  :meth:`entries`
+    streams the whole run in key order without touching the cache.
     """
 
     __slots__ = ("path", "n_entries", "raw_values", "_file", "_map", "_cache",
@@ -563,8 +563,29 @@ class RunReader:
             return None
         return self._cache.lookup(self, index).get(encoded_key)
 
+    def get_sorted(self, encoded_keys: Iterable[bytes]) -> Iterator[tuple]:
+        """``(key, value)`` for each of the ascending ``encoded_keys`` this
+        run holds; the block cursor only moves forward, so each block is
+        fetched (through the cache) at most once."""
+        first_keys = self._first_keys
+        current = -1
+        for key in encoded_keys:
+            index = bisect_right(first_keys, key, max(current, 0)) - 1
+            if index < 0:
+                continue
+            if index != current:
+                current = index
+                block = self._cache.lookup(self, index)
+            value = block.get(key)
+            if value is not None:
+                yield key, value
+
     def entries(self) -> Iterator[tuple[bytes, int]]:
-        """All ``(encoded_key, count)`` pairs in key order (streaming)."""
+        """All ``(encoded_key, value)`` pairs in key order, block by block
+        through the checked decoder (uncached; a file truncated since it
+        was opened is refused, not read as the mapping's zero-filled tail)."""
+        if os.fstat(self._file.fileno()).st_size != len(self._map):
+            raise RunFormatError(f"{self.path}: truncated since it was opened")
         for index in range(len(self._first_keys)):
             yield from self._decode_block(index)
 

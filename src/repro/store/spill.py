@@ -8,15 +8,18 @@ but with bounded resident memory.  Observations accumulate in a *hot*
 in-RAM ``Counter`` segment; once the hot segment reaches
 ``spill_threshold`` distinct keys it is frozen — sorted by encoded key and
 written as one immutable run file (see :mod:`repro.store.format`) — and
-the RAM is reclaimed.  Lookups sum the hot segment with every live run
-(through the shared mmap/LRU-block-cache read path); report time first
-compacts the runs down to one via :func:`repro.store.merge.compact_runs`
-so per-subset lookups cost a single probe.
+the RAM is reclaimed.  Point lookups sum the hot segment with every live
+run (through the shared mmap/LRU-block-cache read path).  A report or
+drain fold, which looks up every lattice position of the round, instead
+asks :meth:`SpillingCounterStore.window_lookup` for a lookup over the
+whole window: every live run read once, block by block in file order, and
+summed with the hot segment into a table private to that one fold call.
+Runs are never merged on disk — they live until the round's ``clear()``.
 
-Because counts are additive, the merged table is byte-for-byte the table a
-plain ``Counter`` would hold — spill timing, run count and merge order are
-all unobservable in the reported coefficients (pinned by the spill ≡ dict
-equivalence suite).
+Because counts are additive, the summed table is exactly the table a
+plain ``Counter`` would hold — spill timing and run count are unobservable
+in the reported coefficients (pinned by the spill ≡ dict equivalence
+suite).
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import time
 import weakref
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULT_CACHE_BLOCKS, DEFAULT_SPILL_THRESHOLD, StoreConfig
 from .format import (
@@ -37,7 +41,6 @@ from .format import (
     merged_entries,
     write_run,
 )
-from .merge import compact_runs
 
 #: Names of the available counter stores (mirrored by
 #: ``SystemConfig.counter_store`` and the CLI ``--counter-store`` flag).
@@ -54,7 +57,6 @@ class SpillingCounterStore:
         *,
         block_size: int | None = None,
         cache_blocks: int | None = None,
-        merge_fan_in: int | None = None,
         config: StoreConfig | None = None,
     ) -> None:
         config = (config or StoreConfig()).replacing(
@@ -62,7 +64,6 @@ class SpillingCounterStore:
             spill_threshold=spill_threshold,
             block_size=block_size,
             cache_blocks=cache_blocks,
-            merge_fan_in=merge_fan_in,
         )
         self.config = config
         self._hot: Counter = Counter()
@@ -75,8 +76,9 @@ class SpillingCounterStore:
             "spilled_entries": 0,
             "runs_written": 0,
             "run_bytes_written": 0,
-            "merges": 0,
-            "merge_seconds": 0.0,
+            "window_reads": 0,
+            "window_read_seconds": 0.0,
+            "window_entries_max": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -137,35 +139,30 @@ class SpillingCounterStore:
         stats["run_bytes_written"] += result.file_bytes
         hot.clear()
 
-    def prepare_report(self) -> None:
-        """Compact all live runs into one before a report/drain fold.
-
-        Report folds perform one lookup per lattice position; against n
-        runs each lookup would cost n probes, so the runs are k-way-merged
-        (in layers of ``merge_fan_in``) down to a single run first.  A
-        failed merge sweeps every on-disk artefact of this store before
-        propagating — no orphaned runs on abort paths.
-        """
-        if len(self._runs) < 2:
-            return
-        paths = [reader.path for reader in self._runs]
-        for reader in self._runs:
-            reader.close()
-        self._runs = []
-        try:
-            result = compact_runs(
-                paths,
-                lambda layer, index: self._next_path(f"merge{layer}"),
-                fan_in=self.config.merge_fan_in,
-                block_size=self.config.block_size,
-            )
-        except BaseException:
-            self._sweep_run_files()
-            raise
-        self._runs = [RunReader(result.path, self._cache)]
+    def window_lookup(self) -> Callable[[tuple[str, ...]], int]:
+        """The count lookup of one report or drain fold: every live run
+        read once, in file order through the checked decoder, and summed
+        with the hot segment by encoded key (counts are additive: no merge,
+        no output file).  Only the returned closure holds the table, so no
+        later fold, spill or clear can read a stale one; its one item per
+        key is less than the fold's own list of one triple per key."""
+        hot = self._hot
+        if not self._runs:
+            return hot.__getitem__
+        started = time.perf_counter()
+        table: dict[bytes, int] = dict(self._runs[0].entries())
+        get = table.get
+        for reader in self._runs[1:]:
+            for key, count in reader.entries():
+                table[key] = get(key, 0) + count
+        for key, count in hot.items():
+            encoded = encode_key(key)
+            table[encoded] = get(encoded, 0) + count
         stats = self._stats
-        stats["merges"] += result.merges
-        stats["merge_seconds"] += result.seconds
+        stats["window_reads"] += 1
+        stats["window_read_seconds"] += time.perf_counter() - started
+        stats["window_entries_max"] = max(stats["window_entries_max"], len(table))
+        return lambda key: get(encode_key(key), 0)
 
     def _sweep_run_files(self) -> None:
         """Delete every run artefact (``*.run``/``*.tmp``) in the dir."""
@@ -184,7 +181,7 @@ class SpillingCounterStore:
 
         Run files are removed eagerly (report rounds call this after every
         fold); stats and the spill directory itself survive for the next
-        round.  Stray artefacts of an aborted merge are swept too.
+        round.  Stray ``.tmp`` artefacts in the directory are swept too.
         """
         self._hot.clear()
         for reader in self._runs:
@@ -268,7 +265,8 @@ class SpillingCounterStore:
     # Stats and pickling
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, float]:
-        """Cumulative spill/merge accounting plus block-cache counters."""
+        """Cumulative spill/window-read accounting plus block-cache
+        counters (``window_entries_max`` is a peak, not a sum)."""
         stats: dict[str, float] = dict(self._stats)
         cache = self._cache.stats()
         stats["block_cache_hits"] = cache["hits"]

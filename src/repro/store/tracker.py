@@ -27,10 +27,10 @@ every merge path here feeds streams in spill order and relies on
 
 Duplicate accounting (``duplicate_reports`` in every ``RunReport`` and
 service ``stats`` reply) needs to know whether a tagset was *ever* seen,
-including in spilled segments, so a hot-segment miss probes the live runs
-(through the store's LRU block cache) before deciding new-vs-duplicate.
-Compaction keeps the live-run count under the merge fan-in, bounding that
-probe cost.
+including in spilled segments.  ``ingest`` decides that once per batch:
+the batch's tagsets that are not hot are encoded once, sorted and
+resolved against the runs live at batch start with one forward cursor
+per run (each block fetched at most once) before any triple is applied.
 
 :meth:`SpillingTrackerStore.snapshot` builds the service daemon's
 run-backed :class:`RunBackedTrackerSnapshot`: an immutable view that
@@ -144,8 +144,9 @@ def _encode_tagset(tagset: frozenset) -> bytes:
 def _sorted_rows(hot: dict) -> list[tuple[bytes, bytes]]:
     """A hot segment as run entries — ``(encoded key, record)`` in key
     order.  Hot entries are ``[jaccard, support, reports, encoded]``;
-    ``encoded`` is the key's bytes when a run probe already computed them
-    (else ``None``), so a tagset is sorted and encoded once."""
+    ``encoded`` is the key's bytes when the batch's membership resolution
+    already computed them (else ``None``), so a tagset is sorted and
+    encoded once."""
     return sorted(
         (entry[3] or _encode_tagset(key),
          encode_value(entry[0], entry[1], entry[2]))
@@ -286,12 +287,28 @@ class SpillingTrackerStore:
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
-    def _seen_in_runs(self, encoded: bytes) -> bool:
-        self._stats["membership_probes"] += 1
-        for reader in self._runs:
-            if reader.get(encoded) is not None:
-                return True
-        return False
+    def _new_keys(self, batch: list[tuple]) -> dict[frozenset, bytes | None]:
+        """The batch's tagsets in neither the hot dict nor a run live at
+        batch start, mapped to their encoded keys (``None`` while no run
+        exists); ``membership_probes`` counts the keys resolved."""
+        hot = self._hot
+        runs = self._runs
+        new: dict[frozenset, bytes | None] = {}
+        for tags, _jaccard, _support in batch:
+            key = frozenset(tags)
+            if key not in hot and key not in new:
+                new[key] = _encode_tagset(key) if runs else None
+        if not new or not runs:
+            return new
+        pending = sorted(new.values())
+        self._stats["membership_probes"] += len(pending)
+        seen = set()
+        for reader in runs:
+            seen.update(key for key, _value in reader.get_sorted(pending))
+        if seen:
+            new = {key: encoded for key, encoded in new.items()
+                   if encoded not in seen}
+        return new
 
     def ingest(self, results: Iterable[tuple]) -> tuple[int, int]:
         """Apply ``(tags, jaccard, support)`` triples; returns the
@@ -299,21 +316,24 @@ class SpillingTrackerStore:
 
         Bit-for-bit the dict tracker's rule: first sighting stores the
         report, later sightings displace only on strictly greater support.
+        A first sighting pops its tagset from the batch's ``new`` set, so
+        a later one is a duplicate even if a spill froze the first.
         """
-        received = 0
+        batch = results if isinstance(results, list) else list(results)
+        new = self._new_keys(batch)
         duplicates = 0
         hot = self._hot
         threshold = self.config.spill_threshold
-        for tags, jaccard, support in results:
-            received += 1
+        for tags, jaccard, support in batch:
             key = frozenset(tags)
             entry = hot.get(key)
             if entry is None:
-                encoded = _encode_tagset(key) if self._runs else None
-                if encoded is not None and self._seen_in_runs(encoded):
-                    duplicates += 1
-                else:
+                if key in new:
+                    encoded = new.pop(key)
                     self._distinct += 1
+                else:
+                    encoded = None
+                    duplicates += 1
                 hot[key] = [float(jaccard), int(support), 1, encoded]
                 if len(hot) >= threshold:
                     self.spill()
@@ -323,7 +343,7 @@ class SpillingTrackerStore:
                 if support > entry[1]:
                     entry[0] = float(jaccard)
                     entry[1] = int(support)
-        return received, duplicates
+        return len(batch), duplicates
 
     def spill(self) -> None:
         """Freeze the hot segment into a published raw-value run, then
@@ -345,7 +365,8 @@ class SpillingTrackerStore:
             self.compact()
 
     def compact(self) -> None:
-        """Merge all live runs into one (bounds membership-probe cost).
+        """Merge all live runs into one (bounds the cursors a batch's
+        membership resolution and a point query open).
 
         A failed merge sweeps every on-disk artefact of this store before
         propagating, so abort paths leave no orphaned runs behind.
@@ -428,9 +449,7 @@ class SpillingTrackerStore:
             yield frozenset(decode_key(key)), jaccard, support, reports
 
     def __contains__(self, tagset: frozenset) -> bool:
-        return tagset in self._hot or (
-            bool(self._runs) and self._seen_in_runs(_encode_tagset(tagset))
-        )
+        return _folded_record(self._runs, self._hot, tagset) is not None
 
     def __len__(self) -> int:
         return self._distinct

@@ -2,14 +2,14 @@
 
 ``SystemConfig(counter_store="spill")`` moves the Calculators' window
 counters out of core — hot segments freeze into sorted run files, report
-rounds k-way-merge them back — but counts are additive, so spill timing,
-run count and merge order must all be unobservable: every logical
+folds read them back once into a per-fold window table — but counts are
+additive, so spill timing and run count must both be unobservable: every logical
 ``RunReport`` metric, every final coefficient and every support must be
 **bit-identical** to the default in-RAM ``dict`` store.  These tests pin
 that across the grid of executors × calculator modes, plus the forced
 mid-stream repartition handoff (the migration payload streams from merged
 runs) and a served (service-mode) run — while asserting the spill machinery
-actually engaged (runs written, merges run) and cleaned up after itself (no
+actually engaged (runs written, windows read) and cleaned up after itself (no
 spill directories survive a drain).
 
 ``SystemConfig(tracker_store="spill")`` does the same to the Tracker's
@@ -145,16 +145,16 @@ class TestSpillEqualsDict:
     @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_spilling_actually_happened(self, grid_runs, executor):
         """The equivalence is vacuous unless runs hit the disk: every spill
-        cell must have written and merged runs and served block-cache
-        lookups on the way to its (identical) answers."""
+        cell must have written runs and read them back into its report
+        folds' window tables on the way to its (identical) answers."""
         _, report, _ = grid_runs[("spill", executor)]
         assert report.counter_store == "spill"
         stats = report.store_stats
         assert stats is not None
         assert stats["runs_written"] > 0
         assert stats["spilled_entries"] > 0
-        assert stats["merges"] > 0
-        assert stats["block_cache_hits"] + stats["block_cache_misses"] > 0
+        assert stats["window_reads"] > 0
+        assert stats["window_entries_max"] > SPILL_THRESHOLD
 
     def test_dict_cells_report_no_store_stats(self, grid_runs):
         _, report, _ = grid_runs[("dict", "inline")]

@@ -10,10 +10,11 @@ semantics (spill timing must be unobservable) these tests pin the
 * a run is *published* only after its bytes are fsync'd: the data-file
   ``fsync`` strictly precedes the ``os.replace`` rename (crash before the
   rename loses at most an unpublished ``.tmp``);
-* an injected merge failure propagates *and* sweeps every ``*.run`` /
-  ``*.tmp`` artefact of the store — the abort path leaks nothing;
-* a tiny fan-in over many small runs exercises the layered merge, with
-  identical results;
+* a report fold reads the runs through the checked decoder: a truncated
+  or corrupt run fails it with ``RunFormatError``, and ``close()`` still
+  leaves nothing behind;
+* ``compact_runs`` over many small runs at a tiny fan-in exercises the
+  layered merge, with identical results;
 * pickling ships a run-file *manifest*, not decoded tables.
 """
 
@@ -24,13 +25,15 @@ from collections import Counter
 
 import pytest
 
+from repro.core.jaccard import SubsetCounter
 from repro.store import (
     RunFormatError,
     RunReader,
     SpillingCounterStore,
+    compact_runs,
+    decode_key,
     encode_key,
 )
-from repro.store import merge as run_merge
 from repro.store import spill as spill_module
 
 KEY_POOL = [
@@ -153,10 +156,14 @@ class TestDurabilityOrdering:
         store.close()
 
 
-class TestMergeAbortHygiene:
+class TestWindowReadChecks:
+    """The fold reads every run through the reader's checked decoder: a
+    damaged run fails the fold with the reader's own error, and the
+    store still leaves nothing on disk once closed."""
+
     def make_runs(self, tmp_path, n_runs=6):
         store = SpillingCounterStore(
-            spill_dir=str(tmp_path), spill_threshold=1 << 30, merge_fan_in=2,
+            spill_dir=str(tmp_path), spill_threshold=1 << 30,
         )
         for index in range(n_runs):
             store.update([(f"tag{index}", f"tag{index + 1}")])
@@ -164,75 +171,80 @@ class TestMergeAbortHygiene:
         assert store.stats()["runs_written"] == n_runs
         return store
 
-    def test_injected_merge_failure_leaves_no_orphans(self, tmp_path, monkeypatch):
+    def test_truncated_run_fails_the_fold(self, tmp_path):
         store = self.make_runs(tmp_path)
-        directory = store.directory
-
-        def exploding_merge(sources, destination, *, block_size, combine=None):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(run_merge, "merge_runs", exploding_merge)
-        with pytest.raises(OSError, match="disk on fire"):
-            store.prepare_report()
-        assert disk_artifacts(directory) == []
-        store.close()
-
-    def test_mid_compaction_failure_sweeps_intermediates(
-        self, tmp_path, monkeypatch
-    ):
-        """Failing the *second* merge of a layered compaction must also
-        sweep the intermediate the first merge already published."""
-        store = self.make_runs(tmp_path, n_runs=6)  # fan_in=2 → 3 jobs/layer
-        directory = store.directory
-        real_merge = run_merge.merge_runs
-        calls = []
-
-        def failing_second(sources, destination, *, block_size, combine=None):
-            calls.append(destination)
-            if len(calls) == 2:
-                raise OSError("injected mid-compaction")
-            return real_merge(
-                sources, destination, block_size=block_size, combine=combine
-            )
-
-        monkeypatch.setattr(run_merge, "merge_runs", failing_second)
-        with pytest.raises(OSError, match="mid-compaction"):
-            store.prepare_report()
-        assert len(calls) == 2  # one intermediate was published, then boom
-        assert disk_artifacts(directory) == []
-        store.close()
-
-    def test_corrupt_source_run_sweeps_intermediates(self, tmp_path):
-        """The un-mocked twin: the last of the layer's three merges reads
-        a truncated source run and fails with the reader's own error; the
-        store must still sweep what the first two published."""
-        store = self.make_runs(tmp_path, n_runs=6)
         directory = store.directory
         victim = os.path.join(directory, disk_artifacts(directory)[-1])
         with open(victim, "r+b") as handle:
             handle.truncate(os.path.getsize(victim) // 2)
         with pytest.raises(RunFormatError):
-            store.prepare_report()
-        assert disk_artifacts(directory) == []
+            store.window_lookup()
         store.close()
+        assert not os.path.exists(directory)
+        assert os.listdir(tmp_path) == []
+
+    def test_corrupt_block_fails_the_fold(self, tmp_path):
+        """A mangled entry inside a block (the header and index intact):
+        the window read decodes it and raises, never a wrong count."""
+        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
+        feed(store, 200)
+        directory = store.directory
+        victim = os.path.join(directory, disk_artifacts(directory)[0])
+        with open(victim, "r+b") as handle:
+            handle.seek(32)  # first entry: shared-prefix length must be 0
+            handle.write(b"\x7f")
+        with pytest.raises(RunFormatError, match="prefix length"):
+            store.window_lookup()
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_damaged_run_fails_the_report_fold(self, tmp_path):
+        """The same error surfaces through SubsetCounter's report fold."""
+        counter = SubsetCounter(
+            counter_store="spill", spill_dir=str(tmp_path), spill_threshold=8,
+        )
+        for index in range(30):
+            counter.observe({f"t{index % 7}", f"t{index % 5}", "x"})
+        directory = counter._counts.directory
+        victim = os.path.join(directory, disk_artifacts(directory)[0])
+        with open(victim, "r+b") as handle:
+            handle.truncate(40)
+        with pytest.raises(RunFormatError):
+            counter.report_triples()
+        counter.close()
+        assert os.listdir(tmp_path) == []
 
 
 class TestLayeredMerges:
-    def test_layered_merge_matches_reference(self, tmp_path):
-        """A tiny fan-in forces several merge layers; results must be
-        identical to the reference Counter and leave exactly one run."""
-        store = SpillingCounterStore(
-            spill_dir=str(tmp_path),
-            spill_threshold=40,
-            merge_fan_in=2,
-        )
+    def test_compact_runs_matches_reference(self, tmp_path):
+        """``compact_runs`` (the tracker store's compaction) over count
+        runs: a tiny fan-in forces several layers, consumed inputs are
+        unlinked, and the one output sums to the reference Counter."""
+        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
         reference = feed(store, 400)
-        store.prepare_report()
-        stats = store.stats()
-        assert stats["merges"] > stats["runs_written"] // 2  # > one layer
-        assert stats["runs_live"] == 1
-        assert stats["merge_seconds"] > 0.0
-        assert dict(store.items()) == dict(reference)
+        store.spill()
+        paths = [reader.path for reader in store._runs]
+        assert len(paths) > 4  # more than two layers at fan-in 2
+        outputs = []
+
+        def make_path(layer, index):
+            outputs.append(str(tmp_path / f"merge{layer}-{index}.run"))
+            return outputs[-1]
+
+        result = compact_runs(paths, make_path, fan_in=2, block_size=256)
+        assert result.merges == len(paths) - 1
+        assert result.path == outputs[-1]
+        assert not any(os.path.exists(path) for path in paths + outputs[:-1])
+        reader = RunReader(result.path)
+        try:
+            assert result.entries == len(reference)
+            assert {
+                decode_key(key): count for key, count in reader.entries()
+            } == dict(reference)
+        finally:
+            reader.close()
+        os.unlink(result.path)
+        store._runs = []
         store.close()
 
     def test_nothing_under_the_store_reads_the_core_count(self):
@@ -274,11 +286,22 @@ class TestMappingSemantics:
             assert list(store.items()) == baseline_items
             store.close()
 
-    def test_prepare_report_is_count_preserving(self, tmp_path):
+    def test_window_lookup_is_count_preserving(self, tmp_path):
+        """A window read answers every key like the reference Counter and
+        leaves the store itself untouched (same runs, same items)."""
         store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=30)
         reference = feed(store, 250)
         before = dict(store.items())
-        store.prepare_report()
+        runs = store.stats()["runs_live"]
+        lookup = store.window_lookup()
+        for key, count in reference.items():
+            assert lookup(key) == count
+        assert lookup(("never", "observed")) == 0
+        stats = store.stats()
+        assert stats["runs_live"] == runs > 1
+        assert stats["window_reads"] == 1
+        assert stats["window_entries_max"] == len(reference)
+        assert stats["window_read_seconds"] > 0.0
         assert dict(store.items()) == before == dict(reference)
         store.close()
 
