@@ -46,8 +46,6 @@ class SystemConfig:
     algorithm: str = "DS"
     k: int = 10
     n_partitioners: int = 10
-    n_parsers: int = 1
-    n_disseminators: int = 1
     repartition_threshold: float = 0.5
     #: How the Disseminator's controller decides to ask for a full swap:
     #: ``"threshold"`` is the paper's either-or quality rule (avgCom or
@@ -78,7 +76,6 @@ class SystemConfig:
     window_size: float = 5000
     bootstrap_documents: int = 1000
     max_tags_per_document: int = 12
-    tick_interval_seconds: float = 1.0
     include_centralized_baseline: bool = True
     algorithm_options: dict[str, Any] = field(default_factory=dict)
 
@@ -172,8 +169,8 @@ class SystemConfig:
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.n_partitioners < 1 or self.n_parsers < 1 or self.n_disseminators < 1:
-            raise ValueError("operator parallelism must be at least 1")
+        if self.n_partitioners < 1:
+            raise ValueError("n_partitioners must be at least 1")
         if self.window_mode not in ("count", "time"):
             raise ValueError("window_mode must be 'count' or 'time'")
         if self.window_size <= 0:

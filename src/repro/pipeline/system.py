@@ -298,7 +298,6 @@ class TagCorrelationSystem:
         builder.set_bolt(
             streams.PARSER,
             lambda: ParserBolt(config.max_tags_per_document),
-            parallelism=config.n_parsers,
         ).shuffle_grouping(streams.SOURCE, streams.TWEETS)
 
         builder.set_bolt(
@@ -343,7 +342,6 @@ class TagCorrelationSystem:
                 repartition_handoff=config.repartition_handoff,
                 initial_partitions=config.initial_partitions,
             ),
-            parallelism=config.n_disseminators,
         ).shuffle_grouping(streams.PARSER, streams.TAGSETS).all_grouping(
             streams.MERGER, streams.PARTITIONS
         ).all_grouping(streams.MERGER, streams.SINGLE_ADDITIONS)
@@ -372,7 +370,6 @@ class TagCorrelationSystem:
 
         return Cluster(
             builder.build(),
-            tick_interval=config.tick_interval_seconds,
             executor=executor,
             link_batch_size=config.link_batch_size,
         )

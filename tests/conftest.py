@@ -10,8 +10,8 @@ from repro.core.cooccurrence import CooccurrenceStatistics
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "slow: long-running soak/stress tests; the default CI tests lane "
-        'deselects them with -m "not slow"',
+        "slow: long-running soak/stress tests; the CI tier-1 step "
+        'deselects them with -m "not slow", the hash-salt step runs them',
     )
 from repro.core.documents import documents_from_tagsets
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig

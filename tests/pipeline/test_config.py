@@ -14,8 +14,6 @@ class TestValidation:
         [
             {"k": 0},
             {"n_partitioners": 0},
-            {"n_parsers": 0},
-            {"n_disseminators": 0},
             {"window_mode": "weird"},
             {"window_size": 0},
             {"bootstrap_documents": 0},

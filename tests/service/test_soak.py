@@ -10,8 +10,8 @@ satisfy that, because live Tracker state between rounds differs from every
 published snapshot.  Rounds observed by each client must also advance
 monotonically, and the drained run must still match a clean batch run.
 
-Marked ``slow``: the nightly/smoke lane runs it; the default CI tests lane
-deselects it with ``-m "not slow"``.
+Marked ``slow``: the CI tier-1 step deselects it with ``-m "not slow"``;
+the CI hash-salt step, which runs ``tests/service`` unfiltered, runs it.
 """
 
 import threading

@@ -45,7 +45,7 @@ def iter_links(markdown: str):
 def _slugify(heading: str) -> str:
     """GitHub's anchor slug for one heading (without duplicate suffixes)."""
     # Strip * emphasis and ` code markers; literal underscores survive into
-    # GitHub slugs (BENCH_throughput.json -> bench_throughputjson), so _ is
+    # GitHub slugs (run_result.json -> run_resultjson), so _ is
     # deliberately kept even though _emphasis_ would technically be dropped.
     text = re.sub(r"[*`]", "", heading.strip())
     text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", text)  # inline links
