@@ -20,11 +20,58 @@ class TestValidation:
             {"repartition_threshold": -0.1},
             {"executor": "threads"},
             {"workers": -1},
+            {"repartition_policy": "sometimes"},
+            {"repartition_policy": "fixed", "repartition_at": (0,)},
+            {"repartition_at": (100,)},
+            {"repartition_handoff": "copy"},
+            {"calculator": "approximate"},
+            {"subset_cache_size": 0},
+            {"counter_store": "disk"},
+            {"spill_threshold": 0},
+            {"tracker_store": "disk"},
+            {"tracker_spill_threshold": 0},
+            {"report_chunk_size": -1},
+            {"notification_batch_size": 0},
+            {"link_batch_size": -1},
+            {"minhash_permutations": 7},
+            {"countmin_epsilon": 0.0},
+            {"countmin_epsilon": 1.0},
+            {"countmin_delta": 0.0},
+            {"countmin_delta": 1.0},
+            {"sketch_max_subset_size": 1},
+            {"scenario": "viral"},
+            {"service_queue_limit": 0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             SystemConfig(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k": 1},
+            {"n_partitioners": 1},
+            {"repartition_policy": "fixed", "repartition_at": (1,)},
+            {"tracker_spill_threshold": 1},
+            {"report_chunk_size": 0},
+            {"link_batch_size": 0},
+            {"minhash_permutations": 8},
+            {"sketch_max_subset_size": 2},
+            {"service_queue_limit": 1},
+        ],
+    )
+    def test_smallest_allowed_values_accepted(self, overrides):
+        SystemConfig(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "knob", ["n_parsers", "n_disseminators", "tick_interval_seconds"]
+    )
+    def test_fixed_substrate_knobs_are_not_fields(self, knob):
+        # Parser and Disseminator parallelism are 1 and the tick interval is
+        # the Cluster's own default; none of them is configurable.
+        with pytest.raises(TypeError):
+            SystemConfig(**{knob: 1})
 
 
 class TestFactories:

@@ -1,7 +1,9 @@
-"""Unit tests for tools/bench_gate.py, on synthetic ``run.py`` output."""
+"""Unit tests for tools/bench_gate.py, on synthetic ``run.py`` output and a
+throwaway git repository."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,67 @@ class TestMalformed:
         good = _output({"w": {"docs_per_s": 100.0}})
         assert _judge(good, stdout) == 2
         assert _judge(stdout, good) == 2
+
+
+class TestWorsening:
+    @pytest.mark.parametrize("base, change, better, expected", [
+        (0.0, 0.0, "lower", 0.0),
+        (0.0, 1.0, "lower", float("inf")),
+        (1.0, 0.0, "higher", float("inf")),
+        (0.0, 5.0, "higher", -1.0),
+        (2.0, 1.0, "lower", -0.5),
+    ])
+    def test_zero_and_improving_values(self, base, change, better, expected):
+        assert bench_gate.worsening(base, change, better) == expected
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, capture_output=True)
+
+
+class TestMain:
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [DOCS]}))
+        (repo / "marker.txt").write_text("base\n")
+        _git(repo, "init", "-q")
+        _git(repo, "add", ".")
+        _git(repo, "commit", "-q", "-m", "base")
+        (repo / "marker.txt").write_text("change\n")
+        monkeypatch.setattr(bench_gate, "ROOT", repo)
+        return repo
+
+    def test_unknown_base_ref_exits_2(self, repo, capsys):
+        assert bench_gate.main(["no-such-ref"]) == 2
+        assert "cannot export" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change_docs, code", [(100.0, 0), (10.0, 1)])
+    def test_runs_base_tree_first_then_checkout(self, repo, monkeypatch, change_docs, code):
+        runs = []
+
+        def fake_run_bench(tree):
+            runs.append((tree, (tree / "marker.txt").read_text()))
+            docs = 100.0 if tree != repo else change_docs
+            return _output({"w": {"docs_per_s": docs}})
+
+        monkeypatch.setattr(bench_gate, "run_bench", fake_run_bench)
+        assert bench_gate.main(["HEAD"]) == code
+        (base_tree, base_marker), (change_tree, change_marker) = runs
+        assert (base_marker, change_marker) == ("base\n", "change\n")
+        assert change_tree == repo
+        assert not base_tree.exists()
+
+    def test_base_tree_removed_when_the_run_raises(self, repo, monkeypatch):
+        trees = []
+
+        def crashing_run_bench(tree):
+            trees.append(tree)
+            raise RuntimeError("benchmark crashed")
+
+        monkeypatch.setattr(bench_gate, "run_bench", crashing_run_bench)
+        with pytest.raises(RuntimeError):
+            bench_gate.main(["HEAD"])
+        assert len(trees) == 1 and not trees[0].exists()
