@@ -12,17 +12,21 @@ Modules:
 
 * :mod:`repro.store.format` — the versioned on-disk run format (blocked,
   key-prefix-compressed entries + an in-RAM lexicon/fence-pointer index),
-  its atomic writer and the mmap/LRU-block-cache read path.  Runs carry
-  either uvarint counts (the default) or opaque raw byte values
-  (:data:`FLAG_RAW_VALUES` — the tracker's coefficient records),
-* :mod:`repro.store.merge` — layered k-way run merges
-  with a pluggable, order-preserving value combiner (tracker compaction),
+  its atomic writer, the mmap/LRU-block-cache read path and the k-way
+  merge (:func:`merged_entries`, :func:`merge_runs`) with a pluggable,
+  order-preserving value combiner.  Runs carry either uvarint counts (the
+  default) or opaque raw byte values (:data:`FLAG_RAW_VALUES` — the
+  tracker's coefficient records),
 * :mod:`repro.store.config` — :class:`StoreConfig`, the one bundle of
-  spill/cache/merge knobs both spilling stores share,
+  spill/cache/compaction knobs both spilling stores share,
+* :mod:`repro.store.runstore` — :class:`RunStore`, the one run lifecycle
+  (directory, hot segment → sorted run, merged view, cleanup, stats,
+  pickling rule) both spilling stores subclass,
 * :mod:`repro.store.spill` — :class:`SpillingCounterStore` (the
   Counter-compatible mapping the report fold reads in one pass),
 * :mod:`repro.store.tracker` — :class:`SpillingTrackerStore` (the
-  Tracker's dedup table as runs, max-support rule as merge combiner) and
+  Tracker's dedup table as runs, max-support rule as merge combiner,
+  compacted by one merge whenever ``merge_fan_in`` runs are live) and
   :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot);
   also home of :func:`select_top_k`, the one ``top_k`` ordering rule both
   snapshot kinds answer with.
@@ -32,6 +36,7 @@ See docs/ARCHITECTURE.md "Counter store" for the design.
 
 from .config import (
     DEFAULT_CACHE_BLOCKS,
+    DEFAULT_MERGE_FAN_IN,
     DEFAULT_SPILL_THRESHOLD,
     StoreConfig,
 )
@@ -45,15 +50,11 @@ from .format import (
     RunWriteResult,
     decode_key,
     encode_key,
+    merge_runs,
     merged_entries,
     write_run,
 )
-from .merge import (
-    DEFAULT_MERGE_FAN_IN,
-    MergeResult,
-    compact_runs,
-    merge_runs,
-)
+from .runstore import RunStore
 from .spill import COUNTER_STORES, SpillingCounterStore
 from .tracker import (
     TRACKER_STORES,
@@ -72,17 +73,16 @@ __all__ = [
     "DEFAULT_SPILL_THRESHOLD",
     "FLAG_RAW_VALUES",
     "FORMAT_VERSION",
-    "MergeResult",
     "RunBackedTrackerSnapshot",
     "RunFormatError",
     "RunReader",
+    "RunStore",
     "RunWriteResult",
     "SpillingCounterStore",
     "SpillingTrackerStore",
     "StoreConfig",
     "TRACKER_STORES",
     "combine_max_support",
-    "compact_runs",
     "decode_key",
     "encode_key",
     "merge_runs",

@@ -2,12 +2,12 @@
 
 Both spilling stores — :class:`~repro.store.spill.SpillingCounterStore`
 (Calculator window state) and :class:`~repro.store.tracker.SpillingTrackerStore`
-(the Tracker's coefficient table) — freeze an in-RAM hot segment into sorted
-RSC1 runs and answer reads from a merged view.  They share the exact same
-tuning surface: where runs live, when to spill, how big a block is, how many
-cache blocks to pin, and how merges fan in.  :class:`StoreConfig` is that
-surface, extracted once so the two stores cannot drift apart one keyword
-argument at a time.
+(the Tracker's coefficient table) — are :class:`~repro.store.runstore.RunStore`
+subclasses: one run lifecycle that freezes an in-RAM hot segment into sorted
+RSC1 runs and answers reads from a merged view.  :class:`StoreConfig` is that
+lifecycle's tuning surface: where runs live, when to spill, how big a block
+is, how many cache blocks to pin, and at how many live runs the tracker
+store compacts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from .format import DEFAULT_BLOCK_SIZE
-from .merge import DEFAULT_MERGE_FAN_IN
 
 #: Hot-segment entry count at which a store freezes a sorted run to disk.
 DEFAULT_SPILL_THRESHOLD = 65536
@@ -24,10 +23,13 @@ DEFAULT_SPILL_THRESHOLD = 65536
 #: Blocks pinned by a store's LRU block cache (per store instance).
 DEFAULT_CACHE_BLOCKS = 512
 
+#: Live runs at which the tracker store compacts them into one.
+DEFAULT_MERGE_FAN_IN = 8
+
 
 @dataclass(frozen=True, slots=True)
 class StoreConfig:
-    """One bundle of spill/cache/merge knobs shared by the spilling stores.
+    """One bundle of spill/cache/compaction knobs shared by the run stores.
 
     Parameters
     ----------
@@ -41,8 +43,8 @@ class StoreConfig:
     cache_blocks:
         Capacity of the store's LRU block cache.
     merge_fan_in:
-        Maximum runs merged per layer during compaction (the tracker store;
-        the counter store never merges).
+        Live runs at which the tracker store compacts them into one (the
+        counter store never merges).
     """
 
     spill_dir: str | None = None

@@ -647,3 +647,40 @@ def merged_entries(
                 current_value = value
     if current_key is not None:
         yield current_key, current_value
+
+
+def merge_runs(
+    sources: list[str],
+    destination,
+    *,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    combine=None,
+) -> str:
+    """Merge ``sources`` into a single run at ``destination``.
+
+    Streams block-by-block — peak memory is one decoded block per source
+    plus one output block, regardless of run sizes.  Sources are left in
+    place; the caller deletes them once the merged run is published.
+
+    ``combine`` is handed to :func:`merged_entries` (``None`` sums counts);
+    sources must be passed oldest first so a non-commutative combiner sees
+    equal keys in the order the segments spilled.  The output inherits the
+    sources' value layout (raw values stay raw).
+    """
+    readers = [RunReader(path) for path in sources]
+    try:
+        raw = readers[0].raw_values if readers else False
+        if any(reader.raw_values != raw for reader in readers):
+            raise ValueError("cannot merge raw-value runs with count runs")
+        write_run(
+            destination,
+            merged_entries(
+                [reader.entries() for reader in readers], combine=combine
+            ),
+            block_size=block_size,
+            raw_values=raw,
+        )
+    finally:
+        for reader in readers:
+            reader.close()
+    return os.fspath(destination)

@@ -19,7 +19,7 @@ tagset (older left, newer right)::
 is exactly what the in-RAM dict does report by report, and the fold is
 associative (leftmost argmax under strictly-greater displacement), so any
 way of slicing the report sequence into segments — hot dict, one run,
-many runs, layered compactions — folds back to the identical record.
+many runs, compactions — folds back to the identical record.
 That equivalence is what pins ``tracker_store="spill"`` bit-identical to
 the dict default, and it holds only while merges fold *oldest → newest*:
 every merge path here feeds streams in spill order and relies on
@@ -45,10 +45,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import shutil
 import struct
-import tempfile
 import threading
+import time
 import weakref
 from typing import Iterable, Iterator
 
@@ -61,10 +60,9 @@ from .format import (
     _write_uvarint,
     decode_key,
     encode_key,
-    merged_entries,
-    write_run,
+    merge_runs,
 )
-from .merge import compact_runs
+from .runstore import RunStore, merged_rows
 
 #: Names of the available tracker stores (mirrored by
 #: ``SystemConfig.tracker_store`` and the CLI ``--tracker-store`` flag).
@@ -216,8 +214,12 @@ def select_top_k(
     return rows[:k]
 
 
-class SpillingTrackerStore:
+class SpillingTrackerStore(RunStore):
     """Coefficient table that freezes cold segments into sorted run files."""
+
+    prefix = "repro-tracker-"
+    raw_values = True
+    combine = staticmethod(combine_max_support)
 
     def __init__(
         self,
@@ -236,53 +238,20 @@ class SpillingTrackerStore:
             cache_blocks=cache_blocks,
             merge_fan_in=merge_fan_in,
         )
-        self.config = config
         # Hot entries are [jaccard, support, reports, encoded key or None]
         # lists (mutated in place) keyed by tagset; a hot entry for a
         # run-resident tagset is a pure *delta* — the fold with the run
         # record happens at read or merge time via combine_max_support.
-        self._hot: dict[frozenset, list] = {}
-        self._runs: list[RunReader] = []
-        self._cache = BlockCache(config.cache_blocks)
-        self._dir: str | None = None
-        self._finalizer = None
-        self._sequence = 0
-        self._distinct = 0
-        self._stats = {
-            "spilled_entries": 0,
-            "runs_written": 0,
-            "run_bytes_written": 0,
+        super().__init__(config, {}, {
             "merges": 0,
             "merge_seconds": 0.0,
             "membership_probes": 0,
             "snapshot_entries_copied": 0,
-        }
+        })
+        self._distinct = 0
 
-    # ------------------------------------------------------------------ #
-    # Directory lifecycle (same contract as SpillingCounterStore)
-    # ------------------------------------------------------------------ #
-    def ensure_dir(self) -> str:
-        """The store's private spill directory, created on first use."""
-        if self._dir is None:
-            root = self.config.spill_dir
-            if root is not None:
-                os.makedirs(root, exist_ok=True)
-            self._dir = tempfile.mkdtemp(prefix="repro-tracker-", dir=root)
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, self._dir, True
-            )
-        return self._dir
-
-    @property
-    def directory(self) -> str | None:
-        """The spill directory, or ``None`` while nothing spilled yet."""
-        return self._dir
-
-    def _next_path(self, kind: str) -> str:
-        self._sequence += 1
-        return os.path.join(
-            self.ensure_dir(), f"{kind}-{self._sequence:06d}.run"
-        )
+    def _hot_rows(self) -> list[tuple[bytes, bytes]]:
+        return _sorted_rows(self._hot)
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -348,82 +317,47 @@ class SpillingTrackerStore:
     def spill(self) -> None:
         """Freeze the hot segment into a published raw-value run, then
         compact once the live-run count reaches the merge fan-in."""
-        hot = self._hot
-        if not hot:
-            return
-        result = write_run(
-            self._next_path("run"), _sorted_rows(hot),
-            block_size=self.config.block_size, raw_values=True,
-        )
-        self._runs.append(RunReader(result.path, self._cache))
-        stats = self._stats
-        stats["spilled_entries"] += result.entries
-        stats["runs_written"] += 1
-        stats["run_bytes_written"] += result.file_bytes
-        hot.clear()
+        super().spill()
         if len(self._runs) >= self.config.merge_fan_in:
             self.compact()
 
     def compact(self) -> None:
-        """Merge all live runs into one (bounds the cursors a batch's
-        membership resolution and a point query open).
+        """Merge all live runs, oldest first, into one (bounds the cursors
+        a batch's membership resolution and a point query open).
 
-        A failed merge sweeps every on-disk artefact of this store before
-        propagating, so abort paths leave no orphaned runs behind.
+        Each spill adds one run and each compaction leaves one, so this is
+        always a single merge of ``merge_fan_in`` runs.  A failed merge
+        sweeps every on-disk artefact of this store before propagating, so
+        abort paths leave no orphaned runs behind.
         """
-        if len(self._runs) < 2:
-            return
+        started = time.perf_counter()
         paths = [reader.path for reader in self._runs]
         for reader in self._runs:
             reader.close()
         self._runs = []
         try:
-            result = compact_runs(
-                paths,
-                lambda layer, index: self._next_path(f"merge{layer}"),
-                fan_in=self.config.merge_fan_in,
+            merged = merge_runs(
+                paths, self._next_path("merge"),
                 block_size=self.config.block_size,
                 combine=combine_max_support,
             )
         except BaseException:
             self._sweep_run_files()
             raise
-        self._runs = [RunReader(result.path, self._cache)]
+        for path in paths:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        self._runs = [RunReader(merged, self._cache)]
         stats = self._stats
-        stats["merges"] += result.merges
-        stats["merge_seconds"] += result.seconds
-
-    def _sweep_run_files(self) -> None:
-        directory = self._dir
-        if directory is None or not os.path.isdir(directory):
-            return
-        for name in os.listdir(directory):
-            if name.endswith(".run") or name.endswith(".tmp"):
-                try:
-                    os.unlink(os.path.join(directory, name))
-                except OSError:
-                    pass
+        stats["merges"] += 1
+        stats["merge_seconds"] += time.perf_counter() - started
 
     def clear(self) -> None:
         """Drop every record: hot segment, run files, distinct count."""
-        self._hot.clear()
+        super().clear()
         self._distinct = 0
-        for reader in self._runs:
-            reader.close()
-            try:
-                os.unlink(reader.path)
-            except OSError:
-                pass
-        self._runs = []
-        self._sweep_run_files()
-
-    def close(self) -> None:
-        """Release everything, including the spill directory itself."""
-        self.clear()
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._dir = None
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -432,14 +366,6 @@ class SpillingTrackerStore:
         """The folded ``(jaccard, support, reports)`` of one tagset."""
         merged = _folded_record(self._runs, self._hot, tagset)
         return decode_value(merged) if merged is not None else None
-
-    def _merged_encoded(self) -> Iterator[tuple[bytes, bytes]]:
-        streams: list[Iterator[tuple[bytes, bytes]]] = [
-            reader.entries() for reader in self._runs  # oldest first
-        ]
-        if self._hot:
-            streams.append(iter(_sorted_rows(self._hot)))
-        return merged_entries(streams, combine=combine_max_support)
 
     def iter_entries(self) -> Iterator[tuple[frozenset, float, int, int]]:
         """All ``(tagset, jaccard, support, reports)`` records, in
@@ -475,27 +401,6 @@ class SpillingTrackerStore:
             run_paths=[reader.path for reader in self._runs],
             hot={key: tuple(entry) for key, entry in self._hot.items()},
             entries_copied=self._stats["snapshot_entries_copied"],
-        )
-
-    # ------------------------------------------------------------------ #
-    # Stats
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, float]:
-        """Cumulative spill/merge accounting plus block-cache counters."""
-        stats: dict[str, float] = dict(self._stats)
-        cache = self._cache.stats()
-        stats["block_cache_hits"] = cache["hits"]
-        stats["block_cache_misses"] = cache["misses"]
-        stats["block_cache_evictions"] = cache["evictions"]
-        stats["runs_live"] = len(self._runs)
-        stats["hot_entries"] = len(self._hot)
-        return stats
-
-    def __getstate__(self) -> dict:
-        raise TypeError(
-            "SpillingTrackerStore is not picklable: it owns its spill "
-            "directory and open run files; the Tracker stays in the process "
-            "that built it (export_triples() / iter_entries() copy its table)"
         )
 
 
@@ -578,12 +483,10 @@ class RunBackedTrackerSnapshot:
         return jaccard, support
 
     def _merged_items(self) -> Iterator[tuple[frozenset, tuple[float, int]]]:
-        streams: list[Iterator[tuple[bytes, bytes]]] = [
-            reader.entries() for reader in self._readers
-        ]
-        if self._hot:
-            streams.append(iter(_sorted_rows(self._hot)))
-        for key, value in merged_entries(streams, combine=combine_max_support):
+        rows = merged_rows(
+            self._readers, _sorted_rows(self._hot), combine_max_support
+        )
+        for key, value in rows:
             jaccard, support, _reports = decode_value(value)
             yield frozenset(decode_key(key)), (jaccard, support)
 

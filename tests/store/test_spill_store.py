@@ -1,25 +1,19 @@
-"""Spill-store lifecycle: directories, durability ordering, abort hygiene.
+"""Counter spill store: mapping semantics, durability ordering, fold checks.
 
-The spilling store owns real on-disk state, so beyond the mapping
-semantics (spill timing must be unobservable) these tests pin the
-*lifecycle* contract:
+Beyond the mapping semantics (spill timing must be unobservable) these
+tests pin (the directory lifecycle both stores share is pinned in
+``test_run_store.py``):
 
-* every artefact lives inside the store's private ``mkdtemp`` under the
-  configured ``spill_dir``; ``clear()`` removes all run files, ``close()``
-  removes the directory itself — no orphans, ever;
 * a run is *published* only after its bytes are fsync'd: the data-file
   ``fsync`` strictly precedes the ``os.replace`` rename (crash before the
   rename loses at most an unpublished ``.tmp``);
 * a report fold reads the runs through the checked decoder: a truncated
   or corrupt run fails it with ``RunFormatError``, and ``close()`` still
   leaves nothing behind;
-* ``compact_runs`` over many small runs at a tiny fan-in exercises the
-  layered merge, with identical results;
-* pickling ships a run-file *manifest*, not decoded tables.
+* ``merge_runs`` over many count runs sums them to the reference.
 """
 
 import os
-import pickle
 import random
 from collections import Counter
 
@@ -30,9 +24,9 @@ from repro.store import (
     RunFormatError,
     RunReader,
     SpillingCounterStore,
-    compact_runs,
     decode_key,
     encode_key,
+    merge_runs,
 )
 from repro.store import spill as spill_module
 
@@ -67,59 +61,6 @@ def disk_artifacts(directory):
         name for name in os.listdir(directory)
         if name.endswith(".run") or name.endswith(".tmp")
     )
-
-
-class TestLifecycle:
-    def test_artifacts_live_under_spill_dir(self, tmp_path):
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=50)
-        feed(store, 200)
-        directory = store.directory
-        assert directory is not None
-        assert os.path.dirname(directory) == str(tmp_path)
-        assert store.stats()["runs_written"] >= 2
-        assert disk_artifacts(directory)  # published runs, no strays
-        assert all(name.endswith(".run") for name in disk_artifacts(directory))
-        store.close()
-
-    def test_clear_removes_every_run_file(self, tmp_path):
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=50)
-        feed(store, 200)
-        directory = store.directory
-        store.clear()
-        assert disk_artifacts(directory) == []
-        assert os.path.isdir(directory)  # the dir survives for the next round
-        assert len(store) == 0
-        store.close()
-
-    def test_close_removes_the_directory(self, tmp_path):
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=50)
-        feed(store, 200)
-        directory = store.directory
-        store.close()
-        assert not os.path.exists(directory)
-        assert os.listdir(tmp_path) == []
-
-    def test_stray_tmp_swept_on_clear(self, tmp_path):
-        """A ``.tmp`` left by a killed writer (simulated) is garbage the
-        next clear() collects."""
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=50)
-        feed(store, 200)
-        stray = os.path.join(store.directory, "run-999999.run.tmp")
-        with open(stray, "wb") as handle:
-            handle.write(b"half a run")
-        store.clear()
-        assert disk_artifacts(store.directory) == []
-        store.close()
-
-    def test_two_stores_never_collide(self, tmp_path):
-        a = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=10)
-        b = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=10)
-        feed(a, 50, seed=1)
-        feed(b, 50, seed=2)
-        assert a.directory != b.directory
-        a.close()
-        assert os.path.isdir(b.directory)
-        b.close()
 
 
 class TestDurabilityOrdering:
@@ -215,36 +156,27 @@ class TestWindowReadChecks:
         assert os.listdir(tmp_path) == []
 
 
-class TestLayeredMerges:
-    def test_compact_runs_matches_reference(self, tmp_path):
-        """``compact_runs`` (the tracker store's compaction) over count
-        runs: a tiny fan-in forces several layers, consumed inputs are
-        unlinked, and the one output sums to the reference Counter."""
+class TestMerges:
+    def test_merge_runs_sums_count_runs(self, tmp_path):
+        """One ``merge_runs`` over many count runs, oldest first: the one
+        output sums to the reference Counter and its inputs stay put."""
         store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
         reference = feed(store, 400)
         store.spill()
         paths = [reader.path for reader in store._runs]
-        assert len(paths) > 4  # more than two layers at fan-in 2
-        outputs = []
-
-        def make_path(layer, index):
-            outputs.append(str(tmp_path / f"merge{layer}-{index}.run"))
-            return outputs[-1]
-
-        result = compact_runs(paths, make_path, fan_in=2, block_size=256)
-        assert result.merges == len(paths) - 1
-        assert result.path == outputs[-1]
-        assert not any(os.path.exists(path) for path in paths + outputs[:-1])
-        reader = RunReader(result.path)
+        assert len(paths) > 4
+        output = str(tmp_path / "merged.run")
+        assert merge_runs(paths, output, block_size=256) == output
+        assert all(os.path.exists(path) for path in paths)
+        reader = RunReader(output)
         try:
-            assert result.entries == len(reference)
+            assert reader.n_entries == len(reference)
             assert {
                 decode_key(key): count for key, count in reader.entries()
             } == dict(reference)
         finally:
             reader.close()
-        os.unlink(result.path)
-        store._runs = []
+        os.unlink(output)
         store.close()
 
     def test_nothing_under_the_store_reads_the_core_count(self):
@@ -304,22 +236,6 @@ class TestMappingSemantics:
         assert stats["window_read_seconds"] > 0.0
         assert dict(store.items()) == before == dict(reference)
         store.close()
-
-
-class TestPickling:
-    def test_manifest_round_trip(self, tmp_path):
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
-        reference = feed(store, 300)
-        state = store.__getstate__()
-        # The wire payload is a manifest of published paths plus the small
-        # hot tail — never RunReader objects or decoded tables.
-        assert all(isinstance(path, str) for path in state["manifest"])
-        assert len(state["hot"]) < 40
-        clone = pickle.loads(pickle.dumps(store))
-        assert dict(clone.items()) == dict(reference)
-        assert clone.stats()["runs_written"] == store.stats()["runs_written"]
-        clone.close()  # the clone adopted the directory and its cleanup
-        assert not os.path.exists(store.directory)
 
 
 class TestConstruction:

@@ -9,7 +9,10 @@ threshold (1–8) and the merge fan-in (2–4), the store must answer exactly
 like a dict-backed ``TrackerBolt`` fed the same batches: the
 ``(received, duplicates)`` of every call, ``len``, every record of
 ``iter_entries`` / ``get``, and the digest of a snapshot taken at any
-point.
+point.  After every batch it also holds the compaction invariant that
+makes each compaction one merge of exactly ``merge_fan_in`` runs: each
+spill adds one run and each compaction leaves one, so fewer than
+``merge_fan_in`` runs are live and ``merges`` is fixed by ``runs_written``.
 """
 
 import os
@@ -73,6 +76,11 @@ def test_batches_fold_like_the_dict_tracker(batch_list, threshold, fan_in, betwe
                 assert store.ingest(batch) == (
                     bolt.reports_received - before[0],
                     bolt.duplicate_reports - before[1],
+                )
+                stats = store.stats()
+                assert stats["runs_live"] < fan_in
+                assert stats["merges"] == max(
+                    0, (stats["runs_written"] - 1) // (fan_in - 1)
                 )
                 query = between[index] if index < len(between) else "len"
                 if query == "len":

@@ -3,13 +3,13 @@
 The Tracker's dedup rule (max-support wins, ties keep the incumbent,
 report counts sum) must behave identically whether a tagset's reports all
 land in the hot dict or are sliced arbitrarily across spilled runs and
-layered compactions.  These tests pin that equivalence against a plain
-dict model, plus the machinery around it: the raw-value run format the
-store spills into, duplicate accounting across segments, crash/abort
-hygiene of the spill directory, the refusal to be pickled (the store never
-leaves its process), and the run-backed service snapshot
-(immutable, digest-identical to the dict snapshot, stable under further
-ingest).
+compactions.  These tests pin that equivalence against a plain dict model,
+plus the machinery around it: the raw-value run format the store spills
+into, duplicate accounting across segments, the refusal to be pickled
+while it holds records, and the run-backed service snapshot (immutable,
+digest-identical to the dict snapshot, stable under further ingest).  The
+spill directory's lifecycle is pinned for both stores in
+``test_run_store.py``.
 """
 
 import os
@@ -29,9 +29,9 @@ from repro.store import (
     StoreConfig,
     combine_max_support,
     encode_key,
+    merge_runs,
     write_run,
 )
-from repro.store.merge import merge_runs
 from repro.store.tracker import decode_value, encode_value
 
 
@@ -289,60 +289,7 @@ class TestStoreEqualsDictModel:
 
 
 # --------------------------------------------------------------------- #
-# Directory hygiene
-# --------------------------------------------------------------------- #
-class TestHygiene:
-    def test_close_removes_the_spill_directory(self, tmp_path):
-        store = make_store(tmp_path, threshold=2)
-        store.ingest(random_triples(7, 50))
-        assert store.directory is not None
-        store.close()
-        assert os.listdir(tmp_path) == []
-
-    def test_clear_keeps_directory_but_drops_records(self, tmp_path):
-        store = make_store(tmp_path, threshold=2)
-        try:
-            store.ingest(random_triples(7, 50))
-            store.clear()
-            assert len(store) == 0
-            assert list(store.iter_entries()) == []
-            assert store.stats()["runs_live"] == 0
-        finally:
-            store.close()
-
-    def test_failed_merge_sweeps_run_files(self, tmp_path, monkeypatch):
-        """An aborted compaction leaves no orphaned runs on disk."""
-        from repro.store import merge as merge_module
-
-        store = make_store(tmp_path, threshold=2, merge_fan_in=2)
-        store.ingest(random_triples(8, 6))  # below the compaction trigger
-
-        def exploding(sources, destination, *, block_size, combine=None):
-            raise RuntimeError("injected merge failure")
-
-        monkeypatch.setattr(merge_module, "merge_runs", exploding)
-        store.spill()  # force a second run
-        with pytest.raises(RuntimeError, match="injected"):
-            store.ingest(random_triples(9, 40))
-        directory = store.directory
-        assert not any(
-            name.endswith((".run", ".tmp")) for name in os.listdir(directory)
-        )
-        store.close()
-        assert os.listdir(tmp_path) == []
-
-    def test_gc_finalizer_backstops_close(self, tmp_path):
-        store = make_store(tmp_path, threshold=2)
-        store.ingest(random_triples(10, 50))
-        del store
-        import gc
-
-        gc.collect()
-        assert os.listdir(tmp_path) == []
-
-
-# --------------------------------------------------------------------- #
-# Pickling (refused: the store never leaves its process)
+# Pickling (refused while the store holds records)
 # --------------------------------------------------------------------- #
 class TestPickle:
     @pytest.mark.parametrize("threshold", [5, 10_000])  # spilled / unspilled
