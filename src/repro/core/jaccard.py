@@ -27,8 +27,10 @@ a Calculator touches hundreds of thousands of subsets per report round,
 tuples are markedly cheaper to build than frozensets (cache-entry
 construction is the dominant miss cost), and the cached enumeration is
 shared between the observe and report paths so each subset tuple is
-constructed once per cache residency.  Only reported coefficients are
-frozen, one frozenset per emitted result.
+constructed once per cache residency.  The same interned tuples are what
+the report puts on the wire: a triple's tagset slot holds the sorted tag
+tuple, which the Tracker keys its table by.  Frozensets are built only
+where a caller reads a result (:class:`JaccardResult`, :meth:`report`).
 
 The report fold
 ---------------
@@ -43,20 +45,34 @@ There is one report path, and it folds per *type* instead.  At observe time
 the counter additionally records the distinct observed tagset *types* — the
 state, growing with the counters, that tells the report which subset
 lattices exist.  At report time each distinct type is folded **once**: the
-counts of all ``2^m`` subsets of an ``m``-tag type are gathered into a
-subset lattice and a sum-over-subsets (SOS) transform produces the unions
-of *all* of its subsets simultaneously in ``m·2^m`` additions instead of
-``3^m`` lookups.  Keys shared by several types (heavily overlapping
-tagsets) are emitted once, by the first type that contains them: types fold
-in first-observation order, which therefore fixes the order of the reported
-triples (an invariant — the Tracker's table order and every pinned digest
-depend on it).  Like the paper's Calculator, a report deletes its counters
-and carries nothing into the next round.
+counts of all ``2^m`` subsets of an ``m``-tag type form a subset lattice,
+and a sum-over-subsets (SOS) transform produces the unions of *all* of its
+subsets simultaneously in ``m·2^m`` additions instead of ``3^m`` lookups.
 
-The fold rearranges the same exact integer sums as Equation (2), so its
-coefficients are bit-identical to the key-by-key computation —
-``tests/oracle.py`` is that computation, verbatim, and
-``tests/core/test_jaccard.py`` holds the fold to it.
+The fold runs in two passes.  The first groups the round's types of four
+or more tags by arity, and each group is folded as one batch
+(:func:`_fold_arity`): one ``(n_types × 2^m)`` int64 matrix filled by a
+single gather through the counter lookup (the dict's, or the spill store's
+per-fold window table), ``m`` in-place strided adds for the SOS transform,
+the reportable masks sliced out, and Jaccard as one vectorised division.
+At the default minimum size of two, two- and three-tag types are not
+batched: their unrolled inclusion–exclusion costs less than a matrix row
+(other minimum sizes batch every arity).  The second pass, the
+emission, walks the types in first-observation order, folds the two- and
+three-tag ones inline and takes each wider type's row, and emits every key
+not yet emitted — a key shared by overlapping types is emitted by the
+first type that contains it.  That order is an invariant: the Tracker's
+table order and every pinned digest depend on it.  The rows reach the wire
+as Python ints and floats (``tolist``), never numpy scalars.  Like the
+paper's Calculator, a report deletes its counters and carries nothing into
+the next round.
+
+The fold rearranges the same exact integer sums as Equation (2), and
+int64 division rounds exactly like Python's ``int / int`` below ``2^53``,
+so its coefficients are bit-identical to the key-by-key computation —
+``tests/oracle.py`` keeps that computation verbatim, and the per-type fold
+this one replaced as the order reference; ``tests/core/test_jaccard.py``
+holds the fold to both.
 
 Worked inclusion–exclusion example
 ----------------------------------
@@ -69,9 +85,11 @@ For the tagset ``{a, b}``, Equation (2) gives::
 
     |T_a ∪ T_b| = |T_a| + |T_b| − |T_a ∩ T_b| = 3 + 2 − 2 = 3
 
-so ``J({a, b}) = CN({a, b}) / |T_a ∪ T_b| = 2 / 3``.  The report fold
-reaches the same number through the signed subset lattice of the
-observed type ``(a, b)``: it loads ``f = [0, −3, −2, +2]`` (counts of
+so ``J({a, b}) = CN({a, b}) / |T_a ∪ T_b| = 2 / 3``, reported as the
+triple ``(("a", "b"), 2/3, 2)``.  A two-tag type takes the unrolled path,
+which is this sum; the batched fold of a wider type reaches the same
+number through the signed subset lattice — for the type ``(a, b)`` it
+would load ``f = [0, −3, −2, +2]`` (counts of
 ``∅, {a}, {b}, {a,b}`` with sign ``(−1)^{|subset|}``), runs the SOS
 transform to get the signed partial sums of every subset, and negates —
 ``union({a,b}) = −(−3 − 2 + 2) = 3`` — computing the unions of ``{a}``,
@@ -82,9 +100,10 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import combinations
-from operator import mul
-from typing import Iterable, Mapping
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from ..store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, SpillingCounterStore
 
@@ -269,8 +288,9 @@ class SubsetTupleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, tags: object) -> bool:
-        return tags in self._entries
+    def __contains__(self, tags: Iterable[str]) -> bool:
+        # Normalised like lookup(): any iterable of the tags, in any order.
+        return frozenset(tags) in self._entries
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/eviction accounting plus the current size."""
@@ -299,33 +319,83 @@ class SubsetTupleCache:
         self.hits, self.misses, self.evictions = state[2:]
 
 
-#: Per-arity sign vectors of the subset lattice: ``_SIGNS[m][mask]`` is
+#: Per-arity sign rows of the subset lattice: ``_SIGNS[m][mask]`` is
 #: ``(−1)^{popcount(mask)}``, the inclusion–exclusion sign of the subset
 #: ``mask`` encodes.  Tiny (``m ≤ max_tags_per_document``) and shared by
 #: every counter in the process.
-_SIGNS: dict[int, tuple[int, ...]] = {}
+_SIGNS: dict[int, np.ndarray] = {}
 
-#: Per-(arity, min-size) mask lists of reportable subsets (popcount ≥ the
-#: report's minimum tagset size), shared like :data:`_SIGNS`.
-_REPORT_MASKS: dict[tuple[int, int], tuple[int, ...]] = {}
+#: Per-(arity, min-size) reportable subsets (popcount ≥ the report's
+#: minimum tagset size): the masks as a tuple for the emission pass and as
+#: an index array for the fold's column selection.  Shared like
+#: :data:`_SIGNS`.
+_REPORT_MASKS: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
 
 
-def _signs(m: int) -> tuple[int, ...]:
+def _signs(m: int) -> np.ndarray:
     signs = _SIGNS.get(m)
     if signs is None:
-        signs = tuple(-1 if mask.bit_count() & 1 else 1 for mask in range(1 << m))
+        signs = np.array(
+            [-1 if mask.bit_count() & 1 else 1 for mask in range(1 << m)],
+            dtype=np.int64,
+        )
+        signs.flags.writeable = False  # shared by every counter
         _SIGNS[m] = signs
     return signs
 
 
-def _report_masks(m: int, min_size: int) -> tuple[int, ...]:
+def _report_masks(m: int, min_size: int) -> tuple[tuple[int, ...], np.ndarray]:
     masks = _REPORT_MASKS.get((m, min_size))
     if masks is None:
-        masks = tuple(
+        listed = tuple(
             mask for mask in range(1, 1 << m) if mask.bit_count() >= min_size
         )
+        index = np.array(listed, dtype=np.intp)
+        index.flags.writeable = False
+        masks = (listed, index)
         _REPORT_MASKS[(m, min_size)] = masks
     return masks
+
+
+def _fold_arity(
+    m: int,
+    lattices: list[tuple[tuple[str, ...], ...]],
+    lookup: Callable[[tuple[str, ...]], int],
+    min_size: int,
+) -> tuple[tuple[int, ...], Iterator[tuple[list[int], list[float]]]]:
+    """Fold every ``m``-tag lattice of a round at once.
+
+    The counts of all ``2^m`` subsets of the ``n`` types are gathered into
+    one ``(n × 2^m)`` matrix, signed, and run through the sum-over-subsets
+    transform as ``m`` in-place strided adds: viewing a row as
+    ``(2^(m−i−1), 2, 2^i)`` blocks, pass ``i`` adds every block with bit
+    ``i`` clear onto its partner with the bit set.  Afterwards
+    ``union(subset) = −g[mask]`` for every subset of every type — exact
+    int64 arithmetic, Equation (2) rearranged — and Jaccard is one
+    division, which rounds exactly like Python's ``int / int`` for counts
+    below ``2^53``.
+
+    Returns the reportable masks and an iterator of per-type
+    ``(supports, jaccards)`` rows as Python ints and floats (``tolist``):
+    no numpy scalar reaches the wire.  An entry that must not be reported
+    (zero support or non-positive union) has support 0.
+    """
+    n = len(lattices)
+    size = 1 << m
+    raw = np.fromiter(
+        map(lookup, chain.from_iterable(lattices)), dtype=np.int64, count=n * size
+    ).reshape(n, size)
+    g = raw * _signs(m)
+    for i in range(m):
+        blocks = g.reshape(n, size >> (i + 1), 2, 1 << i)
+        blocks[:, :, 1, :] += blocks[:, :, 0, :]
+    masks, index = _report_masks(m, min_size)
+    supports = raw[:, index]
+    unions = -g[:, index]
+    valid = (supports != 0) & (unions > 0)
+    supports = np.where(valid, supports, 0)
+    jaccards = supports / np.where(valid, unions, 1)
+    return masks, zip(supports.tolist(), jaccards.tolist())
 
 
 @dataclass(slots=True)
@@ -410,11 +480,12 @@ class SubsetCounter:
         """The subset-enumeration cache (shared with the report path)."""
         return self._cache
 
-    def observe(self, tags: Iterable[str]) -> None:
-        """Record one incoming tagset notification."""
+    def observe(self, tags: Iterable[str]) -> bool:
+        """Record one incoming tagset notification; ``False`` (nothing
+        counted) for an empty tagset."""
         fs = frozenset(tags)  # no-op for the wire format (already frozen)
         if not fs:
-            return
+            return False
         if len(fs) > self._max_tags:
             # Guard against combinatorial blow-up on pathological documents;
             # real tweets carry < 10 tags (Section 3.1).
@@ -422,6 +493,7 @@ class SubsetCounter:
         _, _, nonempty = self._cache.lookup(fs)
         self._counts.update(nonempty)
         self._types[fs] = None
+        return True
 
     def count(self, tags: Iterable[str]) -> int:
         """Documents observed that carry all of ``tags``."""
@@ -475,22 +547,22 @@ class SubsetCounter:
     # ------------------------------------------------------------------ #
     def report_triples(
         self, min_size: int = 2
-    ) -> list[tuple[frozenset[str], float, int]]:
+    ) -> list[tuple[tuple[str, ...], float, int]]:
         """Coefficients as raw ``(tagset, jaccard, support)`` wire triples:
         one subset-lattice fold per distinct observed tagset type.
 
         The hot reporting path: report rounds ship hundreds of thousands of
         coefficients per run, so the periodic emit, the end-of-run drain
         and the Tracker all consume these triples directly instead of
-        wrapping each one in a :class:`JaccardResult`.
+        wrapping each one in a :class:`JaccardResult`.  A triple's tagset
+        is the cache's sorted tag tuple, not a frozenset.
 
         Every counted key is a subset of at least one observed type, so
         folding each type's lattice once covers all keys; keys shared by
         overlapping types are emitted on first encounter only, and types
-        fold in first-observation order (see ``_types``).  The fold is the
-        sum-over-subsets transform of the signed counts, after which
-        ``union(subset) = −g[mask]`` for every subset of the type — exact
-        integer arithmetic, Equation (2) rearranged.
+        emit in first-observation order (see ``_types``).  Two- and
+        three-tag types fold inline; wider ones are batched per arity by
+        :func:`_fold_arity` before the emission pass walks the types.
         """
         # One counter lookup per lattice position.  The spill store reads
         # its runs once into a table private to this fold rather than
@@ -500,32 +572,46 @@ class SubsetCounter:
             else self._counts.__getitem__
         )
         cache_lookup = self._cache.lookup
-        results: list[tuple[frozenset[str], float, int]] = []
-        append = results.append
-        done: set[tuple[str, ...]] = set()
-        seen = done.add
+        # Pass one: the lattices to fold, in first-observation order, and
+        # the wide ones grouped by arity for the batched fold.
+        lattices: list[tuple[tuple[str, ...], ...]] = []
+        batches: dict[int, list[tuple[tuple[str, ...], ...]]] = {}
+        unrolled = min_size == 2
         for vtype in self._types:
             m = len(vtype)
             if m < min_size:
                 continue  # contributes no reportable keys of its own
-            self.types_folded += 1
             _, by_mask, _ = cache_lookup(vtype)
             assert by_mask is not None  # full lattices are never size-capped
-            # Two- and three-tag types — the bulk of a trending stream once
-            # routing splits tagsets per Calculator — fold via unrolled
-            # inclusion–exclusion: the generic lattice machinery costs more
-            # than these few additions.  Only exercised at the default
-            # min_size=2 (reportable keys of 2..m tags).
-            if m == 2 and min_size == 2:
+            lattices.append(by_mask)
+            if m > 3 or not unrolled:
+                batches.setdefault(m, []).append(by_mask)
+        self.types_folded += len(lattices)
+        folded = {
+            m: _fold_arity(m, group, lookup, min_size)
+            for m, group in batches.items()
+        }
+
+        # Pass two: emission.  Two- and three-tag types — the bulk of a
+        # trending stream once routing splits tagsets per Calculator — fold
+        # here via unrolled inclusion–exclusion (batching them measured
+        # slower); wider types take their next folded row.
+        results: list[tuple[tuple[str, ...], float, int]] = []
+        append = results.append
+        done: set[tuple[str, ...]] = set()
+        seen = done.add
+        for by_mask in lattices:
+            size = len(by_mask)
+            if size == 4 and unrolled:
                 pair = by_mask[3]
                 if pair not in done:
                     seen(pair)
                     support = lookup(pair)
                     union = lookup(by_mask[1]) + lookup(by_mask[2]) - support
                     if support and union > 0:
-                        append((frozenset(pair), support / union, support))
+                        append((pair, support / union, support))
                 continue
-            if m == 3 and min_size == 2:
+            if size == 8 and unrolled:
                 na = lookup(by_mask[1])
                 nb = lookup(by_mask[2])
                 nc = lookup(by_mask[4])
@@ -546,47 +632,24 @@ class SubsetCounter:
                         continue
                     seen(key)
                     if support and union > 0:
-                        append((frozenset(key), support / union, support))
+                        append((key, support / union, support))
                 continue
-            size = 1 << m
-            # Counts of all subsets of the type (reused as the per-key
-            # supports below), then signed for the fold: g[mask] =
-            # (−1)^{|subset|} · CN(subset) — all via C-level maps.
-            raw = list(map(lookup, by_mask))
-            g = list(map(mul, _signs(m), raw))
-            # Sum-over-subsets: after the i-th pass g[mask] holds the signed
-            # sum over all subsets differing from mask only in bits 0..i.
-            # The lower half-block is untouched within a pass, so larger
-            # blocks fold with one slice assignment.
-            for i in range(m):
-                bit = 1 << i
-                step = bit << 1
-                if bit >= 16:
-                    for base in range(bit, size, step):
-                        upper = base + bit
-                        g[base:upper] = [
-                            x + y for x, y in zip(g[base:upper], g[base - bit:base])
-                        ]
-                else:
-                    for base in range(bit, size, step):
-                        for mask in range(base, base + bit):
-                            g[mask] += g[mask - bit]
-            for mask in _report_masks(m, min_size):
-                key = by_mask[mask]
+            masks, rows = folded[size.bit_length() - 1]
+            supports, jaccards = next(rows)
+            for key, support, jaccard in zip(
+                map(by_mask.__getitem__, masks), supports, jaccards
+            ):
                 if key in done:
                     continue
                 seen(key)
-                support = raw[mask]
-                union = -g[mask]
-                if support == 0 or union <= 0:
-                    continue
-                append((frozenset(key), support / union, support))
+                if support:
+                    append((key, jaccard, support))
         return results
 
     def report_results(self, min_size: int = 2) -> list[JaccardResult]:
         """Coefficients of every counted tagset of at least ``min_size`` tags."""
         return [
-            JaccardResult(tagset, jaccard, support)
+            JaccardResult(frozenset(tagset), jaccard, support)
             for tagset, jaccard, support in self.report_triples(min_size)
         ]
 
@@ -631,7 +694,8 @@ class JaccardCalculator:
 
     @property
     def observations(self) -> int:
-        """Number of notifications observed since the last report."""
+        """Notifications counted since the last report (empty tagsets are
+        dropped, not counted)."""
         return self._observations
 
     @property
@@ -651,8 +715,8 @@ class JaccardCalculator:
 
     def observe(self, tags: Iterable[str]) -> None:
         """Record one tagset notification."""
-        self._counter.observe(tags)
-        self._observations += 1
+        if self._counter.observe(tags):
+            self._observations += 1
 
     def coefficient(self, tags: Iterable[str]) -> float:
         """Current Jaccard coefficient of ``tags``."""
@@ -666,13 +730,13 @@ class JaccardCalculator:
         counters are deleted (``reset=True``).
         """
         return [
-            JaccardResult(tagset, jaccard, support)
+            JaccardResult(frozenset(tagset), jaccard, support)
             for tagset, jaccard, support in self.report_triples(min_size, reset)
         ]
 
     def report_triples(
         self, min_size: int = 2, reset: bool = True
-    ) -> list[tuple[frozenset[str], float, int]]:
+    ) -> list[tuple[tuple[str, ...], float, int]]:
         """:meth:`report` as raw wire triples (the Calculator hot path)."""
         results = self._counter.report_triples(min_size)
         if reset:

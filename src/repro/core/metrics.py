@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -156,15 +156,16 @@ class JaccardErrorReport:
 
 
 def jaccard_error(
-    reported: Mapping[frozenset[str], float],
-    ground_truth: Mapping[frozenset[str], float],
+    reported: Mapping[Hashable, float],
+    ground_truth: Mapping[Hashable, float],
 ) -> JaccardErrorReport:
     """Compare reported coefficients against the centralised baseline.
 
     Only tagsets present in ``ground_truth`` are evaluated (the baseline
     already restricts itself to tagsets seen more than ``sn`` times, as in
     Section 8.2.3).  Ground-truth tagsets missing from ``reported`` count as
-    missing, not as error.
+    missing, not as error.  ``reported`` must accept ``ground_truth``'s
+    keys (frozensets, or the sorted tag tuples the pipeline uses).
     """
     errors = []
     missing = 0

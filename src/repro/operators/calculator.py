@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import time
+from typing import Iterable
 
 from ..core.jaccard import (
     DEFAULT_SUBSET_CACHE_SIZE,
@@ -87,13 +88,15 @@ class BaseCalculatorBolt(Bolt):
 
     def _report_triples(
         self, reset: bool
-    ) -> list[tuple[frozenset[str], float, int]]:
+    ) -> list[tuple[Iterable[str], float, int]]:
         """:meth:`_report` as raw ``(tagset, jaccard, support)`` wire triples.
 
         The hot reporting path — periodic emits, the end-of-run drain and
         the Tracker all consume triples.  Modes whose estimator produces
         triples natively (the exact mode) override this to skip the
-        :class:`JaccardResult` round-trip.
+        :class:`JaccardResult` round-trip; their tagset slot holds the
+        sorted tag tuple.  This generic one ships the result's frozenset,
+        which the Tracker sorts on ingest.
         """
         return [(r.tagset, r.jaccard, r.support) for r in self._report(reset=reset)]
 
@@ -160,7 +163,7 @@ class BaseCalculatorBolt(Bolt):
 
     def _emit_coefficients(
         self,
-        results: list[tuple[frozenset[str], float, int]],
+        results: list[tuple[Iterable[str], float, int]],
         timestamp: float,
     ) -> None:
         """Ship one round's triples, whole or in ``report_chunk_size`` slices.
@@ -176,7 +179,7 @@ class BaseCalculatorBolt(Bolt):
         for start in range(0, len(results), chunk):
             self.emit(COEFFICIENTS, results[start:start + chunk], timestamp)
 
-    def drain_payload(self) -> list[tuple[frozenset[str], float, int]]:
+    def drain_payload(self) -> list[tuple[Iterable[str], float, int]]:
         """Final flush: the triples of a last, resetting report.
 
         The pipeline (or, under the process executor, the worker shard)
@@ -188,12 +191,15 @@ class BaseCalculatorBolt(Bolt):
 
     def drain_results(self) -> list[JaccardResult]:
         """:meth:`drain_payload`, wrapped as :class:`JaccardResult` objects."""
-        return [JaccardResult(*triple) for triple in self.drain_payload()]
+        return [
+            JaccardResult(frozenset(tagset), jaccard, support)
+            for tagset, jaccard, support in self.drain_payload()
+        ]
 
     # ------------------------------------------------------------------ #
     # State migration (live repartitioning handoff)
     # ------------------------------------------------------------------ #
-    def prepare_migration(self) -> list[tuple[frozenset[str], float, int]]:
+    def prepare_migration(self) -> list[tuple[Iterable[str], float, int]]:
         """Phase one of the two-phase handoff: compute the migration payload
         without mutating any state.
 
@@ -205,7 +211,7 @@ class BaseCalculatorBolt(Bolt):
         return self._report_triples(reset=False)
 
     def commit_migration(
-        self, payload: list[tuple[frozenset[str], float, int]], timestamp: float
+        self, payload: list[tuple[Iterable[str], float, int]], timestamp: float
     ) -> int:
         """Phase two: ship the prepared payload and reset the counted window.
 
@@ -280,7 +286,7 @@ class CalculatorBolt(BaseCalculatorBolt):
 
     def _report_triples(
         self, reset: bool
-    ) -> list[tuple[frozenset[str], float, int]]:
+    ) -> list[tuple[tuple[str, ...], float, int]]:
         return self.calculator.report_triples(min_size=2, reset=reset)
 
     def _emit_report(self, timestamp: float) -> None:
@@ -289,7 +295,7 @@ class CalculatorBolt(BaseCalculatorBolt):
         super()._emit_report(timestamp)
         self.types_folded += counter.types_folded - before
 
-    def drain_payload(self) -> list[tuple[frozenset[str], float, int]]:
+    def drain_payload(self) -> list[tuple[tuple[str, ...], float, int]]:
         triples = super().drain_payload()
         # The run is over: a spilling counter store gives up its directory.
         self.calculator.counter.close()

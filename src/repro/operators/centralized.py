@@ -150,13 +150,21 @@ class CentralizedCalculatorBolt(Bolt):
 
     def ground_truth(self) -> dict[frozenset[str], float]:
         """Exact coefficients for every qualifying tagset."""
+        return {
+            frozenset(key): truth
+            for key, truth in self.ground_truth_by_key().items()
+        }
+
+    def ground_truth_by_key(self) -> dict[tuple[str, ...], float]:
+        """:meth:`ground_truth` keyed by sorted tag tuples — the Tracker's
+        own keys, so the run's error report probes its table directly."""
         counts = self._counts()
-        truth: dict[frozenset[str], float] = {}
+        truth: dict[tuple[str, ...], float] = {}
         for key, count in counts.items():
             if len(key) < 2 or count <= self.min_occurrences:
                 continue
             union = _union_size_from_tuple_counts(key, counts)
-            truth[frozenset(key)] = count / union if union > 0 else 0.0
+            truth[key] = count / union if union > 0 else 0.0
         return truth
 
     def occurrence_count(self, tagset: frozenset[str]) -> int:

@@ -5,6 +5,15 @@ Jaccard coefficient for the same tagset.  The Tracker keeps, for every
 tagset, the coefficient supported by the longest-tracked counter (maximum
 ``CN(s_i)``), the heuristic of Section 6.2.
 
+The table is keyed by the sorted tag tuple a Calculator puts in a triple's
+tagset slot; :meth:`TrackerBolt.ingest` sorts anything else it is given (a
+frozenset from the sketch mode or a :class:`JaccardResult`, a list) into
+that key.  Frozensets are built only at the read boundary: every public
+read — the views, :meth:`TrackerBolt.coefficients`, ``supports``,
+``export_triples``, ``iter_coefficients`` and the snapshots' ``entries``,
+``coefficient`` and ``top_k`` — takes and returns tagsets as frozensets,
+exactly as before the keys changed.
+
 Result access is lazy: :meth:`TrackerBolt.coefficient_view` exposes the
 tracked coefficients as a read-only mapping over the live dedup table and
 :meth:`TrackerBolt.iter_coefficients` streams them — the error report of a
@@ -34,6 +43,7 @@ from ..store import (
     StoreConfig,
     TRACKER_STORES,
     select_top_k,
+    tagset_key,
 )
 from ..streamsim.components import Bolt
 from ..streamsim.tuples import TupleMessage
@@ -52,12 +62,15 @@ class TrackedCoefficient:
 class CoefficientView(Mapping):
     """Read-only mapping view over the Tracker's dedup table.
 
-    Backed directly by the live ``tagset -> TrackedCoefficient`` dict:
+    Backed directly by the live ``key -> TrackedCoefficient`` dict:
     lookups and membership tests cost one dict probe and **no** per-report
     dict materialisation (the old ``coefficients()`` built a full copy every
     time the error report ran).  ``min_support`` filters transparently —
     filtered entries behave as absent.  Iteration length under a filter is
-    O(n) on first use and cached until the Tracker ingests again.
+    O(n) on first use and cached until the Tracker ingests again.  Lookups
+    take a frozenset (or any iterable of the tags; a tuple is taken as the
+    sorted key, see :func:`~repro.store.tagset_key`); iteration yields
+    frozensets.
     """
 
     __slots__ = ("_best", "_min_support", "_len", "_stamp", "_tracker")
@@ -69,21 +82,21 @@ class CoefficientView(Mapping):
         self._len: int | None = None
         self._stamp = tracker.reports_received
 
-    def __getitem__(self, tagset: frozenset[str]) -> float:
-        tracked = self._best[tagset]
+    def __getitem__(self, tagset: Iterable[str]) -> float:
+        tracked = self._best[tagset_key(tagset)]
         if tracked.support < self._min_support:
             raise KeyError(tagset)
         return tracked.jaccard
 
     def __contains__(self, tagset: object) -> bool:
-        tracked = self._best.get(tagset)  # type: ignore[arg-type]
+        tracked = self._best.get(tagset_key(tagset))  # type: ignore[arg-type]
         return tracked is not None and tracked.support >= self._min_support
 
     def __iter__(self) -> Iterator[frozenset[str]]:
         min_support = self._min_support
-        for tagset, tracked in self._best.items():
+        for key, tracked in self._best.items():
             if tracked.support >= min_support:
-                yield tagset
+                yield frozenset(key)
 
     def __len__(self) -> int:
         if self._min_support <= 0:
@@ -112,7 +125,7 @@ class SpillCoefficientView(Mapping):
         self._len: int | None = None
         self._stamp = tracker.reports_received
 
-    def __getitem__(self, tagset: frozenset[str]) -> float:
+    def __getitem__(self, tagset: Iterable[str]) -> float:
         record = self._store.get(tagset)
         if record is None or record[1] < self._min_support:
             raise KeyError(tagset)
@@ -152,10 +165,12 @@ class TrackerSnapshot:
     thread, and neither the dataclass nor a layer changes after publication.
 
     The table is a stack of layers, newest first; a tagset's value is the
-    one in the newest layer that holds it.  :meth:`TrackerBolt.snapshot`
-    freezes only the tagsets that changed since the previous snapshot into
-    a new layer and reuses every older one, so consecutive snapshots share
-    all but O(changed entries) of their memory — the dict-store twin of
+    one in the newest layer that holds it.  Layers are keyed by sorted tag
+    tuples, like the live table; the query surface takes and returns
+    frozensets.  :meth:`TrackerBolt.snapshot` freezes only the tagsets
+    that changed since the previous snapshot into a new layer and reuses
+    every older one, so consecutive snapshots share all but O(changed
+    entries) of their memory — the dict-store twin of
     :class:`repro.store.RunBackedTrackerSnapshot` (immutable runs plus a
     bounded hot copy).
     """
@@ -164,9 +179,9 @@ class TrackerSnapshot:
     round_index: int
     reports_received: int
     duplicate_reports: int
-    #: ``{tagset: (jaccard, support)}`` dicts, newest first; shared between
-    #: snapshots and never mutated once published.
-    layers: tuple[dict[frozenset[str], tuple[float, int]], ...] = ()
+    #: ``{sorted tag tuple: (jaccard, support)}`` dicts, newest first;
+    #: shared between snapshots and never mutated once published.
+    layers: tuple[dict[tuple[str, ...], tuple[float, int]], ...] = ()
     #: Distinct tagsets over all layers.
     size: int = 0
     #: Entries the Tracker had written into layers (compaction included)
@@ -181,22 +196,25 @@ class TrackerSnapshot:
         """Layers a point query probes at most."""
         return len(self.layers)
 
+    def _merged(self) -> dict[tuple[str, ...], tuple[float, int]]:
+        merged: dict[tuple[str, ...], tuple[float, int]] = {}
+        for layer in reversed(self.layers):  # oldest first: newer overrides
+            merged.update(layer)
+        return merged
+
     @property
     def entries(self) -> dict[frozenset[str], tuple[float, int]]:
         """``tagset -> (jaccard, support)`` at snapshot time, merged into a
         fresh dict (O(table); the layers themselves are not exposed)."""
-        merged: dict[frozenset[str], tuple[float, int]] = {}
-        for layer in reversed(self.layers):  # oldest first: newer overrides
-            merged.update(layer)
-        return merged
+        return {frozenset(key): pair for key, pair in self._merged().items()}
 
     def coefficient(
         self, tagset: Iterable[str]
     ) -> tuple[float, int] | None:
         """``(jaccard, support)`` of one tagset, or ``None`` if untracked."""
-        tagset = frozenset(tagset)
+        key = tuple(sorted(tagset))
         for layer in self.layers:
-            pair = layer.get(tagset)
+            pair = layer.get(key)
             if pair is not None:
                 return pair
         return None
@@ -209,7 +227,9 @@ class TrackerSnapshot:
         Deterministic: ties break on descending support, then on the sorted
         tag tuple, so two queries against the same snapshot always agree.
         """
-        return select_top_k(self.entries.items(), k, min_support)
+        rows = select_top_k(self._merged().items(), k, min_support)
+        return [(frozenset(key), jaccard, support)
+                for key, jaccard, support in rows]
 
     def digest(self) -> str:
         """Order-independent hash of the snapshot's coefficient table.
@@ -219,8 +239,8 @@ class TrackerSnapshot:
         snapshots compare by this digest.
         """
         lines = sorted(
-            f"{','.join(sorted(tagset))}={jaccard!r}/{support}"
-            for tagset, (jaccard, support) in self.entries.items()
+            f"{','.join(key)}={jaccard!r}/{support}"
+            for key, (jaccard, support) in self._merged().items()
         )
         hasher = hashlib.sha256()
         for line in lines:
@@ -250,7 +270,8 @@ class TrackerBolt(Bolt):
                 f"expected one of {TRACKER_STORES}"
             )
         self.tracker_store = tracker_store
-        self._best: dict[frozenset[str], TrackedCoefficient] = {}
+        #: The dict store's dedup table, keyed by sorted tag tuple.
+        self._best: dict[tuple[str, ...], TrackedCoefficient] = {}
         self._store: SpillingTrackerStore | None = (
             SpillingTrackerStore(config=store_config)
             if tracker_store == "spill"
@@ -263,8 +284,8 @@ class TrackerBolt(Bolt):
         # the first call, so a batch run that never snapshots pays one
         # ``is not None`` test per winner.  ``_layers`` is the last
         # snapshot's layer stack: published, hence never mutated.
-        self._dirty: set[frozenset[str]] | None = None
-        self._layers: tuple[dict[frozenset[str], tuple[float, int]], ...] = ()
+        self._dirty: set[tuple[str, ...]] | None = None
+        self._layers: tuple[dict[tuple[str, ...], tuple[float, int]], ...] = ()
         self._entries_copied = 0
 
     def execute(self, message: TupleMessage) -> None:
@@ -274,14 +295,16 @@ class TrackerBolt(Bolt):
         self.ingest(message.values[0])
 
     def ingest(
-        self, results: "Iterable[tuple[frozenset[str], float, int]]"
+        self, results: "Iterable[tuple[Iterable[str], float, int]]"
     ) -> None:
         """Deduplicate a batch of ``(tagset, jaccard, support)`` wire triples.
 
         The hot path: one batched tuple per Calculator report round (and
         the end-of-run drain) carries every coefficient of the round, so
         the dedup loop runs inline on the triples instead of wrapping each
-        in a :class:`JaccardResult`.
+        in a :class:`JaccardResult`.  A tagset that is not a tuple is
+        sorted into one (:func:`~repro.store.tagset_key`), so frozensets
+        and sorted tuples of the same tags land in one entry.
         """
         if self._store is not None:
             received, duplicates = self._store.ingest(results)
@@ -294,7 +317,8 @@ class TrackerBolt(Bolt):
         duplicates = 0
         for tagset, jaccard, support in results:
             received += 1
-            tagset = frozenset(tagset)
+            if type(tagset) is not tuple:
+                tagset = tuple(sorted(tagset))
             existing = best.get(tagset)
             if existing is None:
                 best[tagset] = TrackedCoefficient(
@@ -315,7 +339,7 @@ class TrackerBolt(Bolt):
 
     def ingest_repeated(
         self,
-        pairs: "Iterable[tuple[tuple[frozenset[str], float, int], int]]",
+        pairs: "Iterable[tuple[tuple[Iterable[str], float, int], int]]",
     ) -> None:
         """Ingest ``(triple, count)`` pairs — each triple ``count`` times.
 
@@ -352,9 +376,9 @@ class TrackerBolt(Bolt):
                 if support >= min_support:
                     yield tagset, jaccard
             return
-        for tagset, tracked in self._best.items():
+        for key, tracked in self._best.items():
             if tracked.support >= min_support:
-                yield tagset, tracked.jaccard
+                yield frozenset(key), tracked.jaccard
 
     def coefficients(self, min_support: int = 0) -> dict[frozenset[str], float]:
         """Final coefficient per tagset as a snapshot dict (copies)."""
@@ -399,12 +423,12 @@ class TrackerBolt(Bolt):
             while fold < len(older) and 2 * size >= len(older[fold]):
                 size += len(older[fold])
                 fold += 1
-            layer: dict[frozenset[str], tuple[float, int]] = {}
+            layer: dict[tuple[str, ...], tuple[float, int]] = {}
             for folded in reversed(older[:fold]):  # oldest first
                 layer.update(folded)
-            for tagset in dirty:
-                tracked = best[tagset]
-                layer[tagset] = (tracked.jaccard, tracked.support)
+            for key in dirty:
+                tracked = best[key]
+                layer[key] = (tracked.jaccard, tracked.support)
             self._layers = (layer,) + older[fold:]
             self._entries_copied += len(layer)
             dirty.clear()
@@ -425,7 +449,9 @@ class TrackerBolt(Bolt):
                 for tagset, _jaccard, support, _reports
                 in self._store.iter_entries()
             }
-        return {tagset: tracked.support for tagset, tracked in self._best.items()}
+        return {
+            frozenset(key): tracked.support for key, tracked in self._best.items()
+        }
 
     def export_triples(self) -> list[tuple[frozenset[str], float, int]]:
         """The dedup table as ``(tagset, jaccard, support)`` wire triples.
@@ -447,8 +473,8 @@ class TrackerBolt(Bolt):
                 in self._store.iter_entries()
             ]
         return [
-            (tagset, tracked.jaccard, tracked.support)
-            for tagset, tracked in self._best.items()
+            (frozenset(key), tracked.jaccard, tracked.support)
+            for key, tracked in self._best.items()
         ]
 
     # ------------------------------------------------------------------ #

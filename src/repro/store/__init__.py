@@ -62,6 +62,7 @@ from .tracker import (
     SpillingTrackerStore,
     combine_max_support,
     select_top_k,
+    tagset_key,
 )
 
 __all__ = [
@@ -88,5 +89,6 @@ __all__ = [
     "merge_runs",
     "merged_entries",
     "select_top_k",
+    "tagset_key",
     "write_run",
 ]

@@ -135,36 +135,44 @@ def combine_max_support(old: bytes, new: bytes) -> bytes:
     return encode_value(old_j, old_s, old_r + new_r)
 
 
-def _encode_tagset(tagset: frozenset) -> bytes:
-    return encode_key(tuple(sorted(tagset)))
+def tagset_key(tags: Iterable[str]) -> tuple[str, ...]:
+    """The Tracker's key of a tagset: its tags as a sorted tuple.
+
+    A tuple is taken to be that key already — it is the form Calculators
+    put on the wire — and any other iterable (a frozenset, a list) is
+    sorted.
+    """
+    return tags if type(tags) is tuple else tuple(sorted(tags))
 
 
 def _sorted_rows(hot: dict) -> list[tuple[bytes, bytes]]:
     """A hot segment as run entries — ``(encoded key, record)`` in key
     order.  Hot entries are ``[jaccard, support, reports, encoded]``;
     ``encoded`` is the key's bytes when the batch's membership resolution
-    already computed them (else ``None``), so a tagset is sorted and
-    encoded once."""
+    already computed them (else ``None``), so a tagset is encoded once."""
     return sorted(
-        (entry[3] or _encode_tagset(key),
+        (entry[3] or encode_key(key),
          encode_value(entry[0], entry[1], entry[2]))
         for key, entry in hot.items()
     )
 
 
-def _folded_record(readers: list, hot: dict, tagset: frozenset) -> bytes | None:
-    """One tagset's record folded over ``readers`` (oldest first) and then
-    its hot entry — the point-query twin of the merge fold."""
+def _folded_record(
+    readers: list, hot: dict, key: tuple[str, ...]
+) -> bytes | None:
+    """One tagset's record (``key`` its sorted tag tuple) folded over
+    ``readers`` (oldest first) and then its hot entry — the point-query
+    twin of the merge fold."""
     merged: bytes | None = None
     if readers:
-        encoded = _encode_tagset(tagset)
+        encoded = encode_key(key)
         for reader in readers:
             value = reader.get(encoded)
             if value is not None:
                 merged = value if merged is None else (
                     combine_max_support(merged, value)
                 )
-    entry = hot.get(tagset)
+    entry = hot.get(key)
     if entry is not None:
         hot_value = encode_value(entry[0], entry[1], entry[2])
         merged = hot_value if merged is None else (
@@ -174,14 +182,15 @@ def _folded_record(readers: list, hot: dict, tagset: frozenset) -> bytes | None:
 
 
 def select_top_k(
-    items: Iterable[tuple[frozenset, tuple[float, int]]],
+    items: Iterable[tuple[Iterable[str], tuple[float, int]]],
     k: int,
     min_support: int = 0,
-) -> list[tuple[frozenset, float, int]]:
+) -> list[tuple[Iterable[str], float, int]]:
     """The ``k`` best ``(tagset, jaccard, support)`` rows of a table given
     as ``(tagset, (jaccard, support))`` items — *the* ``top_k`` order of
     every snapshot: jaccard descending, then support descending, then the
-    sorted tag tuple ascending.
+    sorted tag tuple ascending.  Tagsets come back as given (the
+    snapshots pass sorted tuples and freeze the ``k`` rows they return).
 
     One pass, threshold selection: a ``k``-heap of bare ``(jaccard,
     support)`` pairs carries the cut (the ``k``-th best pair so far, which
@@ -192,7 +201,7 @@ def select_top_k(
     if k < 1:
         return []
     heap: list[tuple[float, int]] = []
-    kept: list[tuple[frozenset, tuple[float, int]]] = []
+    kept: list[tuple[Iterable[str], tuple[float, int]]] = []
     for item in items:
         pair = item[1]
         if pair[1] < min_support:
@@ -256,17 +265,20 @@ class SpillingTrackerStore(RunStore):
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
-    def _new_keys(self, batch: list[tuple]) -> dict[frozenset, bytes | None]:
+    def _new_keys(
+        self, batch: list[tuple]
+    ) -> dict[tuple[str, ...], bytes | None]:
         """The batch's tagsets in neither the hot dict nor a run live at
         batch start, mapped to their encoded keys (``None`` while no run
         exists); ``membership_probes`` counts the keys resolved."""
         hot = self._hot
         runs = self._runs
-        new: dict[frozenset, bytes | None] = {}
-        for tags, _jaccard, _support in batch:
-            key = frozenset(tags)
+        new: dict[tuple[str, ...], bytes | None] = {}
+        for key, _jaccard, _support in batch:
+            if type(key) is not tuple:
+                key = tuple(sorted(key))
             if key not in hot and key not in new:
-                new[key] = _encode_tagset(key) if runs else None
+                new[key] = encode_key(key) if runs else None
         if not new or not runs:
             return new
         pending = sorted(new.values())
@@ -286,15 +298,17 @@ class SpillingTrackerStore(RunStore):
         Bit-for-bit the dict tracker's rule: first sighting stores the
         report, later sightings displace only on strictly greater support.
         A first sighting pops its tagset from the batch's ``new`` set, so
-        a later one is a duplicate even if a spill froze the first.
+        a later one is a duplicate even if a spill froze the first.  Keys
+        are canonicalised like :func:`tagset_key`.
         """
         batch = results if isinstance(results, list) else list(results)
         new = self._new_keys(batch)
         duplicates = 0
         hot = self._hot
         threshold = self.config.spill_threshold
-        for tags, jaccard, support in batch:
-            key = frozenset(tags)
+        for key, jaccard, support in batch:
+            if type(key) is not tuple:
+                key = tuple(sorted(key))
             entry = hot.get(key)
             if entry is None:
                 if key in new:
@@ -362,20 +376,23 @@ class SpillingTrackerStore(RunStore):
     # ------------------------------------------------------------------ #
     # Read path
     # ------------------------------------------------------------------ #
-    def get(self, tagset: frozenset) -> tuple[float, int, int] | None:
+    def get(self, tagset: Iterable[str]) -> tuple[float, int, int] | None:
         """The folded ``(jaccard, support, reports)`` of one tagset."""
-        merged = _folded_record(self._runs, self._hot, tagset)
+        merged = _folded_record(self._runs, self._hot, tagset_key(tagset))
         return decode_value(merged) if merged is not None else None
 
     def iter_entries(self) -> Iterator[tuple[frozenset, float, int, int]]:
         """All ``(tagset, jaccard, support, reports)`` records, in
-        encoded-key order — deterministic regardless of spill timing."""
+        encoded-key order — deterministic regardless of spill timing.
+        The read boundary: each tagset comes back as a frozenset."""
         for key, value in self._merged_encoded():
             jaccard, support, reports = decode_value(value)
             yield frozenset(decode_key(key)), jaccard, support, reports
 
-    def __contains__(self, tagset: frozenset) -> bool:
-        return _folded_record(self._runs, self._hot, tagset) is not None
+    def __contains__(self, tagset: Iterable[str]) -> bool:
+        return _folded_record(
+            self._runs, self._hot, tagset_key(tagset)
+        ) is not None
 
     def __len__(self) -> int:
         return self._distinct
@@ -434,7 +451,7 @@ class RunBackedTrackerSnapshot:
         duplicate_reports: int,
         distinct: int,
         run_paths: list[str],
-        hot: dict[frozenset, tuple],
+        hot: dict[tuple[str, ...], tuple],
         entries_copied: int = 0,
     ) -> None:
         self.round_index = round_index
@@ -473,22 +490,25 @@ class RunBackedTrackerSnapshot:
         """Runs plus the hot copy — what a point query probes."""
         return len(self._readers) + bool(self._hot)
 
-    def coefficient(self, tagset: frozenset) -> tuple[float, int] | None:
+    def coefficient(self, tagset: Iterable[str]) -> tuple[float, int] | None:
         """The folded ``(jaccard, support)`` of one tagset, if reported."""
+        key = tuple(sorted(tagset))
         with self._lock:
-            merged = _folded_record(self._readers, self._hot, tagset)
+            merged = _folded_record(self._readers, self._hot, key)
         if merged is None:
             return None
         jaccard, support, _reports = decode_value(merged)
         return jaccard, support
 
-    def _merged_items(self) -> Iterator[tuple[frozenset, tuple[float, int]]]:
+    def _merged_items(
+        self,
+    ) -> Iterator[tuple[tuple[str, ...], tuple[float, int]]]:
         rows = merged_rows(
             self._readers, _sorted_rows(self._hot), combine_max_support
         )
         for key, value in rows:
             jaccard, support, _reports = decode_value(value)
-            yield frozenset(decode_key(key)), (jaccard, support)
+            yield decode_key(key), (jaccard, support)
 
     def top_k(
         self, k: int = 10, min_support: int = 0
@@ -496,15 +516,17 @@ class RunBackedTrackerSnapshot:
         """The ``k`` strongest coefficients, identically ordered to the
         dict snapshot's (jaccard desc, support desc, tags lexically)."""
         with self._lock:
-            return select_top_k(self._merged_items(), k, min_support)
+            rows = select_top_k(self._merged_items(), k, min_support)
+        return [(frozenset(key), jaccard, support)
+                for key, jaccard, support in rows]
 
     def digest(self) -> str:
         """Order-insensitive content hash — line-identical to the dict
         snapshot's over the same table."""
         with self._lock:
             lines = sorted(
-                f"{','.join(sorted(tagset))}={jaccard!r}/{support}"
-                for tagset, (jaccard, support) in self._merged_items()
+                f"{','.join(key)}={jaccard!r}/{support}"
+                for key, (jaccard, support) in self._merged_items()
             )
         hasher = hashlib.sha256()
         for line in lines:

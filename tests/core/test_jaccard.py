@@ -2,11 +2,12 @@
 
 import pickle
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracle import as_report, eq2_report
+from oracle import as_report, eq2_report, per_type_report_triples
 from repro.core.jaccard import (
     JaccardCalculator,
     SubsetCounter,
@@ -237,6 +238,16 @@ class TestSubsetTupleCache:
         counter.observe(["a", "b"])
         assert cache.stats()["misses"] == 1
 
+    def test_contains_normalises_like_lookup(self):
+        """Membership accepts what lookup() accepts: any iterable of the
+        tags, in any order — a sorted tuple, a list, a set."""
+        cache = SubsetTupleCache(4)
+        cache.lookup(frozenset({"b", "a"}))
+        for tags in (("a", "b"), ["b", "a"], {"a", "b"}, frozenset({"a", "b"})):
+            assert tags in cache
+        assert ("a", "c") not in cache
+        assert cache.stats()["hits"] == 0  # membership is not a lookup
+
     def test_size_capped_cache_rejected(self):
         """The report fold needs full lattices; a capped cache (the
         centralized baseline's shape) cannot back a SubsetCounter."""
@@ -353,6 +364,26 @@ class TestJaccardCalculator:
         assert calculator.observations == 0
         assert calculator.report() == []
 
+    def test_empty_notification_is_not_an_observation(self):
+        """SubsetCounter drops an empty tagset, so it is not counted."""
+        calculator = JaccardCalculator()
+        calculator.observe([])
+        calculator.observe(frozenset())
+        assert calculator.observations == 0
+        calculator.observe(["a", "b"])
+        assert calculator.observations == 1
+
+    def test_report_returns_frozensets(self):
+        """JaccardResult is a read boundary: its tagset stays a frozenset
+        while the wire triples carry sorted tuples."""
+        calculator = JaccardCalculator()
+        calculator.observe(["b", "a"])
+        (triple,) = calculator.report_triples(reset=False)
+        assert triple == (("a", "b"), 1.0, 1)
+        (result,) = calculator.report()
+        assert result.tagset == frozenset({"a", "b"})
+        assert type(result.tagset) is frozenset
+
     def test_min_size_filters_singletons(self):
         calculator = JaccardCalculator()
         calculator.observe(["a"])
@@ -407,3 +438,70 @@ class TestJaccardProperties:
         for result in calculator.report(reset=False):
             expected = sum(1 for tags in documents if result.tagset <= tags)
             assert result.support == expected
+
+
+# --------------------------------------------------------------------- #
+# The batched fold ≡ the per-type fold it replaced, triple for triple
+# --------------------------------------------------------------------- #
+FOLD_TAGS = [f"t{i:02d}" for i in range(14)]
+fold_tagsets = st.frozensets(st.sampled_from(FOLD_TAGS), min_size=1, max_size=12)
+
+
+@st.composite
+def overlapping_streams(draw):
+    """Observations of 1..12 tags: fresh types, types nested in an earlier
+    one, types overlapping an earlier one, and repeats of an earlier one."""
+    stream = [draw(fold_tagsets)]
+    for _ in range(draw(st.integers(0, 10))):
+        earlier = draw(st.sampled_from(stream))
+        kind = draw(st.sampled_from(("fresh", "nested", "overlap", "repeat")))
+        if kind == "fresh":
+            tags = draw(fold_tagsets)
+        elif kind == "nested":
+            tags = draw(st.frozensets(
+                st.sampled_from(sorted(earlier)), min_size=1
+            ))
+        elif kind == "overlap":
+            kept = sorted(earlier)[: draw(st.integers(1, len(earlier)))]
+            extra = draw(fold_tagsets)
+            tags = frozenset(kept + sorted(extra - earlier)[: 12 - len(kept)])
+        else:
+            tags = earlier
+        stream.append(tags)
+    return stream
+
+
+class TestBatchedFoldMatchesPerTypeFold:
+    """``SubsetCounter.report_triples`` batches the lattices of each arity
+    into one numpy fold and emits afterwards; ``tests/oracle.py`` keeps the
+    per-type fold it replaced.  Same triples in the same order, the same
+    float bits, plain Python scalars (a numpy scalar on the wire would
+    change pickles and spill bytes) and sorted tuples as tagsets — under
+    both counter stores."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stream=overlapping_streams(),
+        min_size=st.integers(1, 4),
+        store=st.sampled_from(("dict", "spill")),
+    )
+    def test_triple_for_triple(self, stream, min_size, store):
+        with tempfile.TemporaryDirectory() as spill_dir:
+            options = {}
+            if store == "spill":
+                options = dict(
+                    counter_store="spill", spill_dir=spill_dir, spill_threshold=64
+                )
+            counter = SubsetCounter(**options)
+            for tags in stream:
+                counter.observe(tags)
+            expected = per_type_report_triples(counter, min_size)
+            triples = counter.report_triples(min_size)
+            counter.close()
+        assert len(triples) == len(expected)
+        for (tagset, jaccard, support), (tags, want_j, want_s) in zip(
+            triples, expected
+        ):
+            assert type(tagset) is tuple and tagset == tuple(sorted(tags))
+            assert type(jaccard) is float and jaccard.hex() == want_j.hex()
+            assert type(support) is int and support == want_s

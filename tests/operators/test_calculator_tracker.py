@@ -2,10 +2,13 @@
 
 import pytest
 
+from oracle import full_sort_top_k, table_digest
 from repro.core.jaccard import JaccardResult
 from repro.operators.calculator import CalculatorBolt
+from repro.operators.sketch_calculator import SketchCalculatorBolt
 from repro.operators.streams import COEFFICIENTS, NOTIFICATIONS
 from repro.operators.tracker import TrackerBolt
+from repro.store import StoreConfig, encode_key
 from repro.streamsim.tuples import OutputCollector, stream_schema
 
 OTHER = stream_schema("other", ("batch", "results"))
@@ -77,7 +80,7 @@ class TestCalculatorBolt:
         (message,) = batch.messages
         assert message.stream == COEFFICIENTS
         results = message["results"]
-        assert (frozenset({"a", "b"}), 1.0, 1) in results
+        assert (("a", "b"), 1.0, 1) in results
         # counters were reset
         assert bolt.calculator.observations == 0
 
@@ -93,6 +96,20 @@ class TestCalculatorBolt:
         assert len(results) == 1
         assert results[0].tagset == frozenset({"a", "b"})
         assert bolt.drain_results() == []
+
+    def test_a_round_of_empty_notifications_is_skipped(self):
+        """An empty tagset counts nothing, so a round holding only empty
+        notifications is a round with nothing observed: no emission, no
+        report round."""
+        bolt, collector = make_calculator(report_interval=10.0)
+        bolt.execute(notification([], timestamp=1.0))
+        bolt.execute(notification([], timestamp=2.0))
+        assert bolt.notifications_received == 2
+        assert bolt.observations == 0
+        bolt.tick(11.0)
+        assert list(collector.drain()) == []
+        assert bolt.report_rounds == 0
+        assert bolt.types_folded == 0
 
     def test_report_round_timing_recorded(self):
         bolt, _ = make_calculator(report_interval=10.0)
@@ -118,7 +135,7 @@ class TestReportRounds:
             bolt.tick(10.0 * (index + 1) + 5.0)
             for batch in collector.drain():
                 emitted.extend(message["results"] for message in batch.messages)
-        assert emitted == [[(frozenset({"a", "b"}), 1.0, 2)]] * 3
+        assert emitted == [[(("a", "b"), 1.0, 2)]] * 3
         assert bolt.reports_emitted == 3
         assert bolt.drain_payload() == []  # nothing observed since round 3
 
@@ -241,3 +258,143 @@ class TestCoefficientView:
             frozenset({"a", "b"}): 0.5,
             frozenset({"e", "f"}): 0.75,
         }
+
+
+# --------------------------------------------------------------------- #
+# Tracker keys: sorted tuples inside, frozensets at the read boundary
+# --------------------------------------------------------------------- #
+@pytest.fixture(params=["dict", "spill"])
+def tracker_store(request):
+    return request.param
+
+
+def make_tracker(store, tmp_path):
+    if store == "dict":
+        return TrackerBolt()
+    # A threshold this low spills and compacts several times per test.
+    config = StoreConfig(spill_dir=str(tmp_path), spill_threshold=3)
+    return TrackerBolt("spill", config)
+
+
+class TestTrackerKeyCanonicalisation:
+    def test_every_producer_lands_in_one_entry(self, tracker_store, tmp_path):
+        """Sorted tuples (the exact Calculator), frozensets (the sketch
+        mode, ``observe(JaccardResult)``) and unsorted iterables of the
+        same tags are one tagset under the max-support rule."""
+        sketch = SketchCalculatorBolt(report_interval=10.0)
+        sketch.execute(notification(["b", "a"]))
+        (sketched,) = sketch.drain_payload()
+        assert type(sketched[0]) is frozenset
+        exact, _ = make_calculator()
+        exact.execute(notification(["b", "a"]))
+        exact.execute(notification(["a", "b"]))
+        (counted,) = exact.drain_payload()
+        assert counted == (("a", "b"), 1.0, 2)
+
+        tracker = make_tracker(tracker_store, tmp_path)
+        tracker.ingest([sketched])
+        tracker.ingest([counted])
+        tracker.observe(JaccardResult(frozenset({"a", "b"}), 0.25, support=2))
+        tracker.ingest([(["b", "a"], 0.5, 1), ({"a", "b"}, 0.75, 2)])
+        tracker.ingest([(frozenset({"c", "d"}), 0.5, 3)])  # keeps spilling
+        assert len(tracker) == 2
+        assert tracker.reports_received == 6
+        assert tracker.duplicate_reports == 4
+        # Support 2 first arrived as the exact triple; equal support never
+        # displaces, whatever the key's form.
+        assert tracker.coefficients() == {
+            frozenset({"a", "b"}): 1.0, frozenset({"c", "d"}): 0.5,
+        }
+        assert tracker.supports()[frozenset({"a", "b"})] == 2
+        tracker.close()
+
+
+def boundary_triples():
+    """Reports as the wire carried them before tuples: frozensets, with
+    repeats that lose, win and tie on support."""
+    rows = [
+        ({"a", "b"}, 0.5, 3), ({"c", "d"}, 0.25, 1), ({"e", "f", "g"}, 0.75, 6),
+        ({"a", "b"}, 0.9, 2), ({"b", "c"}, 1.0, 4), ({"c", "d"}, 0.125, 5),
+        ({"a", "b"}, 0.4, 3), ({"x", "y", "z", "w"}, 0.5, 2), ({"b", "c"}, 0.3, 9),
+        ({"a", "c"}, 0.5, 1), ({"e", "f", "g"}, 0.1, 6), ({"d", "e"}, 1.0, 2),
+    ]
+    return [(frozenset(tags), jaccard, support) for tags, jaccard, support in rows]
+
+
+def expected_table(triples, store):
+    """``{tagset: (jaccard, support)}`` by the dedup rule, in the order the
+    store reads back: first sighting (dict) or encoded key (spill)."""
+    table = {}
+    for tagset, jaccard, support in triples:
+        if tagset not in table or support > table[tagset][1]:
+            table[tagset] = (jaccard, support)
+    order = list(table)
+    if store == "spill":
+        order.sort(key=lambda tagset: encode_key(tuple(sorted(tagset))))
+    return {tagset: table[tagset] for tagset in order}
+
+
+class TestReadBoundary:
+    """Every public read returns frozensets with the contents and order it
+    had before the table was keyed by tuples, whichever form was ingested."""
+
+    @pytest.mark.parametrize("wire", ["tuple", "frozenset"])
+    def test_every_public_read(self, tracker_store, wire, tmp_path):
+        triples = boundary_triples()
+        table = expected_table(triples, tracker_store)
+        tracker = make_tracker(tracker_store, tmp_path)
+        tracker.ingest([
+            (tuple(sorted(tagset)) if wire == "tuple" else tagset, j, s)
+            for tagset, j, s in triples
+        ])
+
+        def frozen(keys):
+            return all(type(key) is frozenset for key in keys)
+
+        coefficients = tracker.coefficients()
+        assert list(coefficients.items()) == [
+            (tagset, j) for tagset, (j, _s) in table.items()
+        ]
+        assert frozen(coefficients)
+        assert list(tracker.coefficients(min_support=3)) == [
+            tagset for tagset, (_j, s) in table.items() if s >= 3
+        ]
+        supports = tracker.supports()
+        assert list(supports.items()) == [
+            (tagset, s) for tagset, (_j, s) in table.items()
+        ]
+        assert frozen(supports)
+        exported = tracker.export_triples()
+        assert exported == [(tagset, j, s) for tagset, (j, s) in table.items()]
+        assert frozen(tagset for tagset, _j, _s in exported)
+        streamed = list(tracker.iter_coefficients())
+        assert streamed == list(coefficients.items())
+
+        view = tracker.coefficient_view()
+        assert list(view) == list(table) and frozen(view)
+        for tagset, (jaccard, _support) in table.items():
+            assert view[tagset] == jaccard
+            assert tagset in view and tuple(sorted(tagset)) in view
+        assert frozenset({"never", "seen"}) not in view
+        filtered = tracker.coefficient_view(min_support=3)
+        assert list(filtered) == [
+            tagset for tagset, (_j, s) in table.items() if s >= 3
+        ]
+
+        snapshot = tracker.snapshot(1)
+        try:
+            if tracker_store == "dict":
+                entries = snapshot.entries
+                assert entries == table and frozen(entries)
+            for tagset, pair in table.items():
+                assert snapshot.coefficient(tagset) == pair
+                assert snapshot.coefficient(sorted(tagset, reverse=True)) == pair
+            assert snapshot.coefficient({"never", "seen"}) is None
+            for k, min_support in ((1, 0), (4, 0), (3, 3), (len(table) + 2, 0)):
+                rows = snapshot.top_k(k, min_support)
+                assert rows == full_sort_top_k(table, k, min_support)
+                assert frozen(tagset for tagset, _j, _s in rows)
+            assert snapshot.digest() == table_digest(table)
+        finally:
+            getattr(snapshot, "close", lambda: None)()
+            tracker.close()

@@ -216,7 +216,11 @@ class TestOrderingRule:
         newer = {keys[0]: table[keys[0]], keys[1]: table[keys[1]]}
         snapshot = TrackerSnapshot(
             round_index=1, reports_received=0, duplicate_reports=0,
-            layers=(newer, older), size=len(table),
+            layers=tuple(
+                {tuple(sorted(key)): pair for key, pair in layer.items()}
+                for layer in (newer, older)
+            ),
+            size=len(table),
         )
         assert snapshot.entries == table
         assert snapshot.digest() == table_digest(table)

@@ -149,7 +149,7 @@ class TestWorkerSideDrain:
         assert set(drained) == calculator_tasks
         for triples, tracked in drained.values():
             for tagset, jaccard, support in triples:
-                assert isinstance(tagset, frozenset)
+                assert type(tagset) is tuple and tagset == tuple(sorted(tagset))
                 assert 0.0 < jaccard <= 1.0
                 assert support >= 1
             assert tracked is None  # exact mode has no sketch estimator

@@ -51,8 +51,8 @@ queries = st.lists(st.sampled_from(["len", "get", "snapshot"]), max_size=8)
 
 def dict_records(bolt):
     return {
-        tagset: (tracked.jaccard, tracked.support, tracked.reports)
-        for tagset, tracked in bolt._best.items()
+        frozenset(key): (tracked.jaccard, tracked.support, tracked.reports)
+        for key, tracked in bolt._best.items()
     }
 
 

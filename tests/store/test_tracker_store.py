@@ -314,7 +314,8 @@ class TestPickle:
 class TestRunBackedSnapshot:
     def dict_snapshot(self, model, round_index=3):
         entries = {
-            key: (entry[0], entry[1]) for key, entry in model.best.items()
+            tuple(sorted(key)): (entry[0], entry[1])
+            for key, entry in model.best.items()
         }
         return TrackerSnapshot(
             round_index=round_index,
