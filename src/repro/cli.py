@@ -11,17 +11,14 @@ Provides the handful of workflows a user needs without writing Python:
   tracking mode; ``--subset-cache`` sizes the Calculators'
   subset-enumeration LRU;
   ``--no-baseline`` skips the centralized ground truth (measurement runs
-  that need no error metrics); ``--batch-size`` controls the Disseminator's
-  notification micro-batches (``1`` disables batching); ``--executor
-  process`` shards the Calculator layer across ``--workers``
+  that need no error metrics); ``--executor process`` shards the Calculator layer across ``--workers``
   multiprocessing workers (identical logical metrics, see
   docs/PERFORMANCE.md); ``--counter-store spill`` keeps the window
   counters out of core in sorted on-disk run files merged at report time
   (bit-identical coefficients, flat RSS; ``--spill-dir`` /
   ``--spill-threshold`` tune it, see docs/ARCHITECTURE.md "Counter
   store"); ``--tracker-store spill`` spills the Tracker's dedup
-  coefficient table the same way and ``--report-chunk`` bounds the
-  reporting path's emission/drain batches,
+  coefficient table the same way,
 * ``repro compare`` — run several partitioning algorithms over the same
   trace and print the evaluation metrics side by side,
 * ``repro connectivity`` — the Figure-7 connectivity analysis of a trace,
@@ -166,23 +163,10 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         help="resident coefficient entries at which the "
                              "Tracker's hot segment is frozen to disk "
                              "(default: the --spill-threshold value)")
-    parser.add_argument("--report-chunk", type=int, default=0,
-                        help="coefficient triples per report emission and "
-                             "per end-of-run drain message: bounds the "
-                             "reporting path's peak batch/pickle size "
-                             "(0 = unchunked, the default; identical "
-                             "metrics either way)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="skip the centralized exact baseline entirely "
                              "(no ground truth, no error metrics; the "
                              "baseline bolt is never constructed)")
-    parser.add_argument("--batch-size", type=int, default=64,
-                        help="routed tagsets per notification micro-batch "
-                             "(1 = one message per routed tagset)")
-    parser.add_argument("--link-batch", type=int, default=0,
-                        help="messages per routed link batch of the "
-                             "substrate (0 = unlimited, 1 = per-message "
-                             "delivery; physical only, identical metrics)")
     parser.add_argument("--minhash-perms", type=int, default=512,
                         help="MinHash signature width of the sketch mode "
                              "(estimate stddev is about 1/sqrt of this)")
@@ -243,10 +227,7 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
         spill_threshold=getattr(args, "spill_threshold", DEFAULT_SPILL_THRESHOLD),
         tracker_store=getattr(args, "tracker_store", "dict"),
         tracker_spill_threshold=getattr(args, "tracker_spill_threshold", None),
-        report_chunk_size=getattr(args, "report_chunk", 0),
         include_centralized_baseline=not getattr(args, "no_baseline", False),
-        notification_batch_size=getattr(args, "batch_size", 64),
-        link_batch_size=getattr(args, "link_batch", 0),
         minhash_permutations=getattr(args, "minhash_perms", 512),
         executor=getattr(args, "executor", "inline"),
         workers=getattr(args, "workers", 0),
@@ -536,10 +517,7 @@ subcommands:
                 (use --calculator sketch for the approximate tracking mode,
                 --subset-cache to size the Calculators'
                 subset-enumeration LRU, --no-baseline to skip the
-                centralized ground truth, --batch-size to tune the
-                notification micro-batches, --link-batch to cap the
-                substrate's per-link batches (1 = per-message delivery),
-                --executor process --workers N to shard the
+                centralized ground truth, --executor process --workers N to shard the
                 Calculator layer over worker processes,
                 --counter-store spill to keep window counters out of
                 core in sorted on-disk run files)
@@ -557,8 +535,8 @@ examples:
   python -m repro.cli generate --documents 10000 --output trace.jsonl
   python -m repro.cli run --input trace.jsonl --algorithm DS --k 10
 
-  # Approximate tracking mode with batched notifications:
-  python -m repro.cli run --documents 8000 --calculator sketch --batch-size 64
+  # Approximate tracking mode (MinHash signatures, Count-Min supports):
+  python -m repro.cli run --documents 8000 --calculator sketch --minhash-perms 256
 
   # Shard the Calculator layer over 4 worker processes:
   python -m repro.cli run --documents 8000 --executor process --workers 4
@@ -592,11 +570,11 @@ examples:
   python -m repro.cli run --documents 50000 --counter-store spill \\
       --spill-dir /tmp/repro-spill --no-baseline
 
-  # Out-of-core Tracker: the dedup coefficient table spills too, and the
-  # reporting path streams in bounded chunks end-to-end (identical
-  # coefficients; the max-support dedup rule becomes the merge combiner):
+  # Out-of-core Tracker: the dedup coefficient table spills too
+  # (identical coefficients; the max-support dedup rule becomes the merge
+  # combiner):
   python -m repro.cli run --documents 50000 --counter-store spill \\
-      --tracker-store spill --report-chunk 4096 --no-baseline
+      --tracker-store spill --no-baseline
 
   # Record a burst-scenario trace, then replay it bit-for-bit:
   python -m repro.cli record --documents 6000 --scenario burst \\

@@ -9,8 +9,7 @@ results are emitted to the Tracker and the counters are deleted.
 
 Notifications arrive as ``NOTIFICATIONS`` slot tuples — ``(batch,
 timestamp)`` where ``batch`` is the list of ``(tags, doc_id)`` entries of
-one Disseminator micro-batch (a single entry per message when
-``notification_batch_size == 1``).  :class:`BaseCalculatorBolt` unpacks the
+one Disseminator micro-batch.  :class:`BaseCalculatorBolt` unpacks the
 batches (overriding :meth:`~repro.streamsim.components.Bolt.execute_batch`
 to amortise per-message dispatch over whole link batches) and drives the
 periodic reporting; the two concrete modes only differ in the estimator
@@ -45,22 +44,11 @@ class BaseCalculatorBolt(Bolt):
     #: Name of the mode as it appears in ``SystemConfig.calculator``.
     mode = "base"
 
-    def __init__(
-        self, report_interval: float = 300.0, report_chunk_size: int = 0
-    ) -> None:
+    def __init__(self, report_interval: float = 300.0) -> None:
         super().__init__()
         if report_interval <= 0:
             raise ValueError("report_interval must be positive")
-        if report_chunk_size < 0:
-            raise ValueError(
-                "report_chunk_size must be non-negative (0 = unchunked)"
-            )
         self.report_interval = report_interval
-        #: Triples per COEFFICIENTS emission: 0 ships each round as one
-        #: batched tuple (the default); a positive value slices rounds
-        #: into bounded chunks, capping the largest list in flight.  The
-        #: Tracker receives the same triples in the same order either way.
-        self.report_chunk_size = report_chunk_size
         self.notifications_received = 0
         self.batches_received = 0
         self.reports_emitted = 0
@@ -152,32 +140,14 @@ class BaseCalculatorBolt(Bolt):
         start = time.perf_counter()
         results = self._report_triples(reset=True)
         if results:
-            # One batched tuple per report round (or per bounded chunk):
-            # shipping hundreds of thousands of individual coefficient
-            # tuples through the substrate would dominate the runtime
-            # without changing any of the paper's metrics.
-            self._emit_coefficients(results, timestamp)
+            # One batched tuple per report round: shipping hundreds of
+            # thousands of individual coefficient tuples through the
+            # substrate would dominate the runtime without changing any of
+            # the paper's metrics.
+            self.emit(COEFFICIENTS, results, timestamp)
             self.reports_emitted += len(results)
         self.report_rounds += 1
         self.report_seconds += time.perf_counter() - start
-
-    def _emit_coefficients(
-        self,
-        results: list[tuple[Iterable[str], float, int]],
-        timestamp: float,
-    ) -> None:
-        """Ship one round's triples, whole or in ``report_chunk_size`` slices.
-
-        Chunking is purely physical: the Tracker ingests chunk after chunk
-        in round order, which its dedup rule cannot distinguish from one
-        monolithic ingest.
-        """
-        chunk = self.report_chunk_size
-        if chunk <= 0 or len(results) <= chunk:
-            self.emit(COEFFICIENTS, results, timestamp)
-            return
-        for start in range(0, len(results), chunk):
-            self.emit(COEFFICIENTS, results[start:start + chunk], timestamp)
 
     def drain_payload(self) -> list[tuple[Iterable[str], float, int]]:
         """Final flush: the triples of a last, resetting report.
@@ -222,7 +192,7 @@ class BaseCalculatorBolt(Bolt):
         under the new assignment.  Returns the number of migrated triples.
         """
         if payload:
-            self._emit_coefficients(payload, timestamp)
+            self.emit(COEFFICIENTS, payload, timestamp)
         self._migration_reset()
         self._last_report = 0.0
         self.migrations_completed += 1
@@ -258,12 +228,8 @@ class CalculatorBolt(BaseCalculatorBolt):
         counter_store: str = "dict",
         spill_dir: str | None = None,
         spill_threshold: int | None = None,
-        report_chunk_size: int = 0,
     ) -> None:
-        super().__init__(
-            report_interval=report_interval,
-            report_chunk_size=report_chunk_size,
-        )
+        super().__init__(report_interval=report_interval)
         spill_options = {}
         if spill_threshold is not None:
             spill_options["spill_threshold"] = spill_threshold

@@ -83,6 +83,12 @@ __all__ = [
 REASON_BOOTSTRAP = "bootstrap"
 REASON_FORCED = "forced"
 
+#: Routed tagsets per notification micro-batch.  Purely physical: the
+#: logical notification count (communication, Section 8) and every Calculator
+#: load are the same at any batch size; ``RunReport.batch_amortization``
+#: reports the resulting notifications-per-message ratio.
+NOTIFICATION_BATCH_SIZE = 64
+
 
 @dataclass(slots=True)
 class QualitySnapshot:
@@ -196,15 +202,12 @@ class DisseminatorBolt(Bolt):
         single_addition_threshold: int = 3,
         quality_check_interval: int = 1000,
         bootstrap_documents: int = 1000,
-        notification_batch_size: int = 1,
         repartition_policy: str = "threshold",
         repartition_at: tuple[int, ...] = (),
         repartition_handoff: str = "none",
         initial_partitions: PartitionSeed | None = None,
     ) -> None:
         super().__init__()
-        if notification_batch_size < 1:
-            raise ValueError("notification_batch_size must be at least 1")
         if repartition_handoff not in ("none", "migrate"):
             raise ValueError(
                 "repartition_handoff must be 'none' or 'migrate', "
@@ -220,12 +223,11 @@ class DisseminatorBolt(Bolt):
             forced_points=tuple(repartition_at),
         )
         self.bootstrap_documents = bootstrap_documents
-        self.notification_batch_size = notification_batch_size
         self.repartition_handoff = repartition_handoff
         self.metrics = DisseminatorMetrics()
 
         # Pending notification batches, one list of (tags, doc_id) entries
-        # per Calculator task.  Flushed every ``notification_batch_size``
+        # per Calculator task.  Flushed every :data:`NOTIFICATION_BATCH_SIZE`
         # routed tagsets, on every simulated-clock tick (bounded staleness)
         # and at end of stream.
         self._pending: dict[int, list[tuple[frozenset[str], object]]] = {}
@@ -335,7 +337,7 @@ class DisseminatorBolt(Bolt):
             self._pending.setdefault(task_id, []).append((tags, doc_id))
         self._pending_tagsets += 1
         self._pending_timestamp = timestamp
-        if self._pending_tagsets >= self.notification_batch_size:
+        if self._pending_tagsets >= NOTIFICATION_BATCH_SIZE:
             self._flush_notifications()
         n_notifications = len(routes)
         self.metrics.notified_tagsets += 1
@@ -347,28 +349,13 @@ class DisseminatorBolt(Bolt):
         self._maybe_forced_swap(timestamp)
 
     def _flush_notifications(self) -> None:
-        """Ship one batched notification tuple per Calculator with pending work.
-
-        With ``notification_batch_size == 1`` the engine degrades to the
-        paper's unbatched cadence — one physical message per routed tagset
-        per Calculator (each carrying a single-entry batch) — so the
-        physical message count equals the logical notification count.
-        """
+        """Ship one batched notification tuple per Calculator with pending work."""
         if not self._pending:
             self._pending_tagsets = 0
             return
-        unbatched = self.notification_batch_size == 1
         timestamp = self._pending_timestamp
         for task_id, entries in self._pending.items():
-            if not entries:
-                continue
-            if unbatched:
-                # Legacy cadence: one physical message per routed tagset per
-                # Calculator (each carrying a single-entry batch).
-                for entry in entries:
-                    self.emit_direct(task_id, NOTIFICATIONS, [entry], timestamp)
-                    self.metrics.notification_messages += 1
-            else:
+            if entries:
                 self.emit_direct(task_id, NOTIFICATIONS, entries, timestamp)
                 self.metrics.notification_messages += 1
         self._pending = {}

@@ -30,6 +30,8 @@ class ParserBolt(Bolt):
 
     def __init__(self, max_tags_per_document: int = 12) -> None:
         super().__init__()
+        if max_tags_per_document < 1:
+            raise ValueError("max_tags_per_document must be at least 1")
         self._max_tags = max_tags_per_document
         self.parsed = 0
         self.dropped_untagged = 0

@@ -40,12 +40,8 @@ class SketchCalculatorBolt(BaseCalculatorBolt):
         countmin_epsilon: float = 0.002,
         countmin_delta: float = 0.01,
         max_subset_size: int = 4,
-        report_chunk_size: int = 0,
     ) -> None:
-        super().__init__(
-            report_interval=report_interval,
-            report_chunk_size=report_chunk_size,
-        )
+        super().__init__(report_interval=report_interval)
         self.estimator = SketchJaccardEstimator(
             num_perm=num_perm,
             seed=seed,

@@ -10,8 +10,9 @@ paper's ratios.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..core.jaccard import DEFAULT_SUBSET_CACHE_SIZE
@@ -41,7 +42,15 @@ PAPER_DEFAULTS = {
 
 @dataclass(slots=True)
 class SystemConfig:
-    """All knobs of the distributed tag-correlation pipeline."""
+    """All knobs of the distributed tag-correlation pipeline.
+
+    A field stays only if a test, a workload or a paper figure needs a
+    non-default value.  Physical cadences that no logical metric can
+    observe are fixed in the code instead: the notification micro-batch
+    (``operators.disseminator.NOTIFICATION_BATCH_SIZE``), unlimited link
+    batches, and one ``COEFFICIENTS`` tuple per report round and one drain
+    reply per shard.
+    """
 
     algorithm: str = "DS"
     k: int = 10
@@ -77,7 +86,6 @@ class SystemConfig:
     bootstrap_documents: int = 1000
     max_tags_per_document: int = 12
     include_centralized_baseline: bool = True
-    algorithm_options: dict[str, Any] = field(default_factory=dict)
 
     #: Calculator mode: ``"exact"`` uses the paper's subset counters,
     #: ``"sketch"`` the MinHash/Count-Min approximate tracking mode.
@@ -111,34 +119,12 @@ class SystemConfig:
     #: (``None`` = inherit ``spill_threshold``).  Only consulted when
     #: ``tracker_store="spill"``.
     tracker_spill_threshold: int | None = None
-    #: Coefficient triples per COEFFICIENTS emission and per drained
-    #: shipment chunk: ``0`` (default) ships each report round / drain as
-    #: one monolithic list; a positive value slices them into bounded
-    #: chunks end-to-end (Calculator emit → executor drain protocol),
-    #: capping the peak triple-list footprint.  Purely physical — the
-    #: Tracker ingests the same triples in the same order either way.
-    report_chunk_size: int = 0
-    #: Routed tagsets per notification micro-batch (1 = unbatched legacy
-    #: behaviour: one message per routed tagset per Calculator).
-    notification_batch_size: int = 64
-    #: Messages per routed link batch of the substrate (the unit one
-    #: grouping call, one accounting update and one ``execute_batch``
-    #: delivery covers): ``0`` = unlimited (one batch per run of
-    #: same-stream emissions of a component invocation, the default),
-    #: ``1`` = per-message delivery (the pre-slot-tuple wire cadence).
-    #: Purely physical — logical metrics are identical at every setting.
-    link_batch_size: int = 0
     #: MinHash signature width of the sketch mode (standard error of each
-    #: Jaccard estimate is roughly ``1/sqrt(minhash_permutations)``).
+    #: Jaccard estimate is roughly ``1/sqrt(minhash_permutations)``).  The
+    #: sketch mode's other constants — permutation seed, Count-Min
+    #: ``epsilon``/``delta`` and the largest reported combination size —
+    #: are the defaults of :class:`~repro.sketches.SketchJaccardEstimator`.
     minhash_permutations: int = 512
-    #: Seed of the shared MinHash permutation family.
-    minhash_seed: int = 1
-    #: Count-Min parameters for the sketch mode's support counts.
-    countmin_epsilon: float = 0.002
-    countmin_delta: float = 0.01
-    #: Largest tag-combination size the sketch mode reports (the
-    #: centralised baseline's cap).
-    sketch_max_subset_size: int = 4
 
     #: Which workload scenario produced the document stream this run
     #: consumes (``workloads.SCENARIO_NAMES``), or ``None`` when unknown
@@ -177,8 +163,17 @@ class SystemConfig:
             raise ValueError("window_size must be positive")
         if self.bootstrap_documents < 1:
             raise ValueError("bootstrap_documents must be at least 1")
-        if self.repartition_threshold < 0:
-            raise ValueError("repartition_threshold must be non-negative")
+        if not (math.isfinite(self.repartition_threshold)
+                and self.repartition_threshold >= 0):
+            raise ValueError("repartition_threshold must be finite and non-negative")
+        if self.single_addition_threshold < 1:
+            raise ValueError("single_addition_threshold must be at least 1")
+        if self.quality_check_interval < 1:
+            raise ValueError("quality_check_interval must be at least 1")
+        if self.report_interval_seconds <= 0:
+            raise ValueError("report_interval_seconds must be positive")
+        if self.max_tags_per_document < 1:
+            raise ValueError("max_tags_per_document must be at least 1")
         if self.repartition_policy not in REPARTITION_POLICIES:
             raise ValueError(
                 "repartition_policy must be one of "
@@ -216,22 +211,8 @@ class SystemConfig:
             and self.tracker_spill_threshold < 1
         ):
             raise ValueError("tracker_spill_threshold must be at least 1")
-        if self.report_chunk_size < 0:
-            raise ValueError(
-                "report_chunk_size must be non-negative (0 = unchunked)"
-            )
-        if self.notification_batch_size < 1:
-            raise ValueError("notification_batch_size must be at least 1")
-        if self.link_batch_size < 0:
-            raise ValueError("link_batch_size must be non-negative (0 = unlimited)")
         if self.minhash_permutations < 8:
             raise ValueError("minhash_permutations must be at least 8")
-        if not 0.0 < self.countmin_epsilon < 1.0:
-            raise ValueError("countmin_epsilon must be in (0, 1)")
-        if not 0.0 < self.countmin_delta < 1.0:
-            raise ValueError("countmin_delta must be in (0, 1)")
-        if self.sketch_max_subset_size < 2:
-            raise ValueError("sketch_max_subset_size must be at least 2")
         if self.scenario is not None and self.scenario not in SCENARIO_NAMES:
             raise ValueError(
                 f"scenario must be one of {', '.join(SCENARIO_NAMES)} (or None)"

@@ -83,7 +83,6 @@ class ExactCalculatorFactory:
     counter_store: str = "dict"
     spill_dir: str | None = None
     spill_threshold: int | None = None
-    report_chunk_size: int = 0
 
     def __call__(self) -> CalculatorBolt:
         return CalculatorBolt(
@@ -93,7 +92,6 @@ class ExactCalculatorFactory:
             counter_store=self.counter_store,
             spill_dir=self.spill_dir,
             spill_threshold=self.spill_threshold,
-            report_chunk_size=self.report_chunk_size,
         )
 
 
@@ -104,22 +102,12 @@ class SketchCalculatorFactory:
     report_interval: float = 300.0
     max_tags_per_document: int = 12
     num_perm: int = 512
-    seed: int = 1
-    countmin_epsilon: float = 0.002
-    countmin_delta: float = 0.01
-    max_subset_size: int = 4
-    report_chunk_size: int = 0
 
     def __call__(self) -> SketchCalculatorBolt:
         return SketchCalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
             num_perm=self.num_perm,
-            seed=self.seed,
-            countmin_epsilon=self.countmin_epsilon,
-            countmin_delta=self.countmin_delta,
-            max_subset_size=self.max_subset_size,
-            report_chunk_size=self.report_chunk_size,
         )
 
 
@@ -303,13 +291,11 @@ class TagCorrelationSystem:
         builder.set_bolt(
             streams.PARTITIONER,
             lambda: PartitionerBolt(
-                algorithm=make_partitioner(config.algorithm, **config.algorithm_options),
+                algorithm=make_partitioner(config.algorithm),
                 k=config.k,
                 window_mode=config.window_mode,
                 window_size=config.window_size,
                 approximate_counts=config.calculator == "sketch",
-                countmin_epsilon=config.countmin_epsilon,
-                countmin_delta=config.countmin_delta,
             ),
             parallelism=config.n_partitioners,
         ).fields_grouping(streams.PARSER, ["tagset"], streams.TAGSETS).all_grouping(
@@ -319,7 +305,7 @@ class TagCorrelationSystem:
         builder.set_bolt(
             streams.MERGER,
             lambda: MergerBolt(
-                algorithm=make_partitioner(config.algorithm, **config.algorithm_options),
+                algorithm=make_partitioner(config.algorithm),
                 k=config.k,
                 initial_partitions=config.initial_partitions,
             ),
@@ -336,7 +322,6 @@ class TagCorrelationSystem:
                 single_addition_threshold=config.single_addition_threshold,
                 quality_check_interval=config.quality_check_interval,
                 bootstrap_documents=config.bootstrap_documents,
-                notification_batch_size=config.notification_batch_size,
                 repartition_policy=config.repartition_policy,
                 repartition_at=config.repartition_at,
                 repartition_handoff=config.repartition_handoff,
@@ -368,11 +353,7 @@ class TagCorrelationSystem:
                 parallelism=1,
             ).shuffle_grouping(streams.PARSER, streams.TAGSETS)
 
-        return Cluster(
-            builder.build(),
-            executor=executor,
-            link_batch_size=config.link_batch_size,
-        )
+        return Cluster(builder.build(), executor=executor)
 
     def _calculator_factory(self):
         """Factory for the configured Calculator mode (exact or sketch).
@@ -386,10 +367,6 @@ class TagCorrelationSystem:
                 report_interval=config.report_interval_seconds,
                 max_tags_per_document=config.max_tags_per_document,
                 num_perm=config.minhash_permutations,
-                seed=config.minhash_seed,
-                countmin_epsilon=config.countmin_epsilon,
-                countmin_delta=config.countmin_delta,
-                max_subset_size=config.sketch_max_subset_size,
             )
         return ExactCalculatorFactory(
             report_interval=config.report_interval_seconds,
@@ -398,7 +375,6 @@ class TagCorrelationSystem:
             counter_store=config.counter_store,
             spill_dir=config.spill_dir,
             spill_threshold=config.spill_threshold,
-            report_chunk_size=config.report_chunk_size,
         )
 
     def _tracker(self) -> TrackerBolt:
@@ -425,7 +401,6 @@ class TagCorrelationSystem:
             workers=self.config.resolved_workers(),
             remote_components=(streams.CALCULATOR,),
             queue_limit=self.config.service_queue_limit,
-            drain_chunk_size=self.config.report_chunk_size,
         )
 
     # ------------------------------------------------------------------ #
@@ -607,10 +582,11 @@ class TagCorrelationSystem:
             bolt for bolt in calculators if isinstance(bolt, SketchCalculatorBolt)
         ]
         if config.calculator == "sketch" and sketch_calculators:
+            estimator = sketch_calculators[0].estimator
             sketch_stats = {
                 "minhash_permutations": float(config.minhash_permutations),
-                "estimate_stddev_bound": sketch_calculators[0].estimator.error_bound,
-                "countmin_epsilon": config.countmin_epsilon,
+                "estimate_stddev_bound": estimator.error_bound,
+                "countmin_epsilon": estimator.countmin_epsilon,
                 "tracked_tagsets": float(sketch_tracked_total),
             }
 

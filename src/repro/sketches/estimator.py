@@ -87,8 +87,8 @@ class SketchJaccardEstimator:
         self.seed = seed
         self.max_subset_size = max_subset_size
         self._max_tags = max_tags_per_document
-        self._countmin_epsilon = countmin_epsilon
-        self._countmin_delta = countmin_delta
+        self.countmin_epsilon = countmin_epsilon
+        self.countmin_delta = countmin_delta
         # Template signature: spawns share its permutation arrays, so the
         # per-new-tag cost is one numpy allocation, not an RNG re-seed.
         self._template = MinHash(num_perm=num_perm, seed=seed)
@@ -186,7 +186,7 @@ class SketchJaccardEstimator:
         self._signatures.clear()
         self._keys.clear()
         self._support = CountMinSketch(
-            epsilon=self._countmin_epsilon, delta=self._countmin_delta
+            epsilon=self.countmin_epsilon, delta=self.countmin_delta
         )
         self._observations = 0
 

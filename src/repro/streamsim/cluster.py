@@ -149,19 +149,15 @@ class Cluster:
         topology: Topology,
         tick_interval: float = 1.0,
         executor: "Executor | None" = None,
-        link_batch_size: int = 0,
     ) -> None:
         topology.validate()
         if executor is None:
             from .executors import InlineExecutor
 
             executor = InlineExecutor()
-        if link_batch_size < 0:
-            raise ValueError("link_batch_size must be non-negative (0 = unlimited)")
         self.topology = topology
         self.accounting = MessageAccounting()
         self.current_time = 0.0
-        self.link_batch_size = link_batch_size
         self._tick_interval = tick_interval
         self._last_tick = 0.0
         self._queue: deque[tuple[TaskInfo, list[TupleMessage]]] = deque()
@@ -205,9 +201,7 @@ class Cluster:
             instances = []
             for task_index in range(spec.parallelism):
                 instance = spec.factory()
-                collector = OutputCollector(
-                    spec.name, task_id, max_batch=self.link_batch_size
-                )
+                collector = OutputCollector(spec.name, task_id)
                 info = TaskInfo(
                     task_id=task_id,
                     task_index=task_index,
@@ -579,15 +573,9 @@ def run_topology(
     max_spout_calls: int | None = None,
     tick_interval: float = 1.0,
     executor: "Executor | None" = None,
-    link_batch_size: int = 0,
 ) -> Cluster:
     """Deploy and run a topology; returns the cluster for inspection."""
-    cluster = Cluster(
-        topology,
-        tick_interval=tick_interval,
-        executor=executor,
-        link_batch_size=link_batch_size,
-    )
+    cluster = Cluster(topology, tick_interval=tick_interval, executor=executor)
     cluster.run(max_spout_calls=max_spout_calls)
     return cluster
 

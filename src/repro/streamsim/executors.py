@@ -429,38 +429,14 @@ def _serve_shard(
                 # finalisation.  Mode-specific state that draining resets
                 # (the sketch estimator's tracked-key count) is sampled
                 # first and shipped alongside.
-                #
-                # With a chunk size (request[1] > 0) the shard streams the
-                # results instead of building one monolithic reply: per
-                # task a "drained_begin" header, then bounded
-                # "drained_triples" slices (each chunk pickles alone, so
-                # neither side ever holds a whole-table message), then a
-                # final bare "drained" end marker.
-                chunk = request[1] if len(request) > 1 else 0
                 drained: dict[int, Any] = {}
                 for task_id, bolt in bolts.items():
                     estimator = getattr(bolt, "estimator", None)
                     tracked = getattr(estimator, "tracked_tagsets", None)
                     payload = getattr(bolt, "drain_payload", None)
-                    if payload is None:
-                        continue
-                    triples = payload()
-                    if chunk <= 0:
-                        drained[task_id] = (triples, tracked)
-                        continue
-                    outbox.put(
-                        ("drained_begin", spec.shard_index, (task_id, tracked))
-                    )
-                    for start in range(0, len(triples), chunk):
-                        outbox.put(
-                            ("drained_triples", spec.shard_index,
-                             (task_id, triples[start:start + chunk]))
-                        )
-                    del triples
-                if chunk <= 0:
-                    outbox.put(("drained", spec.shard_index, drained))
-                else:
-                    outbox.put(("drained", spec.shard_index, None))
+                    if payload is not None:
+                        drained[task_id] = (payload(), tracked)
+                outbox.put(("drained", spec.shard_index, drained))
             elif kind == _FINALIZE:
                 for bolt in bolts.values():
                     bolt.collector = None  # the driver re-attaches its own
@@ -499,12 +475,6 @@ class ShardedProcessExecutor(Executor):
         ``multiprocessing`` start method (``None`` = platform default, i.e.
         ``fork`` on Linux).  All shipped state is picklable, so ``spawn``
         works too at a higher startup cost.
-    drain_chunk_size:
-        When positive, the end-of-run drain streams each remote bolt's
-        results back in IPC messages of at most this many triples (or
-        replay pairs) instead of one monolithic per-shard reply, bounding
-        the peak pickle size on both sides.  ``0`` (the default) keeps the
-        single-message drain.
     """
 
     name = "process"
@@ -514,12 +484,9 @@ class ShardedProcessExecutor(Executor):
         workers: int = 2,
         remote_components: Sequence[str] = (),
         start_method: str | None = None,
-        drain_chunk_size: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if drain_chunk_size < 0:
-            raise ValueError("drain_chunk_size must be >= 0")
         if not remote_components:
             raise ValueError(
                 "ShardedProcessExecutor needs at least one remote component"
@@ -527,7 +494,6 @@ class ShardedProcessExecutor(Executor):
         self.requested_workers = workers
         self.remote_components = tuple(remote_components)
         self._start_method = start_method
-        self._drain_chunk_size = drain_chunk_size
         self._cluster: "Cluster | None" = None
         self._owner: dict[int, int] = {}
         self._pending: list[list[tuple]] = []
@@ -742,18 +708,10 @@ class ShardedProcessExecutor(Executor):
         self._pending = [[] for _ in range(self.effective_workers)]
 
     def _receive(self, shard: int, expected: str) -> Any:
-        _kind, payload = self._receive_any(shard, (expected,))
-        return payload
-
-    def _receive_any(
-        self, shard: int, kinds: Sequence[str]
-    ) -> tuple[str, Any]:
-        """Next reply from ``shard`` whose kind is one of ``kinds``.
+        """Payload of the next reply from ``shard``, which must be ``expected``.
 
         Polls with a liveness check so a dead worker surfaces as an error
         instead of a hang; worker-reported failures raise immediately.
-        Returns ``(kind, payload)`` — callers expecting a single kind use
-        the :meth:`_receive` wrapper.
         """
         outbox = self._outboxes[shard]
         while True:
@@ -768,12 +726,11 @@ class ShardedProcessExecutor(Executor):
             kind = reply[0]
             if kind == "error":
                 raise RuntimeError(f"shard worker {shard} failed:\n{reply[2]}")
-            if kind not in kinds:  # pragma: no cover - protocol bug
+            if kind != expected:  # pragma: no cover - protocol bug
                 raise RuntimeError(
-                    f"expected one of {tuple(kinds)!r} from shard {shard}, "
-                    f"got {kind!r}"
+                    f"expected {expected!r} from shard {shard}, got {kind!r}"
                 )
-            return kind, reply[2]
+            return reply[2]
 
     def drained_results(self) -> dict[int, tuple[list, int | None]]:
         return self._drained
@@ -789,26 +746,9 @@ class ShardedProcessExecutor(Executor):
         the drained results in driver task order.
         """
         for inbox in self._inboxes:
-            inbox.put((_DRAIN, self._drain_chunk_size))
-        if self._drain_chunk_size <= 0:
-            for shard in range(self.effective_workers):
-                self._drained.update(self._receive(shard, "drained"))
-        else:
-            # Chunked drain: reassemble each task's streamed slices.  The
-            # per-shard stream is ordered (one FIFO queue per worker), so a
-            # "drained_begin" header always precedes its task's chunks and
-            # the bare "drained" end marker closes the shard.
-            kinds = ("drained", "drained_begin", "drained_triples")
-            for shard in range(self.effective_workers):
-                while True:
-                    kind, payload = self._receive_any(shard, kinds)
-                    if kind == "drained":
-                        break
-                    task_id, part = payload
-                    if kind == "drained_begin":
-                        self._drained[task_id] = ([], part)
-                    else:
-                        self._drained[task_id][0].extend(part)
+            inbox.put((_DRAIN,))
+        for shard in range(self.effective_workers):
+            self._drained.update(self._receive(shard, "drained"))
         for inbox in self._inboxes:
             inbox.put((_FINALIZE,))
         for shard in range(self.effective_workers):
@@ -1072,7 +1012,6 @@ def make_executor(
     remote_components: Sequence[str] = (),
     start_method: str | None = None,
     queue_limit: int = DEFAULT_SERVICE_QUEUE_LIMIT,
-    drain_chunk_size: int = 0,
 ) -> Executor:
     """Build an executor by registry name (``"inline"``, ``"process"`` or
     ``"service"``)."""
@@ -1083,7 +1022,6 @@ def make_executor(
             workers=workers,
             remote_components=remote_components,
             start_method=start_method,
-            drain_chunk_size=drain_chunk_size,
         )
     if name == AsyncServiceExecutor.name:
         return AsyncServiceExecutor(queue_limit=queue_limit)

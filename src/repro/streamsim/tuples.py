@@ -226,21 +226,16 @@ class OutputCollector:
     for direct grouping) and the cluster drains the collector afterwards
     and routes the resulting :class:`EmissionBatch` lists to subscribers.
     Consecutive emissions on the same stream with the same timestamp (and
-    the same grouped/direct mode) coalesce into one batch; ``max_batch``
-    caps the batch length (0 = unlimited, 1 = per-message delivery, the
-    legacy wire behaviour).
+    the same grouped/direct mode) coalesce into one batch.
     """
 
-    __slots__ = ("_component", "_task_id", "_batches", "_tail", "max_batch")
+    __slots__ = ("_component", "_task_id", "_batches", "_tail")
 
-    def __init__(self, component: str, task_id: int, max_batch: int = 0) -> None:
-        if max_batch < 0:
-            raise ValueError("max_batch must be non-negative (0 = unlimited)")
+    def __init__(self, component: str, task_id: int) -> None:
         self._component = component
         self._task_id = task_id
         self._batches: list[EmissionBatch] = []
         self._tail: EmissionBatch | None = None
-        self.max_batch = max_batch
 
     def emit(self, schema: StreamSchema, *values: Any) -> None:
         """Emit one slot tuple on ``schema`` to all subscribers of the stream."""
@@ -259,7 +254,6 @@ class OutputCollector:
             and tail.schema is schema
             and tail.targets is None
             and tail.timestamp == timestamp
-            and (self.max_batch == 0 or len(tail.messages) < self.max_batch)
         ):
             tail.messages.append(message)
             return
@@ -284,7 +278,6 @@ class OutputCollector:
             and tail.schema is schema
             and tail.targets is not None
             and tail.timestamp == timestamp
-            and (self.max_batch == 0 or len(tail.messages) < self.max_batch)
         ):
             tail.messages.append(message)
             tail.targets.append(task_id)

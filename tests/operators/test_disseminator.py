@@ -48,7 +48,8 @@ def on_stream(pairs, schema):
 
 
 def notification_tags(message):
-    """The routed sub-tagset of a single-entry notification message."""
+    """The routed sub-tagset of a single-entry notification message (one
+    routed tagset flushed on its own)."""
     (entry,) = message["batch"]
     return entry[0]
 
@@ -110,6 +111,7 @@ class TestRouting:
         bolt, collector = make_disseminator()
         install(bolt, collector, [{"a", "b"}, {"b", "c"}])
         bolt.execute(tagset_message(["a", "b", "c"]))
+        bolt.flush()  # ship the pending micro-batch
         notifications = on_stream(drain_flat(collector), NOTIFICATIONS)
         assert len(notifications) == 2
         targets = {
@@ -124,6 +126,7 @@ class TestRouting:
         bolt, collector = make_disseminator()
         install(bolt, collector, [{"a"}, {"b"}])
         bolt.execute(tagset_message(["zzz"]))
+        bolt.flush()
         assert on_stream(drain_flat(collector), NOTIFICATIONS) == []
         assert bolt.metrics.unrouted_tagsets == 1
 
@@ -164,6 +167,7 @@ class TestSingleAdditionFlow:
         )
         assert bolt.assignment.covers({"a", "b"})
         bolt.execute(tagset_message(["a", "b"]))
+        bolt.flush()
         notifications = on_stream(drain_flat(collector), NOTIFICATIONS)
         # Calculator 100 now owns both tags and receives the full tagset, so
         # the coefficient becomes computable; calculator 101 still owns "b"

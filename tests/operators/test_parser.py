@@ -1,5 +1,7 @@
 """Unit tests for the Parser bolt."""
 
+import pytest
+
 from repro.operators.parser import ParserBolt, extract_hashtags
 from repro.operators.streams import TAGSETS, TWEETS
 from repro.streamsim.tuples import OutputCollector
@@ -52,3 +54,9 @@ class TestParserBolt:
         (batch,) = collector.drain()
         assert len(batch.messages[0]["tagset"]) == 3
         assert parser.truncated == 1
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_non_positive_tag_cap(self, cap):
+        # sorted(tagset)[:cap] would silently drop tags (or all of them).
+        with pytest.raises(ValueError, match="max_tags_per_document"):
+            ParserBolt(max_tags_per_document=cap)

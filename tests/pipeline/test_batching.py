@@ -36,42 +36,20 @@ def config(**overrides):
 
 
 class TestBatchingEquivalence:
-    """Batching is a wire-format optimisation: logical metrics must not move."""
+    """Batching is a wire-format optimisation: logical metrics must not move.
+
+    The micro-batch is the constant ``NOTIFICATION_BATCH_SIZE``; that the
+    batched wire reproduces the logical metrics bit for bit is pinned by
+    ``test_wire_equivalence.py``'s fixture.  What remains here is the win.
+    """
 
     @pytest.fixture(scope="class")
-    def reports(self, documents):
-        batched = TagCorrelationSystem(config(notification_batch_size=64)).run(
-            documents
-        )
-        unbatched = TagCorrelationSystem(config(notification_batch_size=1)).run(
-            documents
-        )
-        return batched, unbatched
+    def report(self, documents):
+        return TagCorrelationSystem(config()).run(documents)
 
-    def test_identical_communication_totals(self, reports):
-        batched, unbatched = reports
-        assert batched.communication_avg == unbatched.communication_avg
-
-    def test_identical_calculator_loads(self, reports):
-        batched, unbatched = reports
-        assert batched.calculator_loads == unbatched.calculator_loads
-
-    def test_identical_repartition_schedule(self, reports):
-        batched, unbatched = reports
-        assert batched.n_repartitions == unbatched.n_repartitions
-        assert [e.documents_processed for e in batched.repartition_events] == [
-            e.documents_processed for e in unbatched.repartition_events
-        ]
-
-    def test_batching_reduces_messages_at_least_5x(self, reports):
-        batched, unbatched = reports
-        assert unbatched.notification_messages >= 5 * batched.notification_messages
-        assert batched.batch_amortization >= 5.0
-        assert unbatched.batch_amortization == pytest.approx(1.0)
-
-    def test_unbatched_message_count_equals_logical_notifications(self, reports):
-        _, unbatched = reports
-        assert unbatched.notification_messages == sum(unbatched.calculator_loads)
+    def test_batching_reduces_messages_at_least_5x(self, report):
+        assert report.batch_amortization >= 5.0
+        assert report.notification_messages > 0
 
 
 class TestSketchMode:

@@ -18,6 +18,14 @@ class TestValidation:
             {"window_size": 0},
             {"bootstrap_documents": 0},
             {"repartition_threshold": -0.1},
+            {"repartition_threshold": float("nan")},
+            {"repartition_threshold": float("inf")},
+            {"single_addition_threshold": 0},
+            {"quality_check_interval": 0},
+            {"report_interval_seconds": 0.0},
+            {"report_interval_seconds": -60.0},
+            {"max_tags_per_document": 0},
+            {"max_tags_per_document": -3},
             {"executor": "threads"},
             {"workers": -1},
             {"repartition_policy": "sometimes"},
@@ -30,15 +38,7 @@ class TestValidation:
             {"spill_threshold": 0},
             {"tracker_store": "disk"},
             {"tracker_spill_threshold": 0},
-            {"report_chunk_size": -1},
-            {"notification_batch_size": 0},
-            {"link_batch_size": -1},
             {"minhash_permutations": 7},
-            {"countmin_epsilon": 0.0},
-            {"countmin_epsilon": 1.0},
-            {"countmin_delta": 0.0},
-            {"countmin_delta": 1.0},
-            {"sketch_max_subset_size": 1},
             {"scenario": "viral"},
             {"service_queue_limit": 0},
         ],
@@ -54,10 +54,9 @@ class TestValidation:
             {"n_partitioners": 1},
             {"repartition_policy": "fixed", "repartition_at": (1,)},
             {"tracker_spill_threshold": 1},
-            {"report_chunk_size": 0},
-            {"link_batch_size": 0},
+            {"max_tags_per_document": 1},
+            {"quality_check_interval": 1},
             {"minhash_permutations": 8},
-            {"sketch_max_subset_size": 2},
             {"service_queue_limit": 1},
         ],
     )
@@ -65,11 +64,28 @@ class TestValidation:
         SystemConfig(**overrides).validate()
 
     @pytest.mark.parametrize(
-        "knob", ["n_parsers", "n_disseminators", "tick_interval_seconds"]
+        "knob",
+        [
+            "n_parsers",
+            "n_disseminators",
+            "tick_interval_seconds",
+            "notification_batch_size",
+            "link_batch_size",
+            "report_chunk_size",
+            "algorithm_options",
+            "minhash_seed",
+            "countmin_epsilon",
+            "countmin_delta",
+            "sketch_max_subset_size",
+        ],
     )
-    def test_fixed_substrate_knobs_are_not_fields(self, knob):
+    def test_removed_knobs_are_not_fields(self, knob):
         # Parser and Disseminator parallelism are 1 and the tick interval is
-        # the Cluster's own default; none of them is configurable.
+        # the Cluster's own default; none of them is configurable.  The
+        # notification batch, link batch and report/drain chunking are
+        # physical cadences no logical metric observes, and the sketch
+        # constants and partitioner options had no caller with another
+        # value; they live as constants and constructor defaults instead.
         with pytest.raises(TypeError):
             SystemConfig(**{knob: 1})
 

@@ -14,8 +14,7 @@ spill directories survive a drain).
 
 ``SystemConfig(tracker_store="spill")`` does the same to the Tracker's
 dedup coefficient table — the max-support dedup rule becomes the run-merge
-combiner — and ``report_chunk_size`` bounds the reporting path's emission
-and drain batches; both are pinned bit-identical to the defaults by the
+combiner — and is pinned bit-identical to the default by the
 ``TestTrackerSpill`` / ``TestServiceModeWithTrackerSpill`` grids below.
 """
 
@@ -250,8 +249,8 @@ class TestTrackerSpill:
     nothing observable changes — every pinned metric, every coefficient,
     every support.  The grid re-crosses executors against the dict-store
     baselines, plus the paths with their own
-    machinery: chunked report emissions/drains, both stores spilling at
-    once, and the forced mid-stream migration handoff."""
+    machinery: both stores spilling at once and the forced mid-stream
+    migration handoff."""
 
     TRACKER_THRESHOLD = 300
 
@@ -316,25 +315,6 @@ class TestTrackerSpill:
             assert spill_snapshot.top_k(k=20) == plain_tracker.snapshot(7).top_k(k=20)
         finally:
             spill_snapshot.close()
-
-    def test_chunked_reporting_path_identical(self, documents, spill_root, grid_runs):
-        """Bounded report emissions + chunked end-of-run drains: physical
-        only, every logical answer unchanged."""
-        _, report, tracker = _run(
-            documents,
-            spill_root,
-            tracker_store="spill",
-            tracker_spill_threshold=self.TRACKER_THRESHOLD,
-            spill_dir=spill_root,
-            report_chunk_size=64,
-            executor="process",
-            workers=2,
-        )
-        _, plain, plain_tracker = grid_runs[("dict", "process")]
-        for field in IDENTICAL_FIELDS:
-            assert getattr(report, field) == getattr(plain, field), field
-        assert tracker.coefficients() == plain_tracker.coefficients()
-        tracker.close()
 
     def test_both_stores_spill_together(self, documents, spill_root, grid_runs):
         """Counter store and tracker store both out of core at once."""

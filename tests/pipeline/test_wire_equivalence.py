@@ -11,10 +11,6 @@ replay the same grid and compare against it, including content digests of the Tr
 
 Regenerate the fixture (only when logical behaviour changes intentionally)
 with ``PYTHONPATH=src python tools/record_equivalence_fixture.py``.
-
-``TestLinkBatchKnob`` additionally pins that the substrate's link batching
-is physical-only: forcing per-message delivery (``link_batch_size=1``)
-changes nothing observable.
 """
 
 import importlib.util
@@ -92,18 +88,3 @@ class TestGridPinnedAgainstPR3:
                 assert migrated > 0, name
                 assert aborted is False, name
 
-
-class TestLinkBatchKnob:
-    """link_batch_size is physical-only: metrics are identical at 1."""
-
-    def test_per_message_delivery_changes_nothing(self, documents, captured_cells):
-        unbatched = _recorder.capture_cell(
-            documents, dict(calculator="exact", link_batch_size=1)
-        )
-        assert unbatched == captured_cells["exact-incremental-inline"]
-
-    def test_negative_link_batch_rejected(self):
-        from repro.pipeline import SystemConfig
-
-        with pytest.raises(ValueError):
-            SystemConfig(link_batch_size=-1).validate()

@@ -255,12 +255,12 @@ class FanOutBolt(Bolt):
 
 
 class TestLinkBatching:
-    def _run(self, link_batch_size=0):
+    def _run(self):
         builder = TopologyBuilder()
         builder.set_spout("numbers", lambda: NumberSpout(4))
         builder.set_bolt("fan", FanOutBolt).shuffle_grouping("numbers")
         builder.set_bolt("sink", BatchCountingBolt).shuffle_grouping("fan")
-        return run_topology(builder.build(), link_batch_size=link_batch_size)
+        return run_topology(builder.build())
 
     def test_fan_out_delivers_as_one_batch(self):
         cluster = self._run()
@@ -268,16 +268,6 @@ class TestLinkBatching:
         assert sink.batch_sizes == [3, 3, 3, 3]
         assert len(sink.values) == 12
         assert cluster.accounting.link("fan", "sink") == 12
-
-    def test_link_batch_size_one_restores_per_message_delivery(self):
-        batched = self._run()
-        unbatched = self._run(link_batch_size=1)
-        (sink,) = unbatched.instances_of("sink")
-        assert sink.batch_sizes == [1] * 12
-        # Identical delivered values and accounting either way.
-        assert sink.values == batched.instances_of("sink")[0].values
-        assert unbatched.accounting.per_link == batched.accounting.per_link
-        assert unbatched.accounting.per_task == batched.accounting.per_task
 
 
 class BufferingBolt(Bolt):

@@ -145,18 +145,6 @@ class TestOutputCollector:
         batches = collector.drain()
         assert [batch.targets for batch in batches] == [None, [4, 5]]
 
-    def test_max_batch_caps_batch_length(self):
-        collector = OutputCollector("c", 0, max_batch=2)
-        for i in range(5):
-            collector.emit(PAIR, i, i)
-        assert [len(batch) for batch in collector.drain()] == [2, 2, 1]
-
-    def test_max_batch_one_is_per_message(self):
-        collector = OutputCollector("c", 0, max_batch=1)
-        collector.emit(PAIR, 1, 2)
-        collector.emit(PAIR, 3, 4)
-        assert [len(batch) for batch in collector.drain()] == [1, 1]
-
     def test_batch_pickle_roundtrip(self):
         collector = OutputCollector("c", 7)
         collector.emit(PAIR, 1, 2)
