@@ -59,7 +59,6 @@ def main() -> None:
 
     print("\n--- run report -------------------------------------------")
     print(f"algorithm                 : {report.algorithm}")
-    print(f"calculator mode           : {report.calculator_mode}")
     if report.subset_cache_stats is not None:
         stats = report.subset_cache_stats
         lookups = stats["hits"] + stats["misses"]

@@ -9,7 +9,8 @@ multiple Calculator nodes, as described by Alvanaki and Michel (SIGMOD
   hybrid DS+SCL splitter and classic graph-partitioning baselines
   (``repro.partitioning``),
 * exact Jaccard computation via subset counters and inclusion–exclusion
-  plus probabilistic sketch baselines (``repro.core``, ``repro.sketches``),
+  (``repro.core``) and the probabilistic sketches Section 2 argues against
+  (``repro.sketches``, imported on demand),
 * a Storm-like single-process stream-processing substrate and the paper's
   operator topology (``repro.streamsim``, ``repro.operators``),
 * the analytic models of Section 5 (``repro.theory``),
@@ -27,8 +28,8 @@ Quickstart
 >>> report.communication_avg >= 1.0
 True
 
-See ``README.md`` for the full quickstart (including the sketch-backed
-approximate tracking mode) and ``docs/ARCHITECTURE.md`` for the dataflow.
+See ``README.md`` for the full quickstart and ``docs/ARCHITECTURE.md``
+for the dataflow.
 """
 
 from .core import (

@@ -6,10 +6,8 @@ Provides the handful of workflows a user needs without writing Python:
 * ``repro record`` — record a scenario workload (``--scenario trending/
   burst/diurnal/adversarial``) as a replayable repro-trace file,
 * ``repro run`` — run the distributed tag-correlation system over a trace
-  (or a freshly generated one) and print the run report.  ``--calculator
-  sketch`` switches the Calculators to the MinHash/Count-Min approximate
-  tracking mode; ``--subset-cache`` sizes the Calculators'
-  subset-enumeration LRU;
+  (or a freshly generated one) and print the run report.
+  ``--subset-cache`` sizes the Calculators' subset-enumeration LRU;
   ``--no-baseline`` skips the centralized ground truth (measurement runs
   that need no error metrics); ``--executor process`` shards the Calculator layer across ``--workers``
   multiprocessing workers (identical logical metrics, see
@@ -39,7 +37,6 @@ copy-paste examples.
 Examples::
 
     python -m repro.cli run --documents 8000 --k 8 --algorithm DS
-    python -m repro.cli run --documents 8000 --calculator sketch
     python -m repro.cli run --documents 8000 --executor process --workers 4
     python -m repro.cli run --documents 8000 --scenario trending
     python -m repro.cli run --documents 50000 --counter-store spill --no-baseline
@@ -125,16 +122,13 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         help="partitioning window size in documents")
     parser.add_argument("--bootstrap", type=int, default=600,
                         help="documents observed before the first partitioning")
-    parser.add_argument("--calculator", choices=("exact", "sketch"), default="exact",
-                        help="Calculator mode: exact subset counters or the "
-                             "MinHash/Count-Min approximate tracking mode")
     parser.add_argument("--subset-cache", type=int, default=DEFAULT_SUBSET_CACHE_SIZE,
-                        help="capacity of each exact Calculator's LRU cache "
+                        help="capacity of each Calculator's LRU cache "
                              "of tagset subset enumerations (default "
                              f"{DEFAULT_SUBSET_CACHE_SIZE})")
     parser.add_argument("--counter-store", choices=COUNTER_STORES,
                         default="dict",
-                        help="backing table of exact Calculators: dict "
+                        help="backing table of the Calculators: dict "
                              "(all-RAM, the default) or spill (freeze cold "
                              "counter segments to sorted on-disk run files "
                              "and read them back once per report fold — "
@@ -167,9 +161,6 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         help="skip the centralized exact baseline entirely "
                              "(no ground truth, no error metrics; the "
                              "baseline bolt is never constructed)")
-    parser.add_argument("--minhash-perms", type=int, default=512,
-                        help="MinHash signature width of the sketch mode "
-                             "(estimate stddev is about 1/sqrt of this)")
     parser.add_argument("--executor", choices=EXECUTOR_NAMES, default="inline",
                         help="execution engine: inline (single-process "
                              "depth-first loop) or process (Calculator "
@@ -220,7 +211,6 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
         bootstrap_documents=args.bootstrap,
         quality_check_interval=max(50, args.window // 6),
         report_interval_seconds=60.0,
-        calculator=getattr(args, "calculator", "exact"),
         subset_cache_size=getattr(args, "subset_cache", DEFAULT_SUBSET_CACHE_SIZE),
         counter_store=getattr(args, "counter_store", "dict"),
         spill_dir=getattr(args, "spill_dir", None),
@@ -228,7 +218,6 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
         tracker_store=getattr(args, "tracker_store", "dict"),
         tracker_spill_threshold=getattr(args, "tracker_spill_threshold", None),
         include_centralized_baseline=not getattr(args, "no_baseline", False),
-        minhash_permutations=getattr(args, "minhash_perms", 512),
         executor=getattr(args, "executor", "inline"),
         workers=getattr(args, "workers", 0),
     )
@@ -254,7 +243,6 @@ def _print_report(report: RunReport) -> None:
     print(f"algorithm                 : {report.algorithm}")
     if report.workload_scenario is not None:
         print(f"workload scenario         : {report.workload_scenario}")
-    print(f"calculator mode           : {report.calculator_mode}")
     if report.subset_cache_stats is not None:
         stats = report.subset_cache_stats
         lookups = stats["hits"] + stats["misses"]
@@ -326,11 +314,6 @@ def _print_report(report: RunReport) -> None:
     if report.jaccard is not None:
         print(f"jaccard coverage          : {report.jaccard_coverage:.3f}")
         print(f"jaccard mean error        : {report.jaccard_mean_error:.4f}")
-    if report.sketch_stats is not None:
-        stats = report.sketch_stats
-        print(f"minhash permutations      : {int(stats['minhash_permutations'])}")
-        print(f"estimate stddev bound     : {stats['estimate_stddev_bound']:.4f}")
-        print(f"tracked tagset keys       : {int(stats['tracked_tagsets'])}")
 
 
 # --------------------------------------------------------------------- #
@@ -514,8 +497,7 @@ subcommands:
                 (header with scenario + workload config, then document
                 records; replay with run/compare --trace)
   run           run the distributed tag-correlation system over a trace
-                (use --calculator sketch for the approximate tracking mode,
-                --subset-cache to size the Calculators'
+                (use --subset-cache to size the Calculators'
                 subset-enumeration LRU, --no-baseline to skip the
                 centralized ground truth, --executor process --workers N to shard the
                 Calculator layer over worker processes,
@@ -535,13 +517,10 @@ examples:
   python -m repro.cli generate --documents 10000 --output trace.jsonl
   python -m repro.cli run --input trace.jsonl --algorithm DS --k 10
 
-  # Approximate tracking mode (MinHash signatures, Count-Min supports):
-  python -m repro.cli run --documents 8000 --calculator sketch --minhash-perms 256
-
   # Shard the Calculator layer over 4 worker processes:
   python -m repro.cli run --documents 8000 --executor process --workers 4
 
-  # Fastest exact-mode measurement run: no centralized baseline:
+  # Fastest measurement run: no centralized baseline:
   python -m repro.cli run --documents 8000 --no-baseline
 
   # Live repartitioning with state migration: force swaps at two points

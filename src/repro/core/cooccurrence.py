@@ -24,12 +24,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .documents import Document
 from .union_find import UnionFind
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(slots=True)
@@ -186,6 +187,8 @@ class CooccurrenceStatistics:
         with them; an edge connects two tagsets that share at least one tag,
         weighted by the number of shared tags.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for tagset, count in self.tagset_counts.items():
             graph.add_node(tagset, weight=count)
@@ -210,6 +213,8 @@ class CooccurrenceStatistics:
         Vertices are tags; an edge connects two tags that co-occur in at
         least one document, weighted by the number of such documents.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._tag_bits)
         for tagset, count in self.tagset_counts.items():

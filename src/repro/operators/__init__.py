@@ -1,7 +1,6 @@
 """The operators of the Figure-2 topology plus the centralised baseline."""
 
-from .calculator import BaseCalculatorBolt, CalculatorBolt
-from .sketch_calculator import SketchCalculatorBolt
+from .calculator import CalculatorBolt
 from .centralized import CentralizedCalculatorBolt
 from .controller import REPARTITION_POLICIES, RepartitionController
 from .disseminator import (
@@ -30,11 +29,9 @@ from .tracker import (
 from . import streams
 
 __all__ = [
-    "BaseCalculatorBolt",
     "CoefficientView",
     "SpillCoefficientView",
     "CalculatorBolt",
-    "SketchCalculatorBolt",
     "CentralizedCalculatorBolt",
     "DisseminatorBolt",
     "DisseminatorMetrics",

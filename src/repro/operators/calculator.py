@@ -9,24 +9,16 @@ results are emitted to the Tracker and the counters are deleted.
 
 Notifications arrive as ``NOTIFICATIONS`` slot tuples — ``(batch,
 timestamp)`` where ``batch`` is the list of ``(tags, doc_id)`` entries of
-one Disseminator micro-batch.  :class:`BaseCalculatorBolt` unpacks the
-batches (overriding :meth:`~repro.streamsim.components.Bolt.execute_batch`
-to amortise per-message dispatch over whole link batches) and drives the
-periodic reporting; the two concrete modes only differ in the estimator
-behind :meth:`_observe`:
-
-* :class:`CalculatorBolt` — the paper's exact subset counters
-  (:class:`~repro.core.jaccard.JaccardCalculator`),
-* :class:`~repro.operators.sketch_calculator.SketchCalculatorBolt` — the
-  MinHash/Count-Min approximate mode
-  (:class:`~repro.sketches.SketchJaccardEstimator`).
+one Disseminator micro-batch.  :class:`CalculatorBolt` unpacks the batches
+(overriding :meth:`~repro.streamsim.components.Bolt.execute_batch` to
+amortise per-message dispatch over whole link batches) into the paper's
+exact subset counters (:class:`~repro.core.jaccard.JaccardCalculator`) and
+drives the periodic reporting.
 """
 
 from __future__ import annotations
 
-import abc
 import time
-from typing import Iterable
 
 from ..core.jaccard import (
     DEFAULT_SUBSET_CACHE_SIZE,
@@ -38,13 +30,25 @@ from ..streamsim.tuples import TupleMessage
 from .streams import COEFFICIENTS, NOTIFICATIONS
 
 
-class BaseCalculatorBolt(Bolt):
-    """Shared notification handling and periodic reporting of both modes."""
+class CalculatorBolt(Bolt):
+    """Subset counters and inclusion–exclusion (Equation 2).
 
-    #: Name of the mode as it appears in ``SystemConfig.calculator``.
-    mode = "base"
+    Report rounds recover union sizes with one subset-lattice fold per
+    distinct observed tagset type; ``subset_cache_size`` bounds the LRU
+    cache of subset enumerations shared by the observe and report paths
+    (see :mod:`repro.core.jaccard`).  Report triples carry the sorted tag
+    tuple in their tagset slot.
+    """
 
-    def __init__(self, report_interval: float = 300.0) -> None:
+    def __init__(
+        self,
+        report_interval: float = 300.0,
+        max_tags_per_document: int = 12,
+        subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
+        counter_store: str = "dict",
+        spill_dir: str | None = None,
+        spill_threshold: int | None = None,
+    ) -> None:
         super().__init__()
         if report_interval <= 0:
             raise ValueError("report_interval must be positive")
@@ -58,40 +62,28 @@ class BaseCalculatorBolt(Bolt):
         #: with nothing observed are skipped and not counted).
         self.report_rounds = 0
         self.report_seconds = 0.0
+        #: Type lattices folded by in-stream report rounds (the final drain
+        #: and migration payloads fold too, but are not rounds).
+        self.types_folded = 0
         #: State-handoff accounting (live repartitioning): completed
         #: migrations and total triples shipped out of this bolt by them.
         self.migrations_completed = 0
         self.migrated_triples = 0
-
-    # ------------------------------------------------------------------ #
-    # Mode-specific estimator interface
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _observe(self, tags, doc_id) -> None:
-        """Record one tagset notification (``doc_id`` may be ``None``)."""
-
-    @abc.abstractmethod
-    def _report(self, reset: bool) -> list[JaccardResult]:
-        """Coefficients of every tracked tagset of at least two tags."""
-
-    def _report_triples(
-        self, reset: bool
-    ) -> list[tuple[Iterable[str], float, int]]:
-        """:meth:`_report` as raw ``(tagset, jaccard, support)`` wire triples.
-
-        The hot reporting path — periodic emits, the end-of-run drain and
-        the Tracker all consume triples.  Modes whose estimator produces
-        triples natively (the exact mode) override this to skip the
-        :class:`JaccardResult` round-trip; their tagset slot holds the
-        sorted tag tuple.  This generic one ships the result's frozenset,
-        which the Tracker sorts on ingest.
-        """
-        return [(r.tagset, r.jaccard, r.support) for r in self._report(reset=reset)]
+        spill_options = {}
+        if spill_threshold is not None:
+            spill_options["spill_threshold"] = spill_threshold
+        self.calculator = JaccardCalculator(
+            max_tags_per_document,
+            subset_cache_size=subset_cache_size,
+            counter_store=counter_store,
+            spill_dir=spill_dir,
+            **spill_options,
+        )
 
     @property
-    @abc.abstractmethod
     def observations(self) -> int:
         """Notifications recorded since the last resetting report."""
+        return self.calculator.observations
 
     # ------------------------------------------------------------------ #
     # Tuple handling
@@ -105,7 +97,7 @@ class BaseCalculatorBolt(Bolt):
         The single entry point for notification handling (``execute``
         delegates here), so the unpack and accounting logic exists once.
         """
-        observe = self._observe
+        observe = self.calculator.observe
         received = 0
         for message in messages:
             if message.schema is not NOTIFICATIONS:
@@ -114,8 +106,8 @@ class BaseCalculatorBolt(Bolt):
             batch = message.values[0]
             self.batches_received += 1
             received += len(batch)
-            for tags, doc_id in batch:
-                observe(tags, doc_id)
+            for tags, _doc_id in batch:
+                observe(tags)
         self.notifications_received += received
 
     def tick(self, simulation_time: float) -> None:
@@ -138,7 +130,9 @@ class BaseCalculatorBolt(Bolt):
         if self.observations == 0:
             return
         start = time.perf_counter()
-        results = self._report_triples(reset=True)
+        counter = self.calculator.counter
+        before = counter.types_folded
+        results = self.calculator.report_triples(min_size=2, reset=True)
         if results:
             # One batched tuple per report round: shipping hundreds of
             # thousands of individual coefficient tuples through the
@@ -148,16 +142,20 @@ class BaseCalculatorBolt(Bolt):
             self.reports_emitted += len(results)
         self.report_rounds += 1
         self.report_seconds += time.perf_counter() - start
+        self.types_folded += counter.types_folded - before
 
-    def drain_payload(self) -> list[tuple[Iterable[str], float, int]]:
+    def drain_payload(self) -> list[tuple[tuple[str, ...], float, int]]:
         """Final flush: the triples of a last, resetting report.
 
         The pipeline (or, under the process executor, the worker shard)
         calls this once at the end of a run, because the simulated clock
         stops advancing when the stream ends and a final tick would
-        otherwise never fire.
+        otherwise never fire.  The run is over, so a spilling counter store
+        gives up its directory.
         """
-        return self._report_triples(reset=True)
+        triples = self.calculator.report_triples(min_size=2, reset=True)
+        self.calculator.counter.close()
+        return triples
 
     def drain_results(self) -> list[JaccardResult]:
         """:meth:`drain_payload`, wrapped as :class:`JaccardResult` objects."""
@@ -169,7 +167,7 @@ class BaseCalculatorBolt(Bolt):
     # ------------------------------------------------------------------ #
     # State migration (live repartitioning handoff)
     # ------------------------------------------------------------------ #
-    def prepare_migration(self) -> list[tuple[Iterable[str], float, int]]:
+    def prepare_migration(self) -> list[tuple[tuple[str, ...], float, int]]:
         """Phase one of the two-phase handoff: compute the migration payload
         without mutating any state.
 
@@ -178,22 +176,22 @@ class BaseCalculatorBolt(Bolt):
         fails to prepare, the coordinator aborts and this bolt continues
         under the old assignment as if nothing happened.
         """
-        return self._report_triples(reset=False)
+        return self.calculator.report_triples(min_size=2, reset=False)
 
     def commit_migration(
-        self, payload: list[tuple[Iterable[str], float, int]], timestamp: float
+        self, payload: list[tuple[tuple[str, ...], float, int]], timestamp: float
     ) -> int:
         """Phase two: ship the prepared payload and reset the counted window.
 
         Emits the payload as one batched ``COEFFICIENTS`` tuple (the same
-        shape as a report round), resets the mode's estimator the way a
-        resetting report would, and rewinds the report clock to the
-        fresh-bolt origin so the post-handoff cadence matches a run started
-        under the new assignment.  Returns the number of migrated triples.
+        shape as a report round), resets the counters the way a resetting
+        report would, and rewinds the report clock to the fresh-bolt origin
+        so the post-handoff cadence matches a run started under the new
+        assignment.  Returns the number of migrated triples.
         """
         if payload:
             self.emit(COEFFICIENTS, payload, timestamp)
-        self._migration_reset()
+        self.calculator.reset_counts()
         self._last_report = 0.0
         self.migrations_completed += 1
         self.migrated_triples += len(payload)
@@ -201,75 +199,3 @@ class BaseCalculatorBolt(Bolt):
 
     def abort_migration(self) -> None:
         """Phase-one failure: nothing was mutated, so nothing to undo."""
-
-    def _migration_reset(self) -> None:
-        """Drop the counted window after its payload shipped (mode hook)."""
-        raise NotImplementedError(
-            f"calculator mode {self.mode!r} does not support state migration"
-        )
-
-
-class CalculatorBolt(BaseCalculatorBolt):
-    """Exact mode: subset counters and inclusion–exclusion (Equation 2).
-
-    Report rounds recover union sizes with one subset-lattice fold per
-    distinct observed tagset type; ``subset_cache_size`` bounds the LRU
-    cache of subset enumerations shared by the observe and report paths
-    (see :mod:`repro.core.jaccard`).
-    """
-
-    mode = "exact"
-
-    def __init__(
-        self,
-        report_interval: float = 300.0,
-        max_tags_per_document: int = 12,
-        subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
-        counter_store: str = "dict",
-        spill_dir: str | None = None,
-        spill_threshold: int | None = None,
-    ) -> None:
-        super().__init__(report_interval=report_interval)
-        spill_options = {}
-        if spill_threshold is not None:
-            spill_options["spill_threshold"] = spill_threshold
-        self.calculator = JaccardCalculator(
-            max_tags_per_document,
-            subset_cache_size=subset_cache_size,
-            counter_store=counter_store,
-            spill_dir=spill_dir,
-            **spill_options,
-        )
-        #: Type lattices folded by in-stream report rounds (the final drain
-        #: and migration payloads fold too, but are not rounds).
-        self.types_folded = 0
-
-    def _observe(self, tags, doc_id) -> None:
-        self.calculator.observe(tags)
-
-    def _report(self, reset: bool) -> list[JaccardResult]:
-        return self.calculator.report(min_size=2, reset=reset)
-
-    def _report_triples(
-        self, reset: bool
-    ) -> list[tuple[tuple[str, ...], float, int]]:
-        return self.calculator.report_triples(min_size=2, reset=reset)
-
-    def _emit_report(self, timestamp: float) -> None:
-        counter = self.calculator.counter
-        before = counter.types_folded
-        super()._emit_report(timestamp)
-        self.types_folded += counter.types_folded - before
-
-    def drain_payload(self) -> list[tuple[tuple[str, ...], float, int]]:
-        triples = super().drain_payload()
-        # The run is over: a spilling counter store gives up its directory.
-        self.calculator.counter.close()
-        return triples
-
-    def _migration_reset(self) -> None:
-        self.calculator.reset_counts()
-
-    @property
-    def observations(self) -> int:
-        return self.calculator.observations

@@ -25,7 +25,6 @@ from collections import deque
 
 from ..core.cooccurrence import CooccurrenceStatistics
 from ..partitioning import DisjointSetsPartitioner, Partitioner, find_disjoint_sets
-from ..sketches.countmin import CountMinSketch
 from ..streamsim.components import Bolt
 from ..streamsim.tuples import TupleMessage
 from .streams import PARTIAL_PARTITIONS, REPARTITION_REQUESTS, TAGSETS
@@ -73,28 +72,6 @@ class SlidingWindow:
         return len(self._items)
 
 
-def sketch_tagset_counts(
-    tagset_counts: dict[tuple[str, ...], int],
-    epsilon: float = 0.002,
-    delta: float = 0.01,
-) -> dict[tuple[str, ...], int]:
-    """Route per-tagset counts through a Count-Min sketch.
-
-    The approximate tracking mode uses this when shipping window counts to
-    the Merger, exercising the sketch path end-to-end: the *counting table*
-    is a fixed-size Count-Min instead of one exact counter per distinct
-    tagset, so the Merger's reference quality statistics must tolerate the
-    sketch's additive over-estimation (at most ``epsilon`` times the window
-    size, with probability ``1 - delta``).  The key set is still enumerated
-    exactly — this trades accuracy for a sketched counting table; it is a
-    demonstration of the sketch path, not an asymptotic memory win.
-    """
-    sketch = CountMinSketch(epsilon=epsilon, delta=delta)
-    for key, count in tagset_counts.items():
-        sketch.add(key, count)
-    return {key: sketch.estimate(key) for key in tagset_counts}
-
-
 class _WindowDocument:
     """Lightweight Document stand-in to avoid re-validating frozen sets."""
 
@@ -115,17 +92,11 @@ class PartitionerBolt(Bolt):
         k: int,
         window_mode: str = "count",
         window_size: float = 5000,
-        approximate_counts: bool = False,
-        countmin_epsilon: float = 0.002,
-        countmin_delta: float = 0.01,
     ) -> None:
         super().__init__()
         self.algorithm = algorithm
         self.k = k
         self.window = SlidingWindow(mode=window_mode, size=window_size)
-        self.approximate_counts = approximate_counts
-        self.countmin_epsilon = countmin_epsilon
-        self.countmin_delta = countmin_delta
         self.partitions_created = 0
         self._served_epochs: set[int] = set()
 
@@ -152,14 +123,6 @@ class PartitionerBolt(Bolt):
             tuple(sorted(tagset)): count
             for tagset, count in statistics.tagset_counts.items()
         }
-        if self.approximate_counts:
-            # Sketch mode: the Merger's reference statistics tolerate the
-            # Count-Min over-estimate, so the counting table is sketched.
-            window_counts = sketch_tagset_counts(
-                window_counts,
-                epsilon=self.countmin_epsilon,
-                delta=self.countmin_delta,
-            )
         self.partitions_created += 1
         self.emit(
             PARTIAL_PARTITIONS,

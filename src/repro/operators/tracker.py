@@ -7,8 +7,8 @@ tagset, the coefficient supported by the longest-tracked counter (maximum
 
 The table is keyed by the sorted tag tuple a Calculator puts in a triple's
 tagset slot; :meth:`TrackerBolt.ingest` sorts anything else it is given (a
-frozenset from the sketch mode or a :class:`JaccardResult`, a list) into
-that key.  Frozensets are built only at the read boundary: every public
+frozenset such as a :class:`JaccardResult`'s tagset, a list) into that
+key.  Frozensets are built only at the read boundary: every public
 read — the views, :meth:`TrackerBolt.coefficients`, ``supports``,
 ``export_triples``, ``iter_coefficients`` and the snapshots' ``entries``,
 ``coefficient`` and ``top_k`` — takes and returns tagsets as frozensets,

@@ -28,14 +28,16 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.cooccurrence import CooccurrenceStatistics
 from ..core.partition import Partition, PartitionAssignment
 from .base import Partitioner, validate_k
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def repair_coverage(
@@ -161,6 +163,8 @@ class KernighanLinPartitioner(Partitioner):
             midpoint = max(1, len(nodes) * half_k // k)
             left_nodes, right_nodes = nodes[:midpoint], nodes[midpoint:]
         else:
+            import networkx as nx
+
             left, right = nx.algorithms.community.kernighan_lin_bisection(
                 graph, weight="weight", seed=self._seed
             )
@@ -210,6 +214,8 @@ class SpectralPartitioner(Partitioner):
     def _spectral_labels(
         self, graph: nx.Graph, nodes: list[frozenset[str]], k: int
     ) -> list[int]:
+        import networkx as nx
+
         laplacian = nx.laplacian_matrix(graph, nodelist=nodes, weight="weight")
         dense = laplacian.toarray().astype(float)
         eigenvalues, eigenvectors = np.linalg.eigh(dense)

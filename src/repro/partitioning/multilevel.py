@@ -22,13 +22,15 @@ output is directly comparable with DS/SCC/SCL/SCI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.cooccurrence import CooccurrenceStatistics
 from ..core.partition import Partition, PartitionAssignment
 from .base import Partitioner, validate_k
 from .baselines import repair_coverage
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(slots=True)
@@ -74,6 +76,8 @@ def _heavy_edge_matching(graph: nx.Graph) -> dict:
 
 def _coarsen(graph: nx.Graph) -> tuple[nx.Graph, dict]:
     """One coarsening step; returns the coarser graph and the parent map."""
+    import networkx as nx
+
     mapping = _heavy_edge_matching(graph)
     coarse = nx.Graph()
     parent: dict = {}

@@ -87,14 +87,11 @@ class SystemConfig:
     max_tags_per_document: int = 12
     include_centralized_baseline: bool = True
 
-    #: Calculator mode: ``"exact"`` uses the paper's subset counters,
-    #: ``"sketch"`` the MinHash/Count-Min approximate tracking mode.
-    calculator: str = "exact"
-    #: Capacity of each exact Calculator's LRU cache of tagset →
+    #: Capacity of each Calculator's LRU cache of tagset →
     #: subset-tuple enumerations (repeated trending tagsets skip
     #: ``itertools.combinations`` re-enumeration).
     subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE
-    #: Backing table of each exact Calculator's subset counters:
+    #: Backing table of each Calculator's subset counters:
     #: ``"dict"`` (default) keeps everything in RAM; ``"spill"`` freezes
     #: cold segments into sorted on-disk run files and merges them at
     #: report/drain time, bounding resident memory by ``spill_threshold``
@@ -119,12 +116,6 @@ class SystemConfig:
     #: (``None`` = inherit ``spill_threshold``).  Only consulted when
     #: ``tracker_store="spill"``.
     tracker_spill_threshold: int | None = None
-    #: MinHash signature width of the sketch mode (standard error of each
-    #: Jaccard estimate is roughly ``1/sqrt(minhash_permutations)``).  The
-    #: sketch mode's other constants — permutation seed, Count-Min
-    #: ``epsilon``/``delta`` and the largest reported combination size —
-    #: are the defaults of :class:`~repro.sketches.SketchJaccardEstimator`.
-    minhash_permutations: int = 512
 
     #: Which workload scenario produced the document stream this run
     #: consumes (``workloads.SCENARIO_NAMES``), or ``None`` when unknown
@@ -192,8 +183,6 @@ class SystemConfig:
                 f"initial_partitions has {self.initial_partitions.k} partitions "
                 f"but k={self.k}"
             )
-        if self.calculator not in ("exact", "sketch"):
-            raise ValueError("calculator must be 'exact' or 'sketch'")
         if self.subset_cache_size < 1:
             raise ValueError("subset_cache_size must be at least 1")
         if self.counter_store not in COUNTER_STORES:
@@ -211,8 +200,6 @@ class SystemConfig:
             and self.tracker_spill_threshold < 1
         ):
             raise ValueError("tracker_spill_threshold must be at least 1")
-        if self.minhash_permutations < 8:
-            raise ValueError("minhash_permutations must be at least 8")
         if self.scenario is not None and self.scenario not in SCENARIO_NAMES:
             raise ValueError(
                 f"scenario must be one of {', '.join(SCENARIO_NAMES)} (or None)"

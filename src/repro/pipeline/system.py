@@ -14,8 +14,6 @@ every metric of the paper's evaluation into a :class:`RunReport`:
   repartitions (Section 8.2.5),
 * Batching — physical notification messages and the amortization factor of
   the batched Disseminator→Calculator engine,
-* Sketch accuracy — MinHash/Count-Min parameters and tracked-key counts
-  when the approximate tracking mode (``calculator="sketch"``) is active,
 * Execution engine — which executor ran the topology (``executor_mode``)
   and how many worker processes the Calculator layer was sharded over
   (``executor_workers``); logical metrics are executor-independent.
@@ -36,7 +34,6 @@ from ..core.metrics import (
     max_load_share,
 )
 from ..operators import (
-    BaseCalculatorBolt,
     CalculatorBolt,
     CentralizedCalculatorBolt,
     DisseminatorBolt,
@@ -49,7 +46,6 @@ from ..operators import (
     QualitySnapshot,
     RepartitionEvent,
     ServiceSpout,
-    SketchCalculatorBolt,
     TrackerBolt,
 )
 from ..operators import streams
@@ -68,8 +64,8 @@ from .config import SystemConfig
 
 
 @dataclass(frozen=True)
-class ExactCalculatorFactory:
-    """Picklable factory for exact-mode Calculators.
+class CalculatorFactory:
+    """Picklable factory for the Calculators.
 
     The process executor pickles the remote layer's factories into its
     workers, so the Calculator factory cannot be a closure; a frozen
@@ -92,22 +88,6 @@ class ExactCalculatorFactory:
             counter_store=self.counter_store,
             spill_dir=self.spill_dir,
             spill_threshold=self.spill_threshold,
-        )
-
-
-@dataclass(frozen=True)
-class SketchCalculatorFactory:
-    """Picklable factory for sketch-mode Calculators (see above)."""
-
-    report_interval: float = 300.0
-    max_tags_per_document: int = 12
-    num_perm: int = 512
-
-    def __call__(self) -> SketchCalculatorBolt:
-        return SketchCalculatorBolt(
-            report_interval=self.report_interval,
-            max_tags_per_document=self.max_tags_per_document,
-            num_perm=self.num_perm,
         )
 
 
@@ -150,29 +130,24 @@ class RunReport:
     #: Which workload scenario produced the consumed document stream
     #: (``SystemConfig.scenario`` provenance; None when unknown).
     workload_scenario: str | None = None
-    #: Which Calculator implementation ran: "exact" or "sketch".
-    calculator_mode: str = "exact"
     #: Physical batched notification tuples shipped Disseminator→Calculators.
     notification_messages: int = 0
     #: Logical notifications per physical message (≥ 1; the batching win).
     batch_amortization: float = 1.0
-    #: Sketch-mode accuracy/size figures (None in exact mode): MinHash width,
-    #: the per-estimate standard error bound and the tracked-key count.
-    sketch_stats: dict[str, float] | None = None
     #: Which execution engine ran the topology: "inline" or "process".
     executor_mode: str = "inline"
     #: Worker processes the Calculator layer was sharded over (1 in
     #: inline mode).
     executor_workers: int = 1
-    #: Aggregate hit/miss/eviction accounting of the exact Calculators'
-    #: subset-tuple LRU caches (None in sketch mode).
+    #: Aggregate hit/miss/eviction accounting of the Calculators'
+    #: subset-tuple LRU caches (None without Calculators).
     subset_cache_stats: dict[str, int] | None = None
-    #: Which backing table the exact Calculators counted into: "dict"
+    #: Which backing table the Calculators counted into: "dict"
     #: (all-RAM, the default) or "spill" (out-of-core run files — see
     #: docs/ARCHITECTURE.md "Counter store").  Logical metrics are
     #: store-independent.
     counter_store: str = "dict"
-    #: Aggregate spill-store accounting across exact Calculators (None
+    #: Aggregate spill-store accounting across Calculators (None
     #: under the dict store): spilled entries/runs/bytes, window reads
     #: (count, wall-clock, largest window table — a max, the rest are
     #: sums) and block-cache hits/misses/evictions.
@@ -295,7 +270,6 @@ class TagCorrelationSystem:
                 k=config.k,
                 window_mode=config.window_mode,
                 window_size=config.window_size,
-                approximate_counts=config.calculator == "sketch",
             ),
             parallelism=config.n_partitioners,
         ).fields_grouping(streams.PARSER, ["tagset"], streams.TAGSETS).all_grouping(
@@ -355,20 +329,14 @@ class TagCorrelationSystem:
 
         return Cluster(builder.build(), executor=executor)
 
-    def _calculator_factory(self):
-        """Factory for the configured Calculator mode (exact or sketch).
+    def _calculator_factory(self) -> CalculatorFactory:
+        """Factory for the configured Calculators.
 
         Returns a picklable factory object (not a closure): the process
         executor ships it into worker processes.
         """
         config = self.config
-        if config.calculator == "sketch":
-            return SketchCalculatorFactory(
-                report_interval=config.report_interval_seconds,
-                max_tags_per_document=config.max_tags_per_document,
-                num_perm=config.minhash_permutations,
-            )
-        return ExactCalculatorFactory(
+        return CalculatorFactory(
             report_interval=config.report_interval_seconds,
             max_tags_per_document=config.max_tags_per_document,
             subset_cache_size=config.subset_cache_size,
@@ -492,7 +460,7 @@ class TagCorrelationSystem:
         calculators = [
             bolt
             for bolt in cluster.instances_of(streams.CALCULATOR)
-            if isinstance(bolt, BaseCalculatorBolt)
+            if isinstance(bolt, CalculatorBolt)
         ]
         trackers = [
             bolt for bolt in cluster.instances_of(streams.TRACKER)
@@ -508,24 +476,12 @@ class TagCorrelationSystem:
         # the Tracker directly (the simulated clock stops with the stream).
         # With the process executor the drain already ran inside the worker
         # shards — the shipped result lists are replayed here in driver task
-        # order, which is exactly the inline drain order.  Tracked-key
-        # counts must be sampled before a drain resets them; worker-drained
-        # runs shipped the pre-drain sample alongside the results.
+        # order, which is exactly the inline drain order.
         predrained = cluster.executor.drained_results()
-        sketch_tracked_total = 0
-        for bolt in calculators:
-            if not isinstance(bolt, SketchCalculatorBolt):
-                continue
-            drained = predrained.get(bolt.task_id)
-            if drained is not None and drained[1] is not None:
-                sketch_tracked_total += drained[1]
-            else:
-                sketch_tracked_total += bolt.estimator.tracked_tagsets
         for calculator in calculators:
             drained = predrained.get(calculator.task_id)
             tracker.ingest(
-                drained[0] if drained is not None
-                else calculator.drain_payload()
+                drained if drained is not None else calculator.drain_payload()
             )
 
         notifications = 0
@@ -577,34 +533,18 @@ class TagCorrelationSystem:
         batch_amortization = (
             notifications / notification_messages if notification_messages else 1.0
         )
-        sketch_stats: dict[str, float] | None = None
-        sketch_calculators = [
-            bolt for bolt in calculators if isinstance(bolt, SketchCalculatorBolt)
-        ]
-        if config.calculator == "sketch" and sketch_calculators:
-            estimator = sketch_calculators[0].estimator
-            sketch_stats = {
-                "minhash_permutations": float(config.minhash_permutations),
-                "estimate_stddev_bound": estimator.error_bound,
-                "countmin_epsilon": estimator.countmin_epsilon,
-                "tracked_tagsets": float(sketch_tracked_total),
-            }
-
         subset_cache_stats: dict[str, int] | None = None
-        exact_calculators = [
-            bolt for bolt in calculators if isinstance(bolt, CalculatorBolt)
-        ]
-        if exact_calculators:
+        if calculators:
             subset_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
-            for bolt in exact_calculators:
+            for bolt in calculators:
                 stats = bolt.calculator.cache_stats
                 for key in subset_cache_stats:
                     subset_cache_stats[key] += stats[key]
 
         store_stats: dict[str, float] | None = None
-        if config.counter_store == "spill" and exact_calculators:
+        if config.counter_store == "spill" and calculators:
             store_stats = {}
-            for bolt in exact_calculators:
+            for bolt in calculators:
                 per_bolt = bolt.calculator.store_stats
                 if per_bolt is None:
                     continue
@@ -624,9 +564,7 @@ class TagCorrelationSystem:
             report_round_stats = {
                 "rounds": float(sum(b.report_rounds for b in calculators)),
                 "report_seconds": sum(b.report_seconds for b in calculators),
-                "dirty_types": float(sum(
-                    b.types_folded for b in exact_calculators
-                )),
+                "dirty_types": float(sum(b.types_folded for b in calculators)),
             }
 
         return RunReport(
@@ -654,10 +592,8 @@ class TagCorrelationSystem:
             migration_stats=migration_stats,
             migration_failures=list(cluster.migration_failures),
             workload_scenario=config.scenario,
-            calculator_mode=config.calculator,
             notification_messages=notification_messages,
             batch_amortization=batch_amortization,
-            sketch_stats=sketch_stats,
             executor_mode=config.executor,
             executor_workers=(
                 cluster.executor.effective_workers

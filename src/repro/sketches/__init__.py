@@ -1,30 +1,19 @@
-"""Probabilistic sketches: related-work baselines and the approximate mode.
+"""Probabilistic sketches: the related-work baselines of Section 2.
 
 The paper (Section 2) argues that probabilistic set representations are a
 poor fit for *exact* correlation tracking because their false positives make
-disjoint tags look co-occurring.  This package both quantifies that argument
-(see ``benchmarks/test_sketch_baseline.py``) and embraces its flip side: the
-sketches power the system's **approximate tracking mode**, where speed and
-bounded memory are traded for a quantified estimation error
-(``SystemConfig(calculator="sketch")``).
+disjoint tags look co-occurring.  This package holds the three sketches that
+``benchmarks/test_sketch_baseline.py`` uses to quantify that argument; the
+tracking pipeline itself counts exactly and never imports it.
 
 Contents
 --------
-:class:`MinHash` / :class:`MinHashLSH`
-    Jaccard-preserving signatures and a banded LSH index.  Besides the
-    classic pairwise estimate, :meth:`MinHash.jaccard_multiway` estimates
-    the paper's multi-way coefficient ``|⋂ T_t| / |⋃ T_t|`` directly from
-    per-tag signatures — the sketch-mode replacement for Equation (2)'s
-    inclusion–exclusion.
+:class:`MinHash`
+    Jaccard-preserving signatures (the datasketch-style alternative).
 :class:`CountMinSketch`
-    Approximate frequency counts with an additive over-estimate bound; the
-    sketch mode uses it for the support counts ``CN(s_i)``.
+    Approximate frequency counts with an additive over-estimate bound.
 :class:`BloomFilter`
-    Approximate set membership (related-work baseline only).
-:class:`SketchJaccardEstimator`
-    The drop-in replacement for the exact
-    :class:`~repro.core.jaccard.JaccardCalculator` used by
-    :class:`~repro.operators.SketchCalculatorBolt`.
+    Approximate set membership.
 
 Examples
 --------
@@ -44,32 +33,15 @@ Count tag-pair frequencies in bounded memory::
     ...     sketch.add(("beer", "munich"))
     >>> sketch.estimate(("beer", "munich")) >= 42  # never under-estimates
     True
-
-Run the full approximate tracking pipeline::
-
-    from repro import SystemConfig, TagCorrelationSystem
-    config = SystemConfig.scaled_down("DS", calculator="sketch")
-    report = TagCorrelationSystem(config).run(documents)
-    print(report.jaccard_mean_error, report.sketch_stats)
 """
 
 from .bloom import BloomFilter, optimal_parameters
 from .countmin import CountMinSketch
-from .estimator import SketchJaccardEstimator
-from .minhash import (
-    MinHash,
-    MinHashLSH,
-    candidate_probability,
-    estimate_pairwise_jaccard,
-)
+from .minhash import MinHash
 
 __all__ = [
     "BloomFilter",
     "CountMinSketch",
     "MinHash",
-    "MinHashLSH",
-    "SketchJaccardEstimator",
-    "candidate_probability",
-    "estimate_pairwise_jaccard",
     "optimal_parameters",
 ]

@@ -44,7 +44,6 @@ class BloomFilter:
         self.expected_items = expected_items
         self.false_positive_rate = false_positive_rate
         self._bits = bytearray((self.n_bits + 7) // 8)
-        self._count = 0
 
     def _positions(self, item: Hashable) -> list[int]:
         digest = hashlib.blake2b(canonical_bytes(item), digest_size=16).digest()
@@ -55,7 +54,6 @@ class BloomFilter:
     def add(self, item: Hashable) -> None:
         for position in self._positions(item):
             self._bits[position // 8] |= 1 << (position % 8)
-        self._count += 1
 
     def update(self, items: Iterable[Hashable]) -> None:
         for item in items:
@@ -66,21 +64,3 @@ class BloomFilter:
             self._bits[position // 8] & (1 << (position % 8))
             for position in self._positions(item)
         )
-
-    def __len__(self) -> int:
-        """Number of insertions performed (not distinct items)."""
-        return self._count
-
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of bits set to 1."""
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self.n_bits
-
-    def estimated_false_positive_rate(self) -> float:
-        """Current false-positive probability given the observed fill ratio."""
-        return self.fill_ratio**self.n_hashes
-
-    def intersection_may_be_nonempty(self, items: Iterable[Hashable]) -> bool:
-        """Whether any of ``items`` may be present (no false negatives)."""
-        return any(item in self for item in items)

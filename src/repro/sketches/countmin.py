@@ -3,16 +3,15 @@
 The related-work discussion (Section 2) mentions Count-Min sketches [5] as
 a way to accelerate set operations; like Bloom filters they over-estimate,
 which in this problem turns disjoint tag pairs into apparent co-occurrences.
-The sketch is also handy as a memory-bounded alternative to the exact
-subset counters of the Calculator, and the sketch baseline benchmark uses it
-to quantify the estimation error that substitution would introduce.
+The sketch baseline benchmark uses it to quantify the over-estimation that
+substituting it for the Calculator's exact subset counters would introduce.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class CountMinSketch:
         self.epsilon = epsilon
         self.delta = delta
         self._table = np.zeros((self.depth, self.width), dtype=np.int64)
-        self._total = 0
 
     def _columns(self, item: Hashable) -> list[int]:
         digest = hashlib.blake2b(canonical_bytes(item), digest_size=16).digest()
@@ -53,37 +51,9 @@ class CountMinSketch:
             raise ValueError("Count-Min sketch does not support negative updates")
         for row, column in enumerate(self._columns(item)):
             self._table[row, column] += count
-        self._total += count
-
-    def update(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.add(item)
 
     def estimate(self, item: Hashable) -> int:
         """Point query: an over-estimate of the item's true count."""
         return int(
             min(self._table[row, column] for row, column in enumerate(self._columns(item)))
         )
-
-    def __getitem__(self, item: Hashable) -> int:
-        return self.estimate(item)
-
-    @property
-    def total(self) -> int:
-        """Total number of counted events."""
-        return self._total
-
-    def error_bound(self) -> float:
-        """Additive error bound ``epsilon * total`` of any point query."""
-        return self.epsilon * self._total
-
-    def estimate_jaccard(self, tagset: Iterable[Hashable], union_size: int) -> float:
-        """Approximate a Jaccard coefficient from sketched intersection counts.
-
-        ``tagset`` is queried as a single composite key (the sketch counts
-        tag combinations, mirroring the Calculator's subset counters) and
-        divided by a caller-provided union size.
-        """
-        if union_size <= 0:
-            return 0.0
-        return min(1.0, self.estimate(frozenset(tagset)) / union_size)

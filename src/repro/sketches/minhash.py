@@ -1,4 +1,4 @@
-"""MinHash signatures and LSH for approximate Jaccard estimation.
+"""MinHash signatures for approximate Jaccard estimation.
 
 The paper computes exact Jaccard coefficients via counters; its related-work
 section argues that probabilistic sketches are a poor fit because false
@@ -9,15 +9,13 @@ universal hash family (Dietzfelbinger et al.): with an odd random ``a`` and
 a random ``b``, ``h(x) = ((a*x + b) mod 2^64) >> 32`` is 2-universal on
 64-bit words — and the wraparound multiply is exactly what vectorised
 ``uint64`` arithmetic computes, so the permutations stay a single numpy
-expression.  A banded LSH index for finding candidate pairs above a
-similarity threshold rounds out the module.
+expression.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -58,79 +56,16 @@ class MinHash:
 
     def update(self, item: Hashable) -> None:
         """Add one element to the underlying set."""
-        self.update_hashed(_stable_hash(item))
-
-    def update_hashed(self, raw_hash: int) -> None:
-        """Add an element given its precomputed 32-bit :func:`_stable_hash`.
-
-        Callers that update many signatures with the same element (e.g. one
-        document id fanned out to every tag of the document) hash the element
-        once and reuse the digest, which halves the per-update cost.
-        """
-        raw = np.uint64(raw_hash)
+        raw = np.uint64(_stable_hash(item))
         # Wraparound mod 2^64 is intentional: it is the multiply-add-shift
         # family's modulus, computed for free by uint64 arithmetic.
         hashes = (self._a * raw + self._b) >> np.uint64(32)
         np.minimum(self.values, hashes, out=self.values)
 
-    def spawn(self) -> "MinHash":
-        """An empty signature sharing this one's permutation parameters.
-
-        Unlike the constructor this skips re-seeding the permutation RNG, so
-        it is cheap enough to call once per distinct tag in a stream; the
-        spawned signature is comparable with the parent and its siblings.
-        """
-        clone = object.__new__(MinHash)
-        clone.num_perm = self.num_perm
-        clone.seed = self.seed
-        clone._a = self._a
-        clone._b = self._b
-        clone.values = np.full(self.num_perm, _MAX_HASH, dtype=np.uint64)
-        return clone
-
-    def update_all(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.update(item)
-
     def jaccard(self, other: "MinHash") -> float:
         """Estimate the Jaccard similarity with another signature."""
         self._check_compatible(other)
         return float(np.mean(self.values == other.values))
-
-    @staticmethod
-    def jaccard_multiway(signatures: Sequence["MinHash"]) -> float:
-        """Estimate the multi-way Jaccard coefficient of several sets.
-
-        Equation (1) generalises to ``|⋂ T_t| / |⋃ T_t|``; for one random
-        permutation the minimum over the union is shared by *all* sets
-        exactly when the union's minimiser lies in the intersection, which
-        happens with probability ``|⋂| / |⋃|``.  The fraction of signature
-        positions where every set agrees is therefore an unbiased estimate
-        of the multi-way coefficient, with the usual ``1/sqrt(num_perm)``
-        standard error.
-        """
-        if not signatures:
-            return 0.0
-        first = signatures[0]
-        for other in signatures[1:]:
-            first._check_compatible(other)
-        if len(signatures) == 1:
-            return 1.0 if not first.is_empty() else 0.0
-        stacked = np.stack([signature.values for signature in signatures])
-        return float(np.mean(np.all(stacked == stacked[0], axis=0)))
-
-    def merge(self, other: "MinHash") -> None:
-        """Union: after merging, the signature represents the union of sets."""
-        self._check_compatible(other)
-        np.minimum(self.values, other.values, out=self.values)
-
-    def copy(self) -> "MinHash":
-        clone = MinHash(self.num_perm, self.seed)
-        clone.values = self.values.copy()
-        return clone
-
-    def is_empty(self) -> bool:
-        return bool(np.all(self.values == _MAX_HASH))
 
     def _check_compatible(self, other: "MinHash") -> None:
         if self.num_perm != other.num_perm or self.seed != other.seed:
@@ -143,91 +78,6 @@ class MinHash:
         cls, items: Iterable[Hashable], num_perm: int = 128, seed: int = 1
     ) -> "MinHash":
         signature = cls(num_perm=num_perm, seed=seed)
-        signature.update_all(items)
+        for item in items:
+            signature.update(item)
         return signature
-
-
-@dataclass(frozen=True, slots=True)
-class _BandKey:
-    band: int
-    values: tuple[int, ...]
-
-
-class MinHashLSH:
-    """Banded locality-sensitive index over MinHash signatures.
-
-    Splits each signature into ``bands`` bands of ``rows`` rows; two sets
-    become candidates when they collide in at least one band.  The usual
-    S-curve applies: the probability of becoming a candidate at similarity
-    ``s`` is ``1 - (1 - s^rows)^bands``.
-    """
-
-    def __init__(self, num_perm: int = 128, bands: int = 32) -> None:
-        if num_perm % bands != 0:
-            raise ValueError("bands must divide num_perm")
-        self.num_perm = num_perm
-        self.bands = bands
-        self.rows = num_perm // bands
-        self._buckets: dict[_BandKey, set[Hashable]] = {}
-        self._signatures: dict[Hashable, MinHash] = {}
-
-    def insert(self, key: Hashable, signature: MinHash) -> None:
-        if signature.num_perm != self.num_perm:
-            raise ValueError("signature length does not match the index")
-        if key in self._signatures:
-            raise KeyError(f"key {key!r} already inserted")
-        self._signatures[key] = signature
-        for band_key in self._band_keys(signature):
-            self._buckets.setdefault(band_key, set()).add(key)
-
-    def query(self, signature: MinHash) -> set[Hashable]:
-        """Keys whose signatures collide with ``signature`` in some band."""
-        candidates: set[Hashable] = set()
-        for band_key in self._band_keys(signature):
-            candidates |= self._buckets.get(band_key, set())
-        return candidates
-
-    def candidate_pairs(self) -> set[tuple[Hashable, Hashable]]:
-        """All unordered candidate pairs currently in the index."""
-        pairs: set[tuple[Hashable, Hashable]] = set()
-        for members in self._buckets.values():
-            ordered = sorted(members, key=repr)
-            for i, first in enumerate(ordered):
-                for second in ordered[i + 1 :]:
-                    pairs.add((first, second))
-        return pairs
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._signatures
-
-    def __len__(self) -> int:
-        return len(self._signatures)
-
-    def _band_keys(self, signature: MinHash) -> list[_BandKey]:
-        keys = []
-        for band in range(self.bands):
-            start = band * self.rows
-            stop = start + self.rows
-            keys.append(
-                _BandKey(band=band, values=tuple(int(v) for v in signature.values[start:stop]))
-            )
-        return keys
-
-
-def candidate_probability(similarity: float, bands: int, rows: int) -> float:
-    """Probability that LSH reports a pair with the given true similarity."""
-    if not 0.0 <= similarity <= 1.0:
-        raise ValueError("similarity must lie in [0, 1]")
-    return 1.0 - (1.0 - similarity**rows) ** bands
-
-
-def estimate_pairwise_jaccard(
-    sets: Sequence[Iterable[Hashable]], num_perm: int = 128, seed: int = 1
-) -> dict[tuple[int, int], float]:
-    """Pairwise MinHash Jaccard estimates for a list of sets (by index)."""
-    signatures = [MinHash.from_items(s, num_perm=num_perm, seed=seed) for s in sets]
-    estimates = {}
-    for i in range(len(signatures)):
-        for j in range(i + 1, len(signatures)):
-            estimates[(i, j)] = signatures[i].jaccard(signatures[j])
-    return estimates

@@ -153,15 +153,13 @@ class Executor(abc.ABC):
         """
         return 0
 
-    def drained_results(self) -> dict[int, tuple[list, int | None]]:
+    def drained_results(self) -> dict[int, list]:
         """End-of-run results drained *inside* the remote layer, per task.
 
         Maps the task id of every remote bolt exposing ``drain_payload()``
-        to ``(triples, tracked_keys)``, where ``triples`` are ``(tagset,
-        jaccard, support)`` wire triples and ``tracked_keys`` is the sketch
-        estimator's pre-drain tracked-tagset count (``None`` for exact-mode
-        bolts).  Executors without a remote layer return an empty mapping
-        and the pipeline drains driver-side as before.
+        to its ``(tagset, jaccard, support)`` wire triples.  Executors
+        without a remote layer return an empty mapping and the pipeline
+        drains driver-side as before.
         """
         return {}
 
@@ -426,16 +424,12 @@ def _serve_shard(
                 # final results (small triple lists) instead of the counter
                 # tables that produced them, and the tables are emptied
                 # before the bolts themselves are pickled back at
-                # finalisation.  Mode-specific state that draining resets
-                # (the sketch estimator's tracked-key count) is sampled
-                # first and shipped alongside.
-                drained: dict[int, Any] = {}
+                # finalisation.
+                drained: dict[int, list] = {}
                 for task_id, bolt in bolts.items():
-                    estimator = getattr(bolt, "estimator", None)
-                    tracked = getattr(estimator, "tracked_tagsets", None)
                     payload = getattr(bolt, "drain_payload", None)
                     if payload is not None:
-                        drained[task_id] = (payload(), tracked)
+                        drained[task_id] = payload()
                 outbox.put(("drained", spec.shard_index, drained))
             elif kind == _FINALIZE:
                 for bolt in bolts.values():
@@ -502,7 +496,7 @@ class ShardedProcessExecutor(Executor):
         self._procs: list[Any] = []
         self._started = False
         self._finished = False
-        self._drained: dict[int, tuple[list, int | None]] = {}
+        self._drained: dict[int, list] = {}
         #: Shard count actually used (set at attach time).
         self.effective_workers = 0
 
@@ -732,7 +726,7 @@ class ShardedProcessExecutor(Executor):
                 )
             return reply[2]
 
-    def drained_results(self) -> dict[int, tuple[list, int | None]]:
+    def drained_results(self) -> dict[int, list]:
         return self._drained
 
     def _finalize(self, cluster: "Cluster") -> None:

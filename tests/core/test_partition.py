@@ -1,8 +1,9 @@
 """Unit tests for partitions and the tag-to-calculator assignment."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import Partition, PartitionAssignment
+from repro.core.partition import Partition, PartitionAssignment, PartitionSeed
 
 
 @pytest.fixture
@@ -112,3 +113,98 @@ class TestMutation:
         assert assignment.replication_factor() == 0.0
         assert assignment.all_tags() == set()
         assert assignment.loads() == [0, 0, 0]
+
+
+class TestRouteAndCovered:
+    """The Disseminator's one-pass query must agree with the two-pass one."""
+
+    @pytest.mark.parametrize(
+        "tagset",
+        [
+            [],
+            ["munich"],
+            ["munich", "beer"],
+            ["beer", "pizza"],
+            ["beer", "soccer"],
+            ["munich", "pizza"],
+            ["nowhere"],
+            ["munich", "nowhere"],
+            ["nowhere", "munich"],
+            ["pizza", "bavaria", "soccer", "beer"],
+        ],
+        ids=[
+            "empty",
+            "single-owner",
+            "covered-by-one",
+            "covered-by-other",
+            "covered-by-both",
+            "split",
+            "unknown",
+            "known-then-unknown",
+            "unknown-then-known",
+            "whole-partition",
+        ],
+    )
+    def test_matches_route_and_covers(self, figure1_assignment, tagset):
+        routes, covered = figure1_assignment.route_and_covered(tagset)
+        assert routes == figure1_assignment.route(tagset)
+        assert covered == figure1_assignment.covers(tagset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sets(st.sampled_from("abcdefgh"), max_size=5), min_size=1, max_size=4
+        ),
+        st.lists(st.sampled_from("abcdefghij"), max_size=6),
+    )
+    def test_matches_on_random_assignments(self, tag_sets, tagset):
+        assignment = PartitionAssignment.from_tag_sets(tag_sets)
+        routes, covered = assignment.route_and_covered(tagset)
+        assert routes == assignment.route(tagset)
+        assert covered == assignment.covers(tagset)
+        assert list(routes) == list(assignment.route(tagset))
+
+
+class TestPartitionSeed:
+    def test_build_assignment_restores_tags_and_loads(self):
+        seed = PartitionSeed(
+            tag_sets=(frozenset({"a", "b"}), frozenset({"b", "c"})),
+            loads=(5, 2),
+            avg_com=1.2,
+            max_load=0.6,
+        )
+        assignment = seed.build_assignment()
+        assert seed.k == assignment.k == 2
+        assert assignment.as_tag_sets() == [{"a", "b"}, {"b", "c"}]
+        assert assignment.loads() == [5, 2]
+        assert assignment.partitions_for_tag("b") == {0, 1}
+
+    def test_each_build_is_a_fresh_assignment(self):
+        seed = PartitionSeed(
+            tag_sets=(frozenset({"a"}),), loads=(1,), avg_com=1.0, max_load=1.0
+        )
+        first = seed.build_assignment()
+        first.add_tagset(0, {"z"}, load=9)
+        second = seed.build_assignment()
+        assert second.as_tag_sets() == [{"a"}]
+        assert second.loads() == [1]
+
+    @pytest.mark.parametrize(
+        "tag_sets, loads",
+        [((frozenset({"a"}),), ()), ((), (1,)), ((frozenset(), frozenset()), (1,))],
+        ids=["loads-short", "tags-short", "one-load-two-sets"],
+    )
+    def test_length_mismatch_rejected(self, tag_sets, loads):
+        with pytest.raises(ValueError, match="same length"):
+            PartitionSeed(tag_sets=tag_sets, loads=loads, avg_com=0.0, max_load=0.0)
+
+
+class TestTagCounts:
+    def test_figure1(self, figure1_assignment):
+        assert figure1_assignment.tag_counts() == [7, 4]
+
+    def test_tracks_additions(self):
+        assignment = PartitionAssignment.empty(2)
+        assignment.add_tagset(0, {"x", "y"})
+        assignment.add_tagset(0, {"y", "z"})
+        assert assignment.tag_counts() == [3, 0]

@@ -5,7 +5,6 @@ import pytest
 from oracle import full_sort_top_k, table_digest
 from repro.core.jaccard import JaccardResult
 from repro.operators.calculator import CalculatorBolt
-from repro.operators.sketch_calculator import SketchCalculatorBolt
 from repro.operators.streams import COEFFICIENTS, NOTIFICATIONS
 from repro.operators.tracker import TrackerBolt
 from repro.store import StoreConfig, encode_key
@@ -278,13 +277,10 @@ def make_tracker(store, tmp_path):
 
 class TestTrackerKeyCanonicalisation:
     def test_every_producer_lands_in_one_entry(self, tracker_store, tmp_path):
-        """Sorted tuples (the exact Calculator), frozensets (the sketch
-        mode, ``observe(JaccardResult)``) and unsorted iterables of the
+        """Sorted tuples (the Calculator), frozensets (a hand-built
+        triple, ``observe(JaccardResult)``) and unsorted iterables of the
         same tags are one tagset under the max-support rule."""
-        sketch = SketchCalculatorBolt(report_interval=10.0)
-        sketch.execute(notification(["b", "a"]))
-        (sketched,) = sketch.drain_payload()
-        assert type(sketched[0]) is frozenset
+        frozen = (frozenset({"b", "a"}), 1.0, 1)
         exact, _ = make_calculator()
         exact.execute(notification(["b", "a"]))
         exact.execute(notification(["a", "b"]))
@@ -292,7 +288,7 @@ class TestTrackerKeyCanonicalisation:
         assert counted == (("a", "b"), 1.0, 2)
 
         tracker = make_tracker(tracker_store, tmp_path)
-        tracker.ingest([sketched])
+        tracker.ingest([frozen])
         tracker.ingest([counted])
         tracker.observe(JaccardResult(frozenset({"a", "b"}), 0.25, support=2))
         tracker.ingest([(["b", "a"], 0.5, 1), ({"a", "b"}, 0.75, 2)])

@@ -108,34 +108,3 @@ class TestPartitionerBolt:
         bolt, collector = make_partitioner_bolt(DisjointSetsPartitioner())
         bolt.execute(repartition_message())
         assert drain_one(collector)["tag_sets"] == []
-
-
-class TestApproximateWindowCounts:
-    """Sketch-mode Partitioners ship Count-Min-estimated window counts."""
-
-    def test_sketched_estimates_never_underestimate(self):
-        from repro.operators.partitioner import sketch_tagset_counts
-
-        exact = {("a", "b"): 7, ("c",): 1}
-        counts = sketch_tagset_counts(exact, epsilon=0.01, delta=0.01)
-        assert counts[("a", "b")] >= 7
-        assert counts[("c",)] >= 1
-        # Count-Min over-estimation is bounded by epsilon * total count.
-        assert counts[("a", "b")] <= 7 + max(1, round(0.01 * 8))
-
-    def test_bolt_ships_approximate_counts_when_enabled(self):
-        bolt = PartitionerBolt(
-            algorithm=DisjointSetsPartitioner(),
-            k=2,
-            window_size=100,
-            approximate_counts=True,
-            countmin_epsilon=0.01,
-        )
-        collector = OutputCollector("partitioner", 0)
-        bolt.collector = collector
-        bolt.task_index = 0
-        bolt.execute(tagset_message(["a", "b"]))
-        bolt.execute(tagset_message(["a", "b"]))
-        bolt.execute(repartition_message())
-        counts = drain_one(collector)["window_counts"]
-        assert counts[("a", "b")] >= 2

@@ -1,4 +1,4 @@
-"""Pipeline tests for the batched notification engine and the sketch mode."""
+"""Pipeline tests for the batched notification engine."""
 
 import pytest
 
@@ -50,29 +50,3 @@ class TestBatchingEquivalence:
     def test_batching_reduces_messages_at_least_5x(self, report):
         assert report.batch_amortization >= 5.0
         assert report.notification_messages > 0
-
-
-class TestSketchMode:
-    @pytest.fixture(scope="class")
-    def sketch_report(self, documents):
-        return TagCorrelationSystem(config(calculator="sketch")).run(documents)
-
-    def test_runs_end_to_end(self, sketch_report):
-        assert sketch_report.calculator_mode == "sketch"
-        assert sketch_report.coefficients_reported > 0
-        assert sketch_report.sketch_stats is not None
-        assert sketch_report.sketch_stats["minhash_permutations"] == 512.0
-
-    def test_accuracy_close_to_exact_mode(self, documents, sketch_report):
-        exact_report = TagCorrelationSystem(config(calculator="exact")).run(documents)
-        # The sketch mode adds at most the MinHash estimation noise on top
-        # of the exact mode's windowing error.
-        assert sketch_report.jaccard_mean_error <= exact_report.jaccard_mean_error + 0.05
-        assert sketch_report.jaccard_coverage >= exact_report.jaccard_coverage - 0.05
-
-    def test_batching_also_amortizes_in_sketch_mode(self, sketch_report):
-        assert sketch_report.batch_amortization >= 5.0
-
-    def test_rejects_unknown_calculator(self):
-        with pytest.raises(ValueError):
-            TagCorrelationSystem(config(calculator="magic"))

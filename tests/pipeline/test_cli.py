@@ -72,39 +72,21 @@ class TestRun:
         assert "remote layer              : workers busy " in out
         assert "end-of-stream tail " in out
 
-    def test_run_with_sketch_calculator(self, capsys):
-        exit_code = main(
-            [
-                "run",
-                "--documents", "800",
-                "--topics", "40",
-                "--k", "2",
-                "--partitioners", "2",
-                "--window", "250",
-                "--bootstrap", "120",
-                "--calculator", "sketch",
-                "--minhash-perms", "64",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "calculator mode           : sketch" in out
-        assert "minhash permutations      : 64" in out
-        # 1/sqrt(64): the per-estimate standard error bound.
-        assert "estimate stddev bound     : 0.1250" in out
-        tracked = [
-            line for line in out.splitlines()
-            if line.startswith("tracked tagset keys       : ")
-        ]
-        assert len(tracked) == 1
-        assert int(tracked[0].rsplit(":", 1)[1]) >= 0
-
     @pytest.mark.parametrize(
         "flag", ["--batch-size", "--link-batch", "--report-chunk"]
     )
     def test_removed_cadence_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--documents", "100", flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--calculator", "sketch"], ["--minhash-perms", "64"]]
+    )
+    def test_removed_sketch_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--documents", "100", *argv])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

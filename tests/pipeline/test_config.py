@@ -32,13 +32,11 @@ class TestValidation:
             {"repartition_policy": "fixed", "repartition_at": (0,)},
             {"repartition_at": (100,)},
             {"repartition_handoff": "copy"},
-            {"calculator": "approximate"},
             {"subset_cache_size": 0},
             {"counter_store": "disk"},
             {"spill_threshold": 0},
             {"tracker_store": "disk"},
             {"tracker_spill_threshold": 0},
-            {"minhash_permutations": 7},
             {"scenario": "viral"},
             {"service_queue_limit": 0},
         ],
@@ -56,7 +54,6 @@ class TestValidation:
             {"tracker_spill_threshold": 1},
             {"max_tags_per_document": 1},
             {"quality_check_interval": 1},
-            {"minhash_permutations": 8},
             {"service_queue_limit": 1},
         ],
     )
@@ -77,15 +74,18 @@ class TestValidation:
             "countmin_epsilon",
             "countmin_delta",
             "sketch_max_subset_size",
+            "calculator",
+            "minhash_permutations",
         ],
     )
     def test_removed_knobs_are_not_fields(self, knob):
         # Parser and Disseminator parallelism are 1 and the tick interval is
         # the Cluster's own default; none of them is configurable.  The
         # notification batch, link batch and report/drain chunking are
-        # physical cadences no logical metric observes, and the sketch
-        # constants and partitioner options had no caller with another
-        # value; they live as constants and constructor defaults instead.
+        # physical cadences no logical metric observes, and the partitioner
+        # options had no caller with another value; they live as constants
+        # and constructor defaults instead.  The sketch tracking mode and
+        # its knobs are gone: the Calculators always count exactly.
         with pytest.raises(TypeError):
             SystemConfig(**{knob: 1})
 

@@ -5,12 +5,12 @@ runs, never *what* it computes: routing decisions, clock advancement,
 communication and load counters all happen driver-side before a tuple
 crosses the process boundary, and each remote bolt sees exactly the inline
 message/tick interleaving.  These tests pin that contract on the quickstart
-workload for both Calculator modes.
+workload.
 """
 
 import pytest
 
-from repro.operators import BaseCalculatorBolt, TrackerBolt, streams
+from repro.operators import CalculatorBolt, TrackerBolt, streams
 from repro.pipeline import SystemConfig, TagCorrelationSystem
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig
 
@@ -113,7 +113,7 @@ class TestExactModeEquivalence:
         calculators = [
             bolt
             for bolt in system.cluster.instances_of(streams.CALCULATOR)
-            if isinstance(bolt, BaseCalculatorBolt)
+            if isinstance(bolt, CalculatorBolt)
         ]
         assert calculators
         assert sum(c.notifications_received for c in calculators) > 0
@@ -123,18 +123,6 @@ class TestExactModeEquivalence:
             if isinstance(bolt, TrackerBolt)
         )
         assert len(tracker) == process.coefficients_reported
-
-
-class TestSketchModeEquivalence:
-    def test_sketch_metrics_identical(self, documents):
-        inline = TagCorrelationSystem(_config(calculator="sketch")).run(documents)
-        process = TagCorrelationSystem(
-            _config(calculator="sketch", executor="process", workers=2)
-        ).run(documents)
-        for field in IDENTICAL_FIELDS:
-            assert getattr(process, field) == getattr(inline, field)
-        assert process.jaccard_coverage == inline.jaccard_coverage
-        assert process.sketch_stats == inline.sketch_stats
 
 
 class TestWorkerResolution:

@@ -60,12 +60,11 @@ def _tracker_of(cluster) -> TrackerBolt:
     return tracker
 
 
-@pytest.fixture(scope="module", params=["exact", "sketch"])
-def process_run(request, documents):
-    """One process-mode run per Calculator mode, with the pickled size of
-    every bolt as it arrived from its shard (before the driver re-attaches
-    its collector and context)."""
-    mode = request.param
+@pytest.fixture(scope="module")
+def process_run(documents):
+    """A process-mode run, with the pickled size of every bolt as it
+    arrived from its shard (before the driver re-attaches its collector and
+    context)."""
     returned: dict[int, int] = {}
     receive = ShardedProcessExecutor._receive
 
@@ -77,7 +76,7 @@ def process_run(request, documents):
         return payload
 
     system = TagCorrelationSystem(
-        _config(calculator=mode, executor="process", workers=2)
+        _config(executor="process", workers=2)
     )
     cluster = system.build_cluster(documents)
     constructed = _tracker_of(cluster)
@@ -87,7 +86,7 @@ def process_run(request, documents):
     finally:
         ShardedProcessExecutor._receive = receive
     report = system.collect_report(cluster)
-    inline = TagCorrelationSystem(_config(calculator=mode)).run(documents)
+    inline = TagCorrelationSystem(_config()).run(documents)
     return report, inline, cluster, constructed, returned
 
 
@@ -103,8 +102,7 @@ class TestWhatCrossesThePipe:
     def test_subset_cache_stats_match_inline(self, process_run):
         report, inline, *_ = process_run
         assert report.subset_cache_stats == inline.subset_cache_stats
-        if report.calculator_mode == "exact":
-            assert report.subset_cache_stats["misses"] > 0
+        assert report.subset_cache_stats["misses"] > 0
 
     def test_tracker_never_left_the_driver(self, process_run):
         report, _, cluster, constructed, _ = process_run

@@ -4,8 +4,7 @@ Two contracts pin the coordinated handoff (quiesce → migrate → install):
 
 * **Matrix consistency** — a run that swaps its partition map mid-stream
   (``fixed`` policy, ``migrate`` handoff) reports bit-identical logical
-  metrics and Tracker contents on both executors, in both Calculator
-  modes.  The migration protocol is thus executor-agnostic, exactly like
+  metrics and Tracker contents on both executors.  The migration protocol is thus executor-agnostic, exactly like
   normal execution.
 
 * **Splice equivalence** — a run with a migrating swap at document *r*
@@ -177,17 +176,6 @@ class TestMigrationMatrixConsistency:
             ]
             assert observed == expected, key
 
-    def test_sketch_mode_matrix(self, documents):
-        inline = _run(documents, calculator="sketch")
-        process = _run(documents, calculator="sketch", executor="process", workers=2)
-        for field in IDENTICAL_FIELDS:
-            assert getattr(inline[0], field) == getattr(process[0], field), field
-        assert inline[1].coefficients() == process[1].coefficients()
-        assert inline[1].supports() == process[1].supports()
-        assert inline[0].migration_stats is not None
-        assert inline[0].migration_stats["handoffs"] == float(len(SWAP_POINTS))
-        assert inline[0].migration_stats["aborted"] == 0.0
-
 
 # --------------------------------------------------------------------- #
 # Splice equivalence
@@ -205,7 +193,6 @@ def _splice_overrides(**extra):
 SPLICE_CELLS = [
     pytest.param({}, id="exact-inline"),
     pytest.param(dict(executor="process", workers=2), id="exact-process"),
-    pytest.param(dict(calculator="sketch"), id="sketch-inline"),
 ]
 
 

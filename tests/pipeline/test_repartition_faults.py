@@ -27,7 +27,7 @@ import pytest
 
 from repro.operators import CalculatorBolt
 from repro.pipeline import SystemConfig, TagCorrelationSystem
-from repro.pipeline.system import ExactCalculatorFactory
+from repro.pipeline.system import CalculatorFactory
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig
 
 SWAP_POINT = 800
@@ -54,7 +54,7 @@ class DyingPrepareCalculatorBolt(CalculatorBolt):
 
 
 @dataclass(frozen=True)
-class FailingPrepareFactory(ExactCalculatorFactory):
+class FailingPrepareFactory(CalculatorFactory):
     def __call__(self) -> CalculatorBolt:
         return FailingPrepareCalculatorBolt(
             report_interval=self.report_interval,
@@ -64,7 +64,7 @@ class FailingPrepareFactory(ExactCalculatorFactory):
 
 
 @dataclass(frozen=True)
-class DyingPrepareFactory(ExactCalculatorFactory):
+class DyingPrepareFactory(CalculatorFactory):
     def __call__(self) -> CalculatorBolt:
         return DyingPrepareCalculatorBolt(
             report_interval=self.report_interval,

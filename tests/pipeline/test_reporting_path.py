@@ -147,12 +147,11 @@ class TestWorkerSideDrain:
             task.task_id for task in system.cluster.tasks_of(streams.CALCULATOR)
         }
         assert set(drained) == calculator_tasks
-        for triples, tracked in drained.values():
+        for triples in drained.values():
             for tagset, jaccard, support in triples:
                 assert type(tagset) is tuple and tagset == tuple(sorted(tagset))
                 assert 0.0 < jaccard <= 1.0
                 assert support >= 1
-            assert tracked is None  # exact mode has no sketch estimator
         # The drain ran inside the workers: the re-installed bolts come
         # back with their counters already reset.
         for bolt in system.cluster.instances_of(streams.CALCULATOR):

@@ -7,8 +7,8 @@ wire-equivalence workload through a live :class:`~repro.service.ServiceDaemon`
 — real TCP sockets, JSON wire round-trip of every document, chunked blocking
 ingest — and assert that every logical ``RunReport`` metric and every final
 coefficient/support digest is **bit-identical** to the recorded batch fixture
-(``fixtures/wire_equivalence.json``), in both calculator modes, including
-the forced mid-stream repartition cells.
+(``fixtures/wire_equivalence.json``), including the forced mid-stream
+repartition cells.
 
 The recorded fixture is the same one ``test_wire_equivalence.py`` pins, so a
 served run is transitively proven equal to every batch executor cell.
@@ -41,28 +41,16 @@ FIXTURE = json.loads(_FIXTURE_PATH.read_text(encoding="utf-8"))
 INGEST_BATCH = 250
 
 #: Served cell -> (config overrides, recorded batch cell it must equal).
-#: Spans both calculator modes and the forced mid-stream repartition
-#: handoff.
+#: Spans a plain run and the forced mid-stream repartition handoff.
 SERVED_CELLS = {
-    "served-exact": (dict(calculator="exact"), "exact-incremental-inline"),
-    "served-sketch": (dict(calculator="sketch"), "sketch-inline"),
+    "served-exact": (dict(), "exact-incremental-inline"),
     "served-exact-repartition": (
         dict(
-            calculator="exact",
             repartition_policy="fixed",
             repartition_at=(700, 1400),
             repartition_handoff="migrate",
         ),
         "exact-incremental-inline-repartition",
-    ),
-    "served-sketch-repartition": (
-        dict(
-            calculator="sketch",
-            repartition_policy="fixed",
-            repartition_at=(700, 1400),
-            repartition_handoff="migrate",
-        ),
-        "sketch-inline-repartition",
     ),
 }
 
@@ -144,10 +132,10 @@ class TestServedEqualsBatch:
         assert served["coefficients_sha256"] == recorded["coefficients_sha256"]
         assert served["supports_sha256"] == recorded["supports_sha256"]
 
-    def test_grid_spans_modes_and_repartition(self):
+    def test_grid_spans_plain_and_repartition(self):
         batch_cells = {batch for _, batch in SERVED_CELLS.values()}
         assert batch_cells <= set(FIXTURE["cells"])
-        assert any("sketch" in name for name in SERVED_CELLS)
+        assert any("repartition" not in name for name in SERVED_CELLS)
         assert any("repartition" in name for name in SERVED_CELLS)
 
     def test_wire_round_trip_is_lossless(self, documents):

@@ -6,7 +6,7 @@ folds read them back once into a per-fold window table — but counts are
 additive, so spill timing and run count must both be unobservable: every logical
 ``RunReport`` metric, every final coefficient and every support must be
 **bit-identical** to the default in-RAM ``dict`` store.  These tests pin
-that across the grid of executors × calculator modes, plus the forced
+that across the executors, plus the forced
 mid-stream repartition handoff (the migration payload streams from merged
 runs) and a served (service-mode) run — while asserting the spill machinery
 actually engaged (runs written, windows read) and cleaned up after itself (no
@@ -211,36 +211,6 @@ class TestRepartitionWithSpill:
         _, _, plain_tracker = repartition_runs["dict"]
         assert spill_tracker.coefficients() == plain_tracker.coefficients()
         assert spill_tracker.supports() == plain_tracker.supports()
-
-
-class TestSketchModeUnaffected:
-    """The sketch calculator never touches subset counters; a spill config
-    must pass through as a harmless no-op (same estimates, no store
-    stats)."""
-
-    @pytest.fixture(scope="class")
-    def sketch_runs(self, documents, spill_root):
-        return {
-            store: _run(
-                documents, spill_root, counter_store=store, calculator="sketch"
-            )
-            for store in STORES
-        }
-
-    def test_estimates_identical(self, sketch_runs):
-        _, _, spill_tracker = sketch_runs["spill"]
-        _, _, plain_tracker = sketch_runs["dict"]
-        assert spill_tracker.coefficients() == plain_tracker.coefficients()
-
-    @pytest.mark.parametrize("field", IDENTICAL_FIELDS)
-    def test_metrics_identical(self, sketch_runs, field):
-        _, spill, _ = sketch_runs["spill"]
-        _, plain, _ = sketch_runs["dict"]
-        assert getattr(spill, field) == getattr(plain, field)
-
-    def test_no_store_stats_in_sketch_mode(self, sketch_runs):
-        _, report, _ = sketch_runs["spill"]
-        assert report.store_stats is None
 
 
 class TestTrackerSpill:

@@ -69,9 +69,9 @@ class TestGridPinnedAgainstPR3:
 
     def test_fixture_covers_the_full_grid(self):
         assert set(FIXTURE["cells"]) == set(_recorder.CELLS)
-        # The grid spans both executors and both calculator modes.
+        # The grid spans both executors.
         assert any("process" in name for name in _recorder.CELLS)
-        assert any("sketch" in name for name in _recorder.CELLS)
+        assert any("inline" in name for name in _recorder.CELLS)
 
     def test_repartition_cells_cover_the_migration_handoff(self):
         """The ``-repartition`` cells force two mid-stream swaps with the

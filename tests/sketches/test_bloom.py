@@ -1,5 +1,7 @@
 """Unit tests for the Bloom filter."""
 
+import math
+
 import pytest
 
 from repro.sketches.bloom import BloomFilter, optimal_parameters
@@ -17,6 +19,15 @@ class TestOptimalParameters:
         with pytest.raises(ValueError):
             optimal_parameters(100, 1.5)
 
+    @pytest.mark.parametrize(
+        "items, rate", [(100, 0.1), (1000, 0.01), (5000, 0.001), (1, 0.5)]
+    )
+    def test_matches_closed_form(self, items, rate):
+        """m = ceil(-n ln p / ln^2 2) bits and k = round(m/n ln 2) >= 1."""
+        n_bits, n_hashes = optimal_parameters(items, rate)
+        assert n_bits == math.ceil(-items * math.log(rate) / math.log(2) ** 2)
+        assert n_hashes == max(1, round(n_bits / items * math.log(2)))
+
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
@@ -33,6 +44,14 @@ class TestBloomFilter:
         )
         assert false_positives / 5000 < 0.05
 
+    @pytest.mark.parametrize("rate", [0.2, 0.05, 0.01])
+    def test_false_positive_rate_near_target_at_capacity(self, rate):
+        bloom = BloomFilter(expected_items=2000, false_positive_rate=rate)
+        bloom.update(f"present{i}" for i in range(2000))
+        probes = 20_000
+        false_positives = sum(1 for i in range(probes) if f"absent{i}" in bloom)
+        assert false_positives / probes < 2 * rate
+
     def test_false_positives_exist_when_overfilled(self):
         """Overfilling the filter creates the spurious co-occurrences the
         paper warns about in Section 2."""
@@ -40,28 +59,3 @@ class TestBloomFilter:
         bloom.update(f"present{i}" for i in range(2000))
         false_positives = sum(1 for i in range(2000) if f"absent{i}" in bloom)
         assert false_positives > 0
-
-    def test_len_counts_insertions(self):
-        bloom = BloomFilter(expected_items=10)
-        bloom.add("a")
-        bloom.add("a")
-        assert len(bloom) == 2
-
-    def test_fill_ratio_grows(self):
-        bloom = BloomFilter(expected_items=100)
-        assert bloom.fill_ratio == 0.0
-        bloom.update(str(i) for i in range(100))
-        assert 0.0 < bloom.fill_ratio < 1.0
-
-    def test_estimated_false_positive_rate_monotone(self):
-        bloom = BloomFilter(expected_items=100, false_positive_rate=0.01)
-        early = bloom.estimated_false_positive_rate()
-        bloom.update(str(i) for i in range(200))
-        late = bloom.estimated_false_positive_rate()
-        assert late > early
-
-    def test_intersection_may_be_nonempty(self):
-        bloom = BloomFilter(expected_items=50)
-        bloom.update(["a", "b"])
-        assert bloom.intersection_may_be_nonempty(["b", "zz"])
-        assert not bloom.intersection_may_be_nonempty([])

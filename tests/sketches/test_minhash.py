@@ -1,15 +1,10 @@
-"""Unit and property tests for MinHash and MinHash LSH."""
+"""Unit and property tests for MinHash signatures."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.jaccard import exact_jaccard
-from repro.sketches.minhash import (
-    MinHash,
-    MinHashLSH,
-    candidate_probability,
-    estimate_pairwise_jaccard,
-)
+from repro.sketches.minhash import MinHash
 
 
 class TestMinHash:
@@ -33,93 +28,37 @@ class TestMinHash:
         )
         assert estimate == pytest.approx(truth, abs=0.1)
 
+    @pytest.mark.parametrize("overlap", [20, 60, 100, 140])
+    def test_estimate_within_four_standard_errors(self, overlap):
+        """Two 150-element sets sharing ``overlap`` elements; the estimator's
+        standard error is at most 1/(2 sqrt(num_perm))."""
+        num_perm = 256
+        left = [f"item{i}" for i in range(150)]
+        right = [f"item{i}" for i in range(150 - overlap, 300 - overlap)]
+        truth = overlap / (300 - overlap)
+        estimate = MinHash.from_items(left, num_perm=num_perm).jaccard(
+            MinHash.from_items(right, num_perm=num_perm)
+        )
+        assert abs(estimate - truth) <= 4 / (2 * num_perm**0.5)
+
+    def test_signature_ignores_insertion_order_and_duplicates(self):
+        items = [f"tag{i}" for i in range(40)]
+        forward = MinHash.from_items(items)
+        backward = MinHash.from_items(reversed(items + items[:10]))
+        assert (forward.values == backward.values).all()
+
     def test_incompatible_signatures_rejected(self):
         with pytest.raises(ValueError):
             MinHash(num_perm=64).jaccard(MinHash(num_perm=128))
         with pytest.raises(ValueError):
             MinHash(seed=1).jaccard(MinHash(seed=2))
 
-    def test_merge_acts_as_union(self):
-        left = MinHash.from_items(["a", "b"])
-        right = MinHash.from_items(["c", "d"])
-        union = MinHash.from_items(["a", "b", "c", "d"])
-        left.merge(right)
-        assert left.jaccard(union) == 1.0
-
-    def test_empty_signature(self):
-        signature = MinHash()
-        assert signature.is_empty()
-        signature.update("x")
-        assert not signature.is_empty()
-
     def test_invalid_num_perm(self):
         with pytest.raises(ValueError):
             MinHash(num_perm=0)
 
-    def test_copy_is_independent(self):
-        original = MinHash.from_items(["a"])
-        clone = original.copy()
-        clone.update("b")
-        assert original.jaccard(clone) < 1.0 or original.is_empty() is False
-
-
-class TestMinHashLSH:
-    def test_bands_must_divide_permutations(self):
-        with pytest.raises(ValueError):
-            MinHashLSH(num_perm=100, bands=33)
-
-    def test_query_finds_similar_sets(self):
-        lsh = MinHashLSH(num_perm=128, bands=32)
-        base = [f"item{i}" for i in range(40)]
-        lsh.insert("base", MinHash.from_items(base))
-        near = MinHash.from_items(base[:38] + ["x", "y"])
-        far = MinHash.from_items([f"other{i}" for i in range(40)])
-        assert "base" in lsh.query(near)
-        assert "base" not in lsh.query(far)
-
-    def test_duplicate_key_rejected(self):
-        lsh = MinHashLSH(num_perm=64, bands=16)
-        lsh.insert("a", MinHash.from_items(["x"], num_perm=64))
-        with pytest.raises(KeyError):
-            lsh.insert("a", MinHash.from_items(["y"], num_perm=64))
-
-    def test_wrong_signature_length_rejected(self):
-        lsh = MinHashLSH(num_perm=64, bands=16)
-        with pytest.raises(ValueError):
-            lsh.insert("a", MinHash(num_perm=128))
-
-    def test_candidate_pairs_symmetry(self):
-        lsh = MinHashLSH(num_perm=64, bands=16)
-        items = [f"i{i}" for i in range(30)]
-        lsh.insert("a", MinHash.from_items(items, num_perm=64))
-        lsh.insert("b", MinHash.from_items(items, num_perm=64))
-        assert ("a", "b") in lsh.candidate_pairs()
-
-    def test_len_and_contains(self):
-        lsh = MinHashLSH(num_perm=64, bands=16)
-        lsh.insert("a", MinHash.from_items(["x"], num_perm=64))
-        assert len(lsh) == 1
-        assert "a" in lsh
-
-
-class TestCandidateProbability:
-    def test_monotone_in_similarity(self):
-        low = candidate_probability(0.2, bands=32, rows=4)
-        high = candidate_probability(0.8, bands=32, rows=4)
-        assert high > low
-
-    def test_bounds(self):
-        assert candidate_probability(0.0, 32, 4) == 0.0
-        assert candidate_probability(1.0, 32, 4) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            candidate_probability(1.5, 32, 4)
-
 
 class TestPairwiseEstimates:
-    def test_estimates_for_all_pairs(self):
-        estimates = estimate_pairwise_jaccard([{"a", "b"}, {"b", "c"}, {"x"}])
-        assert set(estimates) == {(0, 1), (0, 2), (1, 2)}
-
     @settings(max_examples=20, deadline=None)
     @given(
         st.lists(
@@ -129,7 +68,9 @@ class TestPairwiseEstimates:
         )
     )
     def test_estimate_within_tolerance_of_truth(self, sets):
-        estimates = estimate_pairwise_jaccard(sets, num_perm=256)
-        for (i, j), estimate in estimates.items():
-            truth = exact_jaccard([sets[i], sets[j]])
-            assert estimate == pytest.approx(truth, abs=0.25)
+        signatures = [MinHash.from_items(s, num_perm=256) for s in sets]
+        for i in range(len(sets)):
+            for j in range(i + 1, len(sets)):
+                truth = exact_jaccard([sets[i], sets[j]])
+                estimate = signatures[i].jaccard(signatures[j])
+                assert estimate == pytest.approx(truth, abs=0.25)

@@ -6,6 +6,8 @@ is the one list of runtime dependencies: a third-party import added under
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +55,24 @@ def test_metadata_matches_the_package():
     assert keywords["name"] == "repro"
     assert keywords["version"] == repro.__version__
     assert keywords["python_requires"] == ">=3.11"
+
+
+def test_import_leaves_graphs_and_sketches_unloaded():
+    """``networkx`` is imported by the graph builders that need it and
+    ``repro.sketches`` only by the Section 2 baselines, so neither is paid
+    for by ``import repro`` (a fresh interpreter, so nothing else loaded
+    them first)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, repro; "
+        "print(sorted(name for name in sys.modules "
+        "if name.split('.')[0] == 'networkx' or name.startswith('repro.sketches')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

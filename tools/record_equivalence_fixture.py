@@ -3,8 +3,8 @@
 
 The substrate's wire format is an implementation detail: redesigning it (slot
 tuples, batched links, executor IPC units) must never move a logical metric
-or a reported coefficient.  This tool runs the full (executor × calculator
-mode) grid over a deterministic workload and records, per cell, every
+or a reported coefficient.  This tool runs the executor (× live
+repartitioning) grid over a deterministic workload and records, per cell, every
 logical ``RunReport`` field plus content hashes of the Tracker's final
 coefficients and supports.  ``tests/pipeline/test_wire_equivalence.py``
 replays the same grid and asserts bit-identical results against the recorded
@@ -72,19 +72,16 @@ _REPARTITION = dict(
 #: ``exact-scratch-*`` / ``exact-delta-*`` cells (byte-for-byte copies of
 #: these records) left with the other two engines, and the survivors keep
 #: their recorded names and values.  The ``-repartition`` cells were
-#: appended with the live-repartitioning PR.
+#: appended with the live-repartitioning PR.  The ``sketch-*`` cells left
+#: with the sketch tracking mode; the ``exact-`` prefix stays because the
+#: served-equivalence suite maps onto these names.
 CELLS = {
-    "exact-incremental-inline": dict(calculator="exact"),
-    "exact-incremental-process": dict(
-        calculator="exact", executor="process", workers=2
-    ),
-    "sketch-inline": dict(calculator="sketch"),
-    "sketch-process": dict(calculator="sketch", executor="process", workers=2),
-    "exact-incremental-inline-repartition": dict(calculator="exact", **_REPARTITION),
+    "exact-incremental-inline": dict(),
+    "exact-incremental-process": dict(executor="process", workers=2),
+    "exact-incremental-inline-repartition": dict(_REPARTITION),
     "exact-incremental-process-repartition": dict(
-        calculator="exact", executor="process", workers=2, **_REPARTITION,
+        executor="process", workers=2, **_REPARTITION,
     ),
-    "sketch-inline-repartition": dict(calculator="sketch", **_REPARTITION),
 }
 
 #: RunReport fields pinned bit-identically per cell.
