@@ -65,9 +65,9 @@ def main() -> None:
         hit_rate = stats["hits"] / lookups if lookups else 0.0
         print(f"subset cache hit rate     : {hit_rate:.1%} "
               f"({stats['evictions']} evictions)")
-    print(f"execution engine          : {report.executor_mode}"
+    print(f"execution engine          : {report.config.executor}"
           + (f" ({report.executor_workers} workers)"
-             if report.executor_mode == "process" else ""))
+             if report.config.executor == "process" else ""))
     print(f"average communication     : {report.communication_avg:.3f} "
           f"(1.0 = no redundant forwarding)")
     print(f"notification messages     : {report.notification_messages} "

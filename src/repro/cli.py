@@ -240,9 +240,10 @@ def _load_or_generate(args: argparse.Namespace) -> tuple[list[Document], str | N
 
 
 def _print_report(report: RunReport) -> None:
+    config = report.config
     print(f"algorithm                 : {report.algorithm}")
-    if report.workload_scenario is not None:
-        print(f"workload scenario         : {report.workload_scenario}")
+    if config.scenario is not None:
+        print(f"workload scenario         : {config.scenario}")
     if report.subset_cache_stats is not None:
         stats = report.subset_cache_stats
         lookups = stats["hits"] + stats["misses"]
@@ -250,8 +251,8 @@ def _print_report(report: RunReport) -> None:
         print(f"subset cache              : {hit_rate:.1%} hit rate "
               f"({stats['hits']} hits, {stats['misses']} misses, "
               f"{stats['evictions']} evictions)")
-    if report.counter_store != "dict":
-        print(f"counter store             : {report.counter_store}")
+    if config.counter_store != "dict":
+        print(f"counter store             : {config.counter_store}")
         if report.store_stats is not None:
             stats = report.store_stats
             lookups = stats["block_cache_hits"] + stats["block_cache_misses"]
@@ -267,8 +268,8 @@ def _print_report(report: RunReport) -> None:
                       f"({int(stats['block_cache_hits'])} hits, "
                       f"{int(stats['block_cache_misses'])} misses, "
                       f"{int(stats['block_cache_evictions'])} evictions)")
-    if report.tracker_store != "dict":
-        print(f"tracker store             : {report.tracker_store}")
+    if config.tracker_store != "dict":
+        print(f"tracker store             : {config.tracker_store}")
         if report.tracker_store_stats is not None:
             stats = report.tracker_store_stats
             lookups = stats["block_cache_hits"] + stats["block_cache_misses"]
@@ -284,10 +285,10 @@ def _print_report(report: RunReport) -> None:
                   f"{int(stats['hot_entries'])} hot entries, "
                   f"{int(stats['runs_live'])} live runs, "
                   f"{hit_rate:.1%} block-cache hit rate")
-    print(f"execution engine          : {report.executor_mode}"
+    print(f"execution engine          : {config.executor}"
           + (f" ({report.executor_workers} workers)"
-             if report.executor_mode == "process" else ""))
-    if report.executor_mode == "process":
+             if config.executor == "process" else ""))
+    if config.executor == "process":
         timings = report.timings
         print(f"remote layer              : workers busy "
               f"{timings['workers_busy']:.2f} s (summed), end-of-stream tail "

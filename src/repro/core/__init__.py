@@ -12,7 +12,6 @@ from .jaccard import (
     DEFAULT_SUBSET_CACHE_SIZE,
     JaccardCalculator,
     JaccardResult,
-    SubsetCounter,
     SubsetTupleCache,
     all_nonempty_subsets,
     exact_jaccard,
@@ -43,7 +42,6 @@ __all__ = [
     "SubsetTupleCache",
     "JaccardCalculator",
     "JaccardResult",
-    "SubsetCounter",
     "all_nonempty_subsets",
     "exact_jaccard",
     "union_size_inclusion_exclusion",

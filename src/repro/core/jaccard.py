@@ -5,8 +5,8 @@ Equation (1) of the paper as the ratio of the number of documents annotated
 with *all* tags of ``s`` to the number of documents annotated with *any* of
 them.  Calculators never see the raw per-tag document sets; they only keep,
 for every set of co-occurring tags, a counter of documents annotated with
-all of the set's tags (``SubsetCounter``), and recover the size of the union
-via the inclusion–exclusion principle (Equation (2)).
+all of the set's tags (:class:`JaccardCalculator`), and recover the size of
+the union via the inclusion–exclusion principle (Equation (2)).
 
 This module provides:
 
@@ -15,10 +15,10 @@ This module provides:
 * :class:`SubsetTupleCache` — a bounded LRU cache of tagset → subset-tuple
   enumerations, so repeated (trending) tagsets skip the
   ``itertools.combinations`` re-enumeration on every observation,
-* :class:`SubsetCounter` — the counter table a Calculator maintains and
-  the report fold over it (see below),
-* :class:`JaccardCalculator` — counts incoming tagset notifications and
-  reports Jaccard coefficients the way the Calculator operator does,
+* :class:`JaccardCalculator` — the counter table a Calculator maintains
+  and the report fold over it (see below): counts incoming tagset
+  notifications and reports Jaccard coefficients the way the Calculator
+  operator does,
 * :func:`union_size_inclusion_exclusion` — Equation (2) on top of a counter
   table.
 
@@ -52,9 +52,9 @@ subsets simultaneously in ``m·2^m`` additions instead of ``3^m`` lookups.
 The fold runs in two passes.  The first groups the round's types of four
 or more tags by arity, and each group is folded as one batch
 (:func:`_fold_arity`): one ``(n_types × 2^m)`` int64 matrix filled by a
-single gather through the counter lookup (the dict's, or the spill store's
-per-fold window table), ``m`` in-place strided adds for the SOS transform,
-the reportable masks sliced out, and Jaccard as one vectorised division.
+single gather through the counter table's per-fold ``window_lookup()``,
+``m`` in-place strided adds for the SOS transform, the reportable masks
+sliced out, and Jaccard as one vectorised division.
 At the default minimum size of two, two- and three-tag types are not
 batched: their unrolled inclusion–exclusion costs less than a matrix row
 (other minimum sizes batch every arity).  The second pass, the
@@ -98,14 +98,14 @@ transform to get the signed partial sums of every subset, and negates —
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ..store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, SpillingCounterStore
+from ..store import StoreConfig, counter_table
 
 #: Default capacity of the per-Calculator subset-tuple LRU cache.  Sized for
 #: the distinct-tagset working set of one report round on the benchmark
@@ -207,31 +207,22 @@ class SubsetTupleCache:
     * ``key`` — the canonical sorted tag tuple (computed once, on miss),
     * ``by_mask`` — subset tuples indexed by bitmask over ``key``
       (``by_mask[0] == ()``), the layout the report fold's lattice
-      transform consumes.  ``None`` when ``max_subset_size`` caps
-      the enumeration (the capped enumeration is not a full lattice).
+      transform consumes.
     * ``nonempty`` — the non-empty subset tuples as one flat tuple, the
       layout ``Counter.update`` consumes at observe time.
     """
 
-    __slots__ = ("_entries", "capacity", "max_subset_size",
-                 "hits", "misses", "evictions")
+    __slots__ = ("_entries", "capacity", "hits", "misses", "evictions")
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_SUBSET_CACHE_SIZE,
-        max_subset_size: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_SUBSET_CACHE_SIZE) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if max_subset_size is not None and max_subset_size < 1:
-            raise ValueError("max_subset_size must be at least 1 (or None)")
         self.capacity = capacity
-        self.max_subset_size = max_subset_size
         self._entries: OrderedDict[
             frozenset[str],
             tuple[
                 tuple[str, ...],
-                tuple[tuple[str, ...], ...] | None,
+                tuple[tuple[str, ...], ...],
                 tuple[tuple[str, ...], ...],
             ],
         ] = OrderedDict()
@@ -243,7 +234,7 @@ class SubsetTupleCache:
         self, tags: Iterable[str]
     ) -> tuple[
         tuple[str, ...],
-        tuple[tuple[str, ...], ...] | None,
+        tuple[tuple[str, ...], ...],
         tuple[tuple[str, ...], ...],
     ]:
         """The ``(key, by_mask, nonempty)`` enumeration of a tagset."""
@@ -266,14 +257,9 @@ class SubsetTupleCache:
         self, key: tuple[str, ...]
     ) -> tuple[
         tuple[str, ...],
-        tuple[tuple[str, ...], ...] | None,
+        tuple[tuple[str, ...], ...],
         tuple[tuple[str, ...], ...],
     ]:
-        if self.max_subset_size is not None:
-            capped: list[tuple[str, ...]] = []
-            for size in range(1, min(len(key), self.max_subset_size) + 1):
-                capped.extend(combinations(key, size))
-            return key, None, tuple(capped)
         # Power-set doubling: after processing tag i, by_mask holds the
         # subsets of key[:i+1] indexed by bitmask (appending tag i maps
         # block 0..2^i−1 onto block 2^i..2^{i+1}−1), so the lattice layout
@@ -306,17 +292,16 @@ class SubsetTupleCache:
         """Drop all entries (accounting is preserved)."""
         self._entries.clear()
 
-    def __getstate__(self) -> tuple[int, int | None, int, int, int]:
+    def __getstate__(self) -> tuple[int, int, int, int]:
         # The enumerations are derived data: a copy in another process
-        # rebuilds them on demand, so only the bounds and the accounting
+        # rebuilds them on demand, so only the capacity and the accounting
         # are pickled (a Calculator returning from a worker shard would
         # otherwise ship megabytes of tuples nobody reads again).
-        return (self.capacity, self.max_subset_size,
-                self.hits, self.misses, self.evictions)
+        return (self.capacity, self.hits, self.misses, self.evictions)
 
-    def __setstate__(self, state: tuple[int, int | None, int, int, int]) -> None:
-        self.__init__(state[0], state[1])
-        self.hits, self.misses, self.evictions = state[2:]
+    def __setstate__(self, state: tuple[int, int, int, int]) -> None:
+        self.__init__(state[0])
+        self.hits, self.misses, self.evictions = state[1:]
 
 
 #: Per-arity sign rows of the subset lattice: ``_SIGNS[m][mask]`` is
@@ -413,51 +398,37 @@ class JaccardResult:
     support: int
 
 
-class SubsetCounter:
-    """Counter table over sets of co-occurring tags.
+class JaccardCalculator:
+    """Counter table over sets of co-occurring tags, and the report fold.
 
-    For every received tagset notification the Calculator increments the
-    counter of *all* subsets of the notification (Section 6.2): receiving
+    The algorithmic core of the Calculator operator, usable standalone
+    (e.g. in examples that do not need the full topology).  For every
+    received tagset notification the Calculator increments the counter of
+    *all* subsets of the notification (Section 6.2): receiving
     ``{a, b, c}`` increments the counters of ``{a}``, ``{b}``, ``{c}``,
     ``{a,b}``, ``{a,c}``, ``{b,c}`` and ``{a,b,c}``.  The counter of a set
     therefore equals the number of received documents annotated with all of
     the set's tags.
 
-    Besides the subset counters the table maintains what the report fold
-    needs: the distinct observed tagset *types* of the round, in
+    Besides the subset counters it maintains what the report fold needs:
+    the distinct observed tagset *types* of the round, in
     first-observation order (the subset lattices the report folds — see
     the module docstring), and the bounded LRU cache of subset
-    enumerations shared by the observe and report paths.
+    enumerations shared by the observe and report paths
+    (``subset_cache_size`` bounds it).  ``store`` is the counter table's
+    spill configuration: ``None`` keeps the table in RAM, a
+    :class:`~repro.store.StoreConfig` backs it with a
+    :class:`~repro.store.SpillingCounterStore` (see
+    :func:`repro.store.counter_table`).
     """
 
     def __init__(
         self,
         max_tags_per_document: int = 12,
-        subset_cache: SubsetTupleCache | None = None,
         subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
-        counter_store: str = "dict",
-        spill_dir: str | None = None,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
+        store: StoreConfig | None = None,
     ) -> None:
-        if subset_cache is not None and subset_cache.max_subset_size is not None:
-            raise ValueError(
-                "SubsetCounter needs full subset lattices; a cache with "
-                "max_subset_size set cannot back the report fold"
-            )
-        if counter_store not in COUNTER_STORES:
-            raise ValueError(
-                f"counter_store must be one of {', '.join(COUNTER_STORES)}"
-            )
-        self.counter_store = counter_store
-        #: The backing table: a plain ``Counter`` (default) or the
-        #: out-of-core :class:`~repro.store.SpillingCounterStore`, which
-        #: exposes the same mapping surface the report folds over.
-        if counter_store == "spill":
-            self._counts: Counter | SpillingCounterStore = SpillingCounterStore(
-                spill_dir=spill_dir, spill_threshold=spill_threshold
-            )
-        else:
-            self._counts = Counter()
+        self._counts = counter_table(store)
         #: Distinct observed tagset types of the round, as an insertion-
         #: ordered set: the report folds each type's subset lattice once,
         #: in first-observation order.  The order is load-bearing — it is
@@ -466,26 +437,38 @@ class SubsetCounter:
         #: table order and every pinned digest depend on.
         self._types: dict[frozenset[str], None] = {}
         self._max_tags = max_tags_per_document
-        self._cache = (
-            subset_cache
-            if subset_cache is not None
-            else SubsetTupleCache(subset_cache_size)
-        )
+        self._cache = SubsetTupleCache(subset_cache_size)
+        self._observations = 0
         #: Type lattices folded by all reports so far (cumulative,
-        #: survives ``clear()``).
+        #: survives ``reset_counts()``).
         self.types_folded = 0
+
+    @property
+    def observations(self) -> int:
+        """Notifications counted since the last report (empty tagsets are
+        dropped, not counted)."""
+        return self._observations
 
     @property
     def cache(self) -> SubsetTupleCache:
         """The subset-enumeration cache (shared with the report path)."""
         return self._cache
 
-    def observe(self, tags: Iterable[str]) -> bool:
-        """Record one incoming tagset notification; ``False`` (nothing
-        counted) for an empty tagset."""
+    @property
+    def store_stats(self) -> dict[str, float] | None:
+        """Spill-store accounting, or ``None`` for the in-RAM table.
+
+        Spill/window-read counters and block-cache hit/miss/eviction figures
+        from the backing store.  Cumulative — survives ``reset_counts()``,
+        run deletion and pickling, like the subset-cache stats.
+        """
+        return self._counts.stats()
+
+    def observe(self, tags: Iterable[str]) -> None:
+        """Record one tagset notification (an empty tagset counts nothing)."""
         fs = frozenset(tags)  # no-op for the wire format (already frozen)
         if not fs:
-            return False
+            return
         if len(fs) > self._max_tags:
             # Guard against combinatorial blow-up on pathological documents;
             # real tweets carry < 10 tags (Section 3.1).
@@ -493,7 +476,7 @@ class SubsetCounter:
         _, _, nonempty = self._cache.lookup(fs)
         self._counts.update(nonempty)
         self._types[fs] = None
-        return True
+        self._observations += 1
 
     def count(self, tags: Iterable[str]) -> int:
         """Documents observed that carry all of ``tags``."""
@@ -514,25 +497,26 @@ class SubsetCounter:
     def __contains__(self, tags: object) -> bool:
         return tuple(sorted(set(tags))) in self._counts  # type: ignore[arg-type]
 
-    def clear(self) -> None:
-        """Drop all counters (Calculators do this after each report round).
+    def reset_counts(self) -> None:
+        """Drop the counted window (what a resetting report does, and how a
+        state migration commits).
 
         The subset-enumeration cache survives the reset on purpose: the
         trending tagsets of the next round are usually the same types.
         """
         self._counts.clear()
         self._types = {}
+        self._observations = 0
 
     def close(self) -> None:
-        """Drop all counters and release the spill store's directory (it is
-        recreated lazily by the next spill).  Called after the final drain,
-        so finished Calculators leave nothing on disk."""
-        self.clear()
-        if self.counter_store == "spill":
-            self._counts.close()
+        """Drop all counters and release the table (a spill store's
+        directory is recreated lazily by the next spill).  Called after the
+        final drain, so finished Calculators leave nothing on disk."""
+        self.reset_counts()
+        self._counts.close()
 
-    def jaccard(self, tags: Iterable[str]) -> float:
-        """Jaccard coefficient of ``tags`` from the current counters."""
+    def coefficient(self, tags: Iterable[str]) -> float:
+        """Current Jaccard coefficient of ``tags``."""
         key = tuple(sorted(set(tags)))
         intersection = self._counts.get(key, 0)
         if intersection == 0:
@@ -546,10 +530,15 @@ class SubsetCounter:
     # The report fold
     # ------------------------------------------------------------------ #
     def report_triples(
-        self, min_size: int = 2
+        self, min_size: int = 2, reset: bool = True
     ) -> list[tuple[tuple[str, ...], float, int]]:
         """Coefficients as raw ``(tagset, jaccard, support)`` wire triples:
         one subset-lattice fold per distinct observed tagset type.
+
+        Mirrors the periodic reporting of Calculators: every ``y`` time
+        units the maximum possible number of coefficients is emitted and the
+        counters are deleted (``reset=True``; ``reset=False`` is a state
+        migration's side-effect-free prepare).
 
         The hot reporting path: report rounds ship hundreds of thousands of
         coefficients per run, so the periodic emit, the end-of-run drain
@@ -566,11 +555,8 @@ class SubsetCounter:
         """
         # One counter lookup per lattice position.  The spill store reads
         # its runs once into a table private to this fold rather than
-        # probing them per key; Counter.__missing__ returns 0.
-        lookup = (
-            self._counts.window_lookup() if self.counter_store == "spill"
-            else self._counts.__getitem__
-        )
+        # probing them per key; the dict table's is Counter.__getitem__.
+        lookup = self._counts.window_lookup()
         cache_lookup = self._cache.lookup
         # Pass one: the lattices to fold, in first-observation order, and
         # the wide ones grouped by arity for the batched fold.
@@ -582,7 +568,6 @@ class SubsetCounter:
             if m < min_size:
                 continue  # contributes no reportable keys of its own
             _, by_mask, _ = cache_lookup(vtype)
-            assert by_mask is not None  # full lattices are never size-capped
             lattices.append(by_mask)
             if m > 3 or not unrolled:
                 batches.setdefault(m, []).append(by_mask)
@@ -644,107 +629,14 @@ class SubsetCounter:
                 seen(key)
                 if support:
                     append((key, jaccard, support))
-        return results
-
-    def report_results(self, min_size: int = 2) -> list[JaccardResult]:
-        """Coefficients of every counted tagset of at least ``min_size`` tags."""
-        return [
-            JaccardResult(frozenset(tagset), jaccard, support)
-            for tagset, jaccard, support in self.report_triples(min_size)
-        ]
-
-    def store_stats(self) -> dict[str, float] | None:
-        """Spill-store accounting, or ``None`` under the default dict store.
-
-        Spill/window-read counters and block-cache hit/miss/eviction figures
-        from the backing store.  Cumulative — survives ``clear()``, run
-        deletion and pickling, like the subset-cache stats.
-        """
-        if self.counter_store != "spill":
-            return None
-        return self._counts.stats()
-
-
-class JaccardCalculator:
-    """Counts tagset notifications and reports Jaccard coefficients.
-
-    This is the algorithmic core of the Calculator operator, factored out so
-    it can be used standalone (e.g. in examples that do not need the full
-    topology).  ``subset_cache_size`` bounds the LRU cache of subset
-    enumerations (see the module docstring).
-    """
-
-    def __init__(
-        self,
-        max_tags_per_document: int = 12,
-        subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
-        counter_store: str = "dict",
-        spill_dir: str | None = None,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
-    ) -> None:
-        self._counter = SubsetCounter(
-            max_tags_per_document,
-            subset_cache_size=subset_cache_size,
-            counter_store=counter_store,
-            spill_dir=spill_dir,
-            spill_threshold=spill_threshold,
-        )
-        self._observations = 0
-        self.counter_store = counter_store
-
-    @property
-    def observations(self) -> int:
-        """Notifications counted since the last report (empty tagsets are
-        dropped, not counted)."""
-        return self._observations
-
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/eviction accounting of the subset-tuple LRU cache."""
-        return self._counter.cache.stats()
-
-    @property
-    def store_stats(self) -> dict[str, float] | None:
-        """Spill-store accounting (``None`` under the default dict store)."""
-        return self._counter.store_stats()
-
-    @property
-    def counter(self) -> SubsetCounter:
-        """The underlying counter table (report accounting lives there)."""
-        return self._counter
-
-    def observe(self, tags: Iterable[str]) -> None:
-        """Record one tagset notification."""
-        if self._counter.observe(tags):
-            self._observations += 1
-
-    def coefficient(self, tags: Iterable[str]) -> float:
-        """Current Jaccard coefficient of ``tags``."""
-        return self._counter.jaccard(tags)
-
-    def report(self, min_size: int = 2, reset: bool = True) -> list[JaccardResult]:
-        """Compute coefficients for every counted co-occurring tagset.
-
-        Mirrors the periodic reporting of Calculators: every ``y`` time
-        units the maximum possible number of coefficients is emitted and the
-        counters are deleted (``reset=True``).
-        """
-        return [
-            JaccardResult(frozenset(tagset), jaccard, support)
-            for tagset, jaccard, support in self.report_triples(min_size, reset)
-        ]
-
-    def report_triples(
-        self, min_size: int = 2, reset: bool = True
-    ) -> list[tuple[tuple[str, ...], float, int]]:
-        """:meth:`report` as raw wire triples (the Calculator hot path)."""
-        results = self._counter.report_triples(min_size)
         if reset:
             self.reset_counts()
         return results
 
-    def reset_counts(self) -> None:
-        """Drop the counted window (what a resetting report does, and how a
-        state migration commits); the subset cache survives."""
-        self._counter.clear()
-        self._observations = 0
+    def report(self, min_size: int = 2, reset: bool = True) -> list[JaccardResult]:
+        """:meth:`report_triples` wrapped as :class:`JaccardResult` objects
+        (every counted tagset of at least ``min_size`` tags)."""
+        return [
+            JaccardResult(frozenset(tagset), jaccard, support)
+            for tagset, jaccard, support in self.report_triples(min_size, reset)
+        ]

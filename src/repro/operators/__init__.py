@@ -20,17 +20,11 @@ from .merger import MergerBolt
 from .parser import ParserBolt, extract_hashtags
 from .partitioner import PartitionerBolt, SlidingWindow
 from .spouts import DocumentSpout, FileSpout, ServiceSpout
-from .tracker import (
-    CoefficientView,
-    SpillCoefficientView,
-    TrackerBolt,
-    TrackerSnapshot,
-)
+from .tracker import CoefficientView, TrackerBolt, TrackerSnapshot
 from . import streams
 
 __all__ = [
     "CoefficientView",
-    "SpillCoefficientView",
     "CalculatorBolt",
     "CentralizedCalculatorBolt",
     "DisseminatorBolt",

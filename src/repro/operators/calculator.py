@@ -8,8 +8,8 @@ possible number of Jaccard coefficients is computed from the counters, the
 results are emitted to the Tracker and the counters are deleted.
 
 Notifications arrive as ``NOTIFICATIONS`` slot tuples — ``(batch,
-timestamp)`` where ``batch`` is the list of ``(tags, doc_id)`` entries of
-one Disseminator micro-batch.  :class:`CalculatorBolt` unpacks the batches
+timestamp)`` where ``batch`` is the list of routed tagsets of one
+Disseminator micro-batch.  :class:`CalculatorBolt` unpacks the batches
 (overriding :meth:`~repro.streamsim.components.Bolt.execute_batch` to
 amortise per-message dispatch over whole link batches) into the paper's
 exact subset counters (:class:`~repro.core.jaccard.JaccardCalculator`) and
@@ -25,6 +25,7 @@ from ..core.jaccard import (
     JaccardCalculator,
     JaccardResult,
 )
+from ..store import StoreConfig
 from ..streamsim.components import Bolt
 from ..streamsim.tuples import TupleMessage
 from .streams import COEFFICIENTS, NOTIFICATIONS
@@ -37,7 +38,8 @@ class CalculatorBolt(Bolt):
     distinct observed tagset type; ``subset_cache_size`` bounds the LRU
     cache of subset enumerations shared by the observe and report paths
     (see :mod:`repro.core.jaccard`).  Report triples carry the sorted tag
-    tuple in their tagset slot.
+    tuple in their tagset slot.  ``store`` is the counter table's spill
+    configuration (``None``: the in-RAM table).
     """
 
     def __init__(
@@ -45,9 +47,7 @@ class CalculatorBolt(Bolt):
         report_interval: float = 300.0,
         max_tags_per_document: int = 12,
         subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE,
-        counter_store: str = "dict",
-        spill_dir: str | None = None,
-        spill_threshold: int | None = None,
+        store: StoreConfig | None = None,
     ) -> None:
         super().__init__()
         if report_interval <= 0:
@@ -69,15 +69,8 @@ class CalculatorBolt(Bolt):
         #: migrations and total triples shipped out of this bolt by them.
         self.migrations_completed = 0
         self.migrated_triples = 0
-        spill_options = {}
-        if spill_threshold is not None:
-            spill_options["spill_threshold"] = spill_threshold
         self.calculator = JaccardCalculator(
-            max_tags_per_document,
-            subset_cache_size=subset_cache_size,
-            counter_store=counter_store,
-            spill_dir=spill_dir,
-            **spill_options,
+            max_tags_per_document, subset_cache_size, store
         )
 
     @property
@@ -106,7 +99,7 @@ class CalculatorBolt(Bolt):
             batch = message.values[0]
             self.batches_received += 1
             received += len(batch)
-            for tags, _doc_id in batch:
+            for tags in batch:
                 observe(tags)
         self.notifications_received += received
 
@@ -130,9 +123,9 @@ class CalculatorBolt(Bolt):
         if self.observations == 0:
             return
         start = time.perf_counter()
-        counter = self.calculator.counter
-        before = counter.types_folded
-        results = self.calculator.report_triples(min_size=2, reset=True)
+        calculator = self.calculator
+        before = calculator.types_folded
+        results = calculator.report_triples(min_size=2, reset=True)
         if results:
             # One batched tuple per report round: shipping hundreds of
             # thousands of individual coefficient tuples through the
@@ -142,7 +135,7 @@ class CalculatorBolt(Bolt):
             self.reports_emitted += len(results)
         self.report_rounds += 1
         self.report_seconds += time.perf_counter() - start
-        self.types_folded += counter.types_folded - before
+        self.types_folded += calculator.types_folded - before
 
     def drain_payload(self) -> list[tuple[tuple[str, ...], float, int]]:
         """Final flush: the triples of a last, resetting report.
@@ -154,7 +147,7 @@ class CalculatorBolt(Bolt):
         gives up its directory.
         """
         triples = self.calculator.report_triples(min_size=2, reset=True)
-        self.calculator.counter.close()
+        self.calculator.close()
         return triples
 
     def drain_results(self) -> list[JaccardResult]:

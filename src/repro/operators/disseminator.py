@@ -226,11 +226,11 @@ class DisseminatorBolt(Bolt):
         self.repartition_handoff = repartition_handoff
         self.metrics = DisseminatorMetrics()
 
-        # Pending notification batches, one list of (tags, doc_id) entries
-        # per Calculator task.  Flushed every :data:`NOTIFICATION_BATCH_SIZE`
+        # Pending notification batches, one list of routed tagsets per
+        # Calculator task.  Flushed every :data:`NOTIFICATION_BATCH_SIZE`
         # routed tagsets, on every simulated-clock tick (bounded staleness)
         # and at end of stream.
-        self._pending: dict[int, list[tuple[frozenset[str], object]]] = {}
+        self._pending: dict[int, list[frozenset[str]]] = {}
         self._pending_tagsets = 0
         self._pending_timestamp = 0.0
 
@@ -309,11 +309,9 @@ class DisseminatorBolt(Bolt):
     def _handle_tagset(self, message: TupleMessage) -> None:
         self._documents_seen += 1
         # TAGSETS slot layout: (doc_id, timestamp, tagset).
-        doc_id, timestamp, tagset = message.values
+        _doc_id, timestamp, tagset = message.values
         if timestamp is None:
             timestamp = 0.0
-        if doc_id is None:
-            doc_id = (self.task_id, self._documents_seen)
 
         if self._assignment is None:
             self.metrics.unrouted_tagsets += 1
@@ -334,7 +332,7 @@ class DisseminatorBolt(Bolt):
             task_id = self._task_for_partition(partition_index)
             if task_id is None:
                 continue
-            self._pending.setdefault(task_id, []).append((tags, doc_id))
+            self._pending.setdefault(task_id, []).append(tags)
         self._pending_tagsets += 1
         self._pending_timestamp = timestamp
         if self._pending_tagsets >= NOTIFICATION_BATCH_SIZE:

@@ -60,7 +60,7 @@ REPARTITION_REQUESTS = stream_schema(
     "repartition_requests", ("epoch", "reason", "timestamp")
 )
 #: Notification micro-batches shipped to Calculators: ``batch`` is the list
-#: of ``(tags, doc_id)`` entries of one Disseminator micro-batch.
+#: of routed tagsets of one Disseminator micro-batch.
 NOTIFICATIONS = stream_schema("notifications", ("batch", "timestamp"))
 #: One report round's ``(tagset, jaccard, support)`` wire triples.
 COEFFICIENTS = stream_schema("coefficients", ("results", "timestamp"))

@@ -120,9 +120,9 @@ class SystemConfig:
     #: Which workload scenario produced the document stream this run
     #: consumes (``workloads.SCENARIO_NAMES``), or ``None`` when unknown
     #: (externally supplied documents).  Pure provenance metadata: it does
-    #: not change pipeline behaviour, but is stamped into
-    #: ``RunReport.workload_scenario`` so bench cells, traces and
-    #: equivalence fixtures stay attributable to their workload shape.
+    #: not change pipeline behaviour, but travels with the run's
+    #: ``RunReport.config`` so bench cells, traces and equivalence
+    #: fixtures stay attributable to their workload shape.
     scenario: str | None = None
 
     #: Execution engine: ``"inline"`` runs the whole topology depth-first in

@@ -14,9 +14,14 @@ every metric of the paper's evaluation into a :class:`RunReport`:
   repartitions (Section 8.2.5),
 * Batching — physical notification messages and the amortization factor of
   the batched Disseminator→Calculator engine,
-* Execution engine — which executor ran the topology (``executor_mode``)
-  and how many worker processes the Calculator layer was sharded over
-  (``executor_workers``); logical metrics are executor-independent.
+* Execution engine — how many worker processes the Calculator layer was
+  sharded over (``executor_workers``; which executor ran it is
+  ``config.executor``); logical metrics are executor-independent.
+
+The choice of storage is made here, once: ``SystemConfig.counter_store``
+and ``tracker_store`` become the ``StoreConfig | None`` handle the
+Calculators and the Tracker take (``None`` = the in-RAM table; see
+:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -76,18 +81,15 @@ class CalculatorFactory:
     report_interval: float = 300.0
     max_tags_per_document: int = 12
     subset_cache_size: int = DEFAULT_SUBSET_CACHE_SIZE
-    counter_store: str = "dict"
-    spill_dir: str | None = None
-    spill_threshold: int | None = None
+    #: The counter table's spill configuration (``None``: in RAM).
+    store: StoreConfig | None = None
 
     def __call__(self) -> CalculatorBolt:
         return CalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
             subset_cache_size=self.subset_cache_size,
-            counter_store=self.counter_store,
-            spill_dir=self.spill_dir,
-            spill_threshold=self.spill_threshold,
+            store=self.store,
         )
 
 
@@ -127,38 +129,26 @@ class RunReport:
     #: Error descriptions of aborted migrations (old map stayed in force).
     migration_failures: list[str] = field(default_factory=list)
 
-    #: Which workload scenario produced the consumed document stream
-    #: (``SystemConfig.scenario`` provenance; None when unknown).
-    workload_scenario: str | None = None
     #: Physical batched notification tuples shipped Disseminator→Calculators.
     notification_messages: int = 0
     #: Logical notifications per physical message (≥ 1; the batching win).
     batch_amortization: float = 1.0
-    #: Which execution engine ran the topology: "inline" or "process".
-    executor_mode: str = "inline"
     #: Worker processes the Calculator layer was sharded over (1 in
     #: inline mode).
     executor_workers: int = 1
     #: Aggregate hit/miss/eviction accounting of the Calculators'
     #: subset-tuple LRU caches (None without Calculators).
     subset_cache_stats: dict[str, int] | None = None
-    #: Which backing table the Calculators counted into: "dict"
-    #: (all-RAM, the default) or "spill" (out-of-core run files — see
-    #: docs/ARCHITECTURE.md "Counter store").  Logical metrics are
-    #: store-independent.
-    counter_store: str = "dict"
     #: Aggregate spill-store accounting across Calculators (None
-    #: under the dict store): spilled entries/runs/bytes, window reads
-    #: (count, wall-clock, largest window table — a max, the rest are
-    #: sums) and block-cache hits/misses/evictions.
+    #: under the dict store, ``config.counter_store="dict"``): spilled
+    #: entries/runs/bytes, window reads (count, wall-clock, largest window
+    #: table — a max, the rest are sums) and block-cache
+    #: hits/misses/evictions.
     #: Wall-clock content — like ``timings``, informational only and
     #: excluded from the logical-equivalence contract.
     store_stats: dict[str, float] | None = None
-    #: Which backing table the Tracker deduplicated into: "dict" (all-RAM,
-    #: the default) or "spill" (out-of-core run files with the max-support
-    #: rule as merge combiner).  Logical metrics are store-independent.
-    tracker_store: str = "dict"
-    #: The tracker spill store's accounting (None under the dict store):
+    #: The tracker spill store's accounting (None under the dict store,
+    #: ``config.tracker_store="dict"``):
     #: spilled entries/runs/bytes, compactions, membership probes (keys
     #: resolved against runs at batch start) and block-cache counters.
     #: Wall-clock content — informational only, excluded from the
@@ -340,21 +330,24 @@ class TagCorrelationSystem:
             report_interval=config.report_interval_seconds,
             max_tags_per_document=config.max_tags_per_document,
             subset_cache_size=config.subset_cache_size,
-            counter_store=config.counter_store,
-            spill_dir=config.spill_dir,
-            spill_threshold=config.spill_threshold,
+            store=self._store_config(
+                config.counter_store, config.spill_threshold
+            ),
         )
 
     def _tracker(self) -> TrackerBolt:
         config = self.config
-        if config.tracker_store == "dict":
-            return TrackerBolt()
-        return TrackerBolt(
-            tracker_store=config.tracker_store,
-            store_config=StoreConfig().replacing(
-                spill_dir=config.spill_dir,
-                spill_threshold=config.resolved_tracker_spill_threshold(),
-            ),
+        return TrackerBolt(self._store_config(
+            config.tracker_store, config.resolved_tracker_spill_threshold()
+        ))
+
+    def _store_config(self, store: str, threshold: int) -> StoreConfig | None:
+        """The one place a store name is read: ``None`` for the in-RAM
+        ``"dict"`` table, else the spill table's configuration."""
+        if store == "dict":
+            return None
+        return StoreConfig(
+            spill_dir=self.config.spill_dir, spill_threshold=threshold
         )
 
     def _build_executor(self) -> Executor:
@@ -537,27 +530,23 @@ class TagCorrelationSystem:
         if calculators:
             subset_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
             for bolt in calculators:
-                stats = bolt.calculator.cache_stats
+                stats = bolt.calculator.cache.stats()
                 for key in subset_cache_stats:
                     subset_cache_stats[key] += stats[key]
 
         store_stats: dict[str, float] | None = None
-        if config.counter_store == "spill" and calculators:
-            store_stats = {}
-            for bolt in calculators:
-                per_bolt = bolt.calculator.store_stats
-                if per_bolt is None:
-                    continue
-                for key, value in per_bolt.items():
-                    previous = store_stats.get(key, 0)
-                    store_stats[key] = (
-                        max(previous, value) if key.endswith("_max")
-                        else previous + value
-                    )
-
-        tracker_store_stats: dict[str, float] | None = None
-        if config.tracker_store == "spill":
-            tracker_store_stats = tracker.store_stats()
+        for bolt in calculators:
+            per_bolt = bolt.calculator.store_stats
+            if per_bolt is None:
+                continue
+            if store_stats is None:
+                store_stats = {}
+            for key, value in per_bolt.items():
+                previous = store_stats.get(key, 0)
+                store_stats[key] = (
+                    max(previous, value) if key.endswith("_max")
+                    else previous + value
+                )
 
         report_round_stats: dict[str, float] | None = None
         if calculators:
@@ -591,20 +580,16 @@ class TagCorrelationSystem:
             migrations=migrations,
             migration_stats=migration_stats,
             migration_failures=list(cluster.migration_failures),
-            workload_scenario=config.scenario,
             notification_messages=notification_messages,
             batch_amortization=batch_amortization,
-            executor_mode=config.executor,
             executor_workers=(
                 cluster.executor.effective_workers
                 if isinstance(cluster.executor, ShardedProcessExecutor)
                 else 1
             ),
             subset_cache_stats=subset_cache_stats,
-            counter_store=config.counter_store,
             store_stats=store_stats,
-            tracker_store=config.tracker_store,
-            tracker_store_stats=tracker_store_stats,
+            tracker_store_stats=tracker.store_stats(),
             report_round_stats=report_round_stats,
         )
 

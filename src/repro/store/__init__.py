@@ -1,12 +1,19 @@
-"""Out-of-core storage: spill-to-disk sorted runs, read back in batches.
+"""The pipeline's two tables, in RAM or spilled to sorted runs on disk.
 
-The ``repro.store`` subsystem bounds resident memory for the two tables
-that otherwise scale with stream length:
+The ``repro.store`` subsystem owns the two tables that otherwise scale with
+stream length, and the one seam that picks how each is stored:
 
-* :class:`repro.core.jaccard.SubsetCounter`'s window counts, via
-  ``SystemConfig(counter_store="spill")``, and
-* :class:`repro.operators.tracker.TrackerBolt`'s coefficient table, via
-  ``SystemConfig(tracker_store="spill")``.
+* :func:`counter_table` — a :class:`repro.core.jaccard.JaccardCalculator`'s
+  window counts: :class:`DictCounterStore` or :class:`SpillingCounterStore`,
+* :func:`tracker_table` — a :class:`repro.operators.tracker.TrackerBolt`'s
+  coefficient table: :class:`DictTrackerStore` or
+  :class:`SpillingTrackerStore`.
+
+Each takes a ``StoreConfig | None`` handle — ``None`` for the in-RAM table —
+that :class:`repro.pipeline.system.TagCorrelationSystem` builds once from
+``SystemConfig(counter_store=..., tracker_store=...)``; nothing below the
+pipeline reads a store name.  The two tables of a kind share one interface,
+so their owners never ask which one they hold.
 
 Modules:
 
@@ -22,16 +29,18 @@ Modules:
 * :mod:`repro.store.runstore` — :class:`RunStore`, the one run lifecycle
   (directory, hot segment → sorted run, merged view, cleanup, stats,
   pickling rule) both spilling stores subclass,
-* :mod:`repro.store.spill` — :class:`SpillingCounterStore` (the
+* :mod:`repro.store.spill` — :func:`counter_table`,
+  :class:`DictCounterStore` and :class:`SpillingCounterStore` (the
   Counter-compatible mapping the report fold reads in one pass),
-* :mod:`repro.store.tracker` — :class:`SpillingTrackerStore` (the
-  Tracker's dedup table as runs, max-support rule as merge combiner,
-  compacted by one merge whenever ``merge_fan_in`` runs are live) and
-  :class:`RunBackedTrackerSnapshot` (service mode's copy-free snapshot);
-  also home of :func:`select_top_k`, the one ``top_k`` ordering rule both
-  snapshot kinds answer with.
+* :mod:`repro.store.tracker` — :func:`tracker_table`,
+  :class:`DictTrackerStore` (with its layered :class:`TrackerSnapshot`)
+  and :class:`SpillingTrackerStore` (the Tracker's dedup table as runs,
+  max-support rule as merge combiner, compacted by one merge whenever
+  ``merge_fan_in`` runs are live, with :class:`RunBackedTrackerSnapshot`,
+  service mode's copy-free snapshot); also home of :func:`select_top_k`,
+  the one ``top_k`` ordering rule both snapshot kinds answer with.
 
-See docs/ARCHITECTURE.md "Counter store" for the design.
+See docs/ARCHITECTURE.md "Storage seam" and "Counter store" for the design.
 """
 
 from .config import (
@@ -55,14 +64,22 @@ from .format import (
     write_run,
 )
 from .runstore import RunStore
-from .spill import COUNTER_STORES, SpillingCounterStore
+from .spill import (
+    COUNTER_STORES,
+    DictCounterStore,
+    SpillingCounterStore,
+    counter_table,
+)
 from .tracker import (
     TRACKER_STORES,
+    DictTrackerStore,
     RunBackedTrackerSnapshot,
     SpillingTrackerStore,
+    TrackerSnapshot,
     combine_max_support,
     select_top_k,
     tagset_key,
+    tracker_table,
 )
 
 __all__ = [
@@ -72,6 +89,8 @@ __all__ = [
     "DEFAULT_CACHE_BLOCKS",
     "DEFAULT_MERGE_FAN_IN",
     "DEFAULT_SPILL_THRESHOLD",
+    "DictCounterStore",
+    "DictTrackerStore",
     "FLAG_RAW_VALUES",
     "FORMAT_VERSION",
     "RunBackedTrackerSnapshot",
@@ -83,12 +102,15 @@ __all__ = [
     "SpillingTrackerStore",
     "StoreConfig",
     "TRACKER_STORES",
+    "TrackerSnapshot",
     "combine_max_support",
+    "counter_table",
     "decode_key",
     "encode_key",
     "merge_runs",
     "merged_entries",
     "select_top_k",
     "tagset_key",
+    "tracker_table",
     "write_run",
 ]

@@ -7,12 +7,14 @@ subclasses: one run lifecycle that freezes an in-RAM hot segment into sorted
 RSC1 runs and answers reads from a merged view.  :class:`StoreConfig` is that
 lifecycle's tuning surface: where runs live, when to spill, how big a block
 is, how many cache blocks to pin, and at how many live runs the tracker
-store compacts.
+store compacts.  It is also the handle that selects a spilling table:
+:func:`~repro.store.counter_table` and :func:`~repro.store.tracker_table`
+(and the Calculator and Tracker that call them) take ``StoreConfig | None``,
+where ``None`` means the in-RAM table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .format import DEFAULT_BLOCK_SIZE
@@ -62,12 +64,3 @@ class StoreConfig:
             raise ValueError("cache_blocks must be >= 1")
         if self.merge_fan_in < 2:
             raise ValueError("merge_fan_in must be >= 2")
-
-    def replacing(self, **overrides: object) -> "StoreConfig":
-        """A copy with every non-``None`` override applied.
-
-        ``None`` means "keep mine", so call sites can forward optional
-        keyword arguments straight through without an `if` per knob.
-        """
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **updates) if updates else self

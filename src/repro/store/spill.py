@@ -1,10 +1,15 @@
-"""The spilling counter store.
+"""The Calculator's counter tables: in RAM, or spilling to sorted runs.
 
-:class:`SpillingCounterStore` is a drop-in backing table for
-:class:`repro.core.jaccard.SubsetCounter`: the same mapping surface a
-``collections.Counter`` offers the report fold (``__getitem__``
-returning 0 for absent keys, ``get``, ``items``, iteration, ``clear``),
-but with bounded resident memory.  It is a
+:func:`counter_table` is the one place a
+:class:`repro.core.jaccard.JaccardCalculator`'s table is chosen: ``None``
+gives the in-RAM :class:`DictCounterStore`, a :class:`StoreConfig` the
+:class:`SpillingCounterStore`.  Both offer one surface — a
+``collections.Counter``'s (``update``, ``__getitem__`` returning 0 for
+absent keys, ``get``, ``items``, iteration, ``clear``) plus the report
+fold's :meth:`~SpillingCounterStore.window_lookup`, ``stats()`` and
+``close()`` — so the Calculator never asks which one it holds.
+
+:class:`SpillingCounterStore` bounds resident memory.  It is a
 :class:`~repro.store.runstore.RunStore` over count runs: observations
 accumulate in a *hot* in-RAM ``Counter`` segment; once the hot segment
 reaches ``spill_threshold`` distinct keys it is frozen — sorted by encoded
@@ -25,12 +30,11 @@ suite).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
-from .config import DEFAULT_SPILL_THRESHOLD, StoreConfig
+from .config import DEFAULT_SPILL_THRESHOLD, StoreConfig  # noqa: F401 (re-export)
 from .format import decode_key, encode_key
 from .runstore import RunStore
 
@@ -39,26 +43,38 @@ from .runstore import RunStore
 COUNTER_STORES = ("dict", "spill")
 
 
+class DictCounterStore(Counter):
+    """The in-RAM counter table: a plain ``Counter`` with the spill store's
+    fold and lifecycle surface."""
+
+    def window_lookup(self) -> Callable[[tuple[str, ...]], int]:
+        """The count lookup of one fold: ``Counter.__getitem__`` (0 for an
+        absent key)."""
+        return self.__getitem__
+
+    def stats(self) -> None:
+        """No spill accounting for a table that never spills."""
+        return None
+
+    def close(self) -> None:
+        """Drop every count (nothing else to release)."""
+        self.clear()
+
+
+def counter_table(
+    store: StoreConfig | None,
+) -> DictCounterStore | SpillingCounterStore:
+    """A Calculator's counter table: in RAM (``None``) or spilling to runs
+    under ``store``."""
+    return DictCounterStore() if store is None else SpillingCounterStore(store)
+
+
 class SpillingCounterStore(RunStore):
     """Counter mapping that freezes cold segments into sorted run files."""
 
     prefix = "repro-spill-"
 
-    def __init__(
-        self,
-        spill_dir: str | None = None,
-        spill_threshold: int | None = None,
-        *,
-        block_size: int | None = None,
-        cache_blocks: int | None = None,
-        config: StoreConfig | None = None,
-    ) -> None:
-        config = (config or StoreConfig()).replacing(
-            spill_dir=os.fspath(spill_dir) if spill_dir is not None else None,
-            spill_threshold=spill_threshold,
-            block_size=block_size,
-            cache_blocks=cache_blocks,
-        )
+    def __init__(self, config: StoreConfig) -> None:
         super().__init__(config, Counter(), {
             "window_reads": 0,
             "window_read_seconds": 0.0,

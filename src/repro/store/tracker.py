@@ -1,7 +1,16 @@
-"""The spilling tracker store: the coefficient table as sorted runs.
+"""The Tracker's dedup tables: in RAM, or spilling to sorted runs.
 
-:class:`SpillingTrackerStore` is the out-of-core backing table for
-:class:`repro.operators.tracker.TrackerBolt`.  Where the counter store
+:func:`tracker_table` is the one place a
+:class:`repro.operators.tracker.TrackerBolt`'s table is chosen: ``None``
+gives the in-RAM :class:`DictTrackerStore`, a :class:`StoreConfig` the
+:class:`SpillingTrackerStore`.  Both offer one interface — ``ingest``
+(returning the batch's received and duplicate counts), ``get``,
+``iter_entries``, ``__len__``, ``snapshot``, ``stats`` and ``close`` — so
+the bolt delegates every call without asking which one it holds.  Their
+snapshots (:class:`TrackerSnapshot`, :class:`RunBackedTrackerSnapshot`)
+answer ``top_k`` and ``digest`` with one shared implementation.
+
+:class:`SpillingTrackerStore` is the out-of-core table.  Where the counter store
 holds additive subset counts, this store holds the Tracker's *dedup
 winners* — per reported tagset the coefficient of the report with maximum
 support, plus how many reports ever mentioned the tagset.  Entries
@@ -16,12 +25,12 @@ tagset (older left, newer right)::
     winner   = new if new.support > old.support else old     # ties keep old
     reports  = old.reports + new.reports
 
-is exactly what the in-RAM dict does report by report, and the fold is
+is exactly what :class:`DictTrackerStore` does report by report, and the fold is
 associative (leftmost argmax under strictly-greater displacement), so any
 way of slicing the report sequence into segments — hot dict, one run,
 many runs, compactions — folds back to the identical record.
-That equivalence is what pins ``tracker_store="spill"`` bit-identical to
-the dict default, and it holds only while merges fold *oldest → newest*:
+That equivalence is what pins the spill table bit-identical to the
+in-RAM one, and it holds only while merges fold *oldest → newest*:
 every merge path here feeds streams in spill order and relies on
 ``heapq.merge`` stability.
 
@@ -49,6 +58,7 @@ import struct
 import threading
 import time
 import weakref
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .config import StoreConfig
@@ -125,7 +135,7 @@ def combine_max_support(old: bytes, new: bytes) -> bytes:
     """Fold two records of one tagset, oldest first.
 
     The newer record displaces only on *strictly greater* support — equal
-    support keeps the incumbent, mirroring ``TrackerBolt``'s in-RAM rule —
+    support keeps the incumbent, mirroring :class:`DictTrackerStore`'s rule —
     and report counts always sum.
     """
     old_j, old_s, old_r = decode_value(old)
@@ -223,6 +233,258 @@ def select_top_k(
     return rows[:k]
 
 
+class SnapshotQueries:
+    """The whole-table queries both snapshot kinds answer identically.
+
+    A subclass yields its merged table from :meth:`_items` as ``(sorted
+    tag tuple, (jaccard, support))`` pairs, one per tagset, in any order.
+    """
+
+    __slots__ = ()
+
+    def _items(self) -> Iterable[tuple[tuple[str, ...], tuple[float, int]]]:
+        raise NotImplementedError
+
+    def top_k(
+        self, k: int = 10, min_support: int = 0
+    ) -> list[tuple[frozenset[str], float, int]]:
+        """The ``k`` highest-coefficient tagsets at this round.
+
+        Deterministic: ties break on descending support, then on the sorted
+        tag tuple (:func:`select_top_k`), so two queries against the same
+        snapshot always agree.
+        """
+        rows = select_top_k(self._items(), k, min_support)
+        return [(frozenset(key), jaccard, support)
+                for key, jaccard, support in rows]
+
+    def digest(self) -> str:
+        """Order-independent hash of the snapshot's coefficient table.
+
+        The soak suite's torn-read oracle: a query answer is consistent iff
+        it matches the retained snapshot carrying the same round index, and
+        snapshots compare by this digest — equal for equal tables, whichever
+        store produced them.
+        """
+        lines = sorted(
+            f"{','.join(key)}={jaccard!r}/{support}"
+            for key, (jaccard, support) in self._items()
+        )
+        hasher = hashlib.sha256()
+        for line in lines:
+            hasher.update(line.encode("utf-8"))
+            hasher.update(b"\n")
+        return hasher.hexdigest()
+
+
+@dataclass(frozen=True, slots=True)
+class TrackerSnapshot(SnapshotQueries):
+    """Immutable, round-consistent view of the in-RAM dedup table.
+
+    The service daemon's read path: the writer thread takes one snapshot per
+    quiescent point (see ``AsyncServiceExecutor.on_quiescent``) and publishes
+    it by plain reference assignment; query threads only ever touch the
+    published snapshot, never the live table.  The live table is *not* safe
+    for cross-thread reads — ingest mutates :class:`TrackedCoefficient`
+    entries in place, so a concurrent reader could observe a torn
+    jaccard/support pair.  A snapshot can't: every ``(jaccard, support)``
+    pair here was frozen on the ingesting thread, and neither the dataclass
+    nor a layer changes after publication.
+
+    The table is a stack of layers, newest first; a tagset's value is the
+    one in the newest layer that holds it.  Layers are keyed by sorted tag
+    tuples, like the live table; the query surface takes and returns
+    frozensets.  :meth:`DictTrackerStore.snapshot` freezes only the tagsets
+    that changed since the previous snapshot into a new layer and reuses
+    every older one, so consecutive snapshots share all but O(changed
+    entries) of their memory — the dict-store twin of
+    :class:`RunBackedTrackerSnapshot` (immutable runs plus a bounded hot
+    copy).
+    """
+
+    #: Monotone publication index (one per quiescent point, 0 = pre-ingest).
+    round_index: int
+    reports_received: int
+    duplicate_reports: int
+    #: ``{sorted tag tuple: (jaccard, support)}`` dicts, newest first;
+    #: shared between snapshots and never mutated once published.
+    layers: tuple[dict[tuple[str, ...], tuple[float, int]], ...] = ()
+    #: Distinct tagsets over all layers.
+    size: int = 0
+    #: Entries the Tracker had written into layers (compaction included)
+    #: when this snapshot was taken; cumulative over the Tracker's life.
+    entries_copied: int = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def layer_count(self) -> int:
+        """Layers a point query probes at most."""
+        return len(self.layers)
+
+    def _merged(self) -> dict[tuple[str, ...], tuple[float, int]]:
+        merged: dict[tuple[str, ...], tuple[float, int]] = {}
+        for layer in reversed(self.layers):  # oldest first: newer overrides
+            merged.update(layer)
+        return merged
+
+    def _items(self) -> Iterable[tuple[tuple[str, ...], tuple[float, int]]]:
+        return self._merged().items()
+
+    @property
+    def entries(self) -> dict[frozenset[str], tuple[float, int]]:
+        """``tagset -> (jaccard, support)`` at snapshot time, merged into a
+        fresh dict (O(table); the layers themselves are not exposed)."""
+        return {frozenset(key): pair for key, pair in self._merged().items()}
+
+    def coefficient(
+        self, tagset: Iterable[str]
+    ) -> tuple[float, int] | None:
+        """``(jaccard, support)`` of one tagset, or ``None`` if untracked."""
+        key = tuple(sorted(tagset))
+        for layer in self.layers:
+            pair = layer.get(key)
+            if pair is not None:
+                return pair
+        return None
+
+
+@dataclass(slots=True)
+class TrackedCoefficient:
+    """The best coefficient seen so far for one tagset."""
+
+    jaccard: float
+    support: int
+    reports: int = 1
+
+
+class DictTrackerStore:
+    """The in-RAM dedup table: one :class:`TrackedCoefficient` per tagset,
+    keyed by sorted tag tuple, in first-sighting order."""
+
+    def __init__(self) -> None:
+        self._best: dict[tuple[str, ...], TrackedCoefficient] = {}
+        # Snapshot publication.  ``_dirty`` holds the tagsets that gained a
+        # new winner since the last snapshot() — None until the first call,
+        # so a batch run that never snapshots pays one ``is not None`` test
+        # per winner.  ``_layers`` is the last snapshot's layer stack:
+        # published, hence never mutated.
+        self._dirty: set[tuple[str, ...]] | None = None
+        self._layers: tuple[dict[tuple[str, ...], tuple[float, int]], ...] = ()
+        self._entries_copied = 0
+
+    def ingest(self, results: Iterable[tuple]) -> tuple[int, int]:
+        """Apply ``(tags, jaccard, support)`` triples; returns the
+        ``(received, duplicates)`` deltas for the owning bolt's counters.
+
+        First sighting stores the report, later sightings displace only on
+        strictly greater support.  Keys are canonicalised like
+        :func:`tagset_key`.
+        """
+        best = self._best
+        dirty = self._dirty
+        received = 0
+        duplicates = 0
+        for tagset, jaccard, support in results:
+            received += 1
+            if type(tagset) is not tuple:
+                tagset = tuple(sorted(tagset))
+            existing = best.get(tagset)
+            if existing is None:
+                best[tagset] = TrackedCoefficient(
+                    jaccard=float(jaccard), support=int(support)
+                )
+                if dirty is not None:
+                    dirty.add(tagset)
+                continue
+            duplicates += 1
+            existing.reports += 1
+            if support > existing.support:
+                existing.jaccard = float(jaccard)
+                existing.support = int(support)
+                if dirty is not None:
+                    dirty.add(tagset)
+        return received, duplicates
+
+    def get(self, tagset: Iterable[str]) -> tuple[float, int, int] | None:
+        """The ``(jaccard, support, reports)`` of one tagset."""
+        tracked = self._best.get(tagset_key(tagset))
+        if tracked is None:
+            return None
+        return tracked.jaccard, tracked.support, tracked.reports
+
+    def iter_entries(self) -> Iterator[tuple[frozenset, float, int, int]]:
+        """All ``(tagset, jaccard, support, reports)`` records, in
+        first-sighting order; each tagset comes back as a frozenset."""
+        for key, tracked in self._best.items():
+            yield frozenset(key), tracked.jaccard, tracked.support, tracked.reports
+
+    def __len__(self) -> int:
+        return len(self._best)
+
+    def snapshot(
+        self, round_index: int, reports_received: int, duplicate_reports: int
+    ) -> TrackerSnapshot:
+        """A layered :class:`TrackerSnapshot`, in O(entries changed since
+        the previous call), not O(table).
+
+        The tagsets ingest marked dirty are frozen into a new ``{tagset:
+        (jaccard, support)}`` layer stacked on the previous snapshot's
+        layers, which are shared, not copied.  To keep the stack
+        logarithmic, older layers are folded into the new one while it has
+        grown to at least half the next older layer (size-tiered, like an
+        LSM tree's runs): every surviving layer is more than twice the one
+        above it, and an entry is re-copied only into a layer at least 1.5x
+        the one it leaves (entries the new layer overrides die instead), so
+        O(log n) times over its life.  The first call starts the dirty
+        tracking and freezes the whole table once.
+        """
+        best = self._best
+        dirty = self._dirty
+        if dirty is None:
+            dirty = self._dirty = set(best)
+        if dirty:
+            older = self._layers
+            size = len(dirty)
+            fold = 0
+            while fold < len(older) and 2 * size >= len(older[fold]):
+                size += len(older[fold])
+                fold += 1
+            layer: dict[tuple[str, ...], tuple[float, int]] = {}
+            for folded in reversed(older[:fold]):  # oldest first
+                layer.update(folded)
+            for key in dirty:
+                tracked = best[key]
+                layer[key] = (tracked.jaccard, tracked.support)
+            self._layers = (layer,) + older[fold:]
+            self._entries_copied += len(layer)
+            dirty.clear()
+        return TrackerSnapshot(
+            round_index=round_index,
+            reports_received=reports_received,
+            duplicate_reports=duplicate_reports,
+            layers=self._layers,
+            size=len(best),
+            entries_copied=self._entries_copied,
+        )
+
+    def stats(self) -> None:
+        """No spill accounting for a table that never spills."""
+        return None
+
+    def close(self) -> None:
+        """Nothing to release: the table lives in RAM."""
+
+
+def tracker_table(
+    store: StoreConfig | None,
+) -> DictTrackerStore | SpillingTrackerStore:
+    """A Tracker's dedup table: in RAM (``None``) or spilling to runs under
+    ``store``."""
+    return DictTrackerStore() if store is None else SpillingTrackerStore(store)
+
+
 class SpillingTrackerStore(RunStore):
     """Coefficient table that freezes cold segments into sorted run files."""
 
@@ -230,23 +492,7 @@ class SpillingTrackerStore(RunStore):
     raw_values = True
     combine = staticmethod(combine_max_support)
 
-    def __init__(
-        self,
-        spill_dir: str | None = None,
-        spill_threshold: int | None = None,
-        *,
-        block_size: int | None = None,
-        cache_blocks: int | None = None,
-        merge_fan_in: int | None = None,
-        config: StoreConfig | None = None,
-    ) -> None:
-        config = (config or StoreConfig()).replacing(
-            spill_dir=os.fspath(spill_dir) if spill_dir is not None else None,
-            spill_threshold=spill_threshold,
-            block_size=block_size,
-            cache_blocks=cache_blocks,
-            merge_fan_in=merge_fan_in,
-        )
+    def __init__(self, config: StoreConfig) -> None:
         # Hot entries are [jaccard, support, reports, encoded key or None]
         # lists (mutated in place) keyed by tagset; a hot entry for a
         # run-resident tagset is a pure *delta* — the fold with the run
@@ -295,7 +541,7 @@ class SpillingTrackerStore(RunStore):
         """Apply ``(tags, jaccard, support)`` triples; returns the
         ``(received, duplicates)`` deltas for the owning bolt's counters.
 
-        Bit-for-bit the dict tracker's rule: first sighting stores the
+        Bit-for-bit :class:`DictTrackerStore`'s rule: first sighting stores the
         report, later sightings displace only on strictly greater support.
         A first sighting pops its tagset from the batch's ``new`` set, so
         a later one is a duplicate even if a spill froze the first.  Keys
@@ -421,14 +667,13 @@ class SpillingTrackerStore(RunStore):
         )
 
 
-class RunBackedTrackerSnapshot:
+class RunBackedTrackerSnapshot(SnapshotQueries):
     """Immutable tracker view answering queries from runs + a hot copy.
 
-    Duck-types :class:`repro.operators.tracker.TrackerSnapshot`'s query
-    surface (``round_index``, ``reports_received``, ``duplicate_reports``,
-    ``__len__``, ``layer_count``, ``entries_copied``, ``coefficient``,
-    ``top_k``, ``digest``) without copying
-    the table: run blocks are faulted in on demand through a private
+    Duck-types :class:`TrackerSnapshot`'s query surface (``round_index``,
+    ``reports_received``, ``duplicate_reports``, ``__len__``,
+    ``layer_count``, ``entries_copied``, ``coefficient``, and the shared
+    ``top_k`` and ``digest``) without copying the table: run blocks are faulted in on demand through a private
     block cache.  All reads are serialised by one lock — the cache is not
     thread-safe, and daemon query threads share the snapshot.
 
@@ -500,39 +745,16 @@ class RunBackedTrackerSnapshot:
         jaccard, support, _reports = decode_value(merged)
         return jaccard, support
 
-    def _merged_items(
-        self,
-    ) -> Iterator[tuple[tuple[str, ...], tuple[float, int]]]:
-        rows = merged_rows(
-            self._readers, _sorted_rows(self._hot), combine_max_support
-        )
-        for key, value in rows:
-            jaccard, support, _reports = decode_value(value)
-            yield decode_key(key), (jaccard, support)
-
-    def top_k(
-        self, k: int = 10, min_support: int = 0
-    ) -> list[tuple[frozenset, float, int]]:
-        """The ``k`` strongest coefficients, identically ordered to the
-        dict snapshot's (jaccard desc, support desc, tags lexically)."""
+    def _items(self) -> Iterator[tuple[tuple[str, ...], tuple[float, int]]]:
+        # Holds the lock for the whole sweep: top_k and digest consume it
+        # to the end.
         with self._lock:
-            rows = select_top_k(self._merged_items(), k, min_support)
-        return [(frozenset(key), jaccard, support)
-                for key, jaccard, support in rows]
-
-    def digest(self) -> str:
-        """Order-insensitive content hash — line-identical to the dict
-        snapshot's over the same table."""
-        with self._lock:
-            lines = sorted(
-                f"{','.join(key)}={jaccard!r}/{support}"
-                for key, (jaccard, support) in self._merged_items()
+            rows = merged_rows(
+                self._readers, _sorted_rows(self._hot), combine_max_support
             )
-        hasher = hashlib.sha256()
-        for line in lines:
-            hasher.update(line.encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+            for key, value in rows:
+                jaccard, support, _reports = decode_value(value)
+                yield decode_key(key), (jaccard, support)
 
 
 def _close_readers(readers: list) -> None:

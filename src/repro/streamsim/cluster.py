@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .components import Bolt, Component
 from .gcpolicy import GcTally, gc_policy
@@ -397,8 +397,8 @@ class Cluster:
             task, messages = queue.popleft()
             self._deliver(task, messages)
 
-    def _flush_bolts(self) -> None:
-        """End-of-stream flush: let every bolt emit buffered output.
+    def _flush_bolts(self, drain: Callable[[], None]) -> None:
+        """Flush-and-deliver until quiet: let every bolt emit buffered output.
 
         Flush passes repeat until a full pass releases nothing, so tuples
         released by an upstream bolt's flush that were then buffered by a
@@ -406,6 +406,12 @@ class Cluster:
         buffering bolts drain transitively.  ``flush`` is therefore called
         at least once and possibly several times per bolt; implementations
         must tolerate repeated calls (a drained buffer flushes to nothing).
+
+        ``drain`` delivers what a pass released: :meth:`_drain_queue` (the
+        end-of-stream flush) or :meth:`_drain_basic` (a
+        handoff's quiesce — a handoff request queued by a delivery during
+        the quiesce must wait for the current coordination to finish, not
+        nest inside it).
         """
         while True:
             released = 0
@@ -414,11 +420,11 @@ class Cluster:
                     continue
                 task.instance.flush()  # type: ignore[union-attr]
                 released += self._route_emissions(task)
-            self._drain_queue()
+            drain()
             # Remote bolts flush in their workers; their buffered emissions
             # are relayed here and routed like any other batch.
             released += self._executor.flush_remote()
-            self._drain_queue()
+            drain()
             if not released:
                 return
 
@@ -461,7 +467,7 @@ class Cluster:
         started = time.perf_counter()
         # Quiesce: everything in flight — including buffered notification
         # micro-batches — is delivered under the old assignment first.
-        self._quiesce()
+        self._flush_bolts(self._drain_basic)
         local_tasks: list[TaskInfo] = []
         remote_tasks: list[TaskInfo] = []
         for name in components:
@@ -507,27 +513,6 @@ class Cluster:
         stall = time.perf_counter() - started
         bolt.commit_staged(migrated, stall)
         self.migration_stall_seconds += stall
-
-    def _quiesce(self) -> None:
-        """Flush-and-deliver until quiet, without re-entering handoffs.
-
-        The same repeat-until-quiet discipline as the end-of-stream
-        :meth:`_flush_bolts`, but built on :meth:`_drain_basic`: a handoff
-        request queued by a delivery during the quiesce must wait for the
-        current coordination to finish, not nest inside it.
-        """
-        while True:
-            released = 0
-            for task in self._tasks:
-                if task.is_remote or not task.is_bolt:
-                    continue
-                task.instance.flush()  # type: ignore[union-attr]
-                released += self._route_emissions(task)
-            self._drain_basic()
-            released += self._executor.flush_remote()
-            self._drain_basic()
-            if not released:
-                return
 
     def _deliver(self, task: TaskInfo, messages: Sequence[TupleMessage]) -> None:
         if task.is_remote:

@@ -226,7 +226,7 @@ class Executor(abc.ABC):
                 cluster._drain_queue()
         self._spouts_done = time.perf_counter()
         cluster._drain_queue()
-        cluster._flush_bolts()
+        cluster._flush_bolts(cluster._drain_queue)
         return productive_calls
 
 

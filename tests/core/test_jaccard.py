@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from oracle import as_report, eq2_report, per_type_report_triples
 from repro.core.jaccard import (
     JaccardCalculator,
-    SubsetCounter,
     SubsetTupleCache,
     all_nonempty_subsets,
     exact_jaccard,
     union_size_inclusion_exclusion,
 )
+from repro.store import StoreConfig
 
 
 class TestExactJaccard:
@@ -78,9 +78,9 @@ class TestInclusionExclusion:
         assert union_size_inclusion_exclusion(frozenset({"a", "b"}), counts) == 3
 
 
-class TestSubsetCounter:
+class TestCounterTable:
     def test_observe_counts_all_subsets(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe(["a", "b", "c"])
         assert counter.count(["a"]) == 1
         assert counter.count(["a", "b"]) == 1
@@ -88,7 +88,7 @@ class TestSubsetCounter:
         assert len(counter) == 7
 
     def test_counts_accumulate(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe(["a", "b"])
         counter.observe(["a", "b"])
         counter.observe(["a"])
@@ -96,38 +96,38 @@ class TestSubsetCounter:
         assert counter.count(["a", "b"]) == 2
 
     def test_empty_observation_ignored(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe([])
         assert len(counter) == 0
 
     def test_jaccard_from_counters(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         for _ in range(3):
             counter.observe(["a", "b"])
         counter.observe(["a"])
         # intersection(a,b)=3, union = 4+3-3 = 4
-        assert counter.jaccard(["a", "b"]) == pytest.approx(0.75)
+        assert counter.coefficient(["a", "b"]) == pytest.approx(0.75)
 
     def test_jaccard_of_unseen_pair_is_zero(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe(["a"])
         counter.observe(["b"])
-        assert counter.jaccard(["a", "b"]) == 0.0
+        assert counter.coefficient(["a", "b"]) == 0.0
 
     def test_clear(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe(["a", "b"])
-        counter.clear()
+        counter.reset_counts()
         assert len(counter) == 0
 
     def test_max_tags_cap(self):
-        counter = SubsetCounter(max_tags_per_document=3)
+        counter = JaccardCalculator(max_tags_per_document=3)
         counter.observe([f"t{i}" for i in range(10)])
         # Only subsets of the first 3 (sorted) tags are counted: 7 subsets.
         assert len(counter) == 7
 
     def test_contains(self):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         counter.observe(["a", "b"])
         assert ["a", "b"] in counter
         assert ["a", "c"] not in counter
@@ -189,8 +189,8 @@ class TestSubsetTupleCache:
         observations = [
             rng.sample(tags, rng.randrange(1, 5)) for _ in range(200)
         ]
-        tiny = SubsetCounter(subset_cache_size=1)
-        roomy = SubsetCounter(subset_cache_size=4096)
+        tiny = JaccardCalculator(subset_cache_size=1)
+        roomy = JaccardCalculator(subset_cache_size=4096)
         for observation in observations:
             tiny.observe(observation)
             roomy.observe(observation)
@@ -198,14 +198,6 @@ class TestSubsetTupleCache:
         tiny_results = {r[0]: r[1:] for r in tiny.report_triples()}
         roomy_results = {r[0]: r[1:] for r in roomy.report_triples()}
         assert tiny_results == roomy_results
-
-    def test_max_subset_size_caps_enumeration(self):
-        cache = SubsetTupleCache(max_subset_size=2)
-        key, by_mask, nonempty = cache.lookup(frozenset({"a", "b", "c"}))
-        assert key == ("a", "b", "c")
-        assert by_mask is None  # a capped enumeration is not a full lattice
-        assert max(len(subset) for subset in nonempty) == 2
-        assert len(nonempty) == 6  # 3 singletons + 3 pairs
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -226,17 +218,8 @@ class TestSubsetTupleCache:
         assert clone.stats() == {**before, "size": 0}
         assert len(blob) < 200
         assert clone.lookup(tagsets[0]) == SubsetTupleCache().lookup(tagsets[0])
-        capped = pickle.loads(pickle.dumps(SubsetTupleCache(max_subset_size=2)))
-        assert capped.max_subset_size == 2
+        assert clone.capacity == 2
         assert cache.stats() == before  # pickling left the original alone
-
-    def test_injected_empty_cache_is_used(self):
-        """An injected cache must be honored even while empty (len 0)."""
-        cache = SubsetTupleCache(capacity=16)
-        counter = SubsetCounter(subset_cache=cache)
-        assert counter.cache is cache
-        counter.observe(["a", "b"])
-        assert cache.stats()["misses"] == 1
 
     def test_contains_normalises_like_lookup(self):
         """Membership accepts what lookup() accepts: any iterable of the
@@ -248,24 +231,18 @@ class TestSubsetTupleCache:
         assert ("a", "c") not in cache
         assert cache.stats()["hits"] == 0  # membership is not a lookup
 
-    def test_size_capped_cache_rejected(self):
-        """The report fold needs full lattices; a capped cache (the
-        centralized baseline's shape) cannot back a SubsetCounter."""
-        with pytest.raises(ValueError):
-            SubsetCounter(subset_cache=SubsetTupleCache(max_subset_size=2))
-
 
 @pytest.fixture(params=["dict", "spill"])
 def make_counter(request, tmp_path):
-    """SubsetCounter factory over both counter stores (the spill store at a
+    """Calculator factory over both counter tables (the spill store at a
     threshold low enough that every stream below spills several runs)."""
 
     def make(**options):
         if request.param == "spill":
             options.update(
-                counter_store="spill", spill_dir=str(tmp_path), spill_threshold=16
+                store=StoreConfig(spill_dir=str(tmp_path), spill_threshold=16)
             )
-        return SubsetCounter(**options)
+        return JaccardCalculator(**options)
 
     return make
 
@@ -289,7 +266,7 @@ class TestReportingEngineEquivalence:
         ]
         for tags in observations:
             counter.observe(tags)
-        assert as_report(counter.report_triples()) == eq2_report(counter)
+        assert as_report(counter.report_triples(reset=False)) == eq2_report(counter)
 
     @pytest.mark.parametrize("min_size", [1, 2, 3])
     def test_randomized_streams(self, make_counter, min_size):
@@ -299,20 +276,20 @@ class TestReportingEngineEquivalence:
             counter = make_counter()
             for _ in range(rng.randrange(1, 50)):
                 counter.observe(rng.sample(tags, rng.randrange(1, 9)))
-            assert as_report(counter.report_triples(min_size)) == eq2_report(
-                counter, min_size
-            )
+            assert as_report(
+                counter.report_triples(min_size, reset=False)
+            ) == eq2_report(counter, min_size)
 
     def test_max_tags_truncation_consistent(self, make_counter):
         wide = [f"t{i}" for i in range(20)]
         counter = make_counter(max_tags_per_document=6)
         counter.observe(wide)
         counter.observe(wide[:4])
-        assert as_report(counter.report_triples()) == eq2_report(counter)
+        assert as_report(counter.report_triples(reset=False)) == eq2_report(counter)
 
     def test_rounds_after_clear_carry_nothing_over(self, make_counter):
-        """Only the subset cache survives clear(): every round's report is
-        Equation (2) over that round's observations alone."""
+        """Only the subset cache survives reset_counts(): every round's
+        report is Equation (2) over that round's observations alone."""
         rng = random.Random(5)
         tags = [f"t{i}" for i in range(8)]
         recurring = [["t0", "t1", "t2"], ["t1", "t2", "t3"]]
@@ -322,8 +299,10 @@ class TestReportingEngineEquivalence:
                 counter.observe(observation)
             for _ in range(rng.randrange(0, 12)):
                 counter.observe(rng.sample(tags, rng.randrange(1, 6)))
-            assert as_report(counter.report_triples()) == eq2_report(counter)
-            counter.clear()
+            assert as_report(counter.report_triples(reset=False)) == eq2_report(
+                counter
+            )
+            counter.reset_counts()
             assert counter.report_triples() == []
         assert counter.cache.stats()["hits"] > 0
 
@@ -334,7 +313,7 @@ class TestReportingEngineEquivalence:
         digest — depends on this."""
 
         def reported(*observations):
-            counter = SubsetCounter()
+            counter = JaccardCalculator()
             for tags in observations:
                 counter.observe(tags)
             return ["".join(sorted(t)) for t, _, _ in counter.report_triples()]
@@ -365,7 +344,7 @@ class TestJaccardCalculator:
         assert calculator.report() == []
 
     def test_empty_notification_is_not_an_observation(self):
-        """SubsetCounter drops an empty tagset, so it is not counted."""
+        """An empty tagset counts nothing, so it is not an observation."""
         calculator = JaccardCalculator()
         calculator.observe([])
         calculator.observe(frozenset())
@@ -415,11 +394,11 @@ class TestJaccardProperties:
 
     @given(documents_strategy, st.integers(min_value=1, max_value=3))
     def test_report_fold_matches_equation_2(self, documents, min_size):
-        counter = SubsetCounter()
+        counter = JaccardCalculator()
         for tags in documents:
             counter.observe(tags)
-        assert as_report(counter.report_triples(min_size)) == eq2_report(
-            counter, min_size
+        assert as_report(counter.report_triples(min_size, reset=False)) == (
+            eq2_report(counter, min_size)
         )
 
     @given(documents_strategy)
@@ -472,7 +451,7 @@ def overlapping_streams(draw):
 
 
 class TestBatchedFoldMatchesPerTypeFold:
-    """``SubsetCounter.report_triples`` batches the lattices of each arity
+    """``JaccardCalculator.report_triples`` batches the lattices of each arity
     into one numpy fold and emits afterwards; ``tests/oracle.py`` keeps the
     per-type fold it replaced.  Same triples in the same order, the same
     float bits, plain Python scalars (a numpy scalar on the wire would
@@ -490,9 +469,9 @@ class TestBatchedFoldMatchesPerTypeFold:
             options = {}
             if store == "spill":
                 options = dict(
-                    counter_store="spill", spill_dir=spill_dir, spill_threshold=64
+                    store=StoreConfig(spill_dir=spill_dir, spill_threshold=64)
                 )
-            counter = SubsetCounter(**options)
+            counter = JaccardCalculator(**options)
             for tags in stream:
                 counter.observe(tags)
             expected = per_type_report_triples(counter, min_size)

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core.jaccard import JaccardCalculator, SubsetCounter
+from repro.core.jaccard import JaccardCalculator
 
 VOCABULARY = [f"t{i}" for i in range(14)]
 
@@ -56,10 +56,9 @@ def test_migration_payload_is_side_effect_free(seed):
     for tags in _random_tagsets(rng, 120):
         calculator.observe(tags)
 
-    counter = calculator.counter
-    counts_before = dict(counter._counts)
-    types_before = list(counter._types)
-    view_before = sorted(map(tuple, map(sorted, counter.counted_tagsets())))
+    counts_before = dict(calculator._counts)
+    types_before = list(calculator._types)
+    view_before = sorted(map(tuple, map(sorted, calculator.counted_tagsets())))
     observations_before = calculator.observations
 
     first = calculator.report_triples(reset=False)
@@ -67,9 +66,11 @@ def test_migration_payload_is_side_effect_free(seed):
 
     # Idempotent and pure: repeated prepares agree, nothing moved.
     assert _triples_key(first) == _triples_key(second)
-    assert dict(counter._counts) == counts_before
-    assert list(counter._types) == types_before
-    assert sorted(map(tuple, map(sorted, counter.counted_tagsets()))) == view_before
+    assert dict(calculator._counts) == counts_before
+    assert list(calculator._types) == types_before
+    assert sorted(
+        map(tuple, map(sorted, calculator.counted_tagsets()))
+    ) == view_before
     assert calculator.observations == observations_before
 
 
@@ -108,8 +109,8 @@ def test_observe_migrate_observe_matches_fresh_segments(seed):
         payload = calculator.report_triples(reset=False)
         calculator.reset_counts()
         assert calculator.observations == 0
-        assert len(calculator.counter) == 0
-        assert calculator.counter.counted_tagsets() == []
+        assert len(calculator) == 0
+        assert calculator.counted_tagsets() == []
         collected.append(payload)
 
     for index, segment in enumerate(segments):
@@ -138,17 +139,18 @@ def test_observe_migrate_observe_matches_fresh_segments(seed):
 
 
 @pytest.mark.parametrize("seed", [13, 37])
-def test_subset_counter_clear_preserves_the_cache_only(seed):
-    """``SubsetCounter.clear()`` (the commit reset) keeps the subset cache only."""
+def test_reset_counts_preserves_the_cache_only(seed):
+    """``JaccardCalculator.reset_counts()`` (the commit reset) keeps the
+    subset cache only."""
     rng = random.Random(seed)
-    counter = SubsetCounter()
+    counter = JaccardCalculator()
     tagsets = _random_tagsets(rng, 80)
     for tags in tagsets:
         counter.observe(tags)
     assert len(counter) > 0
     cache_len = len(counter.cache)
 
-    counter.clear()
+    counter.reset_counts()
 
     assert len(counter) == 0
     assert counter.counted_tagsets() == []
@@ -159,7 +161,7 @@ def test_subset_counter_clear_preserves_the_cache_only(seed):
     # Re-observing reproduces the same counts as the first pass.
     for tags in tagsets:
         counter.observe(tags)
-    reference = SubsetCounter()
+    reference = JaccardCalculator()
     for tags in tagsets:
         reference.observe(tags)
     assert dict(counter._counts) == dict(reference._counts)

@@ -23,7 +23,7 @@ def make_calculator(report_interval=10.0, **kwargs):
 def notification(tags, timestamp=0.0):
     """A single-tagset notification message (a one-entry batch)."""
     return NOTIFICATIONS.message(
-        batch=[(frozenset(tags), None)], timestamp=timestamp
+        batch=[frozenset(tags)], timestamp=timestamp
     )
 
 
@@ -52,9 +52,9 @@ class TestCalculatorBolt:
         bolt.execute(
             NOTIFICATIONS.message(
                 batch=[
-                    (frozenset({"a", "b"}), 1),
-                    (frozenset({"a", "b"}), 2),
-                    (frozenset({"c"}), 3),
+                    frozenset({"a", "b"}),
+                    frozenset({"a", "b"}),
+                    frozenset({"c"}),
                 ],
                 timestamp=0.0,
             )
@@ -65,8 +65,8 @@ class TestCalculatorBolt:
 
     def test_other_streams_ignored(self):
         bolt, _ = make_calculator()
-        bolt.execute(OTHER.message(batch=[(frozenset({"a"}), None)]))
-        bolt.execute_batch([OTHER.message(batch=[(frozenset({"a"}), None)])])
+        bolt.execute(OTHER.message(batch=[frozenset({"a"})]))
+        bolt.execute_batch([OTHER.message(batch=[frozenset({"a"})])])
         assert bolt.notifications_received == 0
 
     def test_tick_emits_batched_report_and_resets(self):
@@ -272,7 +272,7 @@ def make_tracker(store, tmp_path):
         return TrackerBolt()
     # A threshold this low spills and compacts several times per test.
     config = StoreConfig(spill_dir=str(tmp_path), spill_threshold=3)
-    return TrackerBolt("spill", config)
+    return TrackerBolt(config)
 
 
 class TestTrackerKeyCanonicalisation:

@@ -50,8 +50,8 @@ def on_stream(pairs, schema):
 def notification_tags(message):
     """The routed sub-tagset of a single-entry notification message (one
     routed tagset flushed on its own)."""
-    (entry,) = message["batch"]
-    return entry[0]
+    (tags,) = message["batch"]
+    return tags
 
 
 def tagset_message(tags, timestamp=0.0):

@@ -103,9 +103,9 @@ class TestLayerSharing:
     def test_batch_runs_never_start_dirty_tracking(self):
         tracker = TrackerBolt()
         tracker.ingest(random_triples(1, 50))
-        assert tracker._dirty is None
+        assert tracker._table._dirty is None
         tracker.snapshot()
-        assert tracker._dirty == set()
+        assert tracker._table._dirty == set()
 
     def test_an_unchanged_table_publishes_the_same_layers(self):
         tracker = TrackerBolt()

@@ -4,15 +4,15 @@
 every counted tagset, sum the signed intersection counts of its subsets
 with :func:`union_size_inclusion_exclusion`.  ``3^m`` lookups per observed
 ``m``-tag type — fine for tests, and independent of everything
-``SubsetCounter.report_triples`` does to be fast.
+``JaccardCalculator.report_triples`` does to be fast.
 
 **The per-type report fold** — :func:`per_type_report_triples` is
-``SubsetCounter.report_triples`` before it batched the wide lattices per
+``JaccardCalculator.report_triples`` before it batched the wide lattices per
 arity into numpy: a pure-Python sum-over-subsets per type.  It is the
 *order* reference (triple order, float bits and Python scalar types) of
 the batched fold; :func:`eq2_report` stays the arithmetic judge.
 
-**The full-copy Tracker snapshot** — what ``TrackerBolt.snapshot`` was
+**The full-copy Tracker snapshot** — what ``DictTrackerStore.snapshot`` was
 before it became layered: copy the whole table, sort the whole table.
 :func:`full_copy`, :func:`full_sort_top_k` and :func:`table_digest` are that
 code, kept as the oracle of the layered snapshot and of ``select_top_k``.
@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 from operator import mul
 
-from repro.core.jaccard import SubsetCounter, union_size_inclusion_exclusion
+from repro.core.jaccard import JaccardCalculator, union_size_inclusion_exclusion
 
 
 def eq2_report(
-    counter: SubsetCounter, min_size: int = 2
+    counter: JaccardCalculator, min_size: int = 2
 ) -> dict[frozenset[str], tuple[float, int]]:
     """``{tagset: (jaccard, support)}`` a report of ``counter`` must contain."""
     counts = dict(counter.items())
@@ -61,18 +61,15 @@ def _report_masks(m: int, min_size: int) -> tuple[int, ...]:
 
 
 def per_type_report_triples(
-    self: SubsetCounter, min_size: int = 2
+    self: JaccardCalculator, min_size: int = 2
 ) -> list[tuple[frozenset[str], float, int]]:
-    """``SubsetCounter.report_triples`` as it was before the batched fold:
+    """``JaccardCalculator.report_triples`` as it was before the batched fold:
     one pure-Python sum-over-subsets per type, a frozenset per triple.
     Does not count ``types_folded``; otherwise verbatim."""
     # One counter lookup per lattice position.  The spill store reads
     # its runs once into a table private to this fold rather than
     # probing them per key; Counter.__missing__ returns 0.
-    lookup = (
-        self._counts.window_lookup() if self.counter_store == "spill"
-        else self._counts.__getitem__
-    )
+    lookup = self._counts.window_lookup()
     cache_lookup = self._cache.lookup
     results: list[tuple[frozenset[str], float, int]] = []
     append = results.append
@@ -163,7 +160,7 @@ def full_copy(tracker) -> dict[frozenset[str], tuple[float, int]]:
     by sorted tag tuples; the copy keys by frozenset, as reads do)."""
     return {
         frozenset(key): (tracked.jaccard, tracked.support)
-        for key, tracked in tracker._best.items()
+        for key, tracked in tracker._table._best.items()
     }
 
 

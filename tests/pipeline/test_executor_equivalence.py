@@ -98,9 +98,9 @@ class TestExactModeEquivalence:
 
     def test_executor_fields(self, exact_reports):
         inline, process, _ = exact_reports
-        assert inline.executor_mode == "inline"
+        assert inline.config.executor == "inline"
         assert inline.executor_workers == 1
-        assert process.executor_mode == "process"
+        assert process.config.executor == "process"
         assert process.executor_workers == 2
 
     def test_summary_identical(self, exact_reports):

@@ -263,7 +263,7 @@ class TestScenarioEquivalence:
         self, scenario_runs, scenario, executor
     ):
         _, report, _ = scenario_runs[(scenario, executor)]
-        assert report.workload_scenario == scenario
+        assert report.config.scenario == scenario
         assert report.coefficients_reported > 0
 
     @pytest.mark.parametrize("executor", EXECUTORS)

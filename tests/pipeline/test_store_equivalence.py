@@ -147,7 +147,7 @@ class TestSpillEqualsDict:
         cell must have written runs and read them back into its report
         folds' window tables on the way to its (identical) answers."""
         _, report, _ = grid_runs[("spill", executor)]
-        assert report.counter_store == "spill"
+        assert report.config.counter_store == "spill"
         stats = report.store_stats
         assert stats is not None
         assert stats["runs_written"] > 0
@@ -157,7 +157,7 @@ class TestSpillEqualsDict:
 
     def test_dict_cells_report_no_store_stats(self, grid_runs):
         _, report, _ = grid_runs[("dict", "inline")]
-        assert report.counter_store == "dict"
+        assert report.config.counter_store == "dict"
         assert report.store_stats is None
 
     def test_no_spill_directories_survive_the_drain(self, grid_runs, spill_root):
@@ -260,7 +260,7 @@ class TestTrackerSpill:
     @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_spilling_actually_happened(self, tracker_runs, executor):
         _, report, _ = tracker_runs[executor]
-        assert report.tracker_store == "spill"
+        assert report.config.tracker_store == "spill"
         stats = report.tracker_store_stats
         assert stats is not None
         assert stats["runs_written"] > 0
@@ -269,7 +269,7 @@ class TestTrackerSpill:
 
     def test_dict_cells_report_no_tracker_stats(self, grid_runs):
         _, report, _ = grid_runs[("dict", "inline")]
-        assert report.tracker_store == "dict"
+        assert report.config.tracker_store == "dict"
         assert report.tracker_store_stats is None
 
     def test_snapshot_digest_matches_the_dict_tracker(
@@ -384,7 +384,7 @@ class TestServiceModeWithSpill:
 
     def test_served_run_spilled(self, served_spill, spill_root):
         report, _ = served_spill
-        assert report.counter_store == "spill"
+        assert report.config.counter_store == "spill"
         assert report.store_stats["runs_written"] > 0
         assert os.listdir(spill_root) == []
 
@@ -472,7 +472,7 @@ class TestServiceModeWithTrackerSpill:
         self, served_tracker_spill, spill_root
     ):
         _, report, tracker = served_tracker_spill
-        assert report.tracker_store == "spill"
+        assert report.config.tracker_store == "spill"
         assert report.tracker_store_stats["runs_written"] > 0
         tracker.close()
         assert [

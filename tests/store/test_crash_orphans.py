@@ -24,7 +24,7 @@ from collections import Counter
 
 import pytest
 
-from repro.store import SpillingCounterStore, SpillingTrackerStore
+from repro.store import SpillingCounterStore, SpillingTrackerStore, StoreConfig
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
@@ -49,14 +49,14 @@ def pausing_fsync(fd):
     return real_fsync(fd)
 
 os.fsync = pausing_fsync
-from repro.store import SpillingCounterStore, SpillingTrackerStore
+from repro.store import SpillingCounterStore, SpillingTrackerStore, StoreConfig
 if kind == "counter":
-    store = SpillingCounterStore(spill_dir=root, spill_threshold=5)
+    store = SpillingCounterStore(StoreConfig(spill_dir=root, spill_threshold=5))
     for i in range(100):
         store.update([("orphan%d" % i, "orphan%d" % (i + 1))])
 else:
     store = SpillingTrackerStore(
-        spill_dir=root, spill_threshold=3, merge_fan_in=2
+        StoreConfig(spill_dir=root, spill_threshold=3, merge_fan_in=2)
     )
     for i in range(100):
         store.ingest([(frozenset({"orphan%d" % i}), 0.5, i + 1)])
@@ -100,7 +100,9 @@ def test_killed_counter_spill_is_never_read(tmp_path):
     assert any(name.endswith(".tmp") for name in names)  # caught mid-spill
     before = fingerprint(orphan_dir)
 
-    store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=5)
+    store = SpillingCounterStore(
+        StoreConfig(spill_dir=str(tmp_path), spill_threshold=5)
+    )
     reference = Counter()
     for i in range(60):
         keys = [("fresh%d" % (i % 9),), ("fresh%d" % (i % 9), "x")]
@@ -125,7 +127,7 @@ def test_killed_tracker_compaction_is_never_read(tmp_path):
     before = fingerprint(orphan_dir)
 
     store = SpillingTrackerStore(
-        spill_dir=str(tmp_path), spill_threshold=3, merge_fan_in=2
+        StoreConfig(spill_dir=str(tmp_path), spill_threshold=3, merge_fan_in=2)
     )
     expected = {}
     for i in range(40):

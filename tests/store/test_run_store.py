@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.store import SpillingCounterStore, SpillingTrackerStore
+from repro.store import SpillingCounterStore, SpillingTrackerStore, StoreConfig
 from repro.store import tracker as tracker_module
 
 STORES = ["counter", "tracker"]
@@ -30,7 +30,9 @@ STORES = ["counter", "tracker"]
 
 def make_store(kind, root, threshold=10, **overrides):
     cls = SpillingCounterStore if kind == "counter" else SpillingTrackerStore
-    return cls(spill_dir=str(root), spill_threshold=threshold, **overrides)
+    return cls(
+        StoreConfig(spill_dir=str(root), spill_threshold=threshold, **overrides)
+    )
 
 
 def fill(store, n=60, seed=7):

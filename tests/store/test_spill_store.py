@@ -19,11 +19,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core.jaccard import SubsetCounter
+from repro.core.jaccard import JaccardCalculator
 from repro.store import (
     RunFormatError,
     RunReader,
     SpillingCounterStore,
+    StoreConfig,
     decode_key,
     encode_key,
     merge_runs,
@@ -81,7 +82,7 @@ class TestDurabilityOrdering:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=25)
+        store = SpillingCounterStore(StoreConfig(spill_dir=str(tmp_path), spill_threshold=25))
         feed(store, 100)
         publishes = [e for e in events if e[0] == "replace"
                      and e[2].endswith(".run")]
@@ -104,7 +105,7 @@ class TestWindowReadChecks:
 
     def make_runs(self, tmp_path, n_runs=6):
         store = SpillingCounterStore(
-            spill_dir=str(tmp_path), spill_threshold=1 << 30,
+            StoreConfig(spill_dir=str(tmp_path), spill_threshold=1 << 30)
         )
         for index in range(n_runs):
             store.update([(f"tag{index}", f"tag{index + 1}")])
@@ -127,7 +128,7 @@ class TestWindowReadChecks:
     def test_corrupt_block_fails_the_fold(self, tmp_path):
         """A mangled entry inside a block (the header and index intact):
         the window read decodes it and raises, never a wrong count."""
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
+        store = SpillingCounterStore(StoreConfig(spill_dir=str(tmp_path), spill_threshold=40))
         feed(store, 200)
         directory = store.directory
         victim = os.path.join(directory, disk_artifacts(directory)[0])
@@ -140,9 +141,9 @@ class TestWindowReadChecks:
         assert os.listdir(tmp_path) == []
 
     def test_damaged_run_fails_the_report_fold(self, tmp_path):
-        """The same error surfaces through SubsetCounter's report fold."""
-        counter = SubsetCounter(
-            counter_store="spill", spill_dir=str(tmp_path), spill_threshold=8,
+        """The same error surfaces through the Calculator's report fold."""
+        counter = JaccardCalculator(
+            store=StoreConfig(spill_dir=str(tmp_path), spill_threshold=8),
         )
         for index in range(30):
             counter.observe({f"t{index % 7}", f"t{index % 5}", "x"})
@@ -160,7 +161,7 @@ class TestMerges:
     def test_merge_runs_sums_count_runs(self, tmp_path):
         """One ``merge_runs`` over many count runs, oldest first: the one
         output sums to the reference Counter and its inputs stay put."""
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=40)
+        store = SpillingCounterStore(StoreConfig(spill_dir=str(tmp_path), spill_threshold=40))
         reference = feed(store, 400)
         store.spill()
         paths = [reader.path for reader in store._runs]
@@ -197,7 +198,7 @@ class TestMappingSemantics:
         mapping: lookups, membership, items() order, length."""
         thresholds = [1, 17, 1 << 30]
         stores = [
-            SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=t)
+            SpillingCounterStore(StoreConfig(spill_dir=str(tmp_path), spill_threshold=t))
             for t in thresholds
         ]
         references = [feed(store, 300, seed=13) for store in stores]
@@ -221,7 +222,7 @@ class TestMappingSemantics:
     def test_window_lookup_is_count_preserving(self, tmp_path):
         """A window read answers every key like the reference Counter and
         leaves the store itself untouched (same runs, same items)."""
-        store = SpillingCounterStore(spill_dir=str(tmp_path), spill_threshold=30)
+        store = SpillingCounterStore(StoreConfig(spill_dir=str(tmp_path), spill_threshold=30))
         reference = feed(store, 250)
         before = dict(store.items())
         runs = store.stats()["runs_live"]
@@ -241,7 +242,7 @@ class TestMappingSemantics:
 class TestConstruction:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="spill_threshold"):
-            SpillingCounterStore(spill_threshold=0)
+            SpillingCounterStore(StoreConfig(spill_threshold=0))
 
     def test_defaults_are_sane(self):
         assert spill_module.DEFAULT_SPILL_THRESHOLD >= 1024

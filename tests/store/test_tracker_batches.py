@@ -52,7 +52,7 @@ queries = st.lists(st.sampled_from(["len", "get", "snapshot"]), max_size=8)
 def dict_records(bolt):
     return {
         frozenset(key): (tracked.jaccard, tracked.support, tracked.reports)
-        for key, tracked in bolt._best.items()
+        for key, tracked in bolt._table._best.items()
     }
 
 
@@ -65,7 +65,7 @@ def dict_records(bolt):
 @settings(max_examples=150, deadline=None)
 def test_batches_fold_like_the_dict_tracker(batch_list, threshold, fan_in, between):
     with tempfile.TemporaryDirectory() as root:
-        store = SpillingTrackerStore(config=StoreConfig(
+        store = SpillingTrackerStore(StoreConfig(
             spill_dir=root, spill_threshold=threshold, merge_fan_in=fan_in,
         ))
         bolt = TrackerBolt()
@@ -115,7 +115,9 @@ def test_a_spill_between_two_sightings_counts_a_duplicate():
     threshold 1 spills every new tagset at once, so its second sighting in
     the same batch finds it in a run that did not exist at batch start."""
     with tempfile.TemporaryDirectory() as root:
-        store = SpillingTrackerStore(spill_dir=root, spill_threshold=1)
+        store = SpillingTrackerStore(
+            StoreConfig(spill_dir=root, spill_threshold=1)
+        )
         try:
             beer = frozenset({"beer"})
             assert store.ingest([(beer, 0.5, 2), (beer, 0.75, 3)]) == (2, 1)

@@ -6,8 +6,8 @@ and summed with the hot segment into a table that belongs to that fold
 alone.  Whatever interleaving of observations, spills, non-resetting folds
 (a migration's prepare), aborted migrations (more observations after such
 a fold) and resets came before, every lookup inside a fold must equal a
-plain ``Counter`` fed the same observations — and a ``SubsetCounter``
-backed by the store must report exactly the dict-backed counter's triples.
+plain ``Counter`` fed the same observations — and a ``JaccardCalculator``
+backed by the store must report exactly the dict-backed one's triples.
 """
 
 import os
@@ -17,8 +17,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.jaccard import SubsetCounter
-from repro.store import SpillingCounterStore
+from repro.core.jaccard import JaccardCalculator
+from repro.store import SpillingCounterStore, StoreConfig
 
 TAGS = ["a", "b", "c", "d", "e", "ü"]
 
@@ -49,7 +49,9 @@ def check_fold(store, reference):
 @settings(max_examples=150, deadline=None)
 def test_every_fold_lookup_equals_a_counter(ops, threshold):
     with tempfile.TemporaryDirectory() as root:
-        store = SpillingCounterStore(spill_dir=root, spill_threshold=threshold)
+        store = SpillingCounterStore(
+            StoreConfig(spill_dir=root, spill_threshold=threshold)
+        )
         reference = Counter()
         largest = 0
         try:
@@ -94,10 +96,10 @@ def test_spill_subset_counter_reports_like_the_dict(ops, threshold):
     Calculator keeps counting into the same window.  Neither may leave a
     table behind that a later fold reads."""
     with tempfile.TemporaryDirectory() as root:
-        spill = SubsetCounter(
-            counter_store="spill", spill_dir=root, spill_threshold=threshold
+        spill = JaccardCalculator(
+            store=StoreConfig(spill_dir=root, spill_threshold=threshold)
         )
-        plain = SubsetCounter()
+        plain = JaccardCalculator()
         try:
             for op in ops:
                 if op[0] == "observe":
@@ -105,10 +107,12 @@ def test_spill_subset_counter_reports_like_the_dict(ops, threshold):
                         spill.observe(tagset)
                         plain.observe(tagset)
                     continue
-                assert spill.report_triples() == plain.report_triples()
+                assert spill.report_triples(reset=False) == (
+                    plain.report_triples(reset=False)
+                )
                 if op[0] == "report":
-                    spill.clear()
-                    plain.clear()
+                    spill.reset_counts()
+                    plain.reset_counts()
             assert spill.report_triples() == plain.report_triples()
         finally:
             spill.close()
