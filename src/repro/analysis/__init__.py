@@ -1,14 +1,6 @@
 """Offline analysis: windowing, connectivity (Fig. 7), time series (Figs. 8-9),
-trend detection and capacity planning."""
+and trend detection."""
 
-from .capacity import (
-    CapacityEstimate,
-    calibrate_updates_per_second,
-    estimate_capacity,
-    headroom_per_calculator,
-    minimum_calculators,
-    notification_cost,
-)
 from .connectivity import (
     ConnectivityReport,
     WindowConnectivity,
@@ -31,16 +23,10 @@ from .trends import (
 from .windows import count_windows, sliding_windows, tumbling_windows
 
 __all__ = [
-    "CapacityEstimate",
     "CommunicationSeries",
     "ConnectivityReport",
     "CorrelationHistory",
     "LoadSeries",
-    "calibrate_updates_per_second",
-    "estimate_capacity",
-    "headroom_per_calculator",
-    "minimum_calculators",
-    "notification_cost",
     "TrendAlert",
     "TrendDetector",
     "WindowConnectivity",

@@ -11,8 +11,10 @@ Provides the handful of workflows a user needs without writing Python:
   ``--no-baseline`` skips the centralized ground truth (measurement runs
   that need no error metrics); ``--executor process`` shards the Calculator layer across ``--workers``
   multiprocessing workers (identical logical metrics, see
-  docs/PERFORMANCE.md); ``--counter-store spill`` keeps the window
-  counters out of core in sorted on-disk run files merged at report time
+  docs/PERFORMANCE.md; not with ``--repartition-handoff migrate``, whose
+  handoff needs the Calculators in the driver); ``--counter-store spill``
+  keeps the window counters out of core in sorted on-disk run files
+  merged at report time
   (bit-identical coefficients, flat RSS; ``--spill-dir`` /
   ``--spill-threshold`` tune it, see docs/ARCHITECTURE.md "Counter
   store"); ``--tracker-store spill`` spills the Tracker's dedup
@@ -32,7 +34,8 @@ Provides the handful of workflows a user needs without writing Python:
 Invoke as ``python -m repro.cli <command> ...`` (or wire the ``repro``
 entry point in your environment); ``--help`` on the top level and on every
 subcommand documents the options, and the top-level epilog carries
-copy-paste examples.
+copy-paste examples.  An invalid combination of options exits non-zero
+with one line on stderr.
 
 Examples::
 
@@ -104,9 +107,7 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         default="threshold",
                         help="when the Disseminator requests a full swap: "
                              "threshold (the paper's either-or quality "
-                             "rule, the default), capacity (combined "
-                             "per-document update cost of the capacity "
-                             "model degraded by thr), fixed (swap at the "
+                             "rule, the default), fixed (swap at the "
                              "--repartition-at document counts) or never "
                              "(Single Additions only)")
     parser.add_argument("--repartition-at", default="",
@@ -117,7 +118,8 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
                         help="Calculator state on a mid-stream swap: none "
                              "(install immediately, keep counters) or "
                              "migrate (coordinated quiesce -> drain "
-                             "counters to the Tracker -> install)")
+                             "counters to the Tracker -> install; not with "
+                             "--executor process)")
     parser.add_argument("--window", type=int, default=1500,
                         help="partitioning window size in documents")
     parser.add_argument("--bootstrap", type=int, default=600,
@@ -198,7 +200,7 @@ def _repartition_points(raw: str) -> tuple[int, ...]:
 
 
 def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = None) -> SystemConfig:
-    return SystemConfig(
+    config = SystemConfig(
         algorithm=algorithm or args.algorithm,
         k=args.k,
         n_partitioners=args.partitioners,
@@ -221,6 +223,11 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
         executor=getattr(args, "executor", "inline"),
         workers=getattr(args, "workers", 0),
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from None
+    return config
 
 
 def _load_or_generate(args: argparse.Namespace) -> tuple[list[Document], str | None]:
@@ -336,20 +343,21 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    config = _system_config_from_args(args)
     documents, scenario = _load_or_generate(args)
-    config = _system_config_from_args(args).with_overrides(scenario=scenario)
+    config = config.with_overrides(scenario=scenario)
     report = TagCorrelationSystem(config).run(documents)
     _print_report(report)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    documents, scenario = _load_or_generate(args)
     algorithms = [name.strip().upper() for name in args.algorithms.split(",") if name.strip()]
+    configs = [_system_config_from_args(args, algorithm=name) for name in algorithms]
+    documents, scenario = _load_or_generate(args)
     print(f"{'algorithm':>10} {'comm':>8} {'gini':>8} {'maxload':>9} "
           f"{'repart':>8} {'error':>8} {'coverage':>10}")
-    for algorithm in algorithms:
-        config = _system_config_from_args(args, algorithm=algorithm)
+    for algorithm, config in zip(algorithms, configs):
         config = config.with_overrides(scenario=scenario)
         report = TagCorrelationSystem(config).run(documents)
         print(
@@ -425,6 +433,11 @@ def _parse_tags(raw: str) -> list[str]:
 def cmd_client(args: argparse.Namespace) -> int:
     from .service import ServiceError
 
+    if args.operation == "ingest":
+        if not args.input:
+            raise SystemExit("ingest requires --input <jsonl file>")
+        if args.ingest_batch < 1:
+            raise SystemExit("--ingest-batch must be at least 1")
     try:
         client = _client_from_args(args)
     except (ConnectionError, OSError) as exc:
@@ -435,9 +448,10 @@ def cmd_client(args: argparse.Namespace) -> int:
         if op == "ping":
             response = client.ping()
         elif op == "ingest":
-            if not args.input:
-                raise SystemExit("ingest requires --input <jsonl file>")
             documents = load_documents(args.input)
+            if not documents:
+                print("ingested 0 documents")
+                return 0
             total = 0
             for start in range(0, len(documents), args.ingest_batch):
                 response = client.ingest(
@@ -527,13 +541,10 @@ examples:
   # Live repartitioning with state migration: force swaps at two points
   # and drain the Calculators' counters through a coordinated handoff
   # (quiesce -> migrate -> install; see docs/ARCHITECTURE.md "Live
-  # repartitioning"):
+  # repartitioning"; the handoff needs the Calculators in the driver, so
+  # it runs with the inline executor, not --executor process):
   python -m repro.cli run --documents 8000 --repartition-policy fixed \\
       --repartition-at 3000,6000 --repartition-handoff migrate
-
-  # Capacity-model repartition policy (trigger on the combined
-  # per-document update cost instead of the either-or quality rule):
-  python -m repro.cli run --documents 8000 --repartition-policy capacity
 
   # Trending workload scenario (persistent rise/plateau/decay trends):
   python -m repro.cli run --documents 8000 --scenario trending

@@ -15,15 +15,6 @@ Policies
     tagsets, request a repartition when the rolling average communication
     *or* the rolling maximum load share exceeds its reference value (from
     the installed partitioning) by more than ``thr``.
-``capacity``
-    Derived from the :mod:`repro.analysis.capacity` model: request a
-    repartition when the *sustainable arrival rate* of the rolling window
-    state drops below the reference state's rate by more than ``thr`` —
-    equivalently, when the per-document update cost of the bottleneck
-    Calculator (``communication × max_load_share``, both clamped to the
-    model's floors) grows beyond ``(1 + thr)×`` the reference cost.  Unlike
-    ``threshold`` this tolerates one metric degrading while the other
-    improves, because only their product bounds throughput.
 ``fixed``
     Deterministic swaps at configured document counts
     (``SystemConfig.repartition_at``) — the lever the equivalence and
@@ -40,7 +31,7 @@ from __future__ import annotations
 
 from ..core.metrics import CommunicationTracker, LoadTracker
 
-REPARTITION_POLICIES = ("threshold", "capacity", "fixed", "never")
+REPARTITION_POLICIES = ("threshold", "fixed", "never")
 
 #: Reasons (re-exported by :mod:`.disseminator` for Figure 6's breakdown).
 REASON_COMMUNICATION = "communication"
@@ -66,7 +57,6 @@ class RepartitionController:
         single_addition_threshold: int = 3,
         quality_check_interval: int = 1000,
         forced_points: tuple[int, ...] = (),
-        mean_tags_per_notification: float = 2.5,
     ) -> None:
         if policy not in REPARTITION_POLICIES:
             raise ValueError(
@@ -82,7 +72,6 @@ class RepartitionController:
         self.thr = threshold
         self.sn = single_addition_threshold
         self.z = quality_check_interval
-        self.mean_tags_per_notification = mean_tags_per_notification
         self._forced = tuple(sorted({int(point) for point in forced_points}))
         self._next_forced = 0
         self._reference_avg_com: float = 1.0
@@ -149,8 +138,6 @@ class RepartitionController:
         current_load = self.rolling_load.max_share(self.k)
         if self.policy == "threshold":
             return self._evaluate_threshold(current_com, current_load)
-        if self.policy == "capacity":
-            return self._evaluate_capacity(current_com, current_load)
         return None
 
     def _evaluate_threshold(
@@ -166,41 +153,6 @@ class RepartitionController:
         if load_degraded:
             return REASON_LOAD
         return None
-
-    def _evaluate_capacity(
-        self, current_com: float, current_load: float
-    ) -> str | None:
-        """Trigger on sustainable-rate degradation under the capacity model.
-
-        The node throughput and the ``2^m - 1`` notification-cost factor
-        cancel in the reference/current rate ratio, so the decision reduces
-        to comparing clamped ``communication × max_load_share`` products —
-        but the clamping (fan-out ≥ 1, share ≥ 1/k) makes this genuinely
-        different from multiplying the raw metrics.
-        """
-        # Imported lazily: the analysis package's __init__ pulls in modules
-        # that import the operator layer, so a module-level import here
-        # would close a cycle during package initialisation.
-        from ..analysis.capacity import per_document_update_cost
-
-        m = self.mean_tags_per_notification
-        reference_cost = per_document_update_cost(
-            self._reference_avg_com, self._reference_max_load, self.k, m
-        )
-        current_cost = per_document_update_cost(
-            current_com, current_load, self.k, m
-        )
-        if current_cost <= reference_cost * (1.0 + self.thr):
-            return None
-        com_ratio = max(current_com, 1.0) / max(self._reference_avg_com, 1.0)
-        load_ratio = max(current_load, 1.0 / max(self.k, 1)) / max(
-            self._reference_max_load, 1.0 / max(self.k, 1)
-        )
-        if com_ratio > 1.0 and load_ratio > 1.0:
-            return REASON_BOTH
-        if com_ratio >= load_ratio:
-            return REASON_COMMUNICATION
-        return REASON_LOAD
 
     # ------------------------------------------------------------------ #
     # Forced swaps (``fixed`` policy)

@@ -13,7 +13,7 @@ RepartitionController`:
   occurrences the Merger is asked to perform a *Single Addition*;
 * rolling statistics over every ``z`` routed tagsets estimate the current
   average communication ``avgCom'`` and maximum load ``maxLoad'``; the
-  configured policy (``threshold``, ``capacity``, ``fixed`` or ``never``)
+  configured policy (``threshold``, ``fixed`` or ``never``)
   decides when to request a repartition from the Partitioners;
 * all routing decisions are also accumulated into experiment-level metrics
   (total communication, per-Calculator loads, repartition log, quality time
@@ -32,8 +32,10 @@ side-effect-free *prepare* computing the payload, then a *commit* shipping
 it to the Tracker and resetting the counters), and only then is the staged
 assignment installed and the stream resumed — no notification is lost or
 duplicated, and a failed prepare aborts the whole handoff with the old map
-intact.  :meth:`DisseminatorBolt.commit_staged` / :meth:`abort_staged` are
-the cluster coordinator's callbacks; each outcome is recorded as a
+intact.  The handoff needs the Calculators in the driver process, so it
+runs under the inline and service executors only.
+:meth:`DisseminatorBolt.commit_staged` / :meth:`abort_staged` are the
+cluster coordinator's callbacks; each outcome is recorded as a
 :class:`MigrationRecord`.
 """
 

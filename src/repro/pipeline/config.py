@@ -58,11 +58,9 @@ class SystemConfig:
     repartition_threshold: float = 0.5
     #: How the Disseminator's controller decides to ask for a full swap:
     #: ``"threshold"`` is the paper's either-or quality rule (avgCom or
-    #: maxLoad degraded by more than ``thr``); ``"capacity"`` triggers on
-    #: the combined per-document update cost of ``analysis.capacity``
-    #: degrading by more than ``thr``; ``"fixed"`` swaps at the document
-    #: counts of ``repartition_at``; ``"never"`` disables swaps (Single
-    #: Additions still apply).
+    #: maxLoad degraded by more than ``thr``); ``"fixed"`` swaps at the
+    #: document counts of ``repartition_at``; ``"never"`` disables swaps
+    #: (Single Additions still apply).
     repartition_policy: str = "threshold"
     #: Document counts at which the ``"fixed"`` policy forces a swap.
     repartition_at: tuple[int, ...] = ()
@@ -71,7 +69,8 @@ class SystemConfig:
     #: counters (the legacy behaviour); ``"migrate"`` runs the coordinated
     #: quiesce → migrate → install handoff (the counters are reported to
     #: the Tracker and reset, so post-swap state matches a fresh start
-    #: under the new map).
+    #: under the new map).  The handoff runs on driver-side Calculators
+    #: only, so ``"migrate"`` cannot be combined with ``executor="process"``.
     repartition_handoff: str = "none"
     #: Optional pre-installed partition map: the run starts with this
     #: assignment (epoch 0) instead of bootstrapping one, exactly as a run
@@ -210,6 +209,13 @@ class SystemConfig:
             )
         if self.workers < 0:
             raise ValueError("workers must be non-negative (0 = auto)")
+        if self.executor == "process" and self.repartition_handoff == "migrate":
+            raise ValueError(
+                "repartition_handoff='migrate' cannot run with "
+                "executor='process': state handoff runs on driver-side "
+                "layers only, and the process executor moves the "
+                "Calculators into its workers"
+            )
         if self.service_queue_limit < 1:
             raise ValueError("service_queue_limit must be at least 1")
 

@@ -447,12 +447,13 @@ class Cluster:
         The protocol is duck-typed against the requesting bolt
         (``staged_handoff`` / ``commit_staged`` / ``abort_staged``) and the
         migrating layers' bolts (``prepare_migration`` / ``commit_migration``
-        / ``abort_migration``); remote layers go through the executor's
-        ``migrate_prepare`` / ``migrate_commit`` / ``migrate_abort`` hooks.
+        / ``abort_migration``).  Those bolts must live in the driver: a layer
+        owned by the executor's remote layer is refused with a
+        ``RuntimeError`` before anything is quiesced.
 
         Phase 1 (*prepare*) is side-effect-free on every participant, so a
-        raise — or a dead worker — aborts the whole handoff with all state
-        and the old assignment intact.  Phase 2 (*commit*) ships each
+        raise aborts the whole handoff with all state and the old
+        assignment intact.  Phase 2 (*commit*) ships each
         payload to its subscribers (the Tracker) and resets the counters;
         only then is the staged assignment installed on the requester.  No
         clock tick can fire during coordination: every batch routed here
@@ -464,18 +465,21 @@ class Cluster:
             # A second request for an already-resolved handoff (e.g. two
             # staging bolts racing in one drain window) is a no-op.
             return
+        tasks = [task for name in components for task in self.tasks_of(name)]
+        for task in tasks:
+            if task.is_remote:
+                raise RuntimeError(
+                    f"cannot hand off state of {task.component!r}: its tasks "
+                    f"run in the {self._executor.name!r} executor's remote "
+                    "layer, and a state handoff runs on driver-side bolts only"
+                )
         started = time.perf_counter()
         # Quiesce: everything in flight — including buffered notification
         # micro-batches — is delivered under the old assignment first.
         self._flush_bolts(self._drain_basic)
-        local_tasks: list[TaskInfo] = []
-        remote_tasks: list[TaskInfo] = []
-        for name in components:
-            for task in self.tasks_of(name):
-                (remote_tasks if task.is_remote else local_tasks).append(task)
         payloads: dict[int, list] = {}
         error: str | None = None
-        for task in local_tasks:
+        for task in tasks:
             try:
                 payloads[task.task_id] = task.instance.prepare_migration()
             except Exception as exc:  # noqa: BLE001 - abort on any failure
@@ -484,29 +488,21 @@ class Cluster:
                     f"[task {task.task_id}]: {exc!r}"
                 )
                 break
-        if error is None and remote_tasks:
-            error = self._executor.migrate_prepare(
-                [task.task_id for task in remote_tasks]
-            )
         if error is not None:
-            for task in local_tasks:
+            for task in tasks:
                 if task.task_id in payloads:
                     task.instance.abort_migration()
-            if remote_tasks:
-                self._executor.migrate_abort()
             stall = time.perf_counter() - started
             bolt.abort_staged(error, stall)
             self.migration_failures.append(error)
             self.migration_stall_seconds += stall
             return
         migrated = 0
-        for task in local_tasks:
+        for task in tasks:
             migrated += task.instance.commit_migration(
                 payloads[task.task_id], staged.timestamp
             )
             self._route_emissions(task)
-        if remote_tasks:
-            migrated += self._executor.migrate_commit(staged.timestamp)
         # Migrated coefficients reach the Tracker before routing resumes
         # under the new map.
         self._drain_basic()

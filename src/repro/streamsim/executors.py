@@ -37,10 +37,10 @@ ticks are broadcast on the same FIFO queues, so each remote bolt observes
 exactly the inline interleaving of *driver-routed* deliveries and ticks.
 
 *Worker → driver.*  Remote bolts never route; a worker buffers the emission
-batches they produce.  The two *relay points* are the end-of-stream flush
-passes and a migration commit: the driver collects the buffers and routes
-them shard by shard through the normal routing and accounting machinery.
-This is the one semantic difference from inline: a consumer of a remote
+batches they produce.  The one *relay point* is the end-of-stream flush:
+each flush pass collects the buffers and the driver routes them shard by
+shard through the normal routing and accounting machinery.  This is the
+one semantic difference from inline: a consumer of a remote
 stream (the Tracker, for the Calculators' report batches) receives those
 tuples after the stream ends rather than interleaved with ticks, so it must
 be insensitive to delivery time — asserted end to end by the
@@ -96,12 +96,6 @@ _COLLECT = "collect"
 _DRAIN = "drain"
 _FINALIZE = "finalize"
 _STOP = "stop"
-#: Two-phase state migration (live repartitioning): prepare computes the
-#: payloads side-effect-free (a failure is reported softly and the worker
-#: keeps serving), commit ships them and resets, abort drops them.
-_MIGRATE_PREPARE = "migrate_prepare"
-_MIGRATE_COMMIT = "migrate_commit"
-_MIGRATE_ABORT = "migrate_abort"
 
 
 class Executor(abc.ABC):
@@ -162,31 +156,6 @@ class Executor(abc.ABC):
         drains driver-side as before.
         """
         return {}
-
-    # ------------------------------------------------------------------ #
-    # Live-repartitioning state migration (no-ops without a remote layer)
-    # ------------------------------------------------------------------ #
-    def migrate_prepare(self, task_ids: Sequence[int]) -> str | None:
-        """Phase 1 of a state handoff: compute payloads for the given tasks.
-
-        Side-effect-free on the bolts — a failure here must leave the run
-        able to continue under the old partition map.  Returns an error
-        description, or ``None`` on success (staged payloads are kept in
-        the remote layer until :meth:`migrate_commit` or
-        :meth:`migrate_abort`).
-        """
-        return None
-
-    def migrate_commit(self, timestamp: float) -> int:
-        """Phase 2: ship the staged payloads and reset the migrated bolts.
-
-        Relays the resulting emissions through the driver's routing (and
-        accounting) machinery; returns the number of migrated triples.
-        """
-        return 0
-
-    def migrate_abort(self) -> None:
-        """Drop any staged migration payloads without touching bolt state."""
 
     # ------------------------------------------------------------------ #
     # The depth-first driver loop shared by all executors
@@ -326,7 +295,6 @@ def _serve_shard(
         bolts: dict[int, Bolt] = {}
         components: dict[int, str] = {}
         emissions: list[tuple[int, EmissionBatch]] = []
-        staged_migration: dict[int, Any] | None = None
         accounting = MessageAccounting()
         busy = 0.0
         clock = time.perf_counter
@@ -378,47 +346,6 @@ def _serve_shard(
             elif kind == _COLLECT:
                 outbox.put(("emissions", spec.shard_index, emissions))
                 emissions = []
-            elif kind == _MIGRATE_PREPARE:
-                # Phase 1 of a live-repartitioning handoff.  Payloads are
-                # computed side-effect-free and staged locally; a failure is
-                # reported *softly* (the worker keeps serving) so the driver
-                # can abort the handoff and resume under the old map.
-                _, task_ids = request
-                staged: dict[int, Any] = {}
-                try:
-                    for task_id in task_ids:
-                        staged[task_id] = bolts[task_id].prepare_migration()  # type: ignore[attr-defined]
-                except Exception:
-                    staged_migration = None
-                    outbox.put(
-                        ("migrated", spec.shard_index,
-                         {"ok": False, "error": traceback.format_exc()})
-                    )
-                else:
-                    staged_migration = staged
-                    outbox.put(("migrated", spec.shard_index, {"ok": True}))
-            elif kind == _MIGRATE_COMMIT:
-                # Phase 2: emit the staged payloads and reset the bolts, in
-                # task-id order (matching the inline coordinator).  The
-                # whole emission buffer ships back with the reply — the
-                # commit emissions plus any earlier in-stream report batches
-                # — and the driver routes it exactly like a _COLLECT relay.
-                _, timestamp = request
-                migrated = 0
-                for task_id in sorted(staged_migration or {}):
-                    assert staged_migration is not None
-                    migrated += bolts[task_id].commit_migration(  # type: ignore[attr-defined]
-                        staged_migration[task_id], timestamp
-                    )
-                    drain(task_id)
-                staged_migration = None
-                outbox.put(
-                    ("migrated", spec.shard_index,
-                     {"ok": True, "migrated": migrated, "emissions": emissions})
-                )
-                emissions = []
-            elif kind == _MIGRATE_ABORT:
-                staged_migration = None
             elif kind == _DRAIN:
                 # End-of-run drain runs *inside* the worker: the shard ships
                 # final results (small triple lists) instead of the counter
@@ -465,10 +392,6 @@ class ShardedProcessExecutor(Executor):
         streams (their emissions are relayed only at end-of-stream).
         Components absent from the topology are ignored; with none present
         the executor degrades to the inline loop.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default, i.e.
-        ``fork`` on Linux).  All shipped state is picklable, so ``spawn``
-        works too at a higher startup cost.
     """
 
     name = "process"
@@ -477,7 +400,6 @@ class ShardedProcessExecutor(Executor):
         self,
         workers: int = 2,
         remote_components: Sequence[str] = (),
-        start_method: str | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -487,7 +409,6 @@ class ShardedProcessExecutor(Executor):
             )
         self.requested_workers = workers
         self.remote_components = tuple(remote_components)
-        self._start_method = start_method
         self._cluster: "Cluster | None" = None
         self._owner: dict[int, int] = {}
         self._pending: list[list[tuple]] = []
@@ -556,53 +477,6 @@ class ShardedProcessExecutor(Executor):
         return released
 
     # ------------------------------------------------------------------ #
-    # Live-repartitioning state migration
-    # ------------------------------------------------------------------ #
-    def migrate_prepare(self, task_ids: Sequence[int]) -> str | None:
-        if not self._started:
-            return None
-        by_shard: dict[int, list[int]] = {}
-        for task_id in task_ids:
-            by_shard.setdefault(self._owner[task_id], []).append(task_id)
-        shards = sorted(by_shard)
-        for shard in shards:
-            self._inboxes[shard].put((_MIGRATE_PREPARE, by_shard[shard]))
-        # Every asked shard replies exactly once; collect them all (even
-        # after a failure) so the reply streams stay aligned.  A worker that
-        # *dies* here (rather than raising) surfaces as the usual
-        # RuntimeError from _receive — there is no old state to resume.
-        error: str | None = None
-        for shard in shards:
-            reply = self._receive(shard, "migrated")
-            if not reply["ok"] and error is None:
-                error = f"shard worker {shard}: {reply['error']}"
-        return error
-
-    def migrate_commit(self, timestamp: float) -> int:
-        if not self._started:
-            return 0
-        assert self._cluster is not None
-        for inbox in self._inboxes:
-            inbox.put((_MIGRATE_COMMIT, timestamp))
-        migrated = 0
-        for shard in range(self.effective_workers):
-            reply = self._receive(shard, "migrated")
-            migrated += reply["migrated"]
-            # Relay the shard's buffered emissions (the migration payloads
-            # plus any earlier in-stream report batches) through the normal
-            # routing and accounting machinery, exactly like flush_remote.
-            for task_id, batch in reply["emissions"]:
-                producer = self._cluster.task(task_id).component
-                self._cluster._route_batch(producer, batch)
-        return migrated
-
-    def migrate_abort(self) -> None:
-        if not self._started:
-            return
-        for inbox in self._inboxes:
-            inbox.put((_MIGRATE_ABORT,))
-
-    # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, cluster: "Cluster", max_spout_calls: int | None = None) -> int:
@@ -647,7 +521,7 @@ class ShardedProcessExecutor(Executor):
             self._pending[shard].append(item)
 
     def _start_workers(self, cluster: "Cluster") -> None:
-        ctx = multiprocessing.get_context(self._start_method)
+        ctx = multiprocessing.get_context()
         context = StaticContext(
             task_ids_by_component={
                 name: [task.task_id for task in cluster.tasks_of(name)]
@@ -787,7 +661,7 @@ class ShardedProcessExecutor(Executor):
     ) -> None:
         """A remote stream may leave the layer only for a terminal consumer.
 
-        Relayed batches arrive late (at a flush or a migration commit), so
+        Relayed batches arrive late (at the end-of-stream flush), so
         whatever a driver-side consumer emitted in response would re-enter
         the pipeline out of order; a component nobody subscribes to cannot.
         """
@@ -1004,7 +878,6 @@ def make_executor(
     name: str,
     workers: int = 2,
     remote_components: Sequence[str] = (),
-    start_method: str | None = None,
     queue_limit: int = DEFAULT_SERVICE_QUEUE_LIMIT,
 ) -> Executor:
     """Build an executor by registry name (``"inline"``, ``"process"`` or
@@ -1015,7 +888,6 @@ def make_executor(
         return ShardedProcessExecutor(
             workers=workers,
             remote_components=remote_components,
-            start_method=start_method,
         )
     if name == AsyncServiceExecutor.name:
         return AsyncServiceExecutor(queue_limit=queue_limit)

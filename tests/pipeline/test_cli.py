@@ -90,6 +90,36 @@ class TestRun:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--repartition-at", "100"], "repartition_policy='fixed'"),
+            (["--k", "0"], "k must be at least 1"),
+            (
+                ["--executor", "process", "--workers", "2",
+                 "--repartition-handoff", "migrate"],
+                "driver-side layers only",
+            ),
+        ],
+        ids=["repartition-at-without-fixed", "k-zero", "process-migrate"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_invalid_configuration_is_one_line_not_a_traceback(
+        self, command, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--documents", "100", *argv])
+        # SystemExit(str) prints its message on stderr and exits 1.
+        assert isinstance(excinfo.value.code, str)
+        assert excinfo.value.code.startswith("invalid configuration: ")
+        assert message in excinfo.value.code
+        assert "\n" not in excinfo.value.code
+        assert capsys.readouterr().out == ""
+
+    def test_serve_validates_before_binding(self):
+        with pytest.raises(SystemExit, match="k must be at least 1"):
+            main(["serve", "--port", "0", "--k", "0"])
+
     def test_run_from_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["generate", "--documents", "800", "--seed", "5", "--output", str(trace)])
@@ -217,3 +247,36 @@ class TestConnectivityAndTheory:
         output = capsys.readouterr().out
         assert "Section 5.1" in output
         assert "E[communication]" in output
+
+
+class TestClientIngest:
+    def test_empty_input_file_ingests_nothing(self, tmp_path, capsys):
+        from repro.pipeline import SystemConfig
+        from repro.service import ServiceDaemon
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        with ServiceDaemon(SystemConfig(executor="service")) as daemon:
+            host, port = daemon.address
+            exit_code = main(
+                ["client", "--host", host, "--port", str(port),
+                 "ingest", "--input", str(empty)]
+            )
+            assert exit_code == 0
+            assert capsys.readouterr().out.strip() == "ingested 0 documents"
+            assert main(
+                ["client", "--host", host, "--port", str(port), "shutdown"]
+            ) == 0
+        assert daemon.final_report.documents_processed == 0
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_batch_size_below_one_refused_before_connecting(
+        self, tmp_path, size
+    ):
+        feed = tmp_path / "feed.jsonl"
+        main(["generate", "--documents", "5", "--output", str(feed)])
+        # Port 1 has no daemon: reaching the connection would fail with a
+        # different message.
+        with pytest.raises(SystemExit, match="--ingest-batch must be at least 1"):
+            main(["client", "--port", "1", "ingest", "--input", str(feed),
+                  "--ingest-batch", size])

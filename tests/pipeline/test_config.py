@@ -29,6 +29,7 @@ class TestValidation:
             {"executor": "threads"},
             {"workers": -1},
             {"repartition_policy": "sometimes"},
+            {"repartition_policy": "capacity"},
             {"repartition_policy": "fixed", "repartition_at": (0,)},
             {"repartition_at": (100,)},
             {"repartition_handoff": "copy"},
@@ -134,3 +135,9 @@ class TestExecutorConfig:
 
     def test_auto_workers_bounded(self):
         assert 1 <= SystemConfig(workers=0).resolved_workers() <= 4
+
+    def test_process_executor_refuses_migrate_handoff(self):
+        with pytest.raises(ValueError, match="driver-side layers only"):
+            SystemConfig(
+                executor="process", workers=2, repartition_handoff="migrate"
+            ).validate()

@@ -3,24 +3,16 @@
 A coordinated handoff must be atomic: if any Calculator's prepare phase
 fails, the whole migration aborts with the old partition map still
 installed and no Calculator state touched — the run continues and ends
-with exactly the results of a run that never attempted the swap.  These
-suites inject two fault shapes at the prepare phase:
+with exactly the results of a run that never attempted the swap.  The
+suite injects a raised exception into one Calculator task's prepare
+phase; the coordinator's try/except aborts the handoff.
 
-* a *raised exception* in one Calculator task — under the inline
-  executor the coordinator's local try/except aborts the handoff; under
-  the process executor the owning worker reports the failure softly (it
-  keeps serving) and the driver aborts every other shard's staged
-  payloads;
-* a *worker death* (``os._exit`` mid-prepare, process executor only) —
-  no clean continuation is possible, so the run must fail fast with a
-  diagnosable error rather than hang or silently drop state.
-
-The bolt and factory classes live at module level: the process executor
-pickles factories into forked workers, and fork inherits ``sys.modules``
-so pickling-by-reference of test-module classes works on Linux.
+The handoff runs on driver-side Calculators only: ``SystemConfig``
+refuses ``repartition_handoff="migrate"`` with ``executor="process"``
+(``tests/pipeline/test_config.py``), and the coordinator refuses a layer
+the executor's workers own (``tests/streamsim/test_executors.py``).
 """
 
-import os
 from dataclasses import dataclass
 
 import pytest
@@ -34,8 +26,7 @@ SWAP_POINT = 800
 
 #: The Calculator task whose prepare fails.  Index 2 (not 0) makes the
 #: abort path non-trivial: earlier tasks have already prepared when the
-#: failure hits, so their staged payloads must be dropped, and under the
-#: two-worker process executor the failing shard differs from shard 0.
+#: failure hits, so their staged payloads must be dropped.
 FAILING_TASK_INDEX = 2
 
 
@@ -46,27 +37,10 @@ class FailingPrepareCalculatorBolt(CalculatorBolt):
         return super().prepare_migration()
 
 
-class DyingPrepareCalculatorBolt(CalculatorBolt):
-    def prepare_migration(self):
-        if self.task_index == FAILING_TASK_INDEX:
-            os._exit(17)
-        return super().prepare_migration()
-
-
 @dataclass(frozen=True)
 class FailingPrepareFactory(CalculatorFactory):
     def __call__(self) -> CalculatorBolt:
         return FailingPrepareCalculatorBolt(
-            report_interval=self.report_interval,
-            max_tags_per_document=self.max_tags_per_document,
-            subset_cache_size=self.subset_cache_size,
-        )
-
-
-@dataclass(frozen=True)
-class DyingPrepareFactory(CalculatorFactory):
-    def __call__(self) -> CalculatorBolt:
-        return DyingPrepareCalculatorBolt(
             report_interval=self.report_interval,
             max_tags_per_document=self.max_tags_per_document,
             subset_cache_size=self.subset_cache_size,
@@ -120,22 +94,17 @@ def _run(documents, factory=None, **overrides):
 
 
 class TestPrepareFailureAbortsCleanly:
-    @pytest.fixture(scope="class", params=["inline", "process"])
-    def runs(self, request, documents):
-        executor = request.param
-        extra = {"executor": executor}
-        if executor == "process":
-            extra["workers"] = 2
+    @pytest.fixture(scope="class")
+    def runs(self, documents):
         factory = FailingPrepareFactory(
             report_interval=30.0, max_tags_per_document=12
         )
-        faulted = _run(documents, factory=factory, **extra)
+        faulted = _run(documents, factory=factory)
         reference = _run(
             documents,
             repartition_policy="never",
             repartition_at=(),
             repartition_handoff="none",
-            **extra,
         )
         return faulted, reference
 
@@ -177,11 +146,3 @@ class TestPrepareFailureAbortsCleanly:
             "duplicate_reports",
         ):
             assert getattr(faulted, field) == getattr(reference, field), field
-
-
-def test_worker_death_mid_prepare_fails_fast(documents):
-    factory = DyingPrepareFactory(report_interval=30.0, max_tags_per_document=12)
-    system = TagCorrelationSystem(_config(executor="process", workers=2))
-    system._calculator_factory = lambda: factory
-    with pytest.raises(RuntimeError, match="died without reporting"):
-        system.run(documents)

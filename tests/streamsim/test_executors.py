@@ -80,6 +80,19 @@ class RelayBolt(Bolt):
         self.emit(TOTALS, message["total"])
 
 
+class HandoffRequester(Bolt):
+    """Driver-side bolt that asks for a state handoff of the sink layer."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.staged_handoff = None
+
+    def execute(self, message: TupleMessage) -> None:
+        if self.staged_handoff is None:
+            self.staged_handoff = message
+            self.context.request_handoff(self.task_id, ("sink",))
+
+
 def _sink_factory():
     return CountingSink()
 
@@ -264,6 +277,23 @@ class TestShardedProcessExecutor:
         Cluster(_build_topology(3), executor=executor)
         with pytest.raises(RuntimeError, match="already attached"):
             Cluster(_build_topology(3), executor=executor)
+
+    def test_handoff_of_a_remote_layer_refused(self):
+        # State handoff runs on driver-side bolts only; a substrate user
+        # asking to migrate a layer the workers own fails loudly, naming
+        # the component, instead of migrating nothing.
+        builder = TopologyBuilder()
+        builder.set_spout("numbers", lambda: NumberSpout(4))
+        builder.set_bolt("sink", _sink_factory, parallelism=2).fields_grouping(
+            "numbers", ["value"]
+        )
+        builder.set_bolt("requester", HandoffRequester).shuffle_grouping("numbers")
+        cluster = Cluster(
+            builder.build(),
+            executor=ShardedProcessExecutor(workers=2, remote_components=("sink",)),
+        )
+        with pytest.raises(RuntimeError, match="'sink'.*driver-side bolts only"):
+            cluster.run()
 
     def test_unpicklable_factory_reported(self):
         builder = TopologyBuilder()

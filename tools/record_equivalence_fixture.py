@@ -57,8 +57,8 @@ BASE_CONFIG = dict(
     report_interval_seconds=30.0,
 )
 
-#: Overrides of the ``-repartition`` cells: two forced mid-stream swaps
-#: with the coordinated state-migration handoff.  These cells pin the
+#: Overrides of the ``-repartition`` cell: two forced mid-stream swaps
+#: with the coordinated state-migration handoff.  This cell pins the
 #: handoff protocol itself — the quiesce, the Calculator drains and the
 #: migration records all have to replay bit-identically.
 _REPARTITION = dict(
@@ -74,14 +74,13 @@ _REPARTITION = dict(
 #: their recorded names and values.  The ``-repartition`` cells were
 #: appended with the live-repartitioning PR.  The ``sketch-*`` cells left
 #: with the sketch tracking mode; the ``exact-`` prefix stays because the
-#: served-equivalence suite maps onto these names.
+#: served-equivalence suite maps onto these names.  The handoff runs on
+#: driver-side Calculators only, so there is no process-executor
+#: repartition cell.
 CELLS = {
     "exact-incremental-inline": dict(),
     "exact-incremental-process": dict(executor="process", workers=2),
     "exact-incremental-inline-repartition": dict(_REPARTITION),
-    "exact-incremental-process-repartition": dict(
-        executor="process", workers=2, **_REPARTITION,
-    ),
 }
 
 #: RunReport fields pinned bit-identically per cell.
