@@ -246,11 +246,15 @@ def _load_or_generate(args: argparse.Namespace) -> tuple[list[Document], str | N
     return _workload_from_args(args), getattr(args, "scenario", "legacy")
 
 
-def _print_report(report: RunReport) -> None:
+def _print_scenario(scenario: str | None) -> None:
+    if scenario is not None:
+        print(f"workload scenario         : {scenario}")
+
+
+def _print_report(report: RunReport, scenario: str | None = None) -> None:
     config = report.config
     print(f"algorithm                 : {report.algorithm}")
-    if config.scenario is not None:
-        print(f"workload scenario         : {config.scenario}")
+    _print_scenario(scenario)
     if report.subset_cache_stats is not None:
         stats = report.subset_cache_stats
         lookups = stats["hits"] + stats["misses"]
@@ -345,9 +349,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _system_config_from_args(args)
     documents, scenario = _load_or_generate(args)
-    config = config.with_overrides(scenario=scenario)
     report = TagCorrelationSystem(config).run(documents)
-    _print_report(report)
+    _print_report(report, scenario)
     return 0
 
 
@@ -355,10 +358,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     algorithms = [name.strip().upper() for name in args.algorithms.split(",") if name.strip()]
     configs = [_system_config_from_args(args, algorithm=name) for name in algorithms]
     documents, scenario = _load_or_generate(args)
+    _print_scenario(scenario)
     print(f"{'algorithm':>10} {'comm':>8} {'gini':>8} {'maxload':>9} "
           f"{'repart':>8} {'error':>8} {'coverage':>10}")
     for algorithm, config in zip(algorithms, configs):
-        config = config.with_overrides(scenario=scenario)
         report = TagCorrelationSystem(config).run(documents)
         print(
             f"{algorithm:>10} {report.communication_avg:>8.3f} {report.load_gini:>8.3f} "

@@ -262,10 +262,6 @@ class DisseminatorBolt(Bolt):
         return self._assignment
 
     @property
-    def current_epoch(self) -> int:
-        return self._installed_epoch
-
-    @property
     def staged_handoff(self) -> StagedRepartition | None:
         """The assignment awaiting a coordinated handoff, if any."""
         return self._staged

@@ -20,7 +20,6 @@ from ..store import COUNTER_STORES, DEFAULT_SPILL_THRESHOLD, TRACKER_STORES
 from ..core.partition import PartitionSeed
 from ..operators.controller import REPARTITION_POLICIES
 from ..streamsim.executors import EXECUTOR_NAMES
-from ..workloads.generator import SCENARIO_NAMES
 
 #: Auto-sized process executors never spawn more workers than this: beyond a
 #: handful of shards the Disseminator-side driver loop, not the Calculator
@@ -116,14 +115,6 @@ class SystemConfig:
     #: ``tracker_store="spill"``.
     tracker_spill_threshold: int | None = None
 
-    #: Which workload scenario produced the document stream this run
-    #: consumes (``workloads.SCENARIO_NAMES``), or ``None`` when unknown
-    #: (externally supplied documents).  Pure provenance metadata: it does
-    #: not change pipeline behaviour, but travels with the run's
-    #: ``RunReport.config`` so bench cells, traces and equivalence
-    #: fixtures stay attributable to their workload shape.
-    scenario: str | None = None
-
     #: Execution engine: ``"inline"`` runs the whole topology depth-first in
     #: this process; ``"process"`` shards the Calculator layer across
     #: ``multiprocessing`` workers (identical logical metrics, see
@@ -199,10 +190,6 @@ class SystemConfig:
             and self.tracker_spill_threshold < 1
         ):
             raise ValueError("tracker_spill_threshold must be at least 1")
-        if self.scenario is not None and self.scenario not in SCENARIO_NAMES:
-            raise ValueError(
-                f"scenario must be one of {', '.join(SCENARIO_NAMES)} (or None)"
-            )
         if self.executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"executor must be one of {', '.join(EXECUTOR_NAMES)}"

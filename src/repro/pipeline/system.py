@@ -64,7 +64,7 @@ from ..streamsim import (
     TopologyBuilder,
     make_executor,
 )
-from ..streamsim.gcpolicy import gc_policy
+from ..streamsim.gcpolicy import GcTally, gc_policy
 from .config import SystemConfig
 
 
@@ -72,7 +72,7 @@ from .config import SystemConfig
 class CalculatorFactory:
     """Picklable factory for the Calculators.
 
-    The process executor pickles the remote layer's factories into its
+    The process executor pickles the remote component's factory into its
     workers, so the Calculator factory cannot be a closure; a frozen
     dataclass carrying the constructor arguments is importable and
     picklable from any process.
@@ -360,7 +360,7 @@ class TagCorrelationSystem:
         return make_executor(
             self.config.executor,
             workers=self.config.resolved_workers(),
-            remote_components=(streams.CALCULATOR,),
+            remote_component=streams.CALCULATOR,
             queue_limit=self.config.service_queue_limit,
         )
 
@@ -426,15 +426,15 @@ class TagCorrelationSystem:
         with gc_policy(cluster.gc_tally):
             report = self._gather_report(cluster)
         # Read once the scope has closed, so the reporting phase's own
-        # passes are in the figures.
+        # passes are in the figures.  Only the process executor has
+        # worker processes to count.
+        workers = getattr(cluster.executor, "worker_gc_tally", GcTally())
         report.gc_passes = [
-            driver + workers
-            for driver, workers in zip(
-                cluster.gc_tally.passes, cluster.worker_gc_tally.passes
-            )
+            driver + worker
+            for driver, worker in zip(cluster.gc_tally.passes, workers.passes)
         ]
         report.timings["gc"] = cluster.gc_tally.pause_seconds
-        report.timings["gc_workers"] = cluster.worker_gc_tally.pause_seconds
+        report.timings["gc_workers"] = workers.pause_seconds
         report.timings["workers_busy"] = cluster.executor.workers_busy_seconds
         report.timings["remote_tail"] = cluster.executor.remote_tail_seconds
         return report

@@ -6,8 +6,8 @@ Both spilling stores — :class:`~repro.store.spill.SpillingCounterStore`
 subclasses: one run lifecycle that freezes an in-RAM hot segment into sorted
 RSC1 runs and answers reads from a merged view.  :class:`StoreConfig` is that
 lifecycle's tuning surface: where runs live, when to spill, how big a block
-is, how many cache blocks to pin, and at how many live runs the tracker
-store compacts.  It is also the handle that selects a spilling table:
+is, and at how many live runs the tracker store compacts.  It is also the
+handle that selects a spilling table:
 :func:`~repro.store.counter_table` and :func:`~repro.store.tracker_table`
 (and the Calculator and Tracker that call them) take ``StoreConfig | None``,
 where ``None`` means the in-RAM table.
@@ -42,8 +42,6 @@ class StoreConfig:
         Hot-segment entry count that triggers a spill.
     block_size:
         Target uncompressed bytes per run-file block.
-    cache_blocks:
-        Capacity of the store's LRU block cache.
     merge_fan_in:
         Live runs at which the tracker store compacts them into one (the
         counter store never merges).
@@ -52,7 +50,6 @@ class StoreConfig:
     spill_dir: str | None = None
     spill_threshold: int = DEFAULT_SPILL_THRESHOLD
     block_size: int = DEFAULT_BLOCK_SIZE
-    cache_blocks: int = DEFAULT_CACHE_BLOCKS
     merge_fan_in: int = DEFAULT_MERGE_FAN_IN
 
     def __post_init__(self) -> None:
@@ -60,7 +57,5 @@ class StoreConfig:
             raise ValueError("spill_threshold must be >= 1")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.cache_blocks < 1:
-            raise ValueError("cache_blocks must be >= 1")
         if self.merge_fan_in < 2:
             raise ValueError("merge_fan_in must be >= 2")

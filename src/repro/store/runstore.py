@@ -25,7 +25,7 @@ import tempfile
 import weakref
 from typing import Iterator
 
-from .config import StoreConfig
+from .config import DEFAULT_CACHE_BLOCKS, StoreConfig
 from .format import BlockCache, RunReader, merged_entries, write_run
 
 
@@ -54,7 +54,7 @@ class RunStore:
         self.config = config
         self._hot = hot
         self._runs: list[RunReader] = []
-        self._cache = BlockCache(config.cache_blocks)
+        self._cache = BlockCache(DEFAULT_CACHE_BLOCKS)
         self._dir: str | None = None
         self._finalizer = None
         self._sequence = 0

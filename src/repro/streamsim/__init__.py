@@ -15,9 +15,9 @@ format".
 
 Execution is pluggable (``executors.py``): the default ``InlineExecutor``
 runs everything depth-first in one process, while the
-``ShardedProcessExecutor`` shards a sink layer of components (the
-Calculator layer in the paper's topology) across ``multiprocessing``
-workers without changing any logical metric.
+``ShardedProcessExecutor`` shards one sink component (the Calculators in
+the paper's topology) across ``multiprocessing`` workers, behind
+driver-side proxy bolts, without changing any logical metric.
 """
 
 from .cluster import Cluster, ClusterContext, MessageAccounting, iter_bolts, run_topology
@@ -37,7 +37,6 @@ from .groupings import (
     DirectGrouping,
     FieldsGrouping,
     Grouping,
-    LocalGrouping,
     ShuffleGrouping,
 )
 from .topology import ComponentSpec, Subscription, Topology, TopologyBuilder
@@ -68,7 +67,6 @@ __all__ = [
     "IngestBackpressure",
     "IngestClosed",
     "InlineExecutor",
-    "LocalGrouping",
     "MessageAccounting",
     "OutputCollector",
     "ShardedProcessExecutor",

@@ -32,11 +32,12 @@ routes everything it emitted, then keeps draining the global FIFO queue
 until no tuple is in flight before polling the next spout.  This is
 equivalent to a Storm cluster that is never backlogged, which is the regime
 the paper's experiments operate in (their metrics are logical counts per
-document, not queueing delays).  The
-:class:`~repro.streamsim.executors.ShardedProcessExecutor` runs a sink layer
-of components across worker processes, shipping the same slot-tuple batches
-as its IPC unit; the cluster consults its executor at delivery, tick and
-flush time so remote tasks are serviced transparently.
+document, not queueing delays).  The cluster does not know where a task
+runs: the :class:`~repro.streamsim.executors.ShardedProcessExecutor` puts a
+proxy bolt in place of each task of its remote component at attach time,
+and the proxies forward deliveries and ticks to worker processes, so the
+cluster routes, accounts, ticks and flushes them like any other bolt.  It
+calls its executor only through ``attach`` and ``run``.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ class MessageAccounting:
     def link(self, producer: str, consumer: str) -> int:
         return self.per_link.get((producer, consumer), 0)
 
-    def merge(self, other: "MessageAccounting") -> None:
-        """Fold another accounting (e.g. one worker shard's) into this one.
-
-        Counts are additive, so merging is order-independent; the sharded
-        executor still merges shards in shard order for determinism of any
-        future non-commutative bookkeeping.
-        """
-        for key, count in other.per_link.items():
-            self.per_link[key] = self.per_link.get(key, 0) + count
-        for task_id, count in other.per_task.items():
-            self.per_task[task_id] = self.per_task.get(task_id, 0) + count
-        self.total += other.total
-
 
 @dataclass(slots=True)
 class TaskInfo:
@@ -106,8 +94,6 @@ class TaskInfo:
     collector: OutputCollector
     #: Whether the instance is a bolt (deliverable); set at deployment.
     is_bolt: bool = False
-    #: Whether the task is owned by the executor's remote layer.
-    is_remote: bool = False
 
 
 class ClusterContext:
@@ -166,12 +152,10 @@ class Cluster:
         self._handoff_requests: deque[tuple[int, tuple[str, ...]]] = deque()
         self.migration_stall_seconds = 0.0
         self.migration_failures: list[str] = []
-        #: Cyclic-GC passes while this cluster's run (and its report
-        #: collection) held the scoped GC policy: in this process — live,
-        #: the service daemon's ``stats`` reads it — and, merged in at
-        #: finalisation, in the process executor's workers.
+        #: Cyclic-GC passes in this process while this cluster's run (and
+        #: its report collection) held the scoped GC policy; live, the
+        #: service daemon's ``stats`` reads it.
         self.gc_tally = GcTally()
-        self.worker_gc_tally = GcTally()
         self._tasks: list[TaskInfo] = []
         self._tasks_by_component: dict[str, list[TaskInfo]] = {}
         self._create_tasks()
@@ -183,13 +167,10 @@ class Cluster:
         self._build_routes()
         self._context = ClusterContext(self)
         self._executor = executor
-        # The executor claims its remote tasks before any component is
-        # prepared: remote tasks then prepare in their workers only, and
-        # their prepare-time emissions are captured (and later relayed)
-        # worker-side.
+        # The executor may replace task instances before anything is
+        # prepared (the process executor's proxies, whose real bolts
+        # prepare in their workers).
         self._executor.attach(self)
-        for task in self._tasks:
-            task.is_remote = self._executor.owns(task.task_id)
         self._prepare_tasks()
 
     # ------------------------------------------------------------------ #
@@ -228,12 +209,6 @@ class Cluster:
 
     def _prepare_tasks(self) -> None:
         for task in self._tasks:
-            if task.is_remote:
-                # Remote tasks prepare inside their worker (the driver-side
-                # instance is an inert placeholder, replaced at finalise);
-                # preparing both copies would duplicate prepare-time
-                # emissions.
-                continue
             task.instance.prepare(
                 component_name=task.component,
                 task_index=task.task_index,
@@ -293,12 +268,6 @@ class Cluster:
     def process(self, message: TupleMessage, component: str, task_index: int = 0) -> None:
         """Inject a tuple directly into one bolt task (useful in tests)."""
         task = self.tasks_of(component)[task_index]
-        if task.is_remote:
-            raise RuntimeError(
-                f"cannot inject into {component!r}: it is owned by the "
-                f"remote layer of {type(self._executor).__name__}; use the "
-                "inline executor for direct-injection tests"
-            )
         if not task.is_bolt:
             raise RuntimeError(f"cannot deliver tuples to spout {component!r}")
         self._deliver(task, [message])
@@ -416,14 +385,10 @@ class Cluster:
         while True:
             released = 0
             for task in self._tasks:
-                if task.is_remote or not task.is_bolt:
+                if not task.is_bolt:
                     continue
                 task.instance.flush()  # type: ignore[union-attr]
                 released += self._route_emissions(task)
-            drain()
-            # Remote bolts flush in their workers; their buffered emissions
-            # are relayed here and routed like any other batch.
-            released += self._executor.flush_remote()
             drain()
             if not released:
                 return
@@ -447,9 +412,10 @@ class Cluster:
         The protocol is duck-typed against the requesting bolt
         (``staged_handoff`` / ``commit_staged`` / ``abort_staged``) and the
         migrating layers' bolts (``prepare_migration`` / ``commit_migration``
-        / ``abort_migration``).  Those bolts must live in the driver: a layer
-        owned by the executor's remote layer is refused with a
-        ``RuntimeError`` before anything is quiesced.
+        / ``abort_migration``).  A layer whose bolts have no
+        ``prepare_migration`` — a process executor's remote proxies among
+        them — is refused with a ``RuntimeError`` before anything is
+        quiesced.
 
         Phase 1 (*prepare*) is side-effect-free on every participant, so a
         raise aborts the whole handoff with all state and the old
@@ -467,11 +433,11 @@ class Cluster:
             return
         tasks = [task for name in components for task in self.tasks_of(name)]
         for task in tasks:
-            if task.is_remote:
+            if not hasattr(task.instance, "prepare_migration"):
                 raise RuntimeError(
-                    f"cannot hand off state of {task.component!r}: its tasks "
-                    f"run in the {self._executor.name!r} executor's remote "
-                    "layer, and a state handoff runs on driver-side bolts only"
+                    f"cannot hand off state of {task.component!r}: its bolts "
+                    "have no prepare_migration (a state handoff runs on "
+                    "driver-side bolts only)"
                 )
         started = time.perf_counter()
         # Quiesce: everything in flight — including buffered notification
@@ -511,11 +477,6 @@ class Cluster:
         self.migration_stall_seconds += stall
 
     def _deliver(self, task: TaskInfo, messages: Sequence[TupleMessage]) -> None:
-        if task.is_remote:
-            # Remote tasks account for their own deliveries; the shard's
-            # accounting is merged back at finalisation.
-            self._executor.deliver_remote(task, messages)
-            return
         if not task.is_bolt:
             raise RuntimeError(f"cannot deliver tuples to spout {task.component!r}")
         self.accounting.record_batch(
@@ -540,13 +501,10 @@ class Cluster:
 
     def _tick_all(self) -> None:
         for task in self._tasks:
-            if task.is_remote or not task.is_bolt:
+            if not task.is_bolt:
                 continue
             task.instance.tick(self.current_time)  # type: ignore[union-attr]
             self._route_emissions(task)
-        # Remote bolts receive the tick through their shard queues, in the
-        # same order relative to their deliveries as the inline engine.
-        self._executor.tick_remote(self.current_time)
 
 
 def run_topology(

@@ -23,47 +23,51 @@ pushed through the deployed graph is the job of an :class:`Executor`:
 
 Sharding model
 --------------
-*Remote layer.*  Tasks of each remote component are assigned round-robin to
-worker shards (``task_index % workers``).  A remote stream may feed another
-remote component or a *terminal* driver-side one (nothing subscribes to its
-streams — the Tracker); anything else is rejected at attach time, because
-relayed tuples arrive late and must not re-enter the pipeline.
+*Remote layer.*  One bolt component (the Calculators in the paper's
+topology) runs in the workers; its tasks are assigned round-robin to worker
+shards (``task_index % workers``).  A remote stream may feed only a
+*terminal* driver-side component (nothing subscribes to its streams — the
+Tracker); anything else, the remote component subscribing to itself
+included, is rejected at attach time, because relayed tuples arrive late
+and must not re-enter the pipeline.
 
-*Driver → worker.*  Every link batch the driver would deliver to a remote
-task goes to its shard's input queue instead.  The IPC unit is the
-slot-tuple batch the inline engine hands to ``execute_batch``; slot tuples
-pickle as plain value tuples plus an interned schema reference.  Clock
-ticks are broadcast on the same FIFO queues, so each remote bolt observes
-exactly the inline interleaving of *driver-routed* deliveries and ticks.
+*Proxies.*  At attach time every remote task's instance is replaced by a
+driver-side proxy bolt, so the cluster routes, accounts, ticks and flushes
+remote tasks like any other and never learns where they run.  A proxy's
+``execute_batch`` ships the link batch to its shard's input queue (the IPC
+unit is the slot-tuple batch the inline engine hands to ``execute_batch``;
+slot tuples pickle as plain value tuples plus an interned schema
+reference), the layer's lowest-id proxy forwards each clock tick to every
+shard on the same FIFO queues — so each remote bolt observes exactly the
+inline interleaving of driver-routed deliveries and ticks — and its
+``flush`` does nothing.
 
 *Worker → driver.*  Remote bolts never route; a worker buffers the emission
-batches they produce.  The one *relay point* is the end-of-stream flush:
-each flush pass collects the buffers and the driver routes them shard by
-shard through the normal routing and accounting machinery.  This is the
-one semantic difference from inline: a consumer of a remote
-stream (the Tracker, for the Calculators' report batches) receives those
-tuples after the stream ends rather than interleaved with ticks, so it must
-be insensitive to delivery time — asserted end to end by the
-executor-equivalence tests.
-
-*Finalisation.*  Each shard first drains its bolts in-process — bolts
-exposing ``drain_payload()`` (the Calculators) report their remaining
-counters and the shard ships the ``(tagset, jaccard, support)`` triples, not
-the tables — which :meth:`Executor.drained_results` hands to the pipeline
-for replay into the Tracker in driver task order (the inline drain order).
-Then it returns its bolts, its per-shard ``MessageAccounting``, its GC tally
-(``gcpolicy.py``) and its busy seconds; the driver merges those and
-re-installs the bolts, so post-run inspection stays executor-agnostic.
+batches they produce.  After the drive loop's end-of-stream flush, each
+shard gets one ``_FINALIZE`` request: it flushes its bolts and answers with
+three replies, each released before the next is built — its buffered
+emissions, which the driver routes shard by shard through the normal
+routing and accounting machinery (the one *relay point*); the
+``(tagset, jaccard, support)`` triples of its bolts exposing
+``drain_payload()`` (the Calculators drain in-process and ship triples, not
+tables), which :meth:`Executor.drained_results` hands to the pipeline for
+replay into the Tracker in driver task order (the inline drain order); and
+its bolts, GC tally (``gcpolicy.py``) and busy seconds, which the driver
+re-installs in place of the proxies, so post-run inspection stays
+executor-agnostic.  A consumer of a remote stream (the Tracker, for the
+Calculators' report batches) therefore receives those tuples after the
+stream ends rather than interleaved with ticks, so it must be insensitive
+to delivery time — asserted end to end by the executor-equivalence tests.
 Only *state* crosses the pipe, never data derived from it: a
 subset-enumeration cache pickles its bounds and counters and comes back
 empty, a drained counter table is empty, and every returned bolt is a few
 kilobytes (``tests/pipeline/test_process_tail.py``).
 
-Because routing decisions, clock advancement and all driver-side metrics are
-computed before a tuple crosses the process boundary, a sharded run reports
-the same logical metrics as an inline run
+Because routing decisions, clock advancement and all message accounting
+happen in the driver before a tuple crosses the process boundary, a
+sharded run reports the same logical metrics as an inline run
 (``tests/pipeline/test_executor_equivalence.py``).  Remote operator state
-must be picklable: worker startup pickles the component factories and
+must be picklable: worker startup pickles the component factory and
 finalisation pickles the bolts back (minus their collector, and with a
 :class:`StaticContext` instead of the live cluster context).
 """
@@ -86,14 +90,11 @@ from .gcpolicy import GcTally, gc_policy
 from .tuples import EmissionBatch, OutputCollector, TupleMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .cluster import Cluster, MessageAccounting, TaskInfo
+    from .cluster import Cluster, TaskInfo
 
 #: Wire protocol of the driver→worker queues.
 _MSG = "msg"
 _TICK = "tick"
-_FLUSH = "flush"
-_COLLECT = "collect"
-_DRAIN = "drain"
 _FINALIZE = "finalize"
 _STOP = "stop"
 
@@ -101,11 +102,10 @@ _STOP = "stop"
 class Executor(abc.ABC):
     """Drives a deployed cluster to completion.
 
-    The cluster calls back into its executor at four points: task delivery
-    (:meth:`owns` / :meth:`deliver_remote`), clock ticks
-    (:meth:`tick_remote`) and end-of-stream flushing (:meth:`flush_remote`).
-    The base class implements the no-remote-layer behaviour, so an executor
-    that runs everything in the driver only provides :meth:`run`.
+    The cluster hands its executor the deployed graph once, before any
+    component is prepared (:meth:`attach`), and then hands it the run
+    (:meth:`run`); where a task's work happens is the executor's business,
+    not the cluster's.
     """
 
     #: Registry name, as used by ``SystemConfig.executor`` and the CLI.
@@ -122,30 +122,6 @@ class Executor(abc.ABC):
     @abc.abstractmethod
     def run(self, cluster: "Cluster", max_spout_calls: int | None = None) -> int:
         """Run until every spout is exhausted; returns productive spout calls."""
-
-    # ------------------------------------------------------------------ #
-    # Remote-layer hooks (no-ops without a remote layer)
-    # ------------------------------------------------------------------ #
-    def owns(self, task_id: int) -> bool:
-        """Whether deliveries to ``task_id`` bypass the inline bolt."""
-        return False
-
-    def deliver_remote(
-        self, task: "TaskInfo", messages: Sequence[TupleMessage]
-    ) -> None:
-        """Ship one link batch to the remote instance of an owned task."""
-        raise NotImplementedError(f"{type(self).__name__} owns no remote tasks")
-
-    def tick_remote(self, simulation_time: float) -> None:
-        """Propagate a simulated-clock tick to the remote layer."""
-
-    def flush_remote(self) -> int:
-        """Flush the remote layer and relay its buffered emissions.
-
-        Returns the number of emissions released back into the driver (the
-        cluster keeps flushing until a full pass releases nothing anywhere).
-        """
-        return 0
 
     def drained_results(self) -> dict[int, list]:
         """End-of-run results drained *inside* the remote layer, per task.
@@ -247,10 +223,11 @@ class WorkerSpec:
     """Everything one shard worker needs to build its slice of the layer."""
 
     shard_index: int
-    #: ``(task_id, task_index, component)`` of every task this shard owns.
-    tasks: list[tuple[int, int, str]]
-    #: Picklable component factories, keyed by component name.
-    factories: dict[str, Callable[[], Any]]
+    #: The remote component and its picklable factory.
+    component: str
+    factory: Callable[[], Any]
+    #: ``(task_id, task_index)`` of every task this shard owns.
+    tasks: list[tuple[int, int]]
     context: StaticContext
 
 
@@ -259,7 +236,6 @@ class ShardResult:
     """Final state one shard returns to the driver at finalisation."""
 
     shard_index: int
-    accounting: "MessageAccounting"
     #: The shard's bolt instances keyed by global task id (collector
     #: stripped; the driver re-attaches its own).
     bolts: dict[int, Bolt]
@@ -284,18 +260,14 @@ def _serve_shard(
 ) -> None:
     """Worker-process main loop: build the shard's bolts, then serve requests.
 
-    Requests arrive on ``inbox`` in driver order — link-batch deliveries,
-    clock ticks, flush passes, emission collections — and the worker applies
-    them to its bolts exactly as the inline engine would, buffering every
-    emission batch the bolts produce until the driver asks for it.
+    Requests arrive on ``inbox`` in driver order — link-batch deliveries
+    and clock ticks — and the worker applies them to its bolts exactly as
+    the inline engine would, buffering every emission batch the bolts
+    produce until the end-of-stream ``_FINALIZE``.
     """
-    from .cluster import MessageAccounting
-
     try:
         bolts: dict[int, Bolt] = {}
-        components: dict[int, str] = {}
         emissions: list[tuple[int, EmissionBatch]] = []
-        accounting = MessageAccounting()
         busy = 0.0
         clock = time.perf_counter
 
@@ -305,19 +277,16 @@ def _serve_shard(
             for batch in collector.drain():
                 emissions.append((task_id, batch))
 
-        for task_id, task_index, component in spec.tasks:
-            bolt = spec.factories[component]()
-            if not isinstance(bolt, Bolt):
-                raise TypeError(f"remote component {component!r} is not a bolt")
+        for task_id, task_index in spec.tasks:
+            bolt = spec.factory()
             bolt.prepare(
-                component_name=component,
+                component_name=spec.component,
                 task_index=task_index,
                 task_id=task_id,
-                collector=OutputCollector(component, task_id),
+                collector=OutputCollector(spec.component, task_id),
                 context=spec.context,
             )
             bolts[task_id] = bolt
-            components[task_id] = component
             drain(task_id)
 
         while True:
@@ -326,12 +295,6 @@ def _serve_shard(
             kind = request[0]
             if kind == _MSG:
                 _, task_id, messages = request
-                accounting.record_batch(
-                    messages[0].source_component,
-                    components[task_id],
-                    task_id,
-                    len(messages),
-                )
                 bolts[task_id].execute_batch(messages)
                 drain(task_id)
             elif kind == _TICK:
@@ -339,32 +302,33 @@ def _serve_shard(
                 for task_id, bolt in bolts.items():
                     bolt.tick(request[1])
                     drain(task_id)
-            elif kind == _FLUSH:
+            elif kind == _FINALIZE:
+                # The end-of-stream exchange.  Each reply is dropped here
+                # before the next is built, so the shard never holds its
+                # relayed emissions, its drained triples and its pickled
+                # bolts at once.
                 for task_id, bolt in bolts.items():
                     bolt.flush()
                     drain(task_id)
-            elif kind == _COLLECT:
                 outbox.put(("emissions", spec.shard_index, emissions))
                 emissions = []
-            elif kind == _DRAIN:
-                # End-of-run drain runs *inside* the worker: the shard ships
-                # final results (small triple lists) instead of the counter
-                # tables that produced them, and the tables are emptied
-                # before the bolts themselves are pickled back at
-                # finalisation.
-                drained: dict[int, list] = {}
-                for task_id, bolt in bolts.items():
-                    payload = getattr(bolt, "drain_payload", None)
-                    if payload is not None:
-                        drained[task_id] = payload()
+                # The drain runs *inside* the worker: the shard ships final
+                # results (small triple lists) instead of the counter tables
+                # that produced them, and the tables are emptied before the
+                # bolts themselves are pickled back.
+                drained = {
+                    task_id: bolt.drain_payload()
+                    for task_id, bolt in bolts.items()
+                    if hasattr(bolt, "drain_payload")
+                }
                 outbox.put(("drained", spec.shard_index, drained))
-            elif kind == _FINALIZE:
+                del drained
                 for bolt in bolts.values():
                     bolt.collector = None  # the driver re-attaches its own
                 busy += clock() - started
                 outbox.put(
                     ("result", spec.shard_index,
-                     ShardResult(spec.shard_index, accounting, bolts, gc_tally, busy))
+                     ShardResult(spec.shard_index, bolts, gc_tally, busy))
                 )
                 return
             elif kind == _STOP:
@@ -378,37 +342,60 @@ def _serve_shard(
         outbox.put(("error", spec.shard_index, traceback.format_exc()))
 
 
+class _RemoteBolt(Bolt):
+    """Driver-side stand-in for a task that runs in a shard worker.
+
+    The cluster delivers to it, ticks it and flushes it like any bolt.  It
+    ships deliveries to its task's shard; the layer's lowest-id proxy
+    forwards each tick to every shard, so a shard sees one tick per clock
+    tick; flushing is left to the end-of-stream exchange.
+    """
+
+    def __init__(
+        self,
+        executor: "ShardedProcessExecutor",
+        task: "TaskInfo",
+        forwards_ticks: bool,
+    ) -> None:
+        super().__init__()
+        self._executor = executor
+        self._task = task
+        self._forwards_ticks = forwards_ticks
+
+    def execute(self, message: TupleMessage) -> None:
+        self.execute_batch([message])
+
+    def execute_batch(self, messages: Sequence[TupleMessage]) -> None:
+        self._executor.deliver_remote(self._task, messages)
+
+    def tick(self, simulation_time: float) -> None:
+        if self._forwards_ticks:
+            self._executor.tick_remote(simulation_time)
+
+
 class ShardedProcessExecutor(Executor):
-    """Runs a downstream layer of components across ``multiprocessing`` workers.
+    """Runs one downstream component's tasks across ``multiprocessing`` workers.
 
     Parameters
     ----------
     workers:
-        Requested shard count; clamped to the widest remote component's
+        Requested shard count; clamped to the remote component's
         parallelism (a worker with no tasks would only burn a process).
-    remote_components:
-        Component names forming the remote layer.  Must be a sink layer:
-        only a terminal driver-side component may subscribe to their
-        streams (their emissions are relayed only at end-of-stream).
-        Components absent from the topology are ignored; with none present
-        the executor degrades to the inline loop.
+    remote_component:
+        The bolt component forming the remote layer; it must be in the
+        topology.  Only a terminal driver-side component may subscribe to
+        its streams (its emissions are relayed only at end of stream).
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        remote_components: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, workers: int = 2, remote_component: str = "") -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if not remote_components:
-            raise ValueError(
-                "ShardedProcessExecutor needs at least one remote component"
-            )
+        if not remote_component:
+            raise ValueError("ShardedProcessExecutor needs a remote component")
         self.requested_workers = workers
-        self.remote_components = tuple(remote_components)
+        self.remote_component = remote_component
         self._cluster: "Cluster | None" = None
         self._owner: dict[int, int] = {}
         self._pending: list[list[tuple]] = []
@@ -418,38 +405,38 @@ class ShardedProcessExecutor(Executor):
         self._started = False
         self._finished = False
         self._drained: dict[int, list] = {}
+        #: Cyclic-GC passes inside the workers, merged in at finalisation.
+        self.worker_gc_tally = GcTally()
         #: Shard count actually used (set at attach time).
         self.effective_workers = 0
 
-    # ------------------------------------------------------------------ #
-    # Cluster-facing hooks
-    # ------------------------------------------------------------------ #
     def attach(self, cluster: "Cluster") -> None:
+        """Validate the remote layer and put a proxy in place of each task."""
         if self._cluster is not None:
             raise RuntimeError(
                 "executor already attached; use one executor per cluster"
             )
+        component = self.remote_component
+        spec = cluster.topology.components.get(component)
+        if spec is None:
+            raise ValueError(
+                f"remote component {component!r} is not in the topology"
+            )
+        if spec.is_spout:
+            raise ValueError(f"remote component {component!r} is not a bolt")
+        self._check_layer_is_sink(cluster)
         self._cluster = cluster
-        layers: dict[str, list["TaskInfo"]] = {}
-        for component in self.remote_components:
-            try:
-                layers[component] = cluster.tasks_of(component)
-            except KeyError:
-                continue  # optional component not in this topology
-        if not layers:
-            return  # nothing to shard: behave like the inline engine
-        self._check_layer_is_sink(cluster, layers)
-        widest = max(len(tasks) for tasks in layers.values())
-        n = max(1, min(self.requested_workers, widest))
+        tasks = cluster.tasks_of(component)
+        n = min(self.requested_workers, len(tasks))
         self.effective_workers = n
-        for tasks in layers.values():
-            for task in tasks:
-                self._owner[task.task_id] = task.task_index % n
+        for task in tasks:
+            self._owner[task.task_id] = task.task_index % n
+            task.instance = _RemoteBolt(self, task, forwards_ticks=task is tasks[0])
         self._pending = [[] for _ in range(n)]
 
-    def owns(self, task_id: int) -> bool:
-        return task_id in self._owner
-
+    # ------------------------------------------------------------------ #
+    # The proxies' hooks
+    # ------------------------------------------------------------------ #
     def deliver_remote(
         self, task: "TaskInfo", messages: Sequence[TupleMessage]
     ) -> None:
@@ -462,17 +449,18 @@ class ShardedProcessExecutor(Executor):
             self._send(shard, (_TICK, simulation_time))
 
     def flush_remote(self) -> int:
-        if not self._started:
-            return 0
+        """The end-of-stream exchange: ``_FINALIZE`` every shard and route
+        the emissions they relay, shard by shard.
+
+        Returns the number of emissions released back into the driver.
+        """
         assert self._cluster is not None
         for inbox in self._inboxes:
-            inbox.put((_FLUSH,))
-            inbox.put((_COLLECT,))
+            inbox.put((_FINALIZE,))
         released = 0
         for shard in range(self.effective_workers):
-            for task_id, batch in self._receive(shard, "emissions"):
-                producer = self._cluster.task(task_id).component
-                self._cluster._route_batch(producer, batch)
+            for _, batch in self._receive(shard, "emissions"):
+                self._cluster._route_batch(self.remote_component, batch)
                 released += len(batch.messages)
         return released
 
@@ -482,8 +470,6 @@ class ShardedProcessExecutor(Executor):
     def run(self, cluster: "Cluster", max_spout_calls: int | None = None) -> int:
         if cluster is not self._cluster:
             raise RuntimeError("executor is not attached to this cluster")
-        if not self._owner:
-            return self._drive(cluster, max_spout_calls=max_spout_calls)
         if self._finished:
             # A second run would rebuild the workers from their factories
             # and silently zero the remote state merged back by the first
@@ -496,6 +482,11 @@ class ShardedProcessExecutor(Executor):
         self._start_workers(cluster)
         try:
             productive = self._drive(cluster, max_spout_calls=max_spout_calls)
+            if self.flush_remote():
+                # Deliver the relayed batches, then flush once more, as the
+                # inline end-of-stream flush would after they were released.
+                cluster._drain_queue()
+                cluster._flush_bolts(cluster._drain_queue)
             self._finalize(cluster)
             self.remote_tail_seconds = time.perf_counter() - self._spouts_done
             return productive
@@ -531,22 +522,20 @@ class ShardedProcessExecutor(Executor):
                 task.task_id: task.component for task in cluster._tasks
             },
         )
-        shard_tasks: list[list[tuple[int, int, str]]] = [
+        component = self.remote_component
+        shard_tasks: list[list[tuple[int, int]]] = [
             [] for _ in range(self.effective_workers)
         ]
-        shard_components: list[set[str]] = [set() for _ in range(self.effective_workers)]
-        for task_id, shard in sorted(self._owner.items()):
-            task = cluster.task(task_id)
-            shard_tasks[shard].append((task.task_id, task.task_index, task.component))
-            shard_components[shard].add(task.component)
+        for task in cluster.tasks_of(component):
+            shard_tasks[self._owner[task.task_id]].append(
+                (task.task_id, task.task_index)
+            )
         for shard in range(self.effective_workers):
             spec = WorkerSpec(
                 shard_index=shard,
+                component=component,
+                factory=cluster.topology.components[component].factory,
                 tasks=shard_tasks[shard],
-                factories={
-                    name: cluster.topology.components[name].factory
-                    for name in shard_components[shard]
-                },
                 context=context,
             )
             try:
@@ -554,8 +543,7 @@ class ShardedProcessExecutor(Executor):
             except Exception as exc:
                 raise RuntimeError(
                     "the process executor requires picklable factories and "
-                    f"state for the remote layer ({sorted(shard_components[shard])}): "
-                    f"{exc}"
+                    f"state for the remote layer ({component!r}): {exc}"
                 ) from exc
             inbox = ctx.Queue()
             outbox = ctx.Queue()
@@ -604,25 +592,17 @@ class ShardedProcessExecutor(Executor):
         return self._drained
 
     def _finalize(self, cluster: "Cluster") -> None:
-        """Deterministically merge per-shard state back into the cluster.
+        """Take the rest of the end-of-stream exchange, shard by shard.
 
-        The remote layer is drained worker-side first — each shard ships
-        its bolts' final results (small) rather than the counter tables
-        that produced them — and only then are the (now-empty) bolts and
-        the accounting pickled back.  Shards are processed in shard order,
-        so neither step depends on worker scheduling; the pipeline replays
-        the drained results in driver task order.
+        Each shard's drained triples are kept for the pipeline, which
+        replays them in driver task order; its bolts replace their proxies.
+        Shards are processed in shard order, so nothing here depends on
+        worker scheduling.
         """
-        for inbox in self._inboxes:
-            inbox.put((_DRAIN,))
         for shard in range(self.effective_workers):
             self._drained.update(self._receive(shard, "drained"))
-        for inbox in self._inboxes:
-            inbox.put((_FINALIZE,))
-        for shard in range(self.effective_workers):
             result: ShardResult = self._receive(shard, "result")
-            cluster.accounting.merge(result.accounting)
-            cluster.worker_gc_tally.merge(result.gc_tally)
+            self.worker_gc_tally.merge(result.gc_tally)
             self.workers_busy_seconds += result.busy_seconds
             for task_id in sorted(result.bolts):
                 bolt = result.bolts[task_id]
@@ -640,8 +620,16 @@ class ShardedProcessExecutor(Executor):
                 inbox.put((_STOP,))
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
+        for proc, outbox in zip(self._procs, self._outboxes):
+            deadline = time.monotonic() + 5.0
+            while proc.is_alive() and time.monotonic() < deadline:
+                # A worker exits only once its queued replies are in the
+                # pipe, so the ones a failed run left unread are dropped
+                # here rather than blocking its exit.
+                try:
+                    outbox.get_nowait()
+                except queue_module.Empty:
+                    proc.join(timeout=0.01)
             if proc.is_alive():  # pragma: no cover - only on worker hangs
                 proc.terminate()
                 proc.join(timeout=1.0)
@@ -656,30 +644,26 @@ class ShardedProcessExecutor(Executor):
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
-    def _check_layer_is_sink(
-        self, cluster: "Cluster", layers: dict[str, list["TaskInfo"]]
-    ) -> None:
-        """A remote stream may leave the layer only for a terminal consumer.
+    def _check_layer_is_sink(self, cluster: "Cluster") -> None:
+        """A remote stream may feed only a terminal driver-side consumer.
 
-        Relayed batches arrive late (at the end-of-stream flush), so
-        whatever a driver-side consumer emitted in response would re-enter
-        the pipeline out of order; a component nobody subscribes to cannot.
+        Relayed batches arrive late (at the end-of-stream exchange), so
+        whatever their consumer emitted in response would re-enter the
+        pipeline out of order; a component nobody subscribes to cannot.
+        The remote component itself is a producer, so it may not consume
+        its own streams either.
         """
-        remote = set(layers)
-        producers = {sub.producer for sub in cluster.topology.subscriptions}
-        for subscription in cluster.topology.subscriptions:
+        subscriptions = cluster.topology.subscriptions
+        producers = {sub.producer for sub in subscriptions}
+        for subscription in subscriptions:
             consumer = subscription.consumer
-            if (
-                subscription.producer in remote
-                and consumer not in remote
-                and consumer in producers
-            ):
+            if subscription.producer == self.remote_component and consumer in producers:
                 raise ValueError(
-                    f"remote component {subscription.producer!r} feeds "
-                    f"driver-side component {consumer!r}, which feeds others "
-                    "in turn; the sharded layer must be a sink layer (its "
-                    "emissions are only relayed at end of stream, so only a "
-                    "terminal driver-side component may consume them)"
+                    f"remote component {self.remote_component!r} feeds "
+                    f"{consumer!r}, which feeds others in turn; the remote "
+                    "layer must be a sink layer (its emissions are only "
+                    "relayed at end of stream, so only a terminal "
+                    "driver-side component may consume them)"
                 )
 
 
@@ -769,6 +753,9 @@ class AsyncServiceExecutor(Executor):
         expires) with ``queue_limit`` batches already pending.
         """
         batch = list(documents)
+        # One deadline for the whole call: a wakeup that finds the queue
+        # full again (another submitter took the slot) must not restart it.
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_full:
             while True:
                 if self._draining:
@@ -781,7 +768,9 @@ class AsyncServiceExecutor(Executor):
                     raise IngestBackpressure(
                         f"ingest queue is full ({self.queue_limit} batches pending)"
                     )
-                if not self._not_full.wait(timeout=timeout):
+                remaining = None if deadline is None else deadline - time.monotonic()
+                # A spent deadline (remaining <= 0) makes wait() return False.
+                if not self._not_full.wait(timeout=remaining):
                     raise IngestBackpressure(
                         f"ingest queue stayed full for {timeout}s "
                         f"({self.queue_limit} batches pending)"
@@ -877,7 +866,7 @@ EXECUTOR_NAMES = (
 def make_executor(
     name: str,
     workers: int = 2,
-    remote_components: Sequence[str] = (),
+    remote_component: str = "",
     queue_limit: int = DEFAULT_SERVICE_QUEUE_LIMIT,
 ) -> Executor:
     """Build an executor by registry name (``"inline"``, ``"process"`` or
@@ -886,8 +875,7 @@ def make_executor(
         return InlineExecutor()
     if name == ShardedProcessExecutor.name:
         return ShardedProcessExecutor(
-            workers=workers,
-            remote_components=remote_components,
+            workers=workers, remote_component=remote_component
         )
     if name == AsyncServiceExecutor.name:
         return AsyncServiceExecutor(queue_limit=queue_limit)

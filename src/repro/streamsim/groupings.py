@@ -3,8 +3,7 @@
 Storm offers several rules for distributing the tuples of a producing
 component over the multiple task instances of a consuming bolt
 (Section 6.1 of the paper).  The simulator implements the ones the paper's
-topology uses — shuffle, fields, all, direct — plus local grouping, which in
-a single-process simulation behaves like shuffle.
+topology uses — shuffle, fields, all, direct.
 
 With the slot-tuple wire format the cluster routes :class:`EmissionBatch`
 lists, calling :meth:`Grouping.select_batch` **once per batch** per
@@ -184,6 +183,3 @@ class DirectGrouping(Grouping):
             f"got a broadcast emission from {message.source_component!r}"
         )
 
-
-class LocalGrouping(ShuffleGrouping):
-    """Local-or-shuffle grouping; identical to shuffle in a single process."""

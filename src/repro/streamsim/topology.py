@@ -26,7 +26,6 @@ from .groupings import (
     DirectGrouping,
     FieldsGrouping,
     Grouping,
-    LocalGrouping,
     ShuffleGrouping,
 )
 from .tuples import DEFAULT_STREAM, StreamSchema
@@ -68,13 +67,6 @@ class Topology:
 
     def bolts(self) -> list[ComponentSpec]:
         return [spec for spec in self.components.values() if not spec.is_spout]
-
-    def subscribers_of(self, producer: str, stream: str) -> list[Subscription]:
-        return [
-            subscription
-            for subscription in self.subscriptions
-            if subscription.producer == producer and subscription.stream == stream
-        ]
 
     def validate(self) -> None:
         """Check that every subscription references declared components."""
@@ -127,10 +119,6 @@ class _BoltDeclarer:
 
     def direct_grouping(self, producer: str, stream: str = DEFAULT_STREAM) -> "_BoltDeclarer":
         self._builder._subscribe(self._name, producer, stream, DirectGrouping())
-        return self
-
-    def local_grouping(self, producer: str, stream: str = DEFAULT_STREAM, seed: int = 0) -> "_BoltDeclarer":
-        self._builder._subscribe(self._name, producer, stream, LocalGrouping(seed))
         return self
 
 

@@ -225,6 +225,8 @@ class TestCompare:
         output = capsys.readouterr().out
         assert "DS" in output and "SCL" in output
         assert "comm" in output
+        # The command prints the scenario it generated the stream from.
+        assert "workload scenario         : legacy" in output
 
 
 class TestConnectivityAndTheory:

@@ -38,7 +38,6 @@ class TestValidation:
             {"spill_threshold": 0},
             {"tracker_store": "disk"},
             {"tracker_spill_threshold": 0},
-            {"scenario": "viral"},
             {"service_queue_limit": 0},
         ],
     )

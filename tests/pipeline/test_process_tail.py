@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.operators import TrackerBolt, streams
+from repro.operators import CalculatorBolt, TrackerBolt, streams
 from repro.pipeline import SystemConfig, TagCorrelationSystem
 from repro.streamsim import ShardedProcessExecutor
 from repro.workloads import TwitterLikeGenerator, WorkloadConfig
@@ -107,7 +107,6 @@ class TestWhatCrossesThePipe:
     def test_tracker_never_left_the_driver(self, process_run):
         report, _, cluster, constructed, _ = process_run
         (task,) = cluster.tasks_of(streams.TRACKER)
-        assert not task.is_remote
         assert task.instance is constructed
         assert len(constructed) == report.coefficients_reported
 
@@ -120,15 +119,28 @@ class TestWhatCrossesThePipe:
 
 
 class TestWorkerDeath:
-    """SIGKILL one shard worker once it holds report batches: ``run()``
-    raises within the liveness timeout of the blocking flush receive and
-    leaves no child process and no spill directory."""
+    """SIGKILL one shard worker around the end-of-stream exchange:
+    ``run()`` raises within the liveness timeout of the blocking receive
+    and leaves no child process and no spill directory."""
 
-    @pytest.mark.parametrize("flush_pass", [1, 2])
-    def test_killed_worker_fails_the_run(self, documents, tmp_path, flush_pass):
-        """Pass 1: the worker dies with its report batches still buffered.
-        Pass 2: the first pass relayed them (the Tracker ingested and
-        spilled); the worker dies before the second waits for its reply."""
+    @pytest.mark.parametrize("kill_point", ["exchange", "drained"])
+    def test_killed_worker_fails_the_run(
+        self, documents, tmp_path, monkeypatch, kill_point
+    ):
+        """``exchange``: the worker dies before the end-of-stream exchange,
+        with its report batches still buffered.  ``drained``: the driver
+        routed the relayed batches (the Tracker ingested and spilled); the
+        worker dies before its drained reply, which it is kept from sending
+        by a drain that stalls in shard 1's process (forked after the
+        patch)."""
+        drain_payload = CalculatorBolt.drain_payload
+
+        def stalling_drain(bolt):
+            if multiprocessing.current_process().name == "repro-shard-1":
+                time.sleep(60.0)
+            return drain_payload(bolt)
+
+        monkeypatch.setattr(CalculatorBolt, "drain_payload", stalling_drain)
         system = TagCorrelationSystem(_config(
             executor="process", workers=2,
             tracker_store="spill", tracker_spill_threshold=64,
@@ -137,29 +149,38 @@ class TestWorkerDeath:
         cluster = system.build_cluster(documents)
         executor = cluster.executor
         flush_remote = executor.flush_remote
-        passes = 0
+        receive = executor._receive
         killed_at: list[float] = []
         spill_dirs_at_kill: list[int] = []
 
+        def kill_worker():
+            worker = executor._procs[1]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+            killed_at.append(time.monotonic())
+            spill_dirs_at_kill.append(len(os.listdir(tmp_path)))
+
         def killing_flush():
-            nonlocal passes
-            passes += 1
-            if passes == flush_pass:
-                worker = executor._procs[1]
-                os.kill(worker.pid, signal.SIGKILL)
-                worker.join(timeout=5.0)
-                assert not worker.is_alive()
-                killed_at.append(time.monotonic())
-                spill_dirs_at_kill.append(len(os.listdir(tmp_path)))
+            if kill_point == "exchange":
+                kill_worker()
             return flush_remote()
 
+        def killing_receive(shard, expected):
+            if kill_point == "drained" and expected == "drained" and not killed_at:
+                kill_worker()
+            return receive(shard, expected)
+
         executor.flush_remote = killing_flush
+        executor._receive = killing_receive
         with pytest.raises(RuntimeError, match="died without reporting a result"):
             cluster.run()
-        assert time.monotonic() - killed_at[0] < 10.0
-        # At pass 2 the Tracker held a live store when the worker died.
-        assert spill_dirs_at_kill == [flush_pass - 1]
+        # One liveness poll, not the 5 s join timeout: replies the surviving
+        # shard queued for the failed exchange must not hold up its exit.
+        assert time.monotonic() - killed_at[0] < 4.0
+        # Before the drained reply the Tracker held a live store.
+        assert spill_dirs_at_kill == [int(kill_point == "drained")]
         assert multiprocessing.active_children() == []
-        del system, cluster, executor, flush_remote
+        del system, cluster, executor, flush_remote, receive
         gc.collect()
         assert os.listdir(tmp_path) == []

@@ -4,6 +4,9 @@ The toy topologies here use module-level component classes so the sharded
 executor can pickle their factories into worker processes.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.streamsim.cluster import Cluster, run_topology
@@ -62,6 +65,13 @@ class CountingSink(Bolt):
         self.emit(TOTALS, sum(self.values))
 
 
+class GreetingSink(CountingSink):
+    """Remote-layer bolt that also emits once while it is prepared."""
+
+    def on_prepare(self) -> None:
+        self.emit(TOTALS, -1 - self.task_index)
+
+
 class TotalsBolt(Bolt):
     """Driver-side bolt consuming the sink layer's flush-time emissions."""
 
@@ -97,10 +107,19 @@ def _sink_factory():
     return CountingSink()
 
 
-def _build_topology(n_values: int, sink_parallelism: int = 2, with_totals: bool = False):
+def _greeting_sink_factory():
+    return GreetingSink()
+
+
+def _build_topology(
+    n_values: int,
+    sink_parallelism: int = 2,
+    with_totals: bool = False,
+    sink_factory=_sink_factory,
+):
     builder = TopologyBuilder()
     builder.set_spout("numbers", lambda: NumberSpout(n_values))
-    builder.set_bolt("sink", _sink_factory, parallelism=sink_parallelism).fields_grouping(
+    builder.set_bolt("sink", sink_factory, parallelism=sink_parallelism).fields_grouping(
         "numbers", ["value"]
     )
     if with_totals:
@@ -121,7 +140,7 @@ class TestRegistry:
         assert executor.queue_limit == 3
 
     def test_make_process(self):
-        executor = make_executor("process", workers=3, remote_components=("sink",))
+        executor = make_executor("process", workers=3, remote_component="sink")
         assert isinstance(executor, ShardedProcessExecutor)
         assert executor.requested_workers == 3
 
@@ -129,13 +148,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("threads")
 
-    def test_process_requires_remote_components(self):
+    def test_process_requires_a_remote_component(self):
         with pytest.raises(ValueError):
             ShardedProcessExecutor(workers=2)
 
     def test_process_requires_positive_workers(self):
         with pytest.raises(ValueError):
-            ShardedProcessExecutor(workers=0, remote_components=("sink",))
+            ShardedProcessExecutor(workers=0, remote_component="sink")
 
 
 class TestInlineExecutor:
@@ -160,11 +179,12 @@ class TestShardedProcessExecutor:
         inline = run_topology(_build_topology(n), executor=InlineExecutor())
         sharded = run_topology(
             _build_topology(n),
-            executor=ShardedProcessExecutor(workers=2, remote_components=("sink",)),
+            executor=ShardedProcessExecutor(workers=2, remote_component="sink"),
         )
-        for cluster in (inline, sharded):
-            assert cluster.accounting.link("numbers", "sink") == n
-            assert cluster.accounting.total == inline.accounting.total
+        assert inline.accounting.link("numbers", "sink") == n
+        assert sharded.accounting.per_link == inline.accounting.per_link
+        assert sharded.accounting.per_task == inline.accounting.per_task
+        assert sharded.accounting.total == inline.accounting.total
         # Per-task state came back from the workers and matches inline.
         for task_inline, task_sharded in zip(
             inline.tasks_of("sink"), sharded.tasks_of("sink")
@@ -172,38 +192,34 @@ class TestShardedProcessExecutor:
             assert task_sharded.instance.values == task_inline.instance.values
             assert task_sharded.instance.ticks == task_inline.instance.ticks
 
-    def test_intra_layer_emissions_relayed_through_driver(self):
-        """sink → totals inside the remote layer mirrors Calculator → Tracker:
-        flush-time emissions are collected by the driver and shipped to the
-        consumer's shard, with accounting identical to the inline engine."""
-        n = 12
-        inline = run_topology(_build_topology(n, with_totals=True))
-        sharded = run_topology(
-            _build_topology(n, with_totals=True),
-            executor=ShardedProcessExecutor(
-                workers=2, remote_components=("sink", "totals")
-            ),
-        )
-
-        def totals_of(cluster):
-            return sorted(cluster.tasks_of("totals")[0].instance.totals)
-
-        assert totals_of(sharded) == totals_of(inline)
-        assert sum(totals_of(sharded)) == sum(range(n))
-        assert sharded.accounting.link("sink", "totals") == inline.accounting.link(
-            "sink", "totals"
-        )
+    def test_remote_to_remote_subscription_rejected(self):
+        # Relayed tuples arrive only at the end-of-stream exchange, so the
+        # remote component may not consume its own streams.
+        builder = TopologyBuilder()
+        builder.set_spout("numbers", lambda: NumberSpout(3))
+        builder.set_bolt("sink", _sink_factory, parallelism=2).fields_grouping(
+            "numbers", ["value"]
+        ).shuffle_grouping("sink", "totals")
+        with pytest.raises(ValueError, match="sink layer"):
+            Cluster(
+                builder.build(),
+                executor=ShardedProcessExecutor(workers=2, remote_component="sink"),
+            )
 
     def test_workers_clamped_to_layer_width(self):
-        executor = ShardedProcessExecutor(workers=8, remote_components=("sink",))
+        executor = ShardedProcessExecutor(workers=8, remote_component="sink")
         run_topology(_build_topology(6, sink_parallelism=2), executor=executor)
         assert executor.effective_workers == 2
 
-    def test_missing_remote_component_degrades_to_inline(self):
-        executor = ShardedProcessExecutor(workers=2, remote_components=("nonexistent",))
-        cluster = run_topology(_build_topology(5), executor=executor)
-        assert executor.effective_workers == 0
-        assert cluster.accounting.link("numbers", "sink") == 5
+    def test_missing_remote_component_rejected(self):
+        executor = ShardedProcessExecutor(workers=2, remote_component="nonexistent")
+        with pytest.raises(ValueError, match="'nonexistent' is not in the topology"):
+            Cluster(_build_topology(5), executor=executor)
+
+    def test_remote_spout_rejected(self):
+        executor = ShardedProcessExecutor(workers=2, remote_component="numbers")
+        with pytest.raises(ValueError, match="'numbers' is not a bolt"):
+            Cluster(_build_topology(5), executor=executor)
 
     def test_remote_layer_feeding_a_non_terminal_consumer_rejected(self):
         # A driver-side consumer that feeds others in turn would re-emit
@@ -217,7 +233,7 @@ class TestShardedProcessExecutor:
             Cluster(
                 builder.build(),
                 executor=ShardedProcessExecutor(
-                    workers=2, remote_components=("middle",)
+                    workers=2, remote_component="middle"
                 ),
             )
 
@@ -227,7 +243,7 @@ class TestShardedProcessExecutor:
         flush, in shard order, with the inline run's accounting."""
         n = 12
         inline = run_topology(_build_topology(n, 4, with_totals=True))
-        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
         sharded = run_topology(_build_topology(n, 4, with_totals=True), executor=executor)
 
         def totals_of(cluster):
@@ -244,44 +260,62 @@ class TestShardedProcessExecutor:
         assert sharded.accounting.link("sink", "totals") == inline.accounting.link(
             "sink", "totals"
         )
-        assert sharded.accounting.total == inline.accounting.total
-        # The consumer never left the driver.
-        assert not sharded.tasks_of("totals")[0].is_remote
+        assert sharded.accounting.per_link == inline.accounting.per_link
+        assert sharded.accounting.per_task == inline.accounting.per_task
 
     def test_second_run_rejected(self):
         # Re-running would rebuild workers from factories and silently zero
         # the remote state merged back by the first run.
-        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
         cluster = Cluster(_build_topology(4), executor=executor)
         cluster.run()
         with pytest.raises(RuntimeError, match="once"):
             cluster.run()
 
-    def test_direct_injection_into_remote_task_rejected(self):
-        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+    def test_injection_before_the_run_reaches_the_worker(self):
+        # The proxy buffers the delivery until the workers exist; the
+        # worker then handles it before anything the stream routes.
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
         cluster = Cluster(_build_topology(4), executor=executor)
-        with pytest.raises(RuntimeError, match="remote layer"):
-            cluster.process(NUMBERS.message(value=1), "sink")
+        cluster.process(NUMBERS.message(value=100, timestamp=0.0), "sink")
+        cluster.run()
+        first, second = cluster.instances_of("sink")
+        assert first.values[0] == 100
+        assert sorted(first.values[1:] + second.values) == [0, 1, 2, 3]
+        first_task = cluster.tasks_of("sink")[0].task_id
+        assert cluster.accounting.per_task[first_task] == len(first.values)
+
+    def test_injection_after_the_run_rejected(self):
+        # A proxy kept past the run has no worker to ship to.
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
+        cluster = Cluster(_build_topology(4), executor=executor)
+        proxy = cluster.tasks_of("sink")[0].instance
+        cluster.run()
+        assert cluster.tasks_of("sink")[0].instance is not proxy
+        with pytest.raises(RuntimeError, match="shut down"):
+            proxy.execute_batch([NUMBERS.message(value=1, timestamp=0.0)])
 
     def test_post_run_routing_to_remote_layer_rejected(self):
         # After the workers are gone, anything routed to the remote layer
         # (deliveries, ticks) must fail loudly rather than buffer forever.
-        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
         cluster = Cluster(_build_topology(4), executor=executor)
         cluster.run()
         with pytest.raises(RuntimeError, match="shut down"):
             executor.tick_remote(99.0)
 
     def test_executor_cannot_be_reused_across_clusters(self):
-        executor = ShardedProcessExecutor(workers=2, remote_components=("sink",))
+        executor = ShardedProcessExecutor(workers=2, remote_component="sink")
         Cluster(_build_topology(3), executor=executor)
         with pytest.raises(RuntimeError, match="already attached"):
             Cluster(_build_topology(3), executor=executor)
 
-    def test_handoff_of_a_remote_layer_refused(self):
-        # State handoff runs on driver-side bolts only; a substrate user
-        # asking to migrate a layer the workers own fails loudly, naming
-        # the component, instead of migrating nothing.
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_handoff_of_a_layer_without_migration_refused(self, executor):
+        # State handoff runs on driver-side bolts that can migrate; a
+        # substrate user asking to migrate a layer the workers own (or one
+        # whose bolts have no prepare_migration) fails loudly, naming the
+        # component, before anything is quiesced.
         builder = TopologyBuilder()
         builder.set_spout("numbers", lambda: NumberSpout(4))
         builder.set_bolt("sink", _sink_factory, parallelism=2).fields_grouping(
@@ -290,10 +324,53 @@ class TestShardedProcessExecutor:
         builder.set_bolt("requester", HandoffRequester).shuffle_grouping("numbers")
         cluster = Cluster(
             builder.build(),
-            executor=ShardedProcessExecutor(workers=2, remote_components=("sink",)),
+            executor=make_executor(executor, workers=2, remote_component="sink"),
         )
         with pytest.raises(RuntimeError, match="'sink'.*driver-side bolts only"):
             cluster.run()
+        if executor == "inline":
+            assert not any(sink._flushed for sink in cluster.instances_of("sink"))
+
+    def test_prepare_time_emissions_relayed_at_end_of_stream(self):
+        # A remote bolt prepares in its worker; what it emits there is
+        # buffered with its other emissions and relayed by the exchange.
+        n = 10
+        inline = run_topology(
+            _build_topology(n, with_totals=True, sink_factory=_greeting_sink_factory)
+        )
+        sharded = run_topology(
+            _build_topology(n, with_totals=True, sink_factory=_greeting_sink_factory),
+            executor=ShardedProcessExecutor(workers=2, remote_component="sink"),
+        )
+
+        def totals_of(cluster):
+            return cluster.tasks_of("totals")[0].instance.totals
+
+        assert inline.tasks_of("totals")[0].instance.totals[:2] == [-1, -2]
+        assert sorted(totals_of(sharded)) == sorted(totals_of(inline))
+        assert sharded.accounting.per_link == inline.accounting.per_link
+
+    def test_budgeted_run_matches_inline(self):
+        # A budgeted stop is end of stream for the remote layer too: the
+        # exchange relays what the workers hold at that point.
+        inline = Cluster(_build_topology(20, with_totals=True))
+        inline.run(max_spout_calls=7)
+        sharded = Cluster(
+            _build_topology(20, with_totals=True),
+            executor=ShardedProcessExecutor(workers=2, remote_component="sink"),
+        )
+        sharded.run(max_spout_calls=7)
+        for task_inline, task_sharded in zip(
+            inline.tasks_of("sink"), sharded.tasks_of("sink")
+        ):
+            assert task_sharded.instance.values == task_inline.instance.values
+        assert sum(
+            len(sink.values) for sink in sharded.instances_of("sink")
+        ) == 7
+        assert sorted(sharded.tasks_of("totals")[0].instance.totals) == sorted(
+            inline.tasks_of("totals")[0].instance.totals
+        )
+        assert sharded.accounting.per_link == inline.accounting.per_link
 
     def test_unpicklable_factory_reported(self):
         builder = TopologyBuilder()
@@ -303,7 +380,7 @@ class TestShardedProcessExecutor:
         )
         cluster = Cluster(
             builder.build(),
-            executor=ShardedProcessExecutor(workers=2, remote_components=("sink",)),
+            executor=ShardedProcessExecutor(workers=2, remote_component="sink"),
         )
         with pytest.raises(RuntimeError, match="picklable"):
             cluster.run()
@@ -362,6 +439,48 @@ class TestAsyncServiceExecutor:
         executor.submit([1])
         with pytest.raises(IngestBackpressure):
             executor.submit([2], block=True, timeout=0.01)
+
+    def test_blocking_submit_without_timeout_waits_for_a_slot(self):
+        executor = AsyncServiceExecutor(queue_limit=1)
+        executor.submit([1])
+        accepted: list[int] = []
+        submitter = threading.Thread(
+            target=lambda: accepted.append(executor.submit([2, 3])), daemon=True
+        )
+        submitter.start()
+        time.sleep(0.1)
+        assert accepted == []  # the queue is full: the submit waits
+        assert executor.next_document() == 1  # the writer frees the slot
+        submitter.join(timeout=5.0)
+        assert not submitter.is_alive()
+        assert accepted == [2]
+        assert executor.pending_batches == 1
+
+    def test_blocking_submit_timeout_is_one_deadline(self):
+        # Wakeups that find the queue full again — a slot freed and retaken
+        # by another submitter — must not restart the timeout.
+        executor = AsyncServiceExecutor(queue_limit=1)
+        executor.submit([1])
+        stop = threading.Event()
+
+        def wake_waiters():
+            until = time.monotonic() + 3.0
+            while not stop.is_set() and time.monotonic() < until:
+                with executor._not_full:
+                    executor._not_full.notify_all()
+                time.sleep(0.05)
+
+        waker = threading.Thread(target=wake_waiters, daemon=True)
+        waker.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(IngestBackpressure):
+                executor.submit([2], block=True, timeout=0.3)
+        finally:
+            stop.set()
+            waker.join(timeout=5.0)
+        assert not waker.is_alive()
+        assert time.monotonic() - started < 2.0
 
     def test_served_run_matches_inline(self):
         n = 10

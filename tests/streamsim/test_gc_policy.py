@@ -120,7 +120,7 @@ def _cluster(n_values: int, sink, executor: str = "inline") -> Cluster:
     builder.set_bolt("sink", sink).shuffle_grouping("numbers")
     return Cluster(
         builder.build(),
-        executor=make_executor(executor, workers=1, remote_components=("sink",)),
+        executor=make_executor(executor, workers=1, remote_component="sink"),
     )
 
 
@@ -302,12 +302,18 @@ class TestNoFullPassOnChurn:
         assert 0.0 < report.timings["gc"] < (
             report.timings["stream"] + report.timings["reporting"]
         )
-        workers = system.cluster.worker_gc_tally
         if executor == "process":
+            workers = system.cluster.executor.worker_gc_tally
             assert workers.passes[0] >= 1 and workers.passes[2] == 0
             assert report.timings["gc_workers"] == workers.pause_seconds > 0.0
+            driver = system.cluster.gc_tally.passes
+            assert report.gc_passes == [
+                mine + theirs for mine, theirs in zip(driver, workers.passes)
+            ]
         else:
-            assert workers.passes == [0, 0, 0]
+            assert not hasattr(system.cluster.executor, "worker_gc_tally")
+            assert report.timings["gc_workers"] == 0.0
+            assert report.gc_passes == system.cluster.gc_tally.passes
 
     def test_batch_run_beside_a_live_daemon(self, churn_documents):
         """A run that starts and ends while a daemon's writer is alive

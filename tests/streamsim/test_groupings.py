@@ -14,7 +14,6 @@ from repro.streamsim.groupings import (
     AllGrouping,
     DirectGrouping,
     FieldsGrouping,
-    LocalGrouping,
     ShuffleGrouping,
     stable_hash,
 )
@@ -131,13 +130,6 @@ class TestDirectGrouping:
         grouping = DirectGrouping()
         with pytest.raises(RuntimeError):
             grouping.select(EMPTY_STREAM.message(), 3)
-
-
-class TestLocalGrouping:
-    def test_behaves_like_shuffle(self):
-        grouping = LocalGrouping(seed=1)
-        (index,) = grouping.select(EMPTY_STREAM.message(), 3)
-        assert 0 <= index < 3
 
 
 class TestDictFormatFixtures:
