@@ -171,8 +171,9 @@ def _union_size_from_tuple_counts(
 ) -> int:
     """Inclusion–exclusion over tuple-keyed counters (``tags`` sorted).
 
-    The per-key computation: one ``2^m − 1`` walk of the counter table.
-    Used by single-key queries and the centralised baseline's ground truth.
+    The per-key computation: one ``2^m − 1`` walk of the counter table,
+    used by :meth:`JaccardCalculator.coefficient`.  The centralised
+    baseline does the same sum vectorised over integer-coded tables.
     """
     get = counts.get
     total = 0

@@ -165,15 +165,19 @@ def jaccard_error(
     already restricts itself to tagsets seen more than ``sn`` times, as in
     Section 8.2.3).  Ground-truth tagsets missing from ``reported`` count as
     missing, not as error.  ``reported`` must accept ``ground_truth``'s
-    keys (frozensets, or the sorted tag tuples the pipeline uses).
+    keys (frozensets, or the sorted tag tuples the pipeline uses); each is
+    probed once, with ``get``.  Errors are summed in ``ground_truth``'s
+    order, so the mean's bits depend on it.
     """
     errors = []
     missing = 0
+    get = reported.get
     for tagset, truth in ground_truth.items():
-        if tagset in reported:
-            errors.append(abs(reported[tagset] - truth))
-        else:
+        value = get(tagset)
+        if value is None:
             missing += 1
+        else:
+            errors.append(abs(value - truth))
     if errors:
         mean_error = float(np.mean(errors))
         max_error = float(np.max(errors))

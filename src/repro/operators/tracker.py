@@ -78,6 +78,14 @@ class CoefficientView(Mapping):
         record = self._table.get(tagset)  # type: ignore[arg-type]
         return record is not None and record[1] >= self._min_support
 
+    def get(self, tagset: Iterable[str], default: float | None = None) -> float | None:
+        """The coefficient of ``tagset``, or ``default`` when it is absent or
+        filtered — one probe, where ``Mapping.get`` would raise and catch."""
+        record = self._table.get(tagset)
+        if record is None or record[1] < self._min_support:
+            return default
+        return record[0]
+
     def __iter__(self) -> Iterator[frozenset[str]]:
         min_support = self._min_support
         for tagset, _jaccard, support, _reports in self._table.iter_entries():

@@ -605,7 +605,7 @@ class TagCorrelationSystem:
         ]
         if not baselines:
             return None
-        ground_truth = baselines[0].ground_truth_by_key()
+        ground_truth = baselines[0].ground_truth()
         # The lazy view probes the Tracker's dedup table in place — no dict
         # copy of tens of thousands of coefficients per error report — and
         # with the baseline's sorted-tuple keys, which are the table's own.

@@ -243,6 +243,19 @@ class TestCoefficientView:
         assert len(view) == 2
         assert set(view) == {frozenset({"a", "b"}), frozenset({"e", "f"})}
 
+    def test_get_probes_once_and_filters(self, monkeypatch):
+        tracker = self._tracker()
+        view = tracker.coefficient_view(min_support=3)
+        probes = []
+        table_get = tracker._table.get
+        monkeypatch.setattr(
+            tracker._table, "get", lambda key: probes.append(key) or table_get(key)
+        )
+        assert view.get(("a", "b")) == 0.5
+        assert view.get(frozenset({"c", "d"})) is None  # filtered: support 1
+        assert view.get(("x", "y"), -1.0) == -1.0
+        assert len(probes) == 3
+
     def test_filtered_length_recomputed_after_ingest(self):
         tracker = self._tracker()
         view = tracker.coefficient_view(min_support=3)

@@ -16,14 +16,27 @@ the batched fold; :func:`eq2_report` stays the arithmetic judge.
 before it became layered: copy the whole table, sort the whole table.
 :func:`full_copy`, :func:`full_sort_top_k` and :func:`table_digest` are that
 code, kept as the oracle of the layered snapshot and of ``select_top_k``.
+
+**The tuple-keyed baseline fold** — :func:`counter_ground_truth` is
+``CentralizedCalculatorBolt``'s ground truth before it counted in numpy:
+one ``Counter.update`` over the combination chains of every distinct
+tagset, a Python tuple per subset.  It is the value *and* order reference
+of the integer-coded fold.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
+from itertools import chain, combinations
 from operator import mul
+from typing import Iterable
 
-from repro.core.jaccard import JaccardCalculator, union_size_inclusion_exclusion
+from repro.core.jaccard import (
+    JaccardCalculator,
+    _union_size_from_tuple_counts,
+    union_size_inclusion_exclusion,
+)
 
 
 def eq2_report(
@@ -187,3 +200,35 @@ def table_digest(entries: dict[frozenset[str], tuple[float, int]]) -> str:
         hasher.update(line.encode("utf-8"))
         hasher.update(b"\n")
     return hasher.hexdigest()
+
+
+def counter_ground_truth(
+    tagsets: Iterable[frozenset[str]],
+    min_occurrences: int = 3,
+    max_subset_size: int = 4,
+) -> dict[tuple[str, ...], float]:
+    """The centralised baseline's ground truth of a tagset stream, as the
+    tuple-keyed ``Counter`` fold computed it: the dict's order is each key's
+    first appearance in the combination chains (distinct tagsets in
+    first-observe order, sizes ascending, combinations lexicographic)."""
+    pending: Counter = Counter(tagset for tagset in tagsets if tagset)
+    iterables: list[Iterable[tuple[str, ...]]] = []
+    for tagset, multiplicity in pending.items():
+        key = tuple(sorted(tagset))
+        sizes = range(1, min(len(key), max_subset_size) + 1)
+        if multiplicity == 1:
+            iterables.extend(combinations(key, size) for size in sizes)
+        else:
+            subsets = [
+                combo for size in sizes for combo in combinations(key, size)
+            ]
+            iterables.extend([subsets] * multiplicity)
+    counts: Counter = Counter()
+    counts.update(chain.from_iterable(iterables))
+    truth: dict[tuple[str, ...], float] = {}
+    for key, count in counts.items():
+        if len(key) < 2 or count <= min_occurrences:
+            continue
+        union = _union_size_from_tuple_counts(key, counts)
+        truth[key] = count / union if union > 0 else 0.0
+    return truth

@@ -90,9 +90,9 @@ class TestTopologyAssembly:
             constructed.append(self)
             return original_init(self, *args, **kwargs)
 
-        def spy_observe(self, tagset, doc_id=None):
+        def spy_observe(self, tagset):
             observes.append(tagset)
-            return original_observe(self, tagset, doc_id)
+            return original_observe(self, tagset)
 
         monkeypatch.setattr(CentralizedCalculatorBolt, "__init__", spy_init)
         monkeypatch.setattr(CentralizedCalculatorBolt, "observe", spy_observe)
