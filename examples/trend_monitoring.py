@@ -40,9 +40,7 @@ def bursty_stream(n_documents: int = 9000) -> list[Document]:
     )
     first_half = generator.generate(n_documents // 2)
     # Inject a breaking trend: a brand-new, very popular topic.
-    breaking = generator.topic_model.spawn_topic(
-        now=generator.current_time, rng=generator._rng, weight=3.0
-    )
+    breaking = generator.topic_model.spawn_topic(now=generator.current_time, weight=3.0)
     breaking.tags[:3] = ["earthquake", "breaking", "helpneeded"]
     second_half = generator.generate(n_documents - n_documents // 2)
     return first_half + second_half

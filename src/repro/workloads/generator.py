@@ -22,7 +22,9 @@ The generator is fully deterministic given its seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
 
 from ..core.documents import Document
@@ -195,13 +197,12 @@ class TwitterLikeGenerator:
             tag_skew=self.config.tag_skew,
             seed=self.config.seed,
         )
-        self._tag_count_weights = zipf_frequencies(
-            self.config.max_tags_per_tweet, self.config.tags_per_tweet_skew
-        )
+        weights = zipf_frequencies(
+            self.config.max_tags_per_tweet, self.config.tags_per_tweet_skew)
         if not self.config.untagged_allowed:
-            weights = self._tag_count_weights[1:]
-            total = sum(weights)
-            self._tag_count_weights = [0.0] + [w / total for w in weights]
+            total = sum(weights[1:])
+            weights = [0.0] + [w / total for w in weights[1:]]
+        self._tag_count_sums = list(accumulate(weights))
         self._next_doc_id = 0
         self._clock = 0.0
         self._interarrival = 1.0 / self.config.tweets_per_second
@@ -253,9 +254,8 @@ class TwitterLikeGenerator:
     def _maybe_spawn_topics(self) -> None:
         while self._clock >= self._next_topic_birth:
             # New trends start popular and decay, mimicking bursts.
-            weight = 0.5 + self._rng.random()
-            topic = self._topics.spawn_topic(self._clock, self._rng, weight=weight)
-            topic.decay_rate = self.config.topic_decay_rate
+            self._topics.spawn_topic(self._clock, weight=0.5 + self._rng.random(),
+                                     decay_rate=self.config.topic_decay_rate)
             self._next_topic_birth = self._sample_topic_birth_gap()
 
     def _advance_dynamics(self) -> None:
@@ -267,13 +267,9 @@ class TwitterLikeGenerator:
         return self._interarrival
 
     def _sample_n_tags(self) -> int:
-        pick = self._rng.random()
-        cumulative = 0.0
-        for m, weight in enumerate(self._tag_count_weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return m
-        return self.config.max_tags_per_tweet
+        # A pick past the last running sum is the largest count.
+        return min(bisect_left(self._tag_count_sums, self._rng.random()),
+                   self.config.max_tags_per_tweet)
 
     def _sample_tags(self, n_tags: int) -> frozenset[str]:
         if n_tags == 0:

@@ -84,6 +84,9 @@ class TestGenerator:
         generator.generate(2000)  # 200 seconds of stream
         after = len(generator.topic_model.topics)
         assert after > before
+        # Born decaying: spawn_topic takes the rate, nothing sets it later.
+        born = generator.topic_model.topics[before:]
+        assert {topic.decay_rate for topic in born} == {config.topic_decay_rate}
 
     def test_stream_iterator(self):
         generator = TwitterLikeGenerator(WorkloadConfig(seed=1))

@@ -65,11 +65,18 @@ class TestTopicModel:
 
     def test_spawn_topic_extends_population(self):
         model = TopicModel(n_topics=3, tags_per_topic=2)
-        rng = random.Random(0)
-        topic = model.spawn_topic(now=100.0, rng=rng, weight=5.0)
+        topic = model.spawn_topic(now=100.0, weight=5.0)
         assert topic in model.topics
         assert topic.weight == 5.0
         assert topic.birth_time == 100.0
+        assert topic.decay_rate == 0.0
+
+    def test_spawn_topic_takes_its_decay_rate(self):
+        model = TopicModel(n_topics=3, tags_per_topic=2)
+        topic = model.spawn_topic(now=5.0, decay_rate=0.25)
+        assert model.topics[-1] is topic
+        assert topic.decay_rate == 0.25
+        assert topic.weight == pytest.approx(1.0 / 4)  # rank 4's Zipf weight
 
     def test_sample_topics_distinct(self):
         model = TopicModel(n_topics=10, tags_per_topic=2, seed=1)
