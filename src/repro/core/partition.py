@@ -159,12 +159,10 @@ class PartitionAssignment:
         This mirrors the Disseminator: for a document annotated with
         ``tagset`` each Calculator ``j`` owning at least one of its tags is
         notified with the subset ``s_i^j`` of tags it owns (Section 6.2).
+        A partition owning every tag of a frozenset ``tagset`` receives
+        that object itself.
         """
-        per_partition: dict[int, set[str]] = {}
-        for tag in tagset:
-            for index in self._index.get(tag, ()):
-                per_partition.setdefault(index, set()).add(tag)
-        return {index: frozenset(tags) for index, tags in per_partition.items()}
+        return self.route_and_covered(tagset)[0]
 
     def route_and_covered(
         self, tagset: Iterable[str]
@@ -173,9 +171,8 @@ class PartitionAssignment:
 
         The Disseminator needs both answers for every routed tagset; one
         pass over the inverted index replaces the separate
-        :meth:`covering_partitions` walk on the hot path.  Identical to
-        calling the two methods separately (the routing dict is built in
-        the same tag/owner iteration order).
+        :meth:`covering_partitions` walk on the hot path; the flag is what
+        :meth:`covers` answers.
         """
         index_get = self._index.get
         per_partition: dict[int, set[str]] = {}
@@ -195,7 +192,11 @@ class PartitionAssignment:
                 covering = set(owners)
             elif covering:
                 covering &= owners
-        routes = {index: frozenset(tags) for index, tags in per_partition.items()}
+        whole = len(tagset) if isinstance(tagset, frozenset) else -1
+        routes = {
+            index: tagset if len(tags) == whole else frozenset(tags)
+            for index, tags in per_partition.items()
+        }
         return routes, bool(covering)
 
     def covering_partitions(self, tagset: Iterable[str]) -> list[int]:

@@ -5,7 +5,8 @@ the hashtags (the reproduction treats the precomputed ``tags`` slot as the
 hashtags; a text fallback extracts ``#tokens`` from the tweet body), drop
 documents without tags, and emit ``(doc_id, timestamp, tagset)`` slot tuples
 on the ``TAGSETS`` stream that both the Disseminator and the Partitioner
-subscribe to.
+subscribe to.  A tagset that normalisation leaves unchanged is forwarded as
+the document's own frozenset, so downstream state pins no copy of it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class ParserBolt(Bolt):
         doc_id, timestamp, tags, text = message.values
         if tags:
             tagset = make_tagset(tags)
+            if isinstance(tags, frozenset) and tagset == tags:
+                tagset = tags
         else:
             tagset = extract_hashtags(text or "")
         if not tagset:

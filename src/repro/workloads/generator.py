@@ -195,7 +195,6 @@ class TwitterLikeGenerator:
             tags_per_topic=self.config.tags_per_topic,
             topic_skew=self.config.topic_skew,
             tag_skew=self.config.tag_skew,
-            seed=self.config.seed,
         )
         weights = zipf_frequencies(
             self.config.max_tags_per_tweet, self.config.tags_per_tweet_skew)

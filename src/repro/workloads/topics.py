@@ -100,15 +100,12 @@ class TopicModel:
         Zipf skew of topic popularity (larger = few topics dominate).
     tag_skew:
         Zipf skew of tag popularity within a topic.
-    seed:
-        Seed for reproducible topic construction.
     """
 
     n_topics: int = 200
     tags_per_topic: int = 30
     topic_skew: float = 1.0
     tag_skew: float = 1.0
-    seed: int = 7
     topics: list[Topic] = field(default_factory=list)
     _next_topic_id: int = 0
     #: ``(static prefix of topics, its weights, their running sums)``.

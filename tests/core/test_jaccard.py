@@ -147,12 +147,17 @@ class TestSubsetTupleCache:
         assert stats["size"] == 2
 
     def test_entry_shape(self):
+        """One tuple per entry: the lattice by bitmask, whose last element
+        is the sorted key."""
         cache = SubsetTupleCache()
-        key, by_mask, nonempty = cache.lookup(frozenset({"b", "a"}))
-        assert key == ("a", "b")
+        by_mask = cache.lookup(frozenset({"b", "a", "c"}))
         # Bitmask layout: bit i of the mask selects key[i].
-        assert by_mask == ((), ("a",), ("b",), ("a", "b"))
-        assert nonempty == (("a",), ("b",), ("a", "b"))
+        assert by_mask == (
+            (), ("a",), ("b",), ("a", "b"), ("c",), ("a", "c"), ("b", "c"),
+            ("a", "b", "c"),
+        )
+        assert by_mask[-1] == ("a", "b", "c")
+        assert cache.lookup(["c", "a", "b"]) is by_mask  # a hit, not a copy
 
     def test_eviction_on_capacity_overflow(self):
         cache = SubsetTupleCache(capacity=2)
@@ -198,6 +203,30 @@ class TestSubsetTupleCache:
         tiny_results = {r[0]: r[1:] for r in tiny.report_triples()}
         roomy_results = {r[0]: r[1:] for r in roomy.report_triples()}
         assert tiny_results == roomy_results
+
+    def test_entry_counts_every_nonempty_subset_once(self, make_counter):
+        """Observe counts ``by_mask[1:]`` of the cached entry: the counter
+        table is the documents' subsets counted one by one (never ``()``),
+        hit or miss, and the report is Equation (2) and the per-type fold
+        over it (``tests/oracle.py``)."""
+        rng = random.Random(11)
+        tags = [f"t{i}" for i in range(7)]
+        stream = [frozenset(rng.sample(tags, rng.randrange(1, 6))) for _ in range(120)]
+        counter = make_counter(subset_cache_size=4)
+        for tagset in stream:
+            counter.observe(tagset)
+        stats = counter.cache.stats()
+        assert stats["hits"] > 0 and stats["evictions"] > 0
+        expected = {}
+        for tagset in stream:
+            for subset in all_nonempty_subsets(tagset):
+                expected[subset] = expected.get(subset, 0) + 1
+        assert dict(counter.items()) == expected
+        triples = counter.report_triples(reset=False)
+        assert as_report(triples) == eq2_report(counter)
+        assert [(frozenset(t), j, n) for t, j, n in triples] == (
+            per_type_report_triples(counter)
+        )
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

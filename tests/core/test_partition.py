@@ -115,6 +115,25 @@ class TestMutation:
         assert assignment.loads() == [0, 0, 0]
 
 
+def reference_route(assignment, tagset):
+    """``route`` as it was before it shared the input tagset: a fresh
+    frozenset per notified partition, in tag/owner iteration order."""
+    per_partition = {}
+    for tag in tagset:
+        for index in assignment.partitions_for_tag(tag):
+            per_partition.setdefault(index, set()).add(tag)
+    return {index: frozenset(tags) for index, tags in per_partition.items()}
+
+
+def assert_shares_only_whole_routes(assignment, tagset, routes):
+    """A partition owning every tag of the frozenset gets the object itself;
+    any other gets a fresh frozenset of the tags it owns."""
+    for index, routed in routes.items():
+        owned = tagset & assignment.partition(index).tags
+        assert type(routed) is frozenset and routed == owned
+        assert (routed is tagset) == (owned == tagset)
+
+
 class TestRouteAndCovered:
     """The Disseminator's one-pass query must agree with the two-pass one."""
 
@@ -147,8 +166,31 @@ class TestRouteAndCovered:
     )
     def test_matches_route_and_covers(self, figure1_assignment, tagset):
         routes, covered = figure1_assignment.route_and_covered(tagset)
-        assert routes == figure1_assignment.route(tagset)
+        assert routes == reference_route(figure1_assignment, tagset)
         assert covered == figure1_assignment.covers(tagset)
+        frozen = frozenset(tagset)
+        routes, covered = figure1_assignment.route_and_covered(frozen)
+        assert routes == reference_route(figure1_assignment, frozen)
+        assert covered == figure1_assignment.covers(frozen)
+        assert_shares_only_whole_routes(figure1_assignment, frozen, routes)
+        assert_shares_only_whole_routes(
+            figure1_assignment, frozen, figure1_assignment.route(frozen)
+        )
+
+    def test_covering_partition_gets_the_input_object(self, figure1_assignment):
+        tagset = frozenset({"beer", "soccer"})  # owned whole by both partitions
+        routes = figure1_assignment.route(tagset)
+        assert routes[0] is tagset and routes[1] is tagset
+        split = frozenset({"munich", "pizza"})
+        assert all(
+            routed is not split
+            for routed in figure1_assignment.route(split).values()
+        )
+        listed = ["beer", "soccer"]  # only a frozenset can be shared
+        assert all(
+            type(routed) is frozenset
+            for routed in figure1_assignment.route(listed).values()
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,10 +201,13 @@ class TestRouteAndCovered:
     )
     def test_matches_on_random_assignments(self, tag_sets, tagset):
         assignment = PartitionAssignment.from_tag_sets(tag_sets)
-        routes, covered = assignment.route_and_covered(tagset)
-        assert routes == assignment.route(tagset)
-        assert covered == assignment.covers(tagset)
-        assert list(routes) == list(assignment.route(tagset))
+        frozen = frozenset(tagset)
+        for tags in (tagset, frozen):
+            routes, covered = assignment.route_and_covered(tags)
+            expected = reference_route(assignment, tags)
+            assert routes == expected and list(routes) == list(expected)
+            assert covered == assignment.covers(tags)
+        assert_shares_only_whole_routes(assignment, frozen, routes)
 
 
 class TestPartitionSeed:

@@ -92,7 +92,7 @@ def per_type_report_triples(
         m = len(vtype)
         if m < min_size:
             continue  # contributes no reportable keys of its own
-        _, by_mask, _ = cache_lookup(vtype)
+        by_mask = cache_lookup(vtype)
         assert by_mask is not None  # full lattices are never size-capped
         # Two- and three-tag types — the bulk of a trending stream once
         # routing splits tagsets per Calculator — fold via unrolled

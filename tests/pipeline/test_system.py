@@ -168,6 +168,18 @@ class TestRunReport:
         assert documents == sorted(documents)
 
 
+class TestTagsetSharing:
+    def test_baseline_multiset_keys_are_the_documents_own(self, small_run):
+        """The generator's tagsets are already normalised, so the Parser
+        forwards each document's frozenset and the baseline's multiset pins
+        those objects, not copies of them."""
+        system, _, documents = small_run
+        own = {id(document.tags) for document in documents}
+        (baseline,) = system.cluster.instances_of(streams.CENTRALIZED)
+        assert len(baseline._tagsets) > 100
+        assert all(id(tagset) in own for tagset in baseline._tagsets)
+
+
 class TestCorrectnessAgainstGroundTruth:
     def test_reported_coefficients_match_post_bootstrap_truth(self, small_run):
         """Coefficients reported by the distributed system must equal the

@@ -55,7 +55,7 @@ class TestTopicModel:
         assert len(vocabulary) == len(set(vocabulary))
 
     def test_sample_topic_prefers_popular(self):
-        model = TopicModel(n_topics=30, tags_per_topic=3, topic_skew=1.5, seed=0)
+        model = TopicModel(n_topics=30, tags_per_topic=3, topic_skew=1.5)
         rng = random.Random(0)
         counts = {}
         for _ in range(3000):
@@ -79,7 +79,7 @@ class TestTopicModel:
         assert topic.weight == pytest.approx(1.0 / 4)  # rank 4's Zipf weight
 
     def test_sample_topics_distinct(self):
-        model = TopicModel(n_topics=10, tags_per_topic=2, seed=1)
+        model = TopicModel(n_topics=10, tags_per_topic=2)
         topics = model.sample_topics(3, 0.0, random.Random(2))
         names = [t.name for t in topics]
         assert len(names) == len(set(names)) == 3
