@@ -2,11 +2,10 @@
 
 Provides the handful of workflows a user needs without writing Python:
 
-* ``repro generate`` — write a synthetic Twitter-like trace to a JSONL file,
-* ``repro record`` — record a scenario workload (``--scenario trending/
-  burst/diurnal/adversarial``) as a replayable repro-trace file,
-* ``repro run`` — run the distributed tag-correlation system over a trace
-  (or a freshly generated one) and print the run report.
+* ``repro record`` — write a synthetic workload (``--scenario legacy`` or
+  ``trending``) as a replayable stream file (repro-trace JSONL),
+* ``repro run`` — run the distributed tag-correlation system over a stream
+  file (``--trace``) or a freshly generated stream and print the run report.
   ``--subset-cache`` sizes the Calculators' subset-enumeration LRU;
   ``--no-baseline`` skips the centralized ground truth (measurement runs
   that need no error metrics); ``--executor process`` shards the Calculator layer across ``--workers``
@@ -28,7 +27,7 @@ Provides the handful of workflows a user needs without writing Python:
   Unix socket and answering concurrent queries between rounds (see
   docs/ARCHITECTURE.md "Service mode"),
 * ``repro client`` — talk to a running daemon: ``ping``, ``ingest`` a
-  JSONL file, ``top-k`` / ``coefficient`` / ``tracked`` / ``stats``
+  stream file, ``top-k`` / ``coefficient`` / ``tracked`` / ``stats``
   queries, ``track`` standing tagsets, and graceful ``shutdown``.
 
 Invoke as ``python -m repro.cli <command> ...`` (or wire the ``repro``
@@ -43,8 +42,8 @@ Examples::
     python -m repro.cli run --documents 8000 --executor process --workers 4
     python -m repro.cli run --documents 8000 --scenario trending
     python -m repro.cli run --documents 50000 --counter-store spill --no-baseline
-    python -m repro.cli record --documents 6000 --scenario burst --output burst.trace.jsonl
-    python -m repro.cli run --trace burst.trace.jsonl
+    python -m repro.cli record --documents 6000 --scenario trending --output trending.trace.jsonl
+    python -m repro.cli run --trace trending.trace.jsonl
     python -m repro.cli compare --documents 6000 --algorithms DS,SCL
 """
 
@@ -65,11 +64,9 @@ from .theory import WindowModel, communication_sweep, paper_np_table
 from .workloads import (
     SCENARIO_NAMES,
     WorkloadConfig,
-    load_documents,
     load_trace,
     make_generator,
     scenario_preset,
-    write_documents,
     write_trace,
 )
 
@@ -85,11 +82,8 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--scenario", choices=SCENARIO_NAMES, default="legacy",
                         help="workload scenario preset: legacy (the original "
-                             "churny synthetic point), trending (persistent "
-                             "topics with rise/plateau/decay trends), burst "
-                             "(flash-crowd spikes), diurnal (sinusoidal "
-                             "rate + topic-mix cycle) or adversarial "
-                             "(worst-case tagset-type churn); "
+                             "churny synthetic point) or trending (persistent "
+                             "topics with rise/plateau/decay trends); "
                              "see docs/ARCHITECTURE.md \"Workload "
                              "scenarios\"")
 
@@ -233,16 +227,14 @@ def _system_config_from_args(args: argparse.Namespace, algorithm: str | None = N
 def _load_or_generate(args: argparse.Namespace) -> tuple[list[Document], str | None]:
     """The document stream plus its scenario provenance (None = unknown).
 
-    ``--trace`` replays a recorded trace file (scenario read from the
-    header), ``--input`` loads a plain tweet file (unknown provenance),
-    otherwise the stream is generated live from the workload arguments.
+    ``--trace`` replays a stream file (scenario read from its header, if
+    it has one), otherwise the stream is generated live from the workload
+    arguments.
     """
-    if getattr(args, "trace", None):
+    if args.trace:
         header, documents = load_trace(args.trace)
-        scenario = header.get("scenario")
+        scenario = header.get("scenario") if header else None
         return documents, scenario if scenario in SCENARIO_NAMES else None
-    if getattr(args, "input", None):
-        return load_documents(args.input), None
     return _workload_from_args(args), getattr(args, "scenario", "legacy")
 
 
@@ -331,13 +323,6 @@ def _print_report(report: RunReport, scenario: str | None = None) -> None:
 # --------------------------------------------------------------------- #
 # Sub-commands
 # --------------------------------------------------------------------- #
-def cmd_generate(args: argparse.Namespace) -> int:
-    documents = _workload_from_args(args)
-    written = write_documents(documents, args.output)
-    print(f"wrote {written} documents to {args.output}")
-    return 0
-
-
 def cmd_record(args: argparse.Namespace) -> int:
     config = _workload_config_from_args(args)
     documents = make_generator(config).generate(args.documents)
@@ -437,8 +422,8 @@ def cmd_client(args: argparse.Namespace) -> int:
     from .service import ServiceError
 
     if args.operation == "ingest":
-        if not args.input:
-            raise SystemExit("ingest requires --input <jsonl file>")
+        if not args.trace:
+            raise SystemExit("ingest requires --trace <stream file>")
         if args.ingest_batch < 1:
             raise SystemExit("--ingest-batch must be at least 1")
     try:
@@ -451,7 +436,7 @@ def cmd_client(args: argparse.Namespace) -> int:
         if op == "ping":
             response = client.ping()
         elif op == "ingest":
-            documents = load_documents(args.input)
+            documents = load_trace(args.trace)[1]
             if not documents:
                 print("ingested 0 documents")
                 return 0
@@ -510,11 +495,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 _EPILOG = """\
 subcommands:
-  generate      write a synthetic Twitter-like trace to a JSONL file
-  record        record a scenario run as a replayable repro-trace file
+  record        record a synthetic workload as a replayable stream file
                 (header with scenario + workload config, then document
-                records; replay with run/compare --trace)
-  run           run the distributed tag-correlation system over a trace
+                records; replay with run/compare/connectivity --trace)
+  run           run the distributed tag-correlation system over a stream
                 (use --subset-cache to size the Calculators'
                 subset-enumeration LRU, --no-baseline to skip the
                 centralized ground truth, --executor process --workers N to shard the
@@ -531,9 +515,10 @@ subcommands:
                 tracked, stats, track, shutdown
 
 examples:
-  # Generate a 10k-document trace, then replay it through the system:
-  python -m repro.cli generate --documents 10000 --output trace.jsonl
-  python -m repro.cli run --input trace.jsonl --algorithm DS --k 10
+  # Record a 10k-document stream, then replay it through the system
+  # (--trace also reads foreign data: one document record per line):
+  python -m repro.cli record --documents 10000 --output trace.jsonl
+  python -m repro.cli run --trace trace.jsonl --algorithm DS --k 10
 
   # Shard the Calculator layer over 4 worker processes:
   python -m repro.cli run --documents 8000 --executor process --workers 4
@@ -552,11 +537,6 @@ examples:
   # Trending workload scenario (persistent rise/plateau/decay trends):
   python -m repro.cli run --documents 8000 --scenario trending
 
-  # Adversarial churn (almost every tagset type is new every round) under
-  # live repartitioning:
-  python -m repro.cli run --documents 8000 --scenario adversarial \\
-      --repartition-handoff migrate
-
   # Out-of-core window state: spill cold counter segments to sorted run
   # files on disk and read them back once per report fold (bit-identical
   # to the default in-RAM dict store; see docs/ARCHITECTURE.md "Counter
@@ -570,10 +550,10 @@ examples:
   python -m repro.cli run --documents 50000 --counter-store spill \\
       --tracker-store spill --no-baseline
 
-  # Record a burst-scenario trace, then replay it bit-for-bit:
-  python -m repro.cli record --documents 6000 --scenario burst \\
-      --output burst.trace.jsonl
-  python -m repro.cli run --trace burst.trace.jsonl --k 8
+  # Record a trending-scenario trace, then replay it bit-for-bit:
+  python -m repro.cli record --documents 6000 --scenario trending \\
+      --output trending.trace.jsonl
+  python -m repro.cli run --trace trending.trace.jsonl --k 8
 
   # Paper-style algorithm comparison (Figures 3-6):
   python -m repro.cli compare --documents 8000 --algorithms DS,SCI,SCC,SCL
@@ -582,14 +562,19 @@ examples:
   # socket API, query it, then drain to a final report (batch==served,
   # pinned by tests/pipeline/test_service_equivalence.py):
   python -m repro.cli serve --port 7341 --k 8 &
-  python -m repro.cli generate --documents 5000 --output feed.jsonl
-  python -m repro.cli client --port 7341 ingest --input feed.jsonl
+  python -m repro.cli record --documents 5000 --output feed.jsonl
+  python -m repro.cli client --port 7341 ingest --trace feed.jsonl
   python -m repro.cli client --port 7341 top-k --k 10
   python -m repro.cli client --port 7341 stats
   python -m repro.cli client --port 7341 shutdown
 
 Use "python -m repro.cli <subcommand> --help" for per-command options.
 """
+
+
+_TRACE_HELP = ("stream file to replay instead of generating one: recorded "
+               "with `repro record` (scenario provenance is read from its "
+               "header) or one document record per line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,13 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    generate = subparsers.add_parser("generate", help="write a synthetic trace")
-    _add_workload_arguments(generate)
-    generate.add_argument("--output", required=True, help="output JSONL file")
-    generate.set_defaults(handler=cmd_generate)
-
     record = subparsers.add_parser(
-        "record", help="record a scenario run as a replayable trace file"
+        "record", help="record a synthetic workload as a replayable stream file"
     )
     _add_workload_arguments(record)
     record.add_argument("--output", required=True,
@@ -619,20 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run the distributed system")
     _add_workload_arguments(run)
     _add_system_arguments(run)
-    run.add_argument("--input", help="plain JSONL tweet file to replay "
-                                     "(otherwise generate)")
-    run.add_argument("--trace", help="repro-trace file to replay (recorded "
-                                     "with `repro record`; scenario "
-                                     "provenance is read from the header)")
+    run.add_argument("--trace", help=_TRACE_HELP)
     run.set_defaults(handler=cmd_run)
 
     compare = subparsers.add_parser("compare", help="compare algorithms on one trace")
     _add_workload_arguments(compare)
     _add_system_arguments(compare)
-    compare.add_argument("--input", help="plain JSONL tweet file to replay "
-                                         "(otherwise generate)")
-    compare.add_argument("--trace", help="repro-trace file to replay "
-                                         "(recorded with `repro record`)")
+    compare.add_argument("--trace", help=_TRACE_HELP)
     compare.add_argument(
         "--algorithms", default="DS,SCI,SCC,SCL", help="comma-separated algorithm names"
     )
@@ -642,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "connectivity", help="Figure-7 connectivity analysis of a trace"
     )
     _add_workload_arguments(connectivity)
-    connectivity.add_argument("--input", help="JSONL trace (otherwise generate)")
+    connectivity.add_argument("--trace", help=_TRACE_HELP)
     connectivity.add_argument(
         "--windows", default="2,5,10,20", help="comma-separated window sizes in minutes"
     )
@@ -674,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--port", type=int, default=7341, help="daemon TCP port")
     client.add_argument("--socket", default="",
                         help="connect to this Unix socket path instead of TCP")
-    client.add_argument("--input", help="JSONL tweet file to ingest")
+    client.add_argument("--trace", help="stream file to ingest (recorded "
+                                        "with `repro record`, or one "
+                                        "document record per line)")
     client.add_argument("--ingest-batch", type=int, default=500,
                         help="documents per ingest request (default 500)")
     client.add_argument("--k", type=int, default=10, help="top-k size")

@@ -19,7 +19,7 @@ from .disseminator import (
 from .merger import MergerBolt
 from .parser import ParserBolt, extract_hashtags
 from .partitioner import PartitionerBolt, SlidingWindow
-from .spouts import DocumentSpout, FileSpout, ServiceSpout
+from .spouts import DocumentSpout, ServiceSpout
 from .tracker import CoefficientView, TrackerBolt, TrackerSnapshot
 from . import streams
 
@@ -30,7 +30,6 @@ __all__ = [
     "DisseminatorBolt",
     "DisseminatorMetrics",
     "DocumentSpout",
-    "FileSpout",
     "MergerBolt",
     "MigrationRecord",
     "ParserBolt",

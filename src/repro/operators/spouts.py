@@ -2,19 +2,17 @@
 
 The paper's Source produces a stream of tweets either live from Twitter's
 streaming API or replayed from a file for repeatability.  The reproduction
-offers the same two flavours minus the live API: an in-memory document
-source (fed by the synthetic generator or by a loaded trace) and a
-JSON-Lines file source.
+replays an in-memory document sequence (fed by the synthetic generator or
+by a stream file loaded with ``workloads.load_trace``), or pulls documents
+from the service daemon's ingest queue.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..core.documents import Document
 from ..streamsim.components import Spout
-from ..workloads.io import read_documents
 from .streams import TWEETS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -76,10 +74,3 @@ class ServiceSpout(Spout):
         self.emitted += 1
         return True
 
-
-class FileSpout(DocumentSpout):
-    """Replays tweets from a JSON-Lines file written by ``repro.workloads.io``."""
-
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(read_documents(path))
-        self.path = Path(path)

@@ -1,4 +1,4 @@
-"""Synthetic Twitter-like workloads, scenarios, traces and statistics."""
+"""Synthetic Twitter-like workloads, scenarios, stream files and statistics."""
 
 from .generator import (
     SCENARIO_NAMES,
@@ -6,27 +6,10 @@ from .generator import (
     WorkloadConfig,
     generate_documents,
 )
-from .io import (
-    document_to_record,
-    load_documents,
-    read_documents,
-    record_to_document,
-    write_documents,
-)
-from .replay import (
-    load_trace,
-    read_trace,
-    read_trace_header,
-    record_trace,
-    replay_documents,
-    write_trace,
-)
+from .io import document_to_record, record_to_document
+from .replay import load_trace, read_trace, read_trace_header, write_trace
 from .scenarios import (
     SCENARIO_GENERATORS,
-    AdversarialChurnGenerator,
-    BurstGenerator,
-    DiurnalGenerator,
-    ScenarioGenerator,
     TrendingGenerator,
     make_generator,
     scenario_preset,
@@ -37,10 +20,6 @@ from .topics import Topic, TopicModel, uniform_topics
 __all__ = [
     "SCENARIO_GENERATORS",
     "SCENARIO_NAMES",
-    "AdversarialChurnGenerator",
-    "BurstGenerator",
-    "DiurnalGenerator",
-    "ScenarioGenerator",
     "Topic",
     "TopicModel",
     "TrendingGenerator",
@@ -50,18 +29,13 @@ __all__ = [
     "compute_statistics",
     "document_to_record",
     "generate_documents",
-    "load_documents",
     "load_trace",
     "make_generator",
-    "read_documents",
     "read_trace",
     "read_trace_header",
     "record_to_document",
-    "record_trace",
-    "replay_documents",
     "scenario_preset",
     "tags_per_tweet_frequencies",
     "uniform_topics",
-    "write_documents",
     "write_trace",
 ]

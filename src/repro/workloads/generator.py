@@ -31,11 +31,10 @@ from ..core.documents import Document
 from ..theory.zipf_model import PAPER_MMAX, PAPER_SKEW, zipf_frequencies
 from .topics import TopicModel
 
-#: Every workload scenario a :class:`WorkloadConfig` may name.  The
-#: generator classes live in ``workloads/scenarios.py`` (``legacy`` is
-#: :class:`TwitterLikeGenerator` below); construct through
-#: ``scenarios.make_generator``.
-SCENARIO_NAMES = ("legacy", "trending", "burst", "diurnal", "adversarial")
+#: Every workload scenario a :class:`WorkloadConfig` may name: ``legacy`` is
+#: :class:`TwitterLikeGenerator` below, ``trending`` lives in
+#: ``workloads/scenarios.py``; construct through ``scenarios.make_generator``.
+SCENARIO_NAMES = ("legacy", "trending")
 
 
 @dataclass(slots=True)
@@ -65,16 +64,15 @@ class WorkloadConfig:
     topic_decay_rate:
         Exponential decay rate (per second) applied to newly born topics.
     scenario:
-        Which scenario generator interprets this config: ``"legacy"`` (the
-        original churny synthetic point) or one of the scenario presets in
-        ``workloads.scenarios`` (``trending``, ``burst``, ``diurnal``,
-        ``adversarial``).  Construct via ``scenarios.make_generator``.
+        Which generator interprets this config: ``"legacy"`` (the original
+        churny synthetic point) or ``"trending"`` (``workloads.scenarios``).
+        Construct via ``scenarios.make_generator``.
     seed:
         Master seed; every run with the same config is identical.
 
-    The ``trend_*`` / ``burst_*`` / ``diurnal_*`` / ``adversarial_*``
-    fields parameterise the respective scenario generators and are ignored
-    by the others; see ``workloads/scenarios.py`` for their semantics.
+    The ``trend_*`` fields parameterise the trending generator and are
+    ignored by the legacy one; see ``workloads/scenarios.py`` for their
+    semantics.
     """
 
     tweets_per_second: float = 1300.0
@@ -110,31 +108,6 @@ class WorkloadConfig:
     #: (sampled from its non-anchor vocabulary) instead of a base topic.
     trend_mix: float = 0.35
 
-    # --- burst / flash-crowd scenario --------------------------------- #
-    #: Expected burst starts per minute of stream time.
-    burst_rate_per_minute: float = 2.0
-    #: Lifetime of one burst (seconds).
-    burst_duration_seconds: float = 15.0
-    #: Arrival-rate multiplier while at least one burst is live.
-    burst_intensity: float = 4.0
-    #: Probability that a document arriving during a burst is about the
-    #: burst's flash-crowd topic.
-    burst_share: float = 0.7
-
-    # --- diurnal scenario --------------------------------------------- #
-    #: Period of the sinusoidal rate/topic-mix cycle (a simulated "day").
-    diurnal_period_seconds: float = 240.0
-    #: Relative swing of the arrival rate around ``tweets_per_second``
-    #: (must stay below 1 so the rate never reaches zero).
-    diurnal_amplitude: float = 0.6
-
-    # --- adversarial-churn scenario ----------------------------------- #
-    #: Fraction of documents that re-emit a recently created tagset type
-    #: (everything else is a brand-new, never-recurring type).
-    adversarial_repeat_fraction: float = 0.12
-    #: How many recent types stay eligible for re-emission.
-    adversarial_repeat_window: int = 40
-
     def validate(self) -> None:
         if self.tweets_per_second <= 0:
             raise ValueError("tweets_per_second must be positive")
@@ -165,22 +138,6 @@ class WorkloadConfig:
             raise ValueError("trend_anchor_share must lie in [0, 1)")
         if not 0.0 <= self.trend_mix <= 1.0:
             raise ValueError("trend_mix must lie in [0, 1]")
-        if self.burst_rate_per_minute < 0:
-            raise ValueError("burst_rate_per_minute must be non-negative")
-        if self.burst_duration_seconds <= 0:
-            raise ValueError("burst_duration_seconds must be positive")
-        if self.burst_intensity < 1.0:
-            raise ValueError("burst_intensity must be at least 1")
-        if not 0.0 <= self.burst_share <= 1.0:
-            raise ValueError("burst_share must lie in [0, 1]")
-        if self.diurnal_period_seconds <= 0:
-            raise ValueError("diurnal_period_seconds must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must lie in [0, 1)")
-        if not 0.0 <= self.adversarial_repeat_fraction < 1.0:
-            raise ValueError("adversarial_repeat_fraction must lie in [0, 1)")
-        if self.adversarial_repeat_window < 1:
-            raise ValueError("adversarial_repeat_window must be at least 1")
 
 
 class TwitterLikeGenerator:
@@ -261,10 +218,6 @@ class TwitterLikeGenerator:
         """Per-document population dynamics hook (scenario override point)."""
         self._maybe_spawn_topics()
 
-    def _next_interarrival(self) -> float:
-        """Gap to the next arrival (scenario generators modulate the rate)."""
-        return self._interarrival
-
     def _sample_n_tags(self) -> int:
         # A pick past the last running sum is the largest count.
         return min(bisect_left(self._tag_count_sums, self._rng.random()),
@@ -284,7 +237,9 @@ class TwitterLikeGenerator:
             for index, topic in enumerate(sources):
                 share = n_tags // len(sources) + (1 if index < n_tags % len(sources) else 0)
                 tags.extend(topic.sample_tags(share, self._rng))
-        return frozenset(tags)
+        # Built from a set, a frozenset's table is sized to fit (472 bytes
+        # for 5-7 tags); built from a list it grows as for inserts (728).
+        return frozenset(set(tags))
 
     def _next_document(self) -> Document:
         self._advance_dynamics()
@@ -296,7 +251,7 @@ class TwitterLikeGenerator:
             timestamp=self._clock,
         )
         self._next_doc_id += 1
-        self._clock += self._next_interarrival()
+        self._clock += self._interarrival
         return document
 
 

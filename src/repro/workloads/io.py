@@ -1,16 +1,10 @@
-"""Reading and writing tweet streams as JSON Lines files.
+"""The document record: one tweet as a JSON object.
 
-The paper's Source spout can replay tweets from a file for repeatable
-experiments; this module provides the equivalent file format for the
-reproduction: one JSON object per line with ``id``, ``timestamp``, ``tags``
-and optional ``text`` fields.
+A record has ``id``, ``timestamp``, ``tags`` and an optional ``text``
+field; a stream file (``workloads/replay.py``) holds one record per line.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Iterable, Iterator
 
 from ..core.documents import Document, make_tagset
 
@@ -47,36 +41,3 @@ def record_to_document(record: dict) -> Document:
         timestamp=timestamp,
         text=str(record.get("text", "")),
     )
-
-
-def write_documents(documents: Iterable[Document], path: str | Path) -> int:
-    """Write documents as JSON Lines; returns the number written."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for document in documents:
-            handle.write(json.dumps(document_to_record(document)) + "\n")
-            count += 1
-    return count
-
-
-def read_documents(path: str | Path) -> Iterator[Document]:
-    """Stream documents back from a JSON Lines file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: invalid JSON in tweet file"
-                ) from error
-            yield record_to_document(record)
-
-
-def load_documents(path: str | Path) -> list[Document]:
-    """Eagerly load a whole tweet file into memory."""
-    return list(read_documents(path))

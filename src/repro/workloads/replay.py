@@ -1,8 +1,8 @@
-"""Recording and replaying workload traces.
+"""Recording and replaying document streams: the one stream file format.
 
-A *trace* is a JSON Lines file whose first line is a header object and
-whose remaining lines are document records in the tweet-file format of
-:mod:`.io` (``id``/``timestamp``/``tags``/optional ``text``):
+A stream file is JSON Lines: one document record per line in the format of
+:mod:`.io` (``id``/``timestamp``/``tags``/optional ``text``).  Written
+files open with a header object:
 
 .. code-block:: text
 
@@ -13,19 +13,24 @@ whose remaining lines are document records in the tweet-file format of
 
 The header records provenance — which scenario and
 :class:`~.generator.WorkloadConfig` produced the stream (``scenario`` is
-``"external"`` and ``workload`` is ``null`` for traces converted from
-foreign data).  Both the header and the records are serialised
-deterministically (sorted keys, sorted tags), so recording the same
-generator twice produces byte-identical files and a record → replay →
-re-record round trip is the identity: replayed runs are exactly as
-reproducible as live-generator runs, and external traces become
-first-class workloads for `repro run --trace`.
+``"external"`` and ``workload`` is ``null`` for documents that no
+generator made).  Both the header and the records are serialised
+deterministically (header keys sorted, record tags sorted), so recording
+the same generator twice produces byte-identical files and a record →
+replay → re-record round trip is the identity: replayed runs are exactly
+as reproducible as live-generator runs.
+
+On read the header is optional: a file whose first record is a JSON
+object with a ``"format"`` key opens with a header, which is validated;
+any other file is foreign data made of document records only, and its
+header is ``None``.  Blank lines are skipped.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -76,71 +81,66 @@ def write_trace(
     return len(documents)
 
 
-def record_trace(
-    config: WorkloadConfig, n_documents: int, path: str | Path
-) -> int:
-    """Generate ``n_documents`` from ``config``'s scenario and dump a trace."""
-    from .scenarios import make_generator  # local: scenarios imports generator
-
-    generator = make_generator(config)
-    return write_trace(generator.generate(n_documents), path, config)
-
-
-def read_trace_header(path: str | Path) -> dict:
-    """Parse and validate the header line of a trace file."""
-    path = Path(path)
+def _records(path: Path) -> Iterator[object]:
+    """The parsed JSON value of every non-blank line of ``path``."""
     with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline().strip()
-    try:
-        header = json.loads(first) if first else None
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}:1: invalid JSON in trace header") from error
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ValueError(
+                    f"{path}:{line_number}: invalid JSON in trace"
+                ) from error
+
+
+def _header(path: Path, record: object) -> dict | None:
+    """``record`` as a validated header, or ``None`` if it is a document."""
+    if not isinstance(record, dict) or "format" not in record:
+        return None
+    if record["format"] != TRACE_FORMAT:
         raise ValueError(
-            f"{path} is not a {TRACE_FORMAT} file (use `repro record` to "
-            "create one, or load plain tweet files with --input)"
+            f"{path}: unknown stream format {record['format']!r} "
+            f"(this build reads {TRACE_FORMAT})"
         )
-    version = header.get("version")
+    version = record.get("version")
     if version != TRACE_VERSION:
         raise ValueError(
             f"{path}: unsupported trace version {version!r} "
             f"(this build reads version {TRACE_VERSION})"
         )
-    return header
+    return record
+
+
+def read_trace_header(path: str | Path) -> dict | None:
+    """The validated header of a trace file (``None`` if it has none)."""
+    path = Path(path)
+    with closing(_records(path)) as records:
+        first = next(records, None)
+    return None if first is None else _header(path, first)
 
 
 def read_trace(path: str | Path) -> Iterator[Document]:
-    """Stream the documents of a trace (header validated, then skipped)."""
-    read_trace_header(path)
+    """Stream the documents of a trace (a header is validated, then skipped)."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        handle.readline()  # header
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: invalid JSON in trace"
-                ) from error
+    with closing(_records(path)) as records:
+        first = next(records, None)
+        if first is not None and _header(path, first) is None:
+            yield record_to_document(first)
+        for record in records:
             yield record_to_document(record)
 
 
-def load_trace(path: str | Path) -> tuple[dict, list[Document]]:
+def load_trace(path: str | Path) -> tuple[dict | None, list[Document]]:
     """Eagerly load a trace: ``(header, documents)``."""
     header = read_trace_header(path)
     documents = list(read_trace(path))
-    expected = header.get("n_documents")
+    expected = header.get("n_documents") if header else None
     if expected is not None and expected != len(documents):
         raise ValueError(
             f"{path}: header declares {expected} documents, "
             f"file holds {len(documents)} (truncated or corrupt trace)"
         )
     return header, documents
-
-
-def replay_documents(path: str | Path) -> list[Document]:
-    """The document stream of a trace, ready to feed a system run."""
-    return load_trace(path)[1]

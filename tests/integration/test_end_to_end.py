@@ -14,8 +14,7 @@ from repro.operators.centralized import CentralizedCalculatorBolt
 from repro.operators.disseminator import DisseminatorBolt
 from repro.operators.merger import MergerBolt
 from repro.pipeline import SystemConfig, TagCorrelationSystem
-from repro.workloads import TwitterLikeGenerator, WorkloadConfig, write_documents
-from repro.workloads.io import load_documents
+from repro.workloads import TwitterLikeGenerator, WorkloadConfig, load_trace, write_trace
 
 
 def small_workload(seed=21, n=2500):
@@ -137,8 +136,8 @@ class TestFileBackedRun:
         """The replay-from-file path of the Source spout (repeatability)."""
         documents = small_workload(seed=44, n=800)
         path = tmp_path / "trace.jsonl"
-        write_documents(documents, path)
-        replayed = load_documents(path)
+        write_trace(documents, path)
+        replayed = load_trace(path)[1]
         report_a = TagCorrelationSystem(small_config("DS", k=2)).run(documents)
         report_b = TagCorrelationSystem(small_config("DS", k=2)).run(replayed)
         assert report_a.communication_avg == report_b.communication_avg

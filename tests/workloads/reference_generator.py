@@ -3,8 +3,8 @@
 ``repro.workloads.topics`` keeps running sums of the topics whose weight
 cannot change and re-weights only the decaying ones per document; every
 weighted pick is one ``bisect_left``.  This module is the code that
-replaced: ``Topic``, ``TopicModel``, ``TwitterLikeGenerator`` and the four
-scenario generators exactly as they stood before, one ``popularity()``
+replaced: ``Topic``, ``TopicModel``, ``TwitterLikeGenerator`` and the
+trending generator exactly as they stood before, one ``popularity()``
 call per topic and one ``cumulative += weight`` scan per pick — kept (the
 ``tests/oracle.py`` pattern) so that "the same documents" is checked
 document by document over long streams, not only by 40-document golden
@@ -13,7 +13,6 @@ traces.  Nothing under ``src/`` imports it; do not make it fast.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -444,176 +443,7 @@ class TrendingGenerator(TwitterLikeGenerator):
         return super()._sample_tags(n_tags)
 
 
-# --------------------------------------------------------------------- #
-# Burst / flash crowd
-# --------------------------------------------------------------------- #
-#: Vocabulary size of one flash-crowd topic (small: a burst is one story).
-BURST_TOPIC_TAGS = 6
-
-
-class BurstGenerator(TwitterLikeGenerator):
-    """Legacy stream with superimposed short-lived flash-crowd spikes.
-
-    Burst starts are a seeded Poisson process; while at least one burst is
-    live the arrival rate is multiplied by ``burst_intensity`` and
-    ``burst_share`` of the documents are about the burst's fresh topic.
-    """
-
-    def __init__(self, config: WorkloadConfig | None = None) -> None:
-        super().__init__(config)
-        self._burst_topics: list[Topic] = []
-        self._burst_ends = 0.0
-        self._next_burst_id = 0
-        self._next_burst = self._sample_burst_gap()
-
-    def _sample_burst_gap(self) -> float:
-        rate = self.config.burst_rate_per_minute / 60.0
-        if rate <= 0:
-            return float("inf")
-        return self._clock + self._rng.expovariate(rate)
-
-    @property
-    def in_burst(self) -> bool:
-        """Whether the next document arrives inside a live burst window."""
-        return self._clock < self._burst_ends
-
-    def _advance_dynamics(self) -> None:
-        super()._advance_dynamics()
-        while self._clock >= self._next_burst:
-            burst_id = self._next_burst_id
-            self._next_burst_id += 1
-            topic = Topic(
-                name=f"burst{burst_id}",
-                tags=[f"burst{burst_id}_tag{i}" for i in range(BURST_TOPIC_TAGS)],
-                tag_skew=self.config.tag_skew,
-                birth_time=self._clock,
-            )
-            self._burst_topics.append(topic)
-            self._burst_ends = max(
-                self._burst_ends,
-                self._next_burst + self.config.burst_duration_seconds,
-            )
-            self._next_burst = self._sample_burst_gap()
-        if not self.in_burst and self._burst_topics:
-            self._burst_topics = []
-
-    def _next_interarrival(self) -> float:
-        if self.in_burst:
-            return self._interarrival / self.config.burst_intensity
-        return self._interarrival
-
-    def _sample_tags(self, n_tags: int) -> frozenset[str]:
-        if (n_tags > 0 and self.in_burst and self._burst_topics
-                and self._rng.random() < self.config.burst_share):
-            topic = self._burst_topics[-1]
-            return frozenset(topic.sample_tags(n_tags, self._rng))
-        return super()._sample_tags(n_tags)
-
-
-# --------------------------------------------------------------------- #
-# Diurnal
-# --------------------------------------------------------------------- #
-class DiurnalGenerator(TwitterLikeGenerator):
-    """Sinusoidal arrival rate plus day/night topic-mix modulation.
-
-    ``rate(t) = tweets_per_second * (1 + amplitude * sin(2*pi*t/period))``;
-    the topic population is split into a day pool (even indices) and a
-    night pool (odd indices) and the probability of sampling from the day
-    pool swings with the same phase, so the *content* of the stream drifts
-    with the clock, not just its volume.
-    """
-
-    def __init__(self, config: WorkloadConfig | None = None) -> None:
-        super().__init__(config)
-        topics = self._topics.topics
-        self._day_pool = topics[0::2]
-        self._night_pool = topics[1::2] or topics[0::2]
-
-    def _phase(self) -> float:
-        """Sine of the current diurnal phase, in [-1, 1]."""
-        return math.sin(
-            2.0 * math.pi * self._clock / self.config.diurnal_period_seconds
-        )
-
-    def _next_interarrival(self) -> float:
-        rate = self.config.tweets_per_second * (
-            1.0 + self.config.diurnal_amplitude * self._phase()
-        )
-        return 1.0 / rate
-
-    def _sample_pool_tags(self, pool: list[Topic], n_tags: int) -> frozenset[str]:
-        weights = [topic.popularity(self._clock) for topic in pool]
-        total = sum(weights)
-        pick = self._rng.random() * total if total > 0 else 0.0
-        cumulative = 0.0
-        chosen = pool[-1]
-        for topic, weight in zip(pool, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                chosen = topic
-                break
-        return frozenset(chosen.sample_tags(n_tags, self._rng))
-
-    def _sample_tags(self, n_tags: int) -> frozenset[str]:
-        if n_tags == 0:
-            return frozenset()
-        if self._rng.random() < self.config.intra_topic_probability:
-            day_share = 0.5 * (1.0 + self._phase())
-            pool = (
-                self._day_pool
-                if self._rng.random() < day_share else self._night_pool
-            )
-            return self._sample_pool_tags(pool, n_tags)
-        return super()._sample_tags(n_tags)
-
-
-# --------------------------------------------------------------------- #
-# Adversarial churn
-# --------------------------------------------------------------------- #
-class AdversarialChurnGenerator(TwitterLikeGenerator):
-    """Worst-case tagset-type churn.
-
-    Every non-repeat document is a brand-new tagset type over
-    never-reused tags (a monotone tag counter), so no type — and no tag —
-    recurs across report rounds; repeats only re-emit types created within
-    the last ``adversarial_repeat_window`` documents, keeping the repeat
-    horizon far below a report round.
-    """
-
-    def __init__(self, config: WorkloadConfig | None = None) -> None:
-        super().__init__(config)
-        self._next_tag_id = 0
-        self._recent_types: list[frozenset[str]] = []
-
-    def _advance_dynamics(self) -> None:
-        # No topic population at all: the churn is the workload.
-        return
-
-    def _sample_tags(self, n_tags: int) -> frozenset[str]:
-        if n_tags == 0:
-            return frozenset()
-        cfg = self.config
-        if (self._recent_types
-                and self._rng.random() < cfg.adversarial_repeat_fraction):
-            return self._rng.choice(self._recent_types)
-        n_tags = max(2, n_tags)  # 1-tag documents produce no reportable type
-        start = self._next_tag_id
-        self._next_tag_id += n_tags
-        tags = frozenset(f"adv{start + i}" for i in range(n_tags))
-        self._recent_types.append(tags)
-        if len(self._recent_types) > cfg.adversarial_repeat_window:
-            del self._recent_types[: -cfg.adversarial_repeat_window]
-        return tags
-
-    def vocabulary(self) -> list[str]:
-        """Tags minted so far (the universe grows with the stream)."""
-        return [f"adv{i}" for i in range(self._next_tag_id)]
-
-
 REFERENCE_GENERATORS: dict[str, type[TwitterLikeGenerator]] = {
     "legacy": TwitterLikeGenerator,
     "trending": TrendingGenerator,
-    "burst": BurstGenerator,
-    "diurnal": DiurnalGenerator,
-    "adversarial": AdversarialChurnGenerator,
 }

@@ -1,18 +1,9 @@
-"""Unit tests for tweet-file serialisation."""
-
-import json
+"""Unit tests for the document record codec (stream files: test_replay.py)."""
 
 import pytest
 
 from repro.core.documents import Document
-from repro.workloads.generator import TwitterLikeGenerator, WorkloadConfig
-from repro.workloads.io import (
-    document_to_record,
-    load_documents,
-    read_documents,
-    record_to_document,
-    write_documents,
-)
+from repro.workloads.io import document_to_record, record_to_document
 
 
 class TestRecordConversion:
@@ -40,34 +31,3 @@ class TestRecordConversion:
         document = record_to_document({"id": 1, "tags": ["#A", "b"]})
         assert document.tags == frozenset({"a", "b"})
 
-
-class TestFileRoundTrip:
-    def test_write_and_read(self, tmp_path):
-        documents = TwitterLikeGenerator(WorkloadConfig(seed=4)).generate(100)
-        path = tmp_path / "tweets.jsonl"
-        written = write_documents(documents, path)
-        assert written == 100
-        loaded = load_documents(path)
-        assert [d.tags for d in loaded] == [d.tags for d in documents]
-        assert [d.doc_id for d in loaded] == [d.doc_id for d in documents]
-
-    def test_read_is_lazy_iterator(self, tmp_path):
-        path = tmp_path / "tweets.jsonl"
-        write_documents(
-            [Document(doc_id=i, tags=frozenset({"a"})) for i in range(5)], path
-        )
-        iterator = read_documents(path)
-        assert next(iterator).doc_id == 0
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "tweets.jsonl"
-        path.write_text(
-            json.dumps({"id": 1, "tags": ["a"]}) + "\n\n" + json.dumps({"id": 2, "tags": []}) + "\n"
-        )
-        assert len(load_documents(path)) == 2
-
-    def test_invalid_json_raises_with_line_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": 1, "tags": ["a"]}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            load_documents(path)

@@ -3,25 +3,18 @@
 Every generator must satisfy the stream contract (seeded determinism,
 timestamp monotonicity, tag-arity bounds) plus its scenario-shape
 invariant: trending keeps its top topics persistent across report rounds
-and re-emits plateau anchors with exact per-round multiplicities, burst
-spikes the arrival rate, diurnal modulates it periodically, and
-adversarial churn keeps the first-occurrence type fraction per round at or
-above 85%.
+and re-emits plateau anchors with exact per-round multiplicities.
 """
 
 import collections
 import dataclasses
-import math
+import sys
 
 import pytest
 
 from repro.workloads import (
     SCENARIO_GENERATORS,
     SCENARIO_NAMES,
-    AdversarialChurnGenerator,
-    BurstGenerator,
-    DiurnalGenerator,
-    ScenarioGenerator,
     TrendingGenerator,
     TwitterLikeGenerator,
     WorkloadConfig,
@@ -51,10 +44,14 @@ class TestScenarioRegistry:
         for name, cls in SCENARIO_GENERATORS.items():
             generator = make_generator(_preset(name))
             assert type(generator) is cls
-            assert isinstance(generator, ScenarioGenerator)
+            assert isinstance(generator, TwitterLikeGenerator)
 
     def test_legacy_scenario_is_the_plain_generator(self):
         assert SCENARIO_GENERATORS["legacy"] is TwitterLikeGenerator
+
+    def test_trending_scenario_is_the_trending_generator(self):
+        assert SCENARIO_NAMES == ("legacy", "trending")
+        assert SCENARIO_GENERATORS["trending"] is TrendingGenerator
 
     def test_scenario_preset_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -100,11 +97,8 @@ class TestStreamContract:
     def test_tag_arity_bounded(self, name):
         config = _preset(name)
         documents = make_generator(config).generate(600)
-        # The adversarial generator floors arity at 2 (1-tag documents
-        # contribute no reportable type); every scenario stays within the
-        # configured Zipf maximum.
-        limit = max(config.max_tags_per_tweet, 2)
-        assert all(len(d.tags) <= limit for d in documents)
+        # Every scenario stays within the configured Zipf maximum.
+        assert all(len(d.tags) <= config.max_tags_per_tweet for d in documents)
         assert any(d.tags for d in documents)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -115,6 +109,69 @@ class TestStreamContract:
             by_count[-1].timestamp + 1e-9
         )
         assert _stream_key(by_time) == _stream_key(by_count)
+
+
+class TestTagsetTables:
+    """Generated tagsets are built from a set, so a frozenset's table is
+    sized to fit (472 bytes for 5-7 tags, not the 728 of one grown by
+    inserts); every document's own frozenset is what the pipeline pins."""
+
+    @pytest.mark.parametrize("intra", [0.0, 1.0])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_tagsets_are_sized_to_fit(self, name, intra):
+        # intra 1.0: every background tagset from one topic; 0.0: every
+        # one mixed from two or three topics.
+        documents = make_generator(
+            _preset(name, intra_topic_probability=intra)).generate(1500)
+        assert any(len(d.tags) >= 5 for d in documents)
+        for document in documents:
+            assert sys.getsizeof(document.tags) == sys.getsizeof(
+                frozenset(set(document.tags))), sorted(document.tags)
+
+    def test_trend_picks_are_sized_to_fit(self):
+        generator = make_generator(_preset("trending", trend_mix=1.0))
+        documents = generator.generate(3000)
+        picks = [d for d in documents if any("_tag" in t and t.startswith("trend")
+                                             for t in d.tags)]
+        assert any(len(d.tags) >= 5 for d in picks)
+        for document in picks:
+            assert sys.getsizeof(document.tags) == sys.getsizeof(
+                frozenset(set(document.tags)))
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_gap_is_the_fixed_interarrival(self, name):
+        """No scenario modulates the rate: the clock advances by
+        ``1 / tweets_per_second`` per document, accumulated."""
+        documents = make_generator(_preset(name)).generate(500)
+        clock = 0.0
+        for document in documents:
+            assert document.timestamp == clock
+            clock += 1.0 / TPS
+
+
+class TestRemovedScenarios:
+    """``burst``, ``diurnal`` and ``adversarial`` are gone with their knobs."""
+
+    @pytest.mark.parametrize("name", ["burst", "diurnal", "adversarial"])
+    def test_removed_scenario_names_are_refused(self, name):
+        with pytest.raises(ValueError, match="scenario must be one of legacy, trending"):
+            WorkloadConfig(scenario=name).validate()
+        with pytest.raises(ValueError, match="unknown scenario"):
+            scenario_preset(name)
+
+    @pytest.mark.parametrize("field", [
+        "burst_rate_per_minute", "burst_duration_seconds", "burst_intensity",
+        "burst_share", "diurnal_period_seconds", "diurnal_amplitude",
+        "adversarial_repeat_fraction", "adversarial_repeat_window",
+    ])
+    def test_removed_fields_are_refused(self, field):
+        # So the workload of a trace recorded before the removal replays
+        # its documents but no longer rebuilds as a config.
+        with pytest.raises(TypeError, match=field):
+            WorkloadConfig(**{field: 1})
+        assert len(dataclasses.fields(WorkloadConfig)) == 19
 
 
 class TestTrendingShape:
@@ -184,121 +241,6 @@ class TestTrendingShape:
             assert generator.current_time - trend.birth_time <= lifetime
 
 
-class TestBurstShape:
-    def test_burst_multiplies_rate_and_flavours_documents(self):
-        config = _preset("burst", burst_rate_per_minute=1.0,
-                         burst_intensity=4.0)
-        documents = make_generator(config).generate(6000)
-        per_second = collections.Counter(int(d.timestamp) for d in documents)
-        rates = sorted(per_second.values())
-        median = rates[len(rates) // 2]
-        # Outside bursts the stream runs at the base rate; inside, at
-        # burst_intensity times that.
-        assert median == pytest.approx(TPS, rel=0.1)
-        assert max(rates) >= 2.0 * median
-        burst_documents = [
-            d for d in documents
-            if any(tag.startswith("burst") for tag in d.tags)
-        ]
-        assert burst_documents, "flash-crowd topics never surfaced"
-
-    def test_zero_burst_rate_degenerates_to_legacy_shape(self):
-        config = _preset("burst", burst_rate_per_minute=0.0)
-        documents = make_generator(config).generate(2000)
-        assert not any(
-            tag.startswith("burst") for d in documents for tag in d.tags
-        )
-        span = documents[-1].timestamp - documents[0].timestamp
-        assert span == pytest.approx(2000 / TPS, rel=0.01)
-
-
-class TestDiurnalShape:
-    def test_rate_oscillates_with_the_configured_period(self):
-        period = 120.0
-        config = _preset("diurnal", diurnal_period_seconds=period,
-                         diurnal_amplitude=0.6)
-        documents = make_generator(config).generate(9000)
-        per_second = collections.Counter(int(d.timestamp) for d in documents)
-        span = int(documents[-1].timestamp)
-        interior = {s: per_second[s] for s in range(5, span - 5)}
-        peak = max(interior.values())
-        trough = min(interior.values())
-        assert peak >= 2.0 * trough
-        # Periodicity: the rate profile correlates with the configured
-        # sinusoid far better than with chance.
-        seconds = sorted(interior)
-        mean = sum(interior.values()) / len(interior)
-        num = sum(
-            (interior[s] - mean) * math.sin(2 * math.pi * (s + 0.5) / period)
-            for s in seconds
-        )
-        den = math.sqrt(
-            sum((interior[s] - mean) ** 2 for s in seconds)
-            * sum(math.sin(2 * math.pi * (s + 0.5) / period) ** 2
-                  for s in seconds)
-        )
-        assert num / den > 0.8
-
-    def test_topic_mix_swings_between_pools(self):
-        period = 120.0
-        config = _preset("diurnal", diurnal_period_seconds=period,
-                         diurnal_amplitude=0.9)
-        generator = make_generator(config)
-        documents = generator.generate(9000)
-        day_tags = {t for topic in generator._day_pool for t in topic.tags}
-        # Day-pool share around the sine peak vs around the sine trough.
-        def share(lo, hi):
-            day = total = 0
-            for d in documents:
-                if lo <= d.timestamp % period < hi and d.tags:
-                    total += 1
-                    if set(d.tags) <= day_tags:
-                        day += 1
-            return day / max(1, total)
-
-        assert share(20.0, 40.0) > share(80.0, 100.0) + 0.2
-
-
-class TestAdversarialShape:
-    ROUND = 30.0
-
-    def test_first_occurrence_fraction_at_least_85_percent(self):
-        documents = make_generator(_preset("adversarial")).generate(4500)
-        seen = set()
-        per_round = collections.defaultdict(lambda: [0, 0])
-        for document in documents:
-            if len(document.tags) < 2:
-                continue
-            bucket = per_round[int(document.timestamp // self.ROUND)]
-            if document.tags not in seen:
-                seen.add(document.tags)
-                bucket[0] += 1
-            bucket[1] += 1
-        assert per_round
-        for first, total in per_round.values():
-            assert first / total >= 0.85
-
-    def test_repeats_stay_within_the_recent_window(self):
-        config = _preset("adversarial", adversarial_repeat_window=25)
-        documents = make_generator(config).generate(3000)
-        last_seen = {}
-        for index, document in enumerate(documents):
-            if document.tags in last_seen:
-                # A repeated type was minted at most window non-repeat
-                # documents ago; with repeats interleaved the document gap
-                # stays within ~2x the window.
-                assert index - last_seen[document.tags] <= 2 * 25
-            last_seen[document.tags] = index
-
-    def test_tags_never_reused_across_types(self):
-        documents = make_generator(_preset("adversarial")).generate(2000)
-        owner = {}
-        for document in documents:
-            for tag in document.tags:
-                owner.setdefault(tag, document.tags)
-                assert owner[tag] == document.tags
-
-
 class TestWorkloadConfigValidation:
     def test_new_topic_rate_zero_disables_births_cleanly(self):
         # Regression: rate 0 must mean "no births" (infinite birth gap),
@@ -331,14 +273,6 @@ class TestWorkloadConfigValidation:
         ("trend_decay_seconds", 0.0),
         ("trend_anchor_share", 1.0),
         ("trend_mix", 1.5),
-        ("burst_rate_per_minute", -1.0),
-        ("burst_duration_seconds", 0.0),
-        ("burst_intensity", 0.5),
-        ("burst_share", -0.1),
-        ("diurnal_period_seconds", 0.0),
-        ("diurnal_amplitude", 1.0),
-        ("adversarial_repeat_fraction", 1.0),
-        ("adversarial_repeat_window", 0),
     ])
     def test_scenario_knob_bounds(self, field, value):
         config = dataclasses.replace(WorkloadConfig(), **{field: value})
